@@ -1317,21 +1317,8 @@ impl<'a> PlanRun<'a> {
     /// job from its latest iteration-boundary state and recompute
     /// bit-for-bit.
     pub(crate) fn snapshot_state(&self, ex: &ExecState) -> SuspendedJob {
-        SuspendedJob {
-            shards: ex.st.shards.iter().map(ShardCheckpoint::capture).collect(),
-            sched: ex.st.sched,
-            strategy: ex.st.strategy,
-            global_best_err: ex.st.global_best_err,
-            global_best_pos: ex.st.global_best_pos.clone(),
-            quarantined: ex.st.quarantined,
-            migrations: ex.st.migrations,
-            history: ex.history.clone(),
-            stagnant: ex.stagnant,
-            iterations_run: ex.iterations_run,
-            restores: ex.restores,
-            t: ex.t,
-            done: ex.done,
-        }
+        let shards = ex.st.shards.iter().map(ShardCheckpoint::capture).collect();
+        ex.suspended_with(shards)
     }
 
     /// Rehydrate a [`SuspendedJob`] onto this run's target: reallocate one
@@ -1438,6 +1425,40 @@ impl ExecState {
     /// Iterations completed so far.
     pub(crate) fn iterations_run(&self) -> usize {
         self.iterations_run
+    }
+
+    /// Snapshot several live executions whose shards all live on one
+    /// device in a single packed device→host copy
+    /// ([`ShardCheckpoint::capture_many`]), one [`SuspendedJob`] each, in
+    /// order. The serving layer captures a micro-batch's members this way
+    /// at a slice boundary. Each snapshot equals
+    /// [`PlanRun::snapshot_state`] of the same state.
+    pub(crate) fn snapshot_many(states: &[&ExecState]) -> Vec<SuspendedJob> {
+        let shards: Vec<&Shard> = states.iter().flat_map(|ex| &ex.st.shards).collect();
+        let mut cps = ShardCheckpoint::capture_many(&shards).into_iter();
+        states
+            .iter()
+            .map(|ex| ex.suspended_with(cps.by_ref().take(ex.st.shards.len()).collect()))
+            .collect()
+    }
+
+    /// A [`SuspendedJob`] of this state over already-captured `shards`.
+    fn suspended_with(&self, shards: Vec<ShardCheckpoint>) -> SuspendedJob {
+        SuspendedJob {
+            shards,
+            sched: self.st.sched,
+            strategy: self.st.strategy,
+            global_best_err: self.st.global_best_err,
+            global_best_pos: self.st.global_best_pos.clone(),
+            quarantined: self.st.quarantined,
+            migrations: self.st.migrations,
+            history: self.history.clone(),
+            stagnant: self.stagnant,
+            iterations_run: self.iterations_run,
+            restores: self.restores,
+            t: self.t,
+            done: self.done,
+        }
     }
 }
 

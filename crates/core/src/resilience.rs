@@ -60,7 +60,7 @@ use crate::error::PsoError;
 use crate::gpu::kernels::{Shard, UpdateStrategy};
 use crate::result::RunResult;
 use fastpso_functions::Objective;
-use gpu_sim::{Counters, Device, KernelDesc, Phase};
+use gpu_sim::{Counters, Device, DeviceBuffer, KernelDesc, Phase};
 
 /// Bounded-retry policy for transient device faults.
 ///
@@ -271,38 +271,89 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    /// Snapshot `shard` to host memory. The device→host transfers are
-    /// charged to [`Phase::Recovery`].
+    /// Snapshot `shard` to host memory in one packed device→host copy,
+    /// charged to [`Phase::Recovery`]. Same as
+    /// [`ShardCheckpoint::capture_many`] over the one shard.
     pub fn capture(shard: &Shard) -> Self {
-        ShardCheckpoint {
-            row0: shard.row0,
-            rows: shard.rows,
-            d: shard.d,
-            pos: shard.pos.download_in(Phase::Recovery),
-            vel: shard.vel.download_in(Phase::Recovery),
-            errors: shard.errors.download_in(Phase::Recovery),
-            pbest_err: shard.pbest_err.download_in(Phase::Recovery),
-            pbest_pos: shard.pbest_pos.download_in(Phase::Recovery),
-            gbest_pos: shard.gbest_pos.download_in(Phase::Recovery),
-            gbest_err: shard.gbest_err,
-            extra: shard.extra.as_ref().map(|b| b.download_in(Phase::Recovery)),
-        }
+        Self::capture_many(&[shard])
+            .pop()
+            .expect("one checkpoint per shard")
+    }
+
+    /// Snapshot several shards that live on one device in a single packed
+    /// device→host copy ([`Device::download_packed`]): one gather pass and
+    /// one transfer for all of them, charged to [`Phase::Recovery`].
+    /// Returns one checkpoint per shard, in order.
+    ///
+    /// # Panics
+    ///
+    /// If the shards live on different devices.
+    pub fn capture_many(shards: &[&Shard]) -> Vec<Self> {
+        let Some(first) = shards.first() else {
+            return Vec::new();
+        };
+        let bufs: Vec<&DeviceBuffer<f32>> = shards
+            .iter()
+            .flat_map(|s| {
+                [
+                    &s.pos,
+                    &s.vel,
+                    &s.errors,
+                    &s.pbest_err,
+                    &s.pbest_pos,
+                    &s.gbest_pos,
+                ]
+                .into_iter()
+                .chain(s.extra.as_ref())
+            })
+            .collect();
+        let mut host = first
+            .pos
+            .device()
+            .download_packed(Phase::Recovery, &bufs)
+            .into_iter();
+        let mut next = || host.next().expect("one host vector per packed buffer");
+        shards
+            .iter()
+            .map(|s| ShardCheckpoint {
+                row0: s.row0,
+                rows: s.rows,
+                d: s.d,
+                pos: next(),
+                vel: next(),
+                errors: next(),
+                pbest_err: next(),
+                pbest_pos: next(),
+                gbest_pos: next(),
+                gbest_err: s.gbest_err,
+                extra: s.extra.as_ref().map(|_| next()),
+            })
+            .collect()
     }
 
     /// Write the snapshot back into `shard` (host→device transfers charged
     /// to [`Phase::Recovery`]). Each upload is individually retried under
-    /// `policy`, since transfer faults can hit the restore path too.
+    /// `policy`, since transfer faults can hit the restore path too; that
+    /// is why restores stay per-buffer while captures are packed.
+    ///
+    /// A checkpoint whose `(row0, rows, d)` differs from the shard's is
+    /// rejected with [`PsoError::InvalidConfig`] before anything is written.
     pub fn restore_into(
         &self,
         dev: &Device,
         shard: &mut Shard,
         policy: &RetryPolicy,
     ) -> Result<(), PsoError> {
-        assert_eq!(
+        let (have, want) = (
             (self.row0, self.rows, self.d),
             (shard.row0, shard.rows, shard.d),
-            "checkpoint / shard geometry mismatch"
         );
+        if have != want {
+            return Err(PsoError::InvalidConfig(format!(
+                "checkpoint geometry (row0, rows, d) = {have:?} does not match \
+                 shard geometry {want:?}"
+            )));
+        }
         retry_op(dev, policy, || {
             shard
                 .pos
@@ -606,6 +657,60 @@ mod tests {
         // A PSO shard's checkpoint stays extra-free.
         let plain = Shard::alloc(&dev, 0, 8, 4).unwrap();
         assert_eq!(ShardCheckpoint::capture(&plain).extra, None);
+    }
+
+    #[test]
+    fn mismatched_checkpoint_is_rejected_and_leaves_the_shard_untouched() {
+        let dev = Device::v100();
+        let cfg = PsoConfig::builder(8, 4)
+            .max_iter(4)
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut small = Shard::alloc(&dev, 0, 4, 4).unwrap();
+        let cp = ShardCheckpoint::capture(&small);
+        let mut shard = Shard::alloc(&dev, 0, 8, 4).unwrap();
+        init_shard(&dev, &mut shard, &cfg, Sphere.domain()).unwrap();
+        shard.gbest_err = 2.5;
+        let pos = shard.pos.as_slice().to_vec();
+        let uploads = dev.fault_stats().transfers;
+        let err = cp
+            .restore_into(&dev, &mut shard, &RetryPolicy::default())
+            .unwrap_err();
+        match &err {
+            PsoError::InvalidConfig(msg) => {
+                assert!(msg.contains("(0, 4, 4)"), "names the checkpoint: {msg}");
+                assert!(msg.contains("(0, 8, 4)"), "names the shard: {msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+        assert_eq!(shard.pos.as_slice(), &pos[..]);
+        assert_eq!(shard.gbest_err, 2.5);
+        assert_eq!(dev.fault_stats().transfers, uploads, "nothing uploaded");
+        // The matching shard still restores.
+        cp.restore_into(&dev, &mut small, &RetryPolicy::default())
+            .unwrap();
+    }
+
+    #[test]
+    fn capture_many_matches_per_shard_capture_in_one_transfer() {
+        let dev = Device::v100();
+        let cfg = PsoConfig::builder(8, 4)
+            .max_iter(4)
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut a = Shard::alloc(&dev, 0, 8, 4).unwrap();
+        init_shard(&dev, &mut a, &cfg, Sphere.domain()).unwrap();
+        let mut b = Shard::alloc(&dev, 8, 4, 4).unwrap();
+        init_shard(&dev, &mut b, &cfg, Sphere.domain()).unwrap();
+        crate::gpu::kernels::init_gfwa_amplitudes(&dev, &mut b, Sphere.domain()).unwrap();
+        let solo = vec![ShardCheckpoint::capture(&a), ShardCheckpoint::capture(&b)];
+        let before = dev.counters().transfers;
+        let many = ShardCheckpoint::capture_many(&[&a, &b]);
+        assert_eq!(many, solo);
+        assert_eq!(dev.counters().transfers - before, 1, "one packed copy");
+        assert!(ShardCheckpoint::capture_many(&[]).is_empty());
     }
 
     #[test]

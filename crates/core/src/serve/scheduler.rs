@@ -1157,14 +1157,12 @@ impl Service {
             failed = res.is_err();
             out.push((j, res));
         }
-        dev.end_persistent();
-        let share = open_cost / members.len() as f64;
-        for &j in members {
-            self.running[j].device_seconds += share;
-        }
-        // Checkpoint at the slice boundary, as the solo path does — unless
-        // the device died mid-batch (the capture transfer would fail; the
-        // next tick's sweep rolls every member back to its last capture).
+        // Checkpoint at the slice boundary, as the solo path does, while the
+        // region is still open: every due member is captured in one packed
+        // copy (one pack pass and one PCIe latency per batch-slice) whose
+        // cost is split equally, like the region open. Skipped if the
+        // device died mid-batch (the next tick's sweep rolls every member
+        // back to its last capture).
         let stranded = members.iter().any(|&j| {
             self.running[j]
                 .lease
@@ -1173,22 +1171,38 @@ impl Service {
                 .any(|&d| self.device_lost(d))
         });
         if self.cfg.checkpoint_slices > 0 && !stranded {
+            let mut due = Vec::new();
             for &(j, ref res) in &out {
                 if !matches!(res, Ok(false)) {
                     continue;
                 }
-                let before = merged_total(&self.group);
-                let rec_before = merged_recovery(&self.group);
                 let job = &mut self.running[j];
                 job.slices_since_snapshot += 1;
                 if job.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    let snap = snapshot_job(job);
-                    job.snapshot = Some(snap);
                     job.slices_since_snapshot = 0;
+                    due.push(j);
                 }
-                job.device_seconds += merged_total(&self.group) - before;
-                job.recovery_s += merged_recovery(&self.group) - rec_before;
             }
+            if !due.is_empty() {
+                let before = merged_total(&self.group);
+                let rec_before = merged_recovery(&self.group);
+                let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
+                let snaps = ExecState::snapshot_many(&states);
+                let n = due.len() as f64;
+                let share = (merged_total(&self.group) - before) / n;
+                let rec_share = (merged_recovery(&self.group) - rec_before) / n;
+                for (&j, snap) in due.iter().zip(snaps) {
+                    let job = &mut self.running[j];
+                    job.snapshot = Some(snap);
+                    job.device_seconds += share;
+                    job.recovery_s += rec_share;
+                }
+            }
+        }
+        dev.end_persistent();
+        let share = open_cost / members.len() as f64;
+        for &j in members {
+            self.running[j].device_seconds += share;
         }
         out
     }
@@ -1213,17 +1227,8 @@ impl Service {
             ..
         } = job;
         let iterations = state.iterations_run();
-        // Close the calibration loop: every completion is one observation
-        // of (shape → device-seconds) at the iterations actually run.
-        if iterations > 0 && device_seconds > 0.0 {
-            let mut shape = self.shape_of(&req, req.strategy);
-            shape.iterations = iterations as u64;
-            shape.shards = partitions.len() as u64;
-            self.predictor.observe(&shape, device_seconds);
-        }
-        if deadline_abs.is_none_or(|d| now <= d) {
-            self.goodput_s += device_seconds;
-        }
+        let n_shards = partitions.len() as u64;
+        let before = merged_total(&self.group);
         let result = {
             let target = target_of(&view, sharded);
             let run = PlanRun {
@@ -1237,6 +1242,19 @@ impl Service {
             };
             run.finish_state(state)
         };
+        // The result download is the job's own device time.
+        let device_seconds = device_seconds + (merged_total(&self.group) - before);
+        // Close the calibration loop: every completion is one observation
+        // of (shape → device-seconds) at the iterations actually run.
+        if iterations > 0 && device_seconds > 0.0 {
+            let mut shape = self.shape_of(&req, req.strategy);
+            shape.iterations = iterations as u64;
+            shape.shards = n_shards;
+            self.predictor.observe(&shape, device_seconds);
+        }
+        if deadline_abs.is_none_or(|d| now <= d) {
+            self.goodput_s += device_seconds;
+        }
         self.release_shared(lease);
         self.journal.append(ServeEvent::Complete { job: id.0 });
         self.records.push(JobRecord {

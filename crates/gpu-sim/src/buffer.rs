@@ -101,6 +101,11 @@ impl<T: Send + Sync + 'static> DeviceBuffer<T> {
         self.data.clone()
     }
 
+    /// Whether this buffer lives on `dev`.
+    pub(crate) fn is_on(&self, dev: &crate::Device) -> bool {
+        Arc::ptr_eq(&self.shared, &dev.shared)
+    }
+
     /// The device this buffer lives on.
     pub fn device(&self) -> crate::Device {
         crate::Device {
