@@ -7,11 +7,13 @@
 //! [`SwarmAlgorithm`] captures exactly that seam. An implementation emits
 //! its per-shard update ops into the [`crate::plan::ExecutionPlan`] node
 //! list, declares which rewrite passes are legal for it (fusion legality,
-//! the admission downgrade ladder), names its persistent-kernel region and
-//! says whether shards carry extra per-particle state. The single `PlanRun`
-//! executor, the resilience hooks, checkpoint/suspend/resume, the serving
-//! layer and the cost predictor all operate on the generic op set and never
-//! branch on "is this PSO".
+//! the admission downgrade ladder), names its persistent-kernel region,
+//! allocates any extra per-particle state its shards carry, and *executes*
+//! its own update-tail ops ([`SwarmAlgorithm::execute`]). The single
+//! `PlanRun` executor runs the shared prefix and hands every other op to the
+//! algorithm, under the same resilience guard; checkpoint/suspend/resume,
+//! the serving layer and the cost predictor all operate on the generic op
+//! set and never branch on "is this PSO".
 //!
 //! Three algorithms are registered:
 //!
@@ -26,12 +28,21 @@
 //!   the spark ranking, and a selection/amplitude-adaptation step, mapped
 //!   onto the existing reduce/argmin machinery.
 //!
-//! See `ARCHITECTURE.md` ("plugging in an algorithm") for the full contract
-//! a new implementation must satisfy.
+//! See `docs/ARCHITECTURE.md` ("plugging in an algorithm") for the full
+//! contract a new implementation must satisfy.
 
+use crate::config::PsoConfig;
+use crate::error::PsoError;
+use crate::gpu::kernels::{
+    explosion, fused_swarm_update, gen_weights, gfwa_selection, guiding_spark,
+    init_gfwa_amplitudes, position_update, sso_update, velocity_update, Explosion, GuidingSpark,
+    Shard,
+};
 use crate::gpu::UpdateStrategy;
-use crate::plan::{cheaper_strategy, PlanNode, PlanOp};
-use gpu_sim::Phase;
+use crate::plan::{push, PlanNode, PlanOp};
+use crate::resilience::{retry_degradable, retry_op, ResilienceConfig};
+use fastpso_functions::Objective;
+use gpu_sim::{Device, Phase};
 use std::fmt;
 use std::str::FromStr;
 
@@ -98,7 +109,8 @@ impl FromStr for Algorithm {
 
 /// The pluggable per-algorithm surface of the plan layer. Implementations
 /// are stateless unit structs reached through [`algorithm_impl`]; all
-/// mutable state lives in the shards and the executor.
+/// mutable state lives in the shards and in the executor-owned
+/// [`TailScratch`].
 pub trait SwarmAlgorithm: Sync {
     /// The serializable key of this implementation.
     fn key(&self) -> Algorithm;
@@ -126,29 +138,68 @@ pub trait SwarmAlgorithm: Sync {
     /// opens when a plan of this algorithm is lowered persistent.
     fn persistent_region(&self) -> &'static str;
 
-    /// Whether shards of this algorithm carry the optional extra
-    /// per-particle state buffer (`Shard::extra` — GFWA's explosion
-    /// amplitudes). Algorithms without extra state keep the buffer `None`,
-    /// so their allocation and checkpoint traffic is unchanged.
-    fn extra_state(&self) -> bool;
+    /// Allocate and initialise the optional extra per-particle state of a
+    /// freshly initialised shard (`Shard::extra` — GFWA's explosion
+    /// amplitudes). Must be idempotent: the executor retries it in place.
+    /// The default allocates nothing and keeps the buffer `None`, so the
+    /// allocation and checkpoint traffic of algorithms without extra state
+    /// is unchanged.
+    fn init_extra(
+        &self,
+        _dev: &Device,
+        _shard: &mut Shard,
+        _domain: (f32, f32),
+    ) -> Result<(), PsoError> {
+        Ok(())
+    }
+
+    /// Execute one update-tail op this algorithm emitted, under the
+    /// executor's resilience guard (`cx`'s retry policy and strategy
+    /// ladder). An op the algorithm does not emit, or a stage run before
+    /// the stage it consumes, is rejected with [`PsoError::InvalidConfig`]
+    /// before anything is launched.
+    fn execute(&self, op: PlanOp, cx: UpdateCtx<'_>) -> Result<(), PsoError>;
 }
 
-fn push(
-    nodes: &mut Vec<PlanNode>,
-    op: PlanOp,
-    shard: usize,
-    phase: Phase,
-    deps: Vec<usize>,
-) -> usize {
-    nodes.push(PlanNode {
-        op,
-        shard,
-        phase,
-        deps,
-        stream: 0,
-        wait: Vec::new(),
-    });
-    nodes.len() - 1
+/// Everything one update-tail op reads and writes besides the op itself:
+/// the shard it acts on, its [`TailScratch`], the iteration's inputs and
+/// the executor's resilience guard. Built by the plan executor for every
+/// call to [`SwarmAlgorithm::execute`].
+pub struct UpdateCtx<'a> {
+    pub(crate) dev: &'a Device,
+    pub(crate) shard: &'a mut Shard,
+    pub(crate) scratch: &'a mut TailScratch,
+    pub(crate) cfg: &'a PsoConfig,
+    pub(crate) obj: &'a dyn Objective,
+    /// Iteration index (the RNG counter's time coordinate).
+    pub(crate) t: usize,
+    /// Current velocity bound of the run's bound schedule.
+    pub(crate) bound: Option<f32>,
+    /// The run's update strategy; the degradation ladder lowers it.
+    pub(crate) strategy: &'a mut UpdateStrategy,
+    /// Per-particle attractor rows under a local topology.
+    pub(crate) lbest: Option<&'a [usize]>,
+    pub(crate) guard: &'a ResilienceConfig,
+}
+
+/// One shard's transient per-iteration tail state: what GFWA's stages
+/// hand each other (the explosion sparks and the guiding sparks). It lives
+/// only between the `Explosion`, `GuidingSpark` and `Selection` ops of one
+/// iteration and is never checkpointed — a replayed iteration regenerates
+/// it from the counter-based stream. Opaque outside this module.
+#[derive(Default)]
+pub struct TailScratch {
+    sparks: Option<Explosion>,
+    guides: Option<GuidingSpark>,
+}
+
+/// The typed error for an op `algo` cannot run: either it never emits
+/// `op`, or (`missing` set) the stage `op` consumes has not run yet.
+fn cannot_execute(algo: Algorithm, op: PlanOp, missing: Option<PlanOp>) -> PsoError {
+    PsoError::InvalidConfig(match missing {
+        Some(stage) => format!("{algo} cannot execute plan op {op}: {stage} has not run"),
+        None => format!("{algo} cannot execute plan op {op}: it does not emit it"),
+    })
 }
 
 /// FastPSO proper: the paper's velocity/position update pair.
@@ -187,16 +238,70 @@ impl SwarmAlgorithm for Pso {
         )
     }
 
+    /// The next *cheaper* (fewer modeled device-seconds) strategy rung
+    /// below `s`, or `None` when `s` is already the cheapest.
+    ///
+    /// This is the admission controller's downgrade ladder — the knob
+    /// `fastpso::serve` turns when a job's requested strategy cannot meet
+    /// its deadline. It is deliberately distinct from the resilience
+    /// layer's [`crate::resilience::fallback_strategy`] chain, which walks
+    /// toward the most *conservative* rung after faults:
+    ///
+    /// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — each step
+    ///   strictly reduces modeled cost (fewer latency-bound threads, then
+    ///   staged broadcast traffic, then `d`-fold fewer RNG draws).
+    /// * [`UpdateStrategy::TensorCore`] is never *entered* by a downgrade:
+    ///   its f16 rounding is an opt-in numeric contract. A job that
+    ///   requested it steps straight to the reduced-work rung.
+    /// * [`UpdateStrategy::LowComplexity`] is the last rung: it changes the
+    ///   trajectory (documented reduced-work numerics), which is exactly
+    ///   the trade a deadline-pressed job accepts instead of being shed.
     fn cheaper_strategy(&self, s: UpdateStrategy) -> Option<UpdateStrategy> {
-        cheaper_strategy(s)
+        match s {
+            UpdateStrategy::ForLoop => Some(UpdateStrategy::GlobalMem),
+            UpdateStrategy::GlobalMem => Some(UpdateStrategy::SharedMem),
+            UpdateStrategy::SharedMem | UpdateStrategy::TensorCore => {
+                Some(UpdateStrategy::LowComplexity)
+            }
+            UpdateStrategy::LowComplexity => None,
+        }
     }
 
     fn persistent_region(&self) -> &'static str {
         "persistent_pso"
     }
 
-    fn extra_state(&self) -> bool {
-        false
+    fn execute(&self, op: PlanOp, cx: UpdateCtx<'_>) -> Result<(), PsoError> {
+        match op {
+            PlanOp::GenWeights => {
+                // The weight *shape* follows the current strategy: the
+                // low-complexity rung draws one scalar per row. The
+                // degradation chain never crosses into or out of that
+                // rung (see `resilience::fallback_strategy`), so the
+                // shape can never disagree with the consuming update.
+                let stg = *cx.strategy;
+                retry_op(cx.dev, &cx.guard.retry, || {
+                    gen_weights(cx.dev, cx.shard, cx.cfg, cx.t, stg)
+                })
+            }
+            // Each half of the swarm update is a single fault-gated launch,
+            // so it retries (and strategy-degrades) independently —
+            // retrying the pair as one op would double-apply the in-place
+            // velocity update.
+            PlanOp::Velocity => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
+                velocity_update(cx.dev, cx.shard, cx.cfg, cx.t, cx.bound, stg, cx.lbest)
+            }),
+            PlanOp::Position => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
+                position_update(cx.dev, cx.shard, stg)
+            }),
+            // Unlike the split pair, the fused launch's single fault gate
+            // fires before any element is written, so the whole step
+            // retries safely as one op.
+            PlanOp::FusedSwarmUpdate => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
+                fused_swarm_update(cx.dev, cx.shard, cx.cfg, cx.t, cx.bound, stg, cx.lbest)
+            }),
+            op => Err(cannot_execute(self.key(), op, None)),
+        }
     }
 }
 
@@ -241,8 +346,17 @@ impl SwarmAlgorithm for Sso {
         "persistent_sso"
     }
 
-    fn extra_state(&self) -> bool {
-        false
+    fn execute(&self, op: PlanOp, cx: UpdateCtx<'_>) -> Result<(), PsoError> {
+        if op != PlanOp::SsoUpdate {
+            return Err(cannot_execute(self.key(), op, None));
+        }
+        let domain = cx.cfg.resolve_domain(cx.obj.domain());
+        // A single fault-gated launch that resamples every element from the
+        // counter-based stream: idempotent, so plain bounded retry suffices
+        // (no strategy ladder — the kernel has one implementation).
+        retry_op(cx.dev, &cx.guard.retry, || {
+            sso_update(cx.dev, cx.shard, cx.cfg, cx.t, domain, cx.lbest)
+        })
     }
 }
 
@@ -294,8 +408,51 @@ impl SwarmAlgorithm for Gfwa {
         "persistent_gfwa"
     }
 
-    fn extra_state(&self) -> bool {
-        true
+    /// The per-firework explosion amplitudes, allocated (and later
+    /// checkpointed) only for GFWA shards.
+    fn init_extra(
+        &self,
+        dev: &Device,
+        shard: &mut Shard,
+        domain: (f32, f32),
+    ) -> Result<(), PsoError> {
+        init_gfwa_amplitudes(dev, shard, domain)
+    }
+
+    /// The three stages hand their spark populations to each other through
+    /// the shard's [`TailScratch`]. Explosion and guiding spark are pure
+    /// reads of shard state and selection commits in one fault-gated
+    /// launch, so each stage retries in place as a whole.
+    fn execute(&self, op: PlanOp, cx: UpdateCtx<'_>) -> Result<(), PsoError> {
+        let (dev, policy, scratch) = (cx.dev, &cx.guard.retry, cx.scratch);
+        let domain = cx.cfg.resolve_domain(cx.obj.domain());
+        match op {
+            PlanOp::Explosion => {
+                scratch.sparks = Some(retry_op(dev, policy, || {
+                    explosion(dev, cx.shard, cx.cfg, cx.t, domain, cx.obj)
+                })?);
+            }
+            PlanOp::GuidingSpark => {
+                let Some(ex) = &scratch.sparks else {
+                    return Err(cannot_execute(self.key(), op, Some(PlanOp::Explosion)));
+                };
+                scratch.guides = Some(retry_op(dev, policy, || {
+                    guiding_spark(dev, cx.shard, domain, cx.obj, ex)
+                })?);
+            }
+            PlanOp::Selection => {
+                // Guiding sparks exist only after an explosion, so a
+                // missing pair always means the guiding stage has not run.
+                let (Some(ex), Some(gu)) = (scratch.sparks.take(), scratch.guides.take()) else {
+                    return Err(cannot_execute(self.key(), op, Some(PlanOp::GuidingSpark)));
+                };
+                retry_op(dev, policy, || {
+                    gfwa_selection(dev, cx.shard, &ex, &gu, domain)
+                })?;
+            }
+            op => return Err(cannot_execute(self.key(), op, None)),
+        }
+        Ok(())
     }
 }
 
@@ -374,6 +531,61 @@ mod tests {
                 assert_eq!(cheaper_strategy_for(a, s), None, "{a}/{s}");
             }
         }
+    }
+
+    /// Run `op` through `algo` on a fresh shard and fresh scratch; returns
+    /// the result and the number of launches it issued.
+    fn execute_fresh(algo: Algorithm, op: PlanOp) -> (Result<(), PsoError>, u64) {
+        let dev = Device::v100();
+        let mut shard = Shard::alloc(&dev, 0, 8, 4).unwrap();
+        let cfg = PsoConfig::builder(8, 4).build().unwrap();
+        let mut strategy = UpdateStrategy::GlobalMem;
+        let before = dev.fault_stats().launches;
+        let res = algorithm_impl(algo).execute(
+            op,
+            UpdateCtx {
+                dev: &dev,
+                shard: &mut shard,
+                scratch: &mut TailScratch::default(),
+                cfg: &cfg,
+                obj: &fastpso_functions::builtins::Sphere,
+                t: 0,
+                bound: None,
+                strategy: &mut strategy,
+                lbest: None,
+                guard: &ResilienceConfig::OFF,
+            },
+        );
+        (res, dev.fault_stats().launches - before)
+    }
+
+    #[test]
+    fn out_of_order_or_foreign_ops_are_typed_errors_that_launch_nothing() {
+        for (algo, op, needle) in [
+            (Algorithm::Gfwa, PlanOp::Selection, "selection"),
+            (Algorithm::Gfwa, PlanOp::GuidingSpark, "guiding_spark"),
+            (Algorithm::Sso, PlanOp::Velocity, "velocity"),
+            (Algorithm::Pso, PlanOp::Explosion, "explosion"),
+            (
+                Algorithm::Gfwa,
+                PlanOp::PersistentKernel,
+                "persistent_kernel",
+            ),
+        ] {
+            let (res, launches) = execute_fresh(algo, op);
+            match res {
+                Err(PsoError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(needle), "{algo}/{op}: {msg}");
+                    assert!(msg.contains(&algo.to_string()), "{algo}/{op}: {msg}");
+                }
+                other => panic!("{algo}/{op}: expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(launches, 0, "{algo}/{op} must launch nothing");
+        }
+        // The same ops in their algorithm's order do launch.
+        let (res, launches) = execute_fresh(Algorithm::Sso, PlanOp::SsoUpdate);
+        assert!(res.is_ok());
+        assert_eq!(launches, 1);
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct Shard {
     /// Swarm-best error this shard tracks (device-resident scalar).
     pub gbest_err: f32,
     /// Algorithm-specific per-row state (`rows`), allocated lazily by the
-    /// algorithms that declare it ([`crate::SwarmAlgorithm::extra_state`]).
+    /// algorithms that declare it ([`crate::SwarmAlgorithm::init_extra`]).
     /// GFWA stores its per-firework explosion amplitudes here; PSO and SSO
     /// leave it `None`, so their allocation traffic is unchanged.
     pub extra: Option<DeviceBuffer<f32>>,

@@ -65,7 +65,7 @@ pub use error::PsoError;
 pub use gpu::multi::{MultiGpuBackend, MultiGpuStrategy};
 pub use gpu::{GpuBackend, UpdateStrategy};
 pub use par::ParBackend;
-pub use plan::{cheaper_strategy, BestReduce, ExecutionPlan, PlanNode, PlanOp};
+pub use plan::{BestReduce, ExecutionPlan, PlanNode, PlanOp};
 pub use profiling::CounterAsserts;
 pub use resilience::{FallbackBackend, ResilienceConfig, RetryPolicy, ShardCheckpoint};
 pub use result::RunResult;

@@ -10,13 +10,18 @@
 //! (kernel invocations with phase, shard and dependency edges), optimisation
 //! passes rewrite the graph ([`ExecutionPlan::fuse_swarm_update`],
 //! [`ExecutionPlan::assign_streams`]), and the crate-private `PlanRun`
-//! executor walks the node list once per iteration with resilience (retry,
-//! checkpoint/replay, strategy degradation, shard re-homing) attached as
-//! hooks around node dispatch rather than baked into the loop. Execution is
-//! *resumable*: the executor's per-iteration state lives in an owned
-//! `ExecState` that can be stepped a slice at a time, suspended to host
-//! memory and resumed later — the mechanism [`crate::serve`] uses to
-//! time-slice and preempt jobs without perturbing their trajectories.
+//! executor walks the node list once per iteration. It runs the shared
+//! prefix (eval, pbest, argmin, reduce/adopt, topology gathers) itself and
+//! hands every update-tail op to the plan's algorithm
+//! ([`crate::algo::SwarmAlgorithm::execute`]). Every op goes through one
+//! resilience guard: the run's `ResilienceConfig` (bounded retry, strategy
+//! degradation, quarantine), or a zero-retry policy when none is
+//! configured, under which each op is just its bare call. Checkpoint/replay
+//! and shard re-homing wrap whole iterations. Execution is *resumable*: the
+//! executor's per-iteration state lives in an owned `ExecState` that can be
+//! stepped a slice at a time, snapshotted to host memory and resumed later
+//! — the mechanism [`crate::serve`] uses to time-slice and preempt jobs
+//! without perturbing their trajectories.
 //!
 //! Two invariants keep the refactor honest, and the `plan` integration test
 //! plus `tests/perf_invariants.rs` pin both:
@@ -55,18 +60,15 @@
 //! assert_eq!(plan.nodes.len(), launches_before - 1);
 //! ```
 
-use crate::algo::{algorithm_impl, Algorithm};
+use crate::algo::{algorithm_impl, Algorithm, TailScratch, UpdateCtx};
 use crate::config::{BoundSchedule, PsoConfig};
 use crate::error::PsoError;
 use crate::gpu::kernels::{
-    adopt_gbest_from_host, adopt_gbest_local, eval_shard, explosion, fused_swarm_update,
-    gen_weights, gfwa_selection, guiding_spark, init_gfwa_amplitudes, init_shard,
-    island_attractors, local_argmin, migrate_elites, pbest_update, position_update, ring_lbest,
-    sso_update, velocity_update, Explosion, GuidingSpark, Shard, UpdateStrategy,
+    adopt_gbest_from_host, adopt_gbest_local, eval_shard, init_shard, island_attractors,
+    local_argmin, migrate_elites, pbest_update, ring_lbest, Shard, UpdateStrategy,
 };
 use crate::resilience::{
-    quarantine_nonfinite, retry_degradable, retry_op, ResilienceConfig, RetryPolicy,
-    ShardCheckpoint,
+    quarantine_nonfinite, retry_op, ResilienceConfig, RetryPolicy, ShardCheckpoint,
 };
 use crate::result::RunResult;
 use crate::topology::Topology;
@@ -292,7 +294,8 @@ pub struct ExecutionPlan {
     pub body: Vec<PlanNode>,
 }
 
-fn push(
+/// Append a node on the default stream and return its index.
+pub(crate) fn push(
     nodes: &mut Vec<PlanNode>,
     op: PlanOp,
     shard: usize,
@@ -542,35 +545,6 @@ impl ExecutionPlan {
     }
 }
 
-/// The next *cheaper* (fewer modeled device-seconds) strategy rung below
-/// `s`, or `None` when `s` is already the cheapest.
-///
-/// This is the admission controller's downgrade ladder — the knob
-/// `fastpso::serve` turns when a job's requested strategy cannot meet its
-/// deadline. It is deliberately distinct from the resilience layer's
-/// [`crate::resilience::fallback_strategy`] chain, which walks toward the
-/// most *conservative* rung after faults:
-///
-/// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — each step strictly
-///   reduces modeled cost (fewer latency-bound threads, then staged
-///   broadcast traffic, then `d`-fold fewer RNG draws).
-/// * [`UpdateStrategy::TensorCore`] is never *entered* by a downgrade: its
-///   f16 rounding is an opt-in numeric contract. A job that requested it
-///   steps straight to the reduced-work rung.
-/// * [`UpdateStrategy::LowComplexity`] is the last rung: it changes the
-///   trajectory (documented reduced-work numerics), which is exactly the
-///   trade a deadline-pressed job accepts instead of being shed.
-pub fn cheaper_strategy(s: UpdateStrategy) -> Option<UpdateStrategy> {
-    match s {
-        UpdateStrategy::ForLoop => Some(UpdateStrategy::GlobalMem),
-        UpdateStrategy::GlobalMem => Some(UpdateStrategy::SharedMem),
-        UpdateStrategy::SharedMem | UpdateStrategy::TensorCore => {
-            Some(UpdateStrategy::LowComplexity)
-        }
-        UpdateStrategy::LowComplexity => None,
-    }
-}
-
 /// What the executor runs against: one device or a group.
 #[derive(Clone, Copy)]
 pub(crate) enum ExecTarget<'a> {
@@ -609,52 +583,15 @@ pub(crate) struct OptState {
     migrations: u64,
 }
 
-/// Synchronized snapshot of the whole optimizer state at an iteration
-/// boundary, for restore-and-replay.
-struct PlanCheckpoint {
-    shards: Vec<ShardCheckpoint>,
-    iteration: usize,
-    sched: BoundSchedule,
-    stagnant: usize,
-    global_best_err: f32,
-    global_best_pos: Vec<f32>,
-    migrations: u64,
-}
-
-impl PlanCheckpoint {
-    fn capture(st: &OptState, iteration: usize, stagnant: usize) -> PlanCheckpoint {
-        PlanCheckpoint {
-            shards: st.shards.iter().map(ShardCheckpoint::capture).collect(),
-            iteration,
-            sched: st.sched,
-            stagnant,
-            global_best_err: st.global_best_err,
-            global_best_pos: st.global_best_pos.clone(),
-            migrations: st.migrations,
-        }
-    }
-
-    /// Restore every shard (uploads retried, charged to
-    /// [`Phase::Recovery`]) and the host-side state.
-    fn restore(
-        &self,
-        run: &PlanRun<'_>,
-        st: &mut OptState,
-        policy: &RetryPolicy,
-    ) -> Result<(), PsoError> {
-        for s in 0..st.shards.len() {
-            let dev = run.device(st.homes[s])?;
-            self.shards[s].restore_into(dev, &mut st.shards[s], policy)?;
-        }
-        st.sched = self.sched;
-        st.global_best_err = self.global_best_err;
-        st.global_best_pos.copy_from_slice(&self.global_best_pos);
-        st.migrations = self.migrations;
-        Ok(())
-    }
-}
-
 impl<'a> PlanRun<'a> {
+    /// The one resilience guard every dispatched op runs under: the
+    /// configured policy, or [`ResilienceConfig::OFF`] (zero retries, no
+    /// quarantine, no strategy fallback), under which each op is its bare
+    /// call. Checkpoint capture and restore key on `resilience` itself.
+    fn guard(&self) -> &'a ResilienceConfig {
+        self.resilience.unwrap_or(&ResilienceConfig::OFF)
+    }
+
     fn device(&self, home: usize) -> Result<&'a Device, PsoError> {
         match self.target {
             ExecTarget::Single(dev) => Ok(dev),
@@ -693,14 +630,17 @@ impl<'a> PlanRun<'a> {
         }
     }
 
-    /// Walk the plan's nodes once, in order. Resilience (when configured)
-    /// wraps each node: plain ops get bounded in-place retry, the swarm
-    /// update additionally walks the strategy degradation chain. Returns
-    /// whether the swarm best improved this iteration.
+    /// Walk the plan's nodes once, in order, every op under the run's
+    /// [`PlanRun::guard`]: plain ops get bounded in-place retry, and the
+    /// algorithm's update tail ([`crate::algo::SwarmAlgorithm::execute`])
+    /// additionally walks the strategy degradation chain. Returns whether
+    /// the swarm best improved this iteration.
     fn run_iteration(&self, st: &mut OptState, t: usize) -> Result<bool, PsoError> {
         let plan = self.plan;
         let cfg = self.cfg;
         let d = cfg.dim;
+        let res = self.guard();
+        let alg = algorithm_impl(plan.algorithm);
         let needs_event = plan.event_sources();
         let nodes = plan.iteration_nodes();
         let mut events: Vec<Option<Event>> = vec![None; nodes.len()];
@@ -720,11 +660,9 @@ impl<'a> PlanRun<'a> {
         };
         let mut locals: Vec<Option<MinResult>> = vec![None; plan.n_shards];
         let mut lbest: Option<Vec<usize>> = None;
-        // GFWA's spark populations are transient per-iteration state: they
-        // live only between the Explosion, GuidingSpark and Selection ops
-        // of the same shard, and are never checkpointed.
-        let mut sparks: Vec<Option<Explosion>> = (0..plan.n_shards).map(|_| None).collect();
-        let mut guides: Vec<Option<GuidingSpark>> = (0..plan.n_shards).map(|_| None).collect();
+        let mut scratch: Vec<TailScratch> = std::iter::repeat_with(TailScratch::default)
+            .take(plan.n_shards)
+            .collect();
         let mut improved = false;
 
         for (idx, node) in nodes.iter().enumerate() {
@@ -734,37 +672,22 @@ impl<'a> PlanRun<'a> {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
                     let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || eval_shard(dev, shard, self.obj))?;
-                            if res.quarantine_nonfinite {
-                                *quarantined += quarantine_nonfinite(dev, shard, self.obj)?;
-                            }
-                        }
-                        None => eval_shard(dev, shard, self.obj)?,
+                    retry_op(dev, &res.retry, || eval_shard(dev, shard, self.obj))?;
+                    if res.quarantine_nonfinite {
+                        *quarantined += quarantine_nonfinite(dev, shard, self.obj)?;
                     }
                 }
                 PlanOp::PBest => {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
                     let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || pbest_update(dev, shard))?;
-                        }
-                        None => {
-                            pbest_update(dev, shard)?;
-                        }
-                    }
+                    retry_op(dev, &res.retry, || pbest_update(dev, shard))?;
                 }
                 PlanOp::Argmin => {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    locals[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || local_argmin(dev, shard))?,
-                        None => local_argmin(dev, shard)?,
-                    });
+                    locals[s] = Some(retry_op(dev, &res.retry, || local_argmin(dev, shard))?);
                 }
                 PlanOp::ReduceAdopt => {
                     match plan.reduce {
@@ -775,12 +698,9 @@ impl<'a> PlanRun<'a> {
                             let best = locals[0].expect("argmin node precedes reduce");
                             improved = best.value < shard.gbest_err;
                             if improved {
-                                match self.resilience {
-                                    Some(res) => retry_op(dev, &res.retry, || {
-                                        adopt_gbest_local(dev, shard, best.index, best.value)
-                                    })?,
-                                    None => adopt_gbest_local(dev, shard, best.index, best.value)?,
-                                }
+                                retry_op(dev, &res.retry, || {
+                                    adopt_gbest_local(dev, shard, best.index, best.value)
+                                })?;
                             }
                         }
                         BestReduce::Exchange { sync_every } => {
@@ -810,38 +730,23 @@ impl<'a> PlanRun<'a> {
                                         &shard.pbest_pos.as_slice()[local * d..(local + 1) * d],
                                     );
                                 }
+                                let err = *global_best_err;
                                 for (i, shard) in shards.iter_mut().enumerate() {
-                                    if *global_best_err < shard.gbest_err {
+                                    if err < shard.gbest_err {
                                         let dev = self.device(homes[i])?;
-                                        if i == win_dev && win.value == *global_best_err {
-                                            match self.resilience {
-                                                Some(res) => retry_op(dev, &res.retry, || {
-                                                    adopt_gbest_local(
-                                                        dev, shard, win.index, win.value,
-                                                    )
-                                                })?,
-                                                None => adopt_gbest_local(
-                                                    dev, shard, win.index, win.value,
-                                                )?,
-                                            }
+                                        if i == win_dev && win.value == err {
+                                            retry_op(dev, &res.retry, || {
+                                                adopt_gbest_local(dev, shard, win.index, win.value)
+                                            })?;
                                         } else {
-                                            let err = *global_best_err;
-                                            match self.resilience {
-                                                Some(res) => retry_op(dev, &res.retry, || {
-                                                    adopt_gbest_from_host(
-                                                        dev,
-                                                        shard,
-                                                        global_best_pos,
-                                                        err,
-                                                    )
-                                                })?,
-                                                None => adopt_gbest_from_host(
+                                            retry_op(dev, &res.retry, || {
+                                                adopt_gbest_from_host(
                                                     dev,
                                                     shard,
                                                     global_best_pos,
                                                     err,
-                                                )?,
-                                            }
+                                                )
+                                            })?;
                                         }
                                     }
                                 }
@@ -854,14 +759,9 @@ impl<'a> PlanRun<'a> {
                                     let r = r.expect("argmin precedes reduce");
                                     if r.value < shard.gbest_err {
                                         let dev = self.device(homes[i])?;
-                                        match self.resilience {
-                                            Some(res) => retry_op(dev, &res.retry, || {
-                                                adopt_gbest_local(dev, shard, r.index, r.value)
-                                            })?,
-                                            None => {
-                                                adopt_gbest_local(dev, shard, r.index, r.value)?
-                                            }
-                                        }
+                                        retry_op(dev, &res.retry, || {
+                                            adopt_gbest_local(dev, shard, r.index, r.value)
+                                        })?;
                                     }
                                 }
                                 for (shard, r) in shards.iter().zip(locals.iter()) {
@@ -884,10 +784,7 @@ impl<'a> PlanRun<'a> {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    lbest = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || ring_lbest(dev, shard, k))?,
-                        None => ring_lbest(dev, shard, k)?,
-                    });
+                    lbest = Some(retry_op(dev, &res.retry, || ring_lbest(dev, shard, k))?);
                 }
                 PlanOp::Migrate { .. } => {
                     let Topology::Islands { islands, migration } = cfg.topology else {
@@ -904,146 +801,18 @@ impl<'a> PlanRun<'a> {
                         // A pure function of the pre-migration state and
                         // (t, seed), so checkpoint replay recomputes the
                         // same elite moves bit-for-bit.
-                        *migrations += match self.resilience {
-                            Some(res) => retry_op(dev, &res.retry, || {
-                                migrate_elites(dev, shard, islands, migration, t, seed)
-                            })?,
-                            None => migrate_elites(dev, shard, islands, migration, t, seed)?,
-                        };
+                        *migrations += retry_op(dev, &res.retry, || {
+                            migrate_elites(dev, shard, islands, migration, t, seed)
+                        })?;
                     }
                 }
                 PlanOp::EliteSelect { islands } => {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
                     let shard = &shards[s];
-                    lbest = Some(match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || island_attractors(dev, shard, islands))?
-                        }
-                        None => island_attractors(dev, shard, islands)?,
-                    });
-                }
-                PlanOp::GenWeights => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    // The weight *shape* follows the current strategy: the
-                    // low-complexity rung draws one scalar per row. The
-                    // degradation chain never crosses into or out of that
-                    // rung (see `resilience::fallback_strategy`), so the
-                    // shape can never disagree with the consuming update.
-                    let stg = *strategy;
-                    match self.resilience {
-                        Some(res) => {
-                            retry_op(dev, &res.retry, || gen_weights(dev, shard, cfg, t, stg))?
-                        }
-                        None => gen_weights(dev, shard, cfg, t, stg)?,
-                    }
-                    self.record(dev, idx, &needs_event, &mut events);
-                }
-                PlanOp::Velocity => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    let lb = lbest.as_deref();
-                    match self.resilience {
-                        // Each half of the swarm update is a single
-                        // fault-gated launch, so it retries (and strategy-
-                        // degrades) independently — retrying the pair as one
-                        // op would double-apply the in-place velocity update.
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            velocity_update(dev, shard, cfg, t, sched.current(), stg, lb)
-                        })?,
-                        None => {
-                            velocity_update(dev, shard, cfg, t, sched.current(), *strategy, lb)?
-                        }
-                    }
-                }
-                PlanOp::Position => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    match self.resilience {
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            position_update(dev, shard, stg)
-                        })?,
-                        None => position_update(dev, shard, *strategy)?,
-                    }
-                }
-                PlanOp::FusedSwarmUpdate => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    let lb = lbest.as_deref();
-                    match self.resilience {
-                        // Unlike the split pair, the fused launch's single
-                        // fault gate fires before any element is written, so
-                        // the whole step retries safely as one op.
-                        Some(res) => retry_degradable(dev, res, strategy, |stg| {
-                            fused_swarm_update(dev, shard, cfg, t, sched.current(), stg, lb)
-                        })?,
-                        None => {
-                            fused_swarm_update(dev, shard, cfg, t, sched.current(), *strategy, lb)?
-                        }
-                    }
-                }
-                PlanOp::SsoUpdate => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    let domain = cfg.resolve_domain(self.obj.domain());
-                    let lb = lbest.as_deref();
-                    // A single fault-gated launch that resamples every
-                    // element from the counter-based stream: idempotent, so
-                    // plain bounded retry suffices (no strategy ladder —
-                    // the kernel has one implementation).
-                    match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            sso_update(dev, shard, cfg, t, domain, lb)
-                        })?,
-                        None => sso_update(dev, shard, cfg, t, domain, lb)?,
-                    }
-                }
-                PlanOp::Explosion => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &shards[s];
-                    let domain = cfg.resolve_domain(self.obj.domain());
-                    sparks[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            explosion(dev, shard, cfg, t, domain, self.obj)
-                        })?,
-                        None => explosion(dev, shard, cfg, t, domain, self.obj)?,
-                    });
-                }
-                PlanOp::GuidingSpark => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &shards[s];
-                    let ex = sparks[s]
-                        .as_ref()
-                        .expect("explosion precedes guiding spark");
-                    let domain = cfg.resolve_domain(self.obj.domain());
-                    guides[s] = Some(match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            guiding_spark(dev, shard, domain, self.obj, ex)
-                        })?,
-                        None => guiding_spark(dev, shard, domain, self.obj, ex)?,
-                    });
-                }
-                PlanOp::Selection => {
-                    let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
-                    let shard = &mut shards[s];
-                    let ex = sparks[s].take().expect("explosion precedes selection");
-                    let gu = guides[s].take().expect("guiding spark precedes selection");
-                    let domain = cfg.resolve_domain(self.obj.domain());
-                    match self.resilience {
-                        Some(res) => retry_op(dev, &res.retry, || {
-                            gfwa_selection(dev, shard, &ex, &gu, domain)
-                        })?,
-                        None => gfwa_selection(dev, shard, &ex, &gu, domain)?,
-                    }
+                    lbest = Some(retry_op(dev, &res.retry, || {
+                        island_attractors(dev, shard, islands)
+                    })?);
                 }
                 PlanOp::DeviceSync => {
                     let dev = self.device(homes[s])?;
@@ -1052,8 +821,26 @@ impl<'a> PlanRun<'a> {
                         dev.join_streams();
                     }
                 }
-                PlanOp::PersistentKernel => {
-                    unreachable!("the persistent wrapper never appears in the iteration body")
+                // Everything else is the algorithm's update tail.
+                op => {
+                    let dev = self.device(homes[s])?;
+                    self.enter(dev, node, &events);
+                    alg.execute(
+                        op,
+                        UpdateCtx {
+                            dev,
+                            shard: &mut shards[s],
+                            scratch: &mut scratch[s],
+                            cfg,
+                            obj: self.obj,
+                            t,
+                            bound: sched.current(),
+                            strategy,
+                            lbest: lbest.as_deref(),
+                            guard: res,
+                        },
+                    )?;
+                    self.record(dev, idx, &needs_event, &mut events);
                 }
             }
         }
@@ -1085,34 +872,16 @@ impl<'a> PlanRun<'a> {
             quarantined: 0,
             migrations: 0,
         };
+        let policy = &self.guard().retry;
+        let alg = algorithm_impl(self.plan.algorithm);
         for (i, &(row0, rows)) in self.partitions.iter().enumerate() {
             let dev = self.device(st.homes[i])?;
-            let mut shard = match self.resilience {
-                Some(res) => retry_op(dev, &res.retry, || Shard::alloc(dev, row0, rows, d))?,
-                None => Shard::alloc(dev, row0, rows, d)?,
-            };
-            match self.resilience {
-                Some(res) => {
-                    retry_op(dev, &res.retry, || init_shard(dev, &mut shard, cfg, domain))?
-                }
-                None => init_shard(dev, &mut shard, cfg, domain)?,
-            }
-            if algorithm_impl(self.plan.algorithm).extra_state() {
-                // GFWA's per-firework explosion amplitudes: allocated (and
-                // later checkpointed) only when the algorithm asks for
-                // them, so PSO/SSO allocation traffic is unchanged.
-                match self.resilience {
-                    Some(res) => retry_op(dev, &res.retry, || {
-                        init_gfwa_amplitudes(dev, &mut shard, domain)
-                    })?,
-                    None => init_gfwa_amplitudes(dev, &mut shard, domain)?,
-                }
-            }
+            let mut shard = retry_op(dev, policy, || Shard::alloc(dev, row0, rows, d))?;
+            retry_op(dev, policy, || init_shard(dev, &mut shard, cfg, domain))?;
+            retry_op(dev, policy, || alg.init_extra(dev, &mut shard, domain))?;
             st.shards.push(shard);
         }
-        // Checkpoint of the state at the start of iteration `cp.iteration`.
-        let cp = self.resilience.map(|_| PlanCheckpoint::capture(&st, 0, 0));
-        Ok(ExecState {
+        let mut ex = ExecState {
             st,
             history: if cfg.record_history {
                 Some(Vec::with_capacity(cfg.max_iter))
@@ -1123,9 +892,13 @@ impl<'a> PlanRun<'a> {
             iterations_run: 0,
             restores: 0,
             t: 0,
-            cp,
+            cp: None,
             done: false,
-        })
+        };
+        if self.resilience.is_some() {
+            ex.cp = Some(ex.snapshot());
+        }
+        Ok(ex)
     }
 
     /// Advance the execution by one iteration (or one recovery episode).
@@ -1169,7 +942,7 @@ impl<'a> PlanRun<'a> {
                         && ex.t.is_multiple_of(res.checkpoint_every)
                         && ex.t < cfg.max_iter
                     {
-                        ex.cp = Some(PlanCheckpoint::capture(&ex.st, ex.t, ex.stagnant));
+                        ex.cp = Some(ex.snapshot());
                     }
                 }
                 if ex.t >= cfg.max_iter {
@@ -1202,10 +975,17 @@ impl<'a> PlanRun<'a> {
                 // the last checkpoint and replay. Replayed iterations
                 // recompute bit-for-bit (counter-based RNG), so only
                 // modeled time is lost.
-                let snap = ex.cp.as_ref().expect("resilient runs always checkpoint");
-                snap.restore(self, &mut ex.st, &res.retry)?;
-                ex.stagnant = snap.stagnant;
-                ex.t = snap.iteration;
+                let cp = ex.cp.as_ref().expect("resilient runs always checkpoint");
+                for (s, snap) in cp.shards.iter().enumerate() {
+                    let dev = self.device(ex.st.homes[s])?;
+                    snap.restore_into(dev, &mut ex.st.shards[s], &res.retry)?;
+                }
+                ex.st.sched = cp.sched;
+                ex.st.global_best_err = cp.global_best_err;
+                ex.st.global_best_pos.copy_from_slice(&cp.global_best_pos);
+                ex.st.migrations = cp.migrations;
+                ex.stagnant = cp.stagnant;
+                ex.t = cp.t;
                 ex.iterations_run = ex.t;
                 if let Some(h) = ex.history.as_mut() {
                     h.truncate(ex.t);
@@ -1296,31 +1076,6 @@ impl<'a> PlanRun<'a> {
         }
     }
 
-    /// Evacuate a live execution to host memory: snapshot every shard
-    /// ([`ShardCheckpoint`], device→host transfers charged to
-    /// [`Phase::Recovery`]) and drop the device buffers, freeing all device
-    /// memory. The serving layer uses this for preemption; the suspended job
-    /// can later [`PlanRun::resume`] — possibly on different devices — and
-    /// recompute bit-for-bit from where it left off, because every random
-    /// draw is addressed by `(seed, iteration, element)` rather than by any
-    /// sequential generator state.
-    pub(crate) fn suspend(&self, ex: ExecState) -> SuspendedJob {
-        self.snapshot_state(&ex)
-        // `ex.st.shards` drops here: every device buffer is released.
-    }
-
-    /// Capture a [`SuspendedJob`] snapshot of a live execution *without*
-    /// consuming it: the device buffers stay resident and the job keeps
-    /// running. Device→host transfers are charged to [`Phase::Recovery`],
-    /// exactly like [`PlanRun::suspend`]. The serving layer captures one of
-    /// these at slice boundaries so a device lost mid-slice can re-home the
-    /// job from its latest iteration-boundary state and recompute
-    /// bit-for-bit.
-    pub(crate) fn snapshot_state(&self, ex: &ExecState) -> SuspendedJob {
-        let shards = ex.st.shards.iter().map(ShardCheckpoint::capture).collect();
-        ex.suspended_with(shards)
-    }
-
     /// Rehydrate a [`SuspendedJob`] onto this run's target: reallocate one
     /// shard per checkpoint (host→device uploads charged to
     /// [`Phase::Recovery`]) and restore the optimizer state exactly. The
@@ -1356,27 +1111,22 @@ impl<'a> PlanRun<'a> {
             quarantined: s.quarantined,
             migrations: s.migrations,
         };
-        // Re-anchor the replay checkpoint at the suspension point so a
-        // later fault can never roll the job back past its resume.
-        let cp = self.resilience.map(|_| PlanCheckpoint {
-            shards: s.shards,
-            iteration: s.t,
-            sched: s.sched,
-            stagnant: s.stagnant,
-            global_best_err: s.global_best_err,
-            global_best_pos: s.global_best_pos,
-            migrations: s.migrations,
-        });
-        Ok(ExecState {
+        let mut ex = ExecState {
             st,
-            history: s.history,
+            history: s.history.clone(),
             stagnant: s.stagnant,
             iterations_run: s.iterations_run,
             restores: s.restores,
             t: s.t,
-            cp,
+            cp: None,
             done: s.done,
-        })
+        };
+        // Re-anchor the replay checkpoint at the suspension point so a
+        // later fault can never roll the job back past its resume.
+        if self.resilience.is_some() {
+            ex.cp = Some(s);
+        }
+        Ok(ex)
     }
 
     /// Run the plan to completion: allocate + initialise shards, iterate,
@@ -1416,8 +1166,9 @@ pub(crate) struct ExecState {
     iterations_run: usize,
     restores: u32,
     t: usize,
-    /// Checkpoint of the state at the start of iteration `cp.iteration`.
-    cp: Option<PlanCheckpoint>,
+    /// Replay checkpoint: the state at the start of iteration `cp.t`
+    /// (resilient runs only).
+    cp: Option<SuspendedJob>,
     done: bool,
 }
 
@@ -1427,12 +1178,32 @@ impl ExecState {
         self.iterations_run
     }
 
+    /// Capture a [`SuspendedJob`] snapshot of this execution without
+    /// consuming it: one packed device→host copy per shard, charged to
+    /// [`Phase::Recovery`], while the device buffers stay resident and the
+    /// job keeps running. It serves as the executor's replay checkpoint,
+    /// the serving layer's slice-boundary re-homing snapshot and, with the
+    /// state dropped afterwards, preemption. A [`PlanRun::resume`] of it —
+    /// possibly on different devices — recomputes bit-for-bit from where
+    /// it left off, because every random draw is addressed by
+    /// `(seed, iteration, element)` rather than by sequential generator
+    /// state.
+    pub(crate) fn snapshot(&self) -> SuspendedJob {
+        self.suspended_with(
+            self.st
+                .shards
+                .iter()
+                .map(ShardCheckpoint::capture)
+                .collect(),
+        )
+    }
+
     /// Snapshot several live executions whose shards all live on one
     /// device in a single packed device→host copy
     /// ([`ShardCheckpoint::capture_many`]), one [`SuspendedJob`] each, in
     /// order. The serving layer captures a micro-batch's members this way
-    /// at a slice boundary. Each snapshot equals
-    /// [`PlanRun::snapshot_state`] of the same state.
+    /// at a slice boundary. Each snapshot equals [`ExecState::snapshot`]
+    /// of the same state.
     pub(crate) fn snapshot_many(states: &[&ExecState]) -> Vec<SuspendedJob> {
         let shards: Vec<&Shard> = states.iter().flat_map(|ex| &ex.st.shards).collect();
         let mut cps = ShardCheckpoint::capture_many(&shards).into_iter();
@@ -1464,8 +1235,8 @@ impl ExecState {
 
 /// A preempted (or snapshotted) job evacuated to host memory: per-shard
 /// checkpoints plus every host-side scalar the executor threads between
-/// iterations. Produced by [`PlanRun::suspend`] /
-/// [`PlanRun::snapshot_state`], consumed by [`PlanRun::resume`]. `Clone` so
+/// iterations. Produced by [`ExecState::snapshot`], consumed by
+/// [`PlanRun::resume`] and by the executor's restore-and-replay. `Clone` so
 /// the serving layer can both keep a re-homing snapshot and resume from it.
 #[derive(Clone)]
 pub(crate) struct SuspendedJob {

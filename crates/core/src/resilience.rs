@@ -111,6 +111,23 @@ pub struct ResilienceConfig {
     pub strategy_fallback: bool,
 }
 
+impl ResilienceConfig {
+    /// No recovery at all: zero retries, no quarantine, no strategy
+    /// fallback. The plan executor guards every op of a run configured
+    /// without resilience with this, so each guarded op is its bare call.
+    pub(crate) const OFF: ResilienceConfig = ResilienceConfig {
+        retry: RetryPolicy {
+            max_retries: 0,
+            backoff_base_s: 0.0,
+            backoff_factor: 1.0,
+        },
+        checkpoint_every: 0,
+        max_restores: 0,
+        quarantine_nonfinite: false,
+        strategy_fallback: false,
+    };
+}
+
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {

@@ -461,7 +461,7 @@ impl Service {
     /// The admission decision [`Service::submit`] would make for `req`
     /// right now, without mutating anything: the update strategy the job
     /// would run with (possibly downgraded along
-    /// [`crate::plan::cheaper_strategy`]) and its predicted device-seconds
+    /// [`crate::algo::cheaper_strategy_for`]) and its predicted device-seconds
     /// at that strategy, or [`ServeError::Infeasible`] if no rung fits.
     ///
     /// With [`ServeConfig::predictive_admission`] off, or for a request
@@ -1069,8 +1069,7 @@ impl Service {
             if matches!(res, Ok(false)) && self.cfg.checkpoint_slices > 0 {
                 job.slices_since_snapshot += 1;
                 if job.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    let snap = snapshot_job(job);
-                    job.snapshot = Some(snap);
+                    job.snapshot = Some(job.state.snapshot());
                     job.slices_since_snapshot = 0;
                 }
             }
@@ -1435,23 +1434,6 @@ fn step_job(job: &mut Running, slice: usize) -> Result<bool, PsoError> {
     Ok(false)
 }
 
-/// Capture a host-side checkpoint of `job` at its current slice boundary
-/// without disturbing its device state. Transfers are charged to
-/// [`Phase::Recovery`].
-fn snapshot_job(job: &Running) -> SuspendedJob {
-    let target = target_of(&job.view, job.sharded);
-    let run = PlanRun {
-        plan: &job.plan,
-        cfg: &job.req.cfg,
-        obj: job.req.objective.as_ref(),
-        strategy: job.req.strategy,
-        resilience: job.req.resilience.as_ref(),
-        partitions: job.partitions.clone(),
-        target,
-    };
-    run.snapshot_state(&job.state)
-}
-
 /// Evacuate a running job to host memory and requeue it. Returns the
 /// queue entry (payload carries the [`SuspendedJob`]) and the lease to
 /// release.
@@ -1459,10 +1441,6 @@ fn suspend_to_entry(job: Running) -> (QueueEntry<Pending>, Rc<Lease>) {
     let Running {
         id,
         req,
-        plan,
-        partitions,
-        sharded,
-        view,
         lease,
         state,
         submitted_s,
@@ -1476,19 +1454,8 @@ fn suspend_to_entry(job: Running) -> (QueueEntry<Pending>, Rc<Lease>) {
         ..
     } = job;
     let iterations = state.iterations_run();
-    let suspended = {
-        let target = target_of(&view, sharded);
-        let run = PlanRun {
-            plan: &plan,
-            cfg: &req.cfg,
-            obj: req.objective.as_ref(),
-            strategy: req.strategy,
-            resilience: req.resilience.as_ref(),
-            partitions,
-            target,
-        };
-        run.suspend(state)
-    };
+    // Dropping `state` afterwards releases every device buffer.
+    let suspended = state.snapshot();
     let priority = req.priority;
     let entry = QueueEntry {
         id,

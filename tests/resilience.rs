@@ -9,8 +9,8 @@
 
 use fastpso_suite::fastpso::resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 use fastpso_suite::fastpso::{
-    FallbackBackend, GpuBackend, MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig,
-    SeqBackend, UpdateStrategy,
+    Algorithm, FallbackBackend, GpuBackend, Migration, MigrationKind, MultiGpuBackend,
+    MultiGpuStrategy, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::schema::CustomObjective;
@@ -262,16 +262,54 @@ fn recovery_appears_in_multi_gpu_breakdown() {
 #[test]
 fn every_fault_ordinal_is_bit_transparent() {
     let c = cfg(32, 6, 12);
-    let clean = GpuBackend::new().run(&c, &Rastrigin).unwrap();
-    for ord in 1..=60u64 {
-        let b = GpuBackend::new().resilient(ResilienceConfig::default());
-        b.device()
-            .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
-        let r = b.run(&c, &Rastrigin).unwrap();
-        assert_eq!(
-            r.history, clean.history,
-            "single-GPU diverged at launch ordinal {ord}"
-        );
+    // Every engine under every topology, each through the plan rewrites
+    // that change which ops run: fusion, persistent lowering and the tiled
+    // strategies (identity rewrites for the engines they do not apply to).
+    let islands = Topology::Islands {
+        islands: 4,
+        migration: Migration {
+            kind: MigrationKind::Ring,
+            every_k: 3,
+            elites: 2,
+        },
+    };
+    let rewrites = [
+        ("unfused", false, false, UpdateStrategy::GlobalMem),
+        ("fused", true, false, UpdateStrategy::GlobalMem),
+        ("persistent", false, true, UpdateStrategy::GlobalMem),
+        ("tensor", false, false, UpdateStrategy::TensorCore),
+        ("smem", false, false, UpdateStrategy::SharedMem),
+    ];
+    for algo in Algorithm::ALL {
+        for topology in [Topology::Global, Topology::Ring { k: 2 }, islands] {
+            let c = PsoConfig {
+                topology,
+                ..c.clone()
+            };
+            for (name, fused, persistent, strategy) in rewrites {
+                let backend = || {
+                    GpuBackend::new()
+                        .algorithm(algo)
+                        .strategy(strategy)
+                        .fused(fused)
+                        .persistent(persistent)
+                };
+                let clean = backend().run(&c, &Rastrigin).unwrap();
+                for ord in 1..=80u64 {
+                    let b = backend().resilient(ResilienceConfig::default());
+                    b.device()
+                        .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
+                    let r = b.run(&c, &Rastrigin).unwrap();
+                    let case = format!("{algo}/{topology:?}/{name} at launch ordinal {ord}");
+                    assert_eq!(r.history, clean.history, "single-GPU {case}");
+                    assert_eq!(
+                        bits(&r.best_position),
+                        bits(&clean.best_position),
+                        "single-GPU {case}"
+                    );
+                }
+            }
+        }
     }
 
     let strategy = MultiGpuStrategy::ParticleSplit { sync_every: 2 };
@@ -289,6 +327,25 @@ fn every_fault_ordinal_is_bit_transparent() {
                 r.history, clean.history,
                 "multi-GPU diverged at device {dev}, launch ordinal {ord}"
             );
+        }
+    }
+}
+
+/// Without a `ResilienceConfig` nothing recovers: one transient launch
+/// fault fails the run with the transient error itself, and no recovery
+/// time is charged — for every engine.
+#[test]
+fn plain_runs_never_retry() {
+    let c = cfg(32, 6, 12);
+    for algo in Algorithm::ALL {
+        for ord in [1u64, 5, 17, 40] {
+            let b = GpuBackend::new().algorithm(algo);
+            b.device()
+                .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
+            let err = b.run(&c, &Rastrigin).unwrap_err();
+            assert!(err.is_transient(), "{algo} at ordinal {ord}: {err}");
+            assert_eq!(b.device().timeline().seconds(Phase::Recovery), 0.0);
+            assert_eq!(b.device().fault_stats().injected, 1, "{algo} at {ord}");
         }
     }
 }
