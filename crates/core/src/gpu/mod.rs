@@ -202,7 +202,6 @@ impl PsoBackend for GpuBackend {
             obj,
             strategy: self.strategy,
             resilience: self.resilience.as_ref(),
-            partitions: vec![(0, cfg.n_particles)],
             target: ExecTarget::Single(&self.device),
         }
         .execute()

@@ -23,7 +23,7 @@
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecTarget, ExecutionPlan, PlanRun};
+use crate::plan::{check_shardable, BestReduce, ExecTarget, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use crate::swarm::Swarm;
@@ -115,41 +115,11 @@ impl MultiGpuBackend {
         &self.group
     }
 
-    /// Split `n` rows into per-device `(row0, rows)` shards, spreading the
-    /// remainder over the leading devices.
-    fn partition(&self, n: usize) -> Vec<(usize, usize)> {
-        let k = self.group.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut out = Vec::with_capacity(k);
-        let mut row0 = 0;
-        for i in 0..k {
-            let rows = base + usize::from(i < extra);
-            out.push((row0, rows));
-            row0 += rows;
-        }
-        out
-    }
-
     fn validate_run(&self, cfg: &PsoConfig) -> Result<(), PsoError> {
         if self.group.is_empty() {
             return Err(PsoError::InvalidConfig("empty device group".into()));
         }
-        if cfg.topology != crate::topology::Topology::Global {
-            return Err(PsoError::InvalidConfig(
-                "multi-GPU backends support the global topology only (ring windows \
-                 and island blocks would span device boundaries)"
-                    .into(),
-            ));
-        }
-        if cfg.n_particles < self.group.len() {
-            return Err(PsoError::InvalidConfig(format!(
-                "{} particles cannot be split over {} devices",
-                cfg.n_particles,
-                self.group.len()
-            )));
-        }
-        Ok(())
+        check_shardable(cfg, self.group.len()).map_err(PsoError::InvalidConfig)
     }
 
     /// The per-iteration kernel graph this backend executes for `cfg`: one
@@ -195,7 +165,6 @@ impl PsoBackend for MultiGpuBackend {
             obj,
             strategy: self.update,
             resilience: self.resilience.as_ref(),
-            partitions: self.partition(cfg.n_particles),
             target: ExecTarget::Group(&self.group),
         }
         .execute()
@@ -282,15 +251,6 @@ mod tests {
             .run(&c, &Sphere)
             .unwrap_err();
         assert!(matches!(err, PsoError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn uneven_partition_covers_all_rows() {
-        let b = MultiGpuBackend::new(3, MultiGpuStrategy::TileMatrix);
-        let parts = b.partition(10);
-        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
-        let total: usize = parts.iter().map(|(_, r)| r).sum();
-        assert_eq!(total, 10);
     }
 
     #[test]

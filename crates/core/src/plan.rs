@@ -23,6 +23,13 @@
 //! — the mechanism [`crate::serve`] uses to time-slice and preempt jobs
 //! without perturbing their trajectories.
 //!
+//! Rows are split across shards in one place: the crate-private
+//! `partition(n, k)` gives shard `i` a contiguous block, with the
+//! remainder spread over the leading shards. `PlanRun::init_state` applies
+//! it over the plan's `n_shards`, so the single-GPU backend, the multi-GPU
+//! backend (paper §3.5) and the serving layer share one split, and a
+//! suspended job's checkpoints keep the geometry it produced.
+//!
 //! Two invariants keep the refactor honest, and the `plan` integration test
 //! plus `tests/perf_invariants.rs` pin both:
 //!
@@ -545,6 +552,43 @@ impl ExecutionPlan {
     }
 }
 
+/// Split `n` rows into `k` `(row0, rows)` shards, spreading the remainder
+/// over the leading shards. The one row split: [`PlanRun::init_state`]
+/// lays out a plan's `n_shards` shards with it, and a suspended job's
+/// checkpoints keep the geometry it produced.
+pub(crate) fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
+    let base = n / k;
+    let extra = n % k;
+    let mut out = Vec::with_capacity(k);
+    let mut row0 = 0;
+    for i in 0..k {
+        let rows = base + usize::from(i < extra);
+        out.push((row0, rows));
+        row0 += rows;
+    }
+    out
+}
+
+/// Whether `cfg` can be sharded over `n_devices` devices: global topology
+/// only, and at least one particle per device. Each front end wraps the
+/// message in its own error type.
+pub(crate) fn check_shardable(cfg: &PsoConfig, n_devices: usize) -> Result<(), String> {
+    if cfg.topology != Topology::Global {
+        return Err(
+            "sharded runs support the global topology only (ring windows \
+                    and island blocks would span device boundaries)"
+                .into(),
+        );
+    }
+    if cfg.n_particles < n_devices {
+        return Err(format!(
+            "{} particles cannot be split over {n_devices} devices",
+            cfg.n_particles
+        ));
+    }
+    Ok(())
+}
+
 /// What the executor runs against: one device or a group.
 #[derive(Clone, Copy)]
 pub(crate) enum ExecTarget<'a> {
@@ -560,7 +604,6 @@ pub(crate) struct PlanRun<'a> {
     pub obj: &'a dyn Objective,
     pub strategy: UpdateStrategy,
     pub resilience: Option<&'a ResilienceConfig>,
-    pub partitions: Vec<(usize, usize)>,
     pub target: ExecTarget<'a>,
 }
 
@@ -874,7 +917,10 @@ impl<'a> PlanRun<'a> {
         };
         let policy = &self.guard().retry;
         let alg = algorithm_impl(self.plan.algorithm);
-        for (i, &(row0, rows)) in self.partitions.iter().enumerate() {
+        for (i, (row0, rows)) in partition(cfg.n_particles, self.plan.n_shards)
+            .into_iter()
+            .enumerate()
+        {
             let dev = self.device(st.homes[i])?;
             let mut shard = retry_op(dev, policy, || Shard::alloc(dev, row0, rows, d))?;
             retry_op(dev, policy, || init_shard(dev, &mut shard, cfg, domain))?;
@@ -1262,12 +1308,6 @@ impl SuspendedJob {
         self.shards.len()
     }
 
-    /// The `(row0, rows)` partition each checkpoint pins — resuming must
-    /// rebuild the plan over exactly this geometry.
-    pub(crate) fn partitions(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| (s.row0, s.rows)).collect()
-    }
-
     /// Iterations completed at the time of the snapshot.
     pub(crate) fn iterations_run(&self) -> usize {
         self.iterations_run
@@ -1337,6 +1377,14 @@ mod tests {
 
     fn ops(plan: &ExecutionPlan) -> Vec<(PlanOp, usize)> {
         plan.nodes.iter().map(|n| (n.op, n.shard)).collect()
+    }
+
+    #[test]
+    fn uneven_partition_covers_all_rows() {
+        let parts = partition(10, 3);
+        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
+        let total: usize = parts.iter().map(|(_, r)| r).sum();
+        assert_eq!(total, 10);
     }
 
     #[test]

@@ -222,6 +222,22 @@ mod tests {
     }
 
     #[test]
+    fn too_few_particles_to_shard_rejected() {
+        let mut svc = Service::new(
+            DeviceGroup::v100s(4),
+            ServeConfig {
+                shard_threshold_particles: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let cfg = PsoConfig::builder(2, 4).max_iter(10).build().unwrap();
+        let err = svc
+            .submit(OptimizeRequest::new("t", Arc::new(Sphere), cfg))
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidRequest(_)));
+    }
+
+    #[test]
     fn preemption_suspends_and_resumes_bit_identically() {
         use crate::backend::PsoBackend;
         let cfg = small(11);

@@ -9,7 +9,9 @@ use crate::algo::cheaper_strategy_for;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
-use crate::plan::{BestReduce, ExecState, ExecTarget, ExecutionPlan, PlanRun, SuspendedJob};
+use crate::plan::{
+    check_shardable, BestReduce, ExecState, ExecTarget, ExecutionPlan, PlanRun, SuspendedJob,
+};
 use crate::result::RunResult;
 use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
@@ -103,31 +105,114 @@ enum Work {
     Suspended(SuspendedJob),
 }
 
-/// A job waiting in the admission queue.
-struct Pending {
+/// One job's ledger from [`Service::submit`] to its [`JobRecord`]. It moves
+/// between the queue and the devices, and every device-second the job
+/// spends is charged to it through one [`Meter`].
+struct Job {
+    id: JobId,
     req: OptimizeRequest,
-    work: Work,
     submitted_s: f64,
     deadline_abs: Option<f64>,
     queue_depth_at_submit: usize,
+    /// First admission; kept across preemption and re-homing.
     started_s: Option<f64>,
     device_seconds: f64,
-    iterations: usize,
-    rehomes: u64,
     recovery_s: f64,
+    rehomes: u64,
     /// Device-seconds the predictor quoted at admission (0 when predictive
-    /// admission is off). The reservation a queued job holds against the
+    /// admission is off). The reservation the job holds against the
     /// admission budget is `predicted_s·headroom − device_seconds`.
     predicted_s: f64,
 }
 
+impl Job {
+    /// Add the seconds of `m` (a [`Meter::since`] delta) to the ledger.
+    fn bill(&mut self, m: Meter) {
+        self.device_seconds += m.total;
+        self.recovery_s += m.recovery;
+    }
+
+    /// The job's terminal record. A job that never started reports `now`
+    /// as its start.
+    fn record(self, outcome: JobOutcome, iterations: usize, now: f64) -> JobRecord {
+        JobRecord {
+            tenant: self.req.tenant,
+            job: self.id.0,
+            submitted_s: self.submitted_s,
+            started_s: self.started_s.unwrap_or(now),
+            finished_s: now,
+            outcome,
+            iterations,
+            device_seconds: self.device_seconds,
+            queue_depth_at_submit: self.queue_depth_at_submit,
+            rehomes: self.rehomes,
+            recovery_secs: self.recovery_s,
+        }
+    }
+}
+
+/// A reading of the shared group's merged timeline. Every device-second
+/// the scheduler attributes to a job is the difference of two readings.
+#[derive(Clone, Copy)]
+struct Meter {
+    total: f64,
+    recovery: f64,
+}
+
+impl Meter {
+    fn read(group: &DeviceGroup) -> Meter {
+        let tl = group.merged_timeline();
+        Meter {
+            total: tl.total_seconds(),
+            recovery: tl.seconds(Phase::Recovery),
+        }
+    }
+
+    /// The seconds charged since this reading, split equally `n` ways.
+    fn since(self, group: &DeviceGroup, n: usize) -> Meter {
+        let now = Meter::read(group);
+        let n = n as f64;
+        Meter {
+            total: (now.total - self.total) / n,
+            recovery: (now.recovery - self.recovery) / n,
+        }
+    }
+
+    /// Charge everything since this reading to `job`.
+    fn charge(self, group: &DeviceGroup, job: &mut Job) {
+        job.bill(self.since(group, 1));
+    }
+}
+
+/// A job waiting in the admission queue.
+struct Pending {
+    job: Job,
+    work: Work,
+}
+
+impl Pending {
+    /// Iterations completed so far: those of the suspended snapshot.
+    fn iterations(&self) -> usize {
+        match &self.work {
+            Work::Fresh => 0,
+            Work::Suspended(s) => s.iterations_run(),
+        }
+    }
+
+    /// The queue entry for this job, at its request's priority.
+    fn entry(self) -> QueueEntry<Pending> {
+        QueueEntry {
+            id: self.job.id,
+            priority: self.job.req.priority,
+            payload: self,
+        }
+    }
+}
+
 /// A job holding a lease and being stepped.
 struct Running {
-    id: JobId,
-    req: OptimizeRequest,
+    job: Job,
     plan: ExecutionPlan,
-    partitions: Vec<(usize, usize)>,
-    sharded: bool,
     view: DeviceGroup,
     /// The device lease. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
@@ -141,14 +226,6 @@ struct Running {
     /// restarts it fresh — both replay bit-identically.
     snapshot: Option<SuspendedJob>,
     slices_since_snapshot: usize,
-    submitted_s: f64,
-    started_s: f64,
-    deadline_abs: Option<f64>,
-    queue_depth_at_submit: usize,
-    device_seconds: f64,
-    rehomes: u64,
-    recovery_s: f64,
-    predicted_s: f64,
 }
 
 /// A finished job: terminal status plus the result when it completed.
@@ -250,7 +327,7 @@ impl Service {
 
     /// Ids of the jobs currently holding a lease, in ascending id order.
     pub fn running_ids(&self) -> Vec<JobId> {
-        self.running.iter().map(|j| j.id).collect()
+        self.running.iter().map(|r| r.job.id).collect()
     }
 
     /// Device-lease slots currently held and the pool's high-water mark.
@@ -357,37 +434,34 @@ impl Service {
         }
         let id = JobId(self.next_id);
         let now = self.now();
-        let priority = req.priority;
-        let tenant = req.tenant.clone();
-        let deadline_s = req.deadline_s;
-        let pending = Pending {
-            deadline_abs: req.deadline_s.map(|d| now + d),
+        let submitted = ServeEvent::Submit {
+            job: id.0,
+            tenant: req.tenant.clone(),
+            priority: req.priority,
+            deadline_s: req.deadline_s,
+        };
+        let job = Job {
+            id,
             submitted_s: now,
+            deadline_abs: req.deadline_s.map(|d| now + d),
             queue_depth_at_submit: self.queue.len(),
             started_s: None,
             device_seconds: 0.0,
-            iterations: 0,
-            rehomes: 0,
             recovery_s: 0.0,
+            rehomes: 0,
             predicted_s,
-            work: Work::Fresh,
             req,
         };
-        let entry = QueueEntry {
-            id,
-            priority,
-            payload: pending,
-        };
+        let entry = Pending {
+            job,
+            work: Work::Fresh,
+        }
+        .entry();
         let evicted = self.queue.push(entry, self.cfg.shed_on_overload)?;
         self.next_id += 1;
-        self.journal.append(ServeEvent::Submit {
-            job: id.0,
-            tenant,
-            priority,
-            deadline_s,
-        });
+        self.journal.append(submitted);
         if let Some(e) = evicted {
-            self.finalize_queued(e, JobOutcome::Shed, now);
+            self.finalize_pending(e.payload, JobOutcome::Shed, now);
         }
         Ok(id)
     }
@@ -398,12 +472,12 @@ impl Service {
     pub fn cancel(&mut self, id: JobId) -> Result<(), ServeError> {
         let now = self.now();
         if let Some(entry) = self.queue.remove(id) {
-            self.finalize_queued(entry, JobOutcome::Cancelled, now);
+            self.finalize_pending(entry.payload, JobOutcome::Cancelled, now);
             return Ok(());
         }
-        if let Some(i) = self.running.iter().position(|j| j.id == id) {
-            let job = self.running.remove(i);
-            self.finalize_running_dropped(job, JobOutcome::Cancelled, now);
+        if let Some(i) = self.running.iter().position(|r| r.job.id == id) {
+            let run = self.running.remove(i);
+            self.finalize_running_dropped(run, JobOutcome::Cancelled, now);
             return Ok(());
         }
         if self.finished.contains_key(&id) {
@@ -417,7 +491,7 @@ impl Service {
         if let Some(f) = self.finished.get(&id) {
             return Ok(f.status);
         }
-        if self.running.iter().any(|j| j.id == id) {
+        if self.running.iter().any(|r| r.job.id == id) {
             return Ok(JobStatus::Running);
         }
         if let Some(e) = self.queue.get(id) {
@@ -568,20 +642,7 @@ impl Service {
             return Err(ServeError::InvalidRequest("empty tenant name".into()));
         }
         if self.will_shard(&req.cfg) {
-            if req.cfg.topology != Topology::Global {
-                return Err(ServeError::InvalidRequest(
-                    "sharded jobs support the global topology only (ring windows \
-                     and island blocks would span device boundaries)"
-                        .into(),
-                ));
-            }
-            if req.cfg.n_particles < self.pool.n_devices() {
-                return Err(ServeError::InvalidRequest(format!(
-                    "{} particles cannot be split over {} devices",
-                    req.cfg.n_particles,
-                    self.pool.n_devices()
-                )));
-            }
+            check_shardable(&req.cfg, self.pool.n_devices()).map_err(ServeError::InvalidRequest)?;
         }
         Ok(())
     }
@@ -646,7 +707,7 @@ impl Service {
                 return None;
             }
         }
-        self.batchable_cfg(&e.payload.req.cfg)
+        self.batchable_cfg(&e.payload.job.req.cfg)
     }
 
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
@@ -666,24 +727,10 @@ impl Service {
     /// (`predicted·headroom − consumed`, floored at zero).
     fn reserved_backlog_s(&self) -> f64 {
         let h = self.cfg.admission_headroom;
-        let remaining = |predicted: f64, consumed: f64| (predicted * h - consumed).max(0.0);
-        let queued: f64 = self
-            .queue
-            .iter()
-            .map(|e| remaining(e.payload.predicted_s, e.payload.device_seconds))
-            .sum();
-        let running: f64 = self
-            .running
-            .iter()
-            .map(|j| remaining(j.predicted_s, j.device_seconds))
-            .sum();
+        let remaining = |j: &Job| (j.predicted_s * h - j.device_seconds).max(0.0);
+        let queued: f64 = self.queue.iter().map(|e| remaining(&e.payload.job)).sum();
+        let running: f64 = self.running.iter().map(|r| remaining(&r.job)).sum();
         queued + running
-    }
-
-    /// Total modeled seconds charged across all devices — deltas of this
-    /// attribute device time to whichever job the scheduler is advancing.
-    fn charged(&self) -> f64 {
-        self.group.merged_timeline().total_seconds()
     }
 
     /// Whether device `d` of the shared group has been permanently lost.
@@ -697,16 +744,16 @@ impl Service {
         let mut events = 0;
         let expired = self
             .queue
-            .drain_matching(|e| e.payload.deadline_abs.is_some_and(|d| d < now));
+            .drain_matching(|e| e.payload.job.deadline_abs.is_some_and(|d| d < now));
         for e in expired {
-            self.finalize_queued(e, JobOutcome::Shed, now);
+            self.finalize_pending(e.payload, JobOutcome::Shed, now);
             events += 1;
         }
         let mut i = 0;
         while i < self.running.len() {
-            if self.running[i].deadline_abs.is_some_and(|d| d < now) {
-                let job = self.running.remove(i);
-                self.finalize_running_dropped(job, JobOutcome::Shed, now);
+            if self.running[i].job.deadline_abs.is_some_and(|d| d < now) {
+                let run = self.running.remove(i);
+                self.finalize_running_dropped(run, JobOutcome::Shed, now);
                 events += 1;
             } else {
                 i += 1;
@@ -728,8 +775,8 @@ impl Service {
                 .iter()
                 .any(|&d| self.device_lost(d));
             if stranded {
-                let job = self.running.remove(i);
-                self.rehome(job);
+                let run = self.running.remove(i);
+                self.rehome(run);
                 events += 1;
             } else {
                 i += 1;
@@ -740,64 +787,38 @@ impl Service {
 
     /// Revoke a stranded job's lease and re-queue it as suspended work
     /// (from its latest checkpoint — or fresh, if none was captured yet).
-    /// Priority and deadline are preserved: a re-homed job re-enters
-    /// admission at its original rank and is still shed if its deadline
-    /// passes before it finishes.
-    fn rehome(&mut self, job: Running) {
-        let from = job
+    fn rehome(&mut self, run: Running) {
+        let from = run
             .lease
             .devices()
             .iter()
             .copied()
             .find(|&d| self.device_lost(d))
-            .unwrap_or_else(|| job.lease.devices()[0]);
+            .unwrap_or_else(|| run.lease.devices()[0]);
         let Running {
-            id,
-            req,
+            job,
             lease,
             state,
             snapshot,
-            submitted_s,
-            started_s,
-            deadline_abs,
-            queue_depth_at_submit,
-            device_seconds,
-            rehomes,
-            recovery_s,
-            predicted_s,
             ..
-        } = job;
+        } = run;
         drop(state); // buffers freed — the lost device's are gone anyway
         self.release_shared(lease);
-        let (work, iterations) = match snapshot {
-            Some(s) => {
-                let it = s.iterations_run();
-                (Work::Suspended(s), it)
-            }
-            None => (Work::Fresh, 0),
-        };
+        let work = snapshot.map_or(Work::Fresh, Work::Suspended);
+        self.requeue_rehomed(job, work, from);
+    }
+
+    /// Put a job that lost device `from` back in the queue with `work`.
+    /// Priority and deadline are preserved: a re-homed job re-enters
+    /// admission at its original rank and is still shed if its deadline
+    /// passes before it finishes.
+    fn requeue_rehomed(&mut self, mut job: Job, work: Work, from: usize) {
+        job.rehomes += 1;
         self.journal.append(ServeEvent::Rehome {
-            job: id.0,
+            job: job.id.0,
             from_device: from as u32,
         });
-        let priority = req.priority;
-        self.queue.push_unbounded(QueueEntry {
-            id,
-            priority,
-            payload: Pending {
-                req,
-                work,
-                submitted_s,
-                deadline_abs,
-                queue_depth_at_submit,
-                started_s: Some(started_s),
-                device_seconds,
-                iterations,
-                rehomes: rehomes + 1,
-                recovery_s,
-                predicted_s,
-            },
-        });
+        self.queue.push_unbounded(Pending { job, work }.entry());
     }
 
     /// Admit queued jobs while leases are available, preempting running
@@ -829,15 +850,15 @@ impl Service {
             };
             let lease = Rc::new(lease);
             if mates.is_empty() {
-                self.start(entry, lease, sharded, None);
+                self.start(entry, lease, None);
                 events += 1;
             } else {
                 let batch = self.next_batch;
                 self.next_batch += 1;
                 events += 1 + mates.len();
-                self.start(entry, Rc::clone(&lease), false, Some(batch));
+                self.start(entry, Rc::clone(&lease), Some(batch));
                 for m in mates {
-                    self.start(m, Rc::clone(&lease), false, Some(batch));
+                    self.start(m, Rc::clone(&lease), Some(batch));
                 }
             }
         }
@@ -853,15 +874,8 @@ impl Service {
             return Vec::new();
         };
         let mut former = BatchFormer::new(policy);
-        let accepted = former.offer(
-            CompatKey::new(
-                head.payload.req.algorithm,
-                head.payload.req.strategy,
-                head.payload.req.cfg.dim,
-                head.payload.req.cfg.topology,
-            ),
-            head.payload.req.cfg.n_particles * head.payload.req.cfg.dim,
-        );
+        let (key, elems) = batch_key(&head.payload.job.req);
+        let accepted = former.offer(key, elems);
         debug_assert!(accepted, "an eligible head always fits an empty batch");
         let mut order: Vec<(Priority, JobId)> =
             self.queue.iter().map(|e| (e.priority, e.id)).collect();
@@ -875,13 +889,7 @@ impl Service {
             if self.batchable_entry(e).is_none() {
                 continue;
             }
-            let key = CompatKey::new(
-                e.payload.req.algorithm,
-                e.payload.req.strategy,
-                e.payload.req.cfg.dim,
-                e.payload.req.cfg.topology,
-            );
-            let elems = e.payload.req.cfg.n_particles * e.payload.req.cfg.dim;
+            let (key, elems) = batch_key(&e.payload.job.req);
             if former.offer(key, elems) {
                 picked.push(id);
             }
@@ -896,35 +904,40 @@ impl Service {
     fn head_sharded(&self, id: JobId) -> Option<bool> {
         let e = self.queue.get(id)?;
         Some(match &e.payload.work {
-            Work::Fresh => self.will_shard(&e.payload.req.cfg),
+            Work::Fresh => self.will_shard(&e.payload.job.req.cfg),
             Work::Suspended(s) => s.n_shards() > 1,
         })
     }
 
     /// Suspend the newest, lowest-priority running job strictly below
-    /// `incoming`. Returns whether a victim was preempted.
+    /// `incoming` to host memory and requeue it. Returns whether a victim
+    /// was preempted.
     fn preempt_for(&mut self, incoming: Priority) -> bool {
         let victim = self
             .running
             .iter()
             .enumerate()
-            .filter(|(_, j)| j.req.priority < incoming)
-            .min_by_key(|(_, j)| (j.req.priority, std::cmp::Reverse(j.id)))
+            .filter(|(_, r)| r.job.req.priority < incoming)
+            .min_by_key(|(_, r)| (r.job.req.priority, std::cmp::Reverse(r.job.id)))
             .map(|(i, _)| i);
         let Some(i) = victim else {
             return false;
         };
-        let job = self.running.remove(i);
-        let before = self.charged();
-        let rec_before = merged_recovery(&self.group);
-        let (mut entry, lease) = suspend_to_entry(job);
-        entry.payload.device_seconds += self.charged() - before;
-        entry.payload.recovery_s += merged_recovery(&self.group) - rec_before;
+        let meter = Meter::read(&self.group);
+        let Running {
+            mut job,
+            lease,
+            state,
+            ..
+        } = self.running.remove(i);
+        let work = Work::Suspended(state.snapshot());
+        drop(state); // every device buffer released
+        meter.charge(&self.group, &mut job);
         self.release_shared(lease);
-        self.journal.append(ServeEvent::Preempt { job: entry.id.0 });
+        self.journal.append(ServeEvent::Preempt { job: job.id.0 });
         // Preempted work was already admitted once; it re-enters above the
         // queue bound rather than being dropped.
-        self.queue.push_unbounded(entry);
+        self.queue.push_unbounded(Pending { job, work }.entry());
         true
     }
 
@@ -933,111 +946,62 @@ impl Service {
     /// the devices that survive; any other start failure records the job
     /// as failed.
     ///
-    /// Suspended jobs keep their original shard geometry: a `k`-shard
-    /// checkpoint resumes over however many devices the new lease spans
-    /// (shards assigned round-robin), so losing a device never strands a
-    /// sharded job — the reduction is over shards, not devices.
-    fn start(
-        &mut self,
-        entry: QueueEntry<Pending>,
-        lease: Rc<Lease>,
-        sharded: bool,
-        batch: Option<u64>,
-    ) {
-        let id = entry.id;
-        let mut pend = entry.payload;
+    /// Fresh jobs get one shard per leased device. Suspended jobs keep
+    /// their original shard geometry: a `k`-shard checkpoint resumes over
+    /// however many devices the new lease spans (shards assigned
+    /// round-robin), so losing a device never strands a sharded job — the
+    /// reduction is over shards, not devices.
+    fn start(&mut self, entry: QueueEntry<Pending>, lease: Rc<Lease>, batch: Option<u64>) {
+        let Pending { mut job, work } = entry.payload;
         self.journal.append(ServeEvent::Admit {
-            job: id.0,
+            job: job.id.0,
             devices: lease.devices().iter().map(|&d| d as u32).collect(),
         });
-        let (n_shards, partitions, resume_snapshot) = match &pend.work {
-            Work::Suspended(s) => (s.n_shards(), s.partitions(), Some(s.clone())),
-            Work::Fresh => {
-                let k = if sharded { lease.devices().len() } else { 1 };
-                (k, partition(pend.req.cfg.n_particles, k), None)
-            }
+        let n_shards = match &work {
+            Work::Suspended(s) => s.n_shards(),
+            Work::Fresh => lease.devices().len(),
         };
-        let use_group = n_shards > 1;
         let view = self.pool.group_view(&lease);
-        let plan = build_plan(&pend.req, n_shards);
-        let work = std::mem::replace(&mut pend.work, Work::Fresh);
-        let before = self.charged();
-        let rec_before = merged_recovery(&self.group);
-        let state_res = {
-            let target = target_of(&view, use_group);
-            let run = PlanRun {
-                plan: &plan,
-                cfg: &pend.req.cfg,
-                obj: pend.req.objective.as_ref(),
-                strategy: pend.req.strategy,
-                resilience: pend.req.resilience.as_ref(),
-                partitions: partitions.clone(),
-                target,
-            };
-            match work {
-                Work::Fresh => run.init_state(),
-                Work::Suspended(s) => run.resume(s),
-            }
+        let plan = build_plan(&job.req, n_shards);
+        let meter = Meter::read(&self.group);
+        let run = bind(&job.req, &plan, &view);
+        let state = match &work {
+            Work::Fresh => run.init_state(),
+            Work::Suspended(s) => run.resume(s.clone()),
         };
-        let state = match state_res {
-            Ok(st) => st,
-            Err(_) => {
-                let lease_devices: Vec<usize> = lease.devices().to_vec();
-                self.release_shared(lease);
-                pend.device_seconds += self.charged() - before;
-                pend.recovery_s += merged_recovery(&self.group) - rec_before;
-                let lost = lease_devices.iter().find(|&&d| self.device_lost(d));
-                if let Some(&from) = lost {
-                    // Admission raced a device death: put the job back with
-                    // its checkpoint and let the next tick place it on the
-                    // devices that survive.
-                    pend.work = match resume_snapshot {
-                        Some(s) => Work::Suspended(s),
-                        None => Work::Fresh,
-                    };
-                    pend.rehomes += 1;
-                    self.journal.append(ServeEvent::Rehome {
-                        job: id.0,
-                        from_device: from as u32,
-                    });
-                    let priority = pend.req.priority;
-                    self.queue.push_unbounded(QueueEntry {
-                        id,
-                        priority,
-                        payload: pend,
-                    });
-                } else {
+        let Ok(state) = state else {
+            let lease_devices: Vec<usize> = lease.devices().to_vec();
+            self.release_shared(lease);
+            meter.charge(&self.group, &mut job);
+            match lease_devices.into_iter().find(|&d| self.device_lost(d)) {
+                // Admission raced a device death: put the job back with its
+                // checkpoint and let the next tick place it on the devices
+                // that survive.
+                Some(from) => self.requeue_rehomed(job, work, from),
+                None => {
                     let now = self.now();
-                    self.finalize_pending(id, pend, JobOutcome::Failed, now);
+                    self.finalize_pending(Pending { job, work }, JobOutcome::Failed, now);
                 }
-                return;
             }
+            return;
         };
-        let device_seconds = pend.device_seconds + (self.charged() - before);
-        let recovery_s = pend.recovery_s + (merged_recovery(&self.group) - rec_before);
-        let started_s = pend.started_s.unwrap_or_else(|| self.now());
+        meter.charge(&self.group, &mut job);
+        job.started_s = Some(job.started_s.unwrap_or_else(|| self.now()));
+        let snapshot = match work {
+            Work::Suspended(s) => Some(s),
+            Work::Fresh => None,
+        };
         self.running.push(Running {
-            id,
-            req: pend.req,
+            job,
             plan,
-            partitions,
-            sharded: use_group,
             view,
             lease,
             batch,
             state,
-            snapshot: resume_snapshot,
+            snapshot,
             slices_since_snapshot: 0,
-            submitted_s: pend.submitted_s,
-            started_s,
-            deadline_abs: pend.deadline_abs,
-            queue_depth_at_submit: pend.queue_depth_at_submit,
-            device_seconds,
-            rehomes: pend.rehomes,
-            recovery_s,
-            predicted_s: pend.predicted_s,
         });
-        self.running.sort_by_key(|j| j.id);
+        self.running.sort_by_key(|r| r.job.id);
     }
 
     /// Advance every running job by one time slice, in job-id order.
@@ -1062,19 +1026,17 @@ impl Service {
                 continue;
             }
             visited[i] = true;
-            let before = merged_total(&self.group);
-            let rec_before = merged_recovery(&self.group);
-            let job = &mut self.running[i];
-            let res = step_job(job, slice);
+            let meter = Meter::read(&self.group);
+            let run = &mut self.running[i];
+            let res = step_job(run, slice);
             if matches!(res, Ok(false)) && self.cfg.checkpoint_slices > 0 {
-                job.slices_since_snapshot += 1;
-                if job.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    job.snapshot = Some(job.state.snapshot());
-                    job.slices_since_snapshot = 0;
+                run.slices_since_snapshot += 1;
+                if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
+                    run.snapshot = Some(run.state.snapshot());
+                    run.slices_since_snapshot = 0;
                 }
             }
-            job.device_seconds += merged_total(&self.group) - before;
-            job.recovery_s += merged_recovery(&self.group) - rec_before;
+            meter.charge(&self.group, &mut run.job);
             outcomes.push((i, res));
         }
         let stepped = outcomes.len();
@@ -1084,20 +1046,20 @@ impl Service {
             match res {
                 Ok(false) => {}
                 Ok(true) => {
-                    let job = self.running.remove(i);
+                    let run = self.running.remove(i);
                     let now = self.now();
-                    self.finalize_completed(job, now);
+                    self.finalize_completed(run, now);
                 }
                 Err(_) => {
-                    let job = self.running.remove(i);
-                    let stranded = job.lease.devices().iter().any(|&d| self.device_lost(d));
+                    let run = self.running.remove(i);
+                    let stranded = run.lease.devices().iter().any(|&d| self.device_lost(d));
                     if stranded {
                         // The slice died with the device, not the job:
                         // roll back to the checkpoint and re-home.
-                        self.rehome(job);
+                        self.rehome(run);
                     } else {
                         let now = self.now();
-                        self.finalize_running_dropped(job, JobOutcome::Failed, now);
+                        self.finalize_running_dropped(run, JobOutcome::Failed, now);
                     }
                 }
             }
@@ -1126,33 +1088,31 @@ impl Service {
         let threads: u64 = members
             .iter()
             .map(|&j| {
-                let c = &self.running[j].req.cfg;
+                let c = &self.running[j].job.req.cfg;
                 (c.n_particles * c.dim) as u64
             })
             .sum();
         let mut out = Vec::with_capacity(members.len());
-        let open_before = merged_total(&self.group);
+        let open = Meter::read(&self.group);
         if let Err(e) = dev.begin_persistent("batched_slice", Phase::SwarmUpdate, threads) {
             // The region never opened: charge the attempt to the first
             // member and surface the error there; the rest are untouched.
-            self.running[members[0]].device_seconds += merged_total(&self.group) - open_before;
+            open.charge(&self.group, &mut self.running[members[0]].job);
             out.push((members[0], Err(e.into())));
             out.extend(members[1..].iter().map(|&j| (j, Ok(false))));
             return out;
         }
-        let open_cost = merged_total(&self.group) - open_before;
+        let open_share = open.since(&self.group, members.len());
         let mut failed = false;
         for &j in members {
             if failed {
                 out.push((j, Ok(false)));
                 continue;
             }
-            let before = merged_total(&self.group);
-            let rec_before = merged_recovery(&self.group);
-            let job = &mut self.running[j];
-            let res = step_job(job, slice);
-            job.device_seconds += merged_total(&self.group) - before;
-            job.recovery_s += merged_recovery(&self.group) - rec_before;
+            let meter = Meter::read(&self.group);
+            let run = &mut self.running[j];
+            let res = step_job(run, slice);
+            meter.charge(&self.group, &mut run.job);
             failed = res.is_err();
             out.push((j, res));
         }
@@ -1175,137 +1135,93 @@ impl Service {
                 if !matches!(res, Ok(false)) {
                     continue;
                 }
-                let job = &mut self.running[j];
-                job.slices_since_snapshot += 1;
-                if job.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    job.slices_since_snapshot = 0;
+                let run = &mut self.running[j];
+                run.slices_since_snapshot += 1;
+                if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
+                    run.slices_since_snapshot = 0;
                     due.push(j);
                 }
             }
             if !due.is_empty() {
-                let before = merged_total(&self.group);
-                let rec_before = merged_recovery(&self.group);
+                let meter = Meter::read(&self.group);
                 let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
                 let snaps = ExecState::snapshot_many(&states);
-                let n = due.len() as f64;
-                let share = (merged_total(&self.group) - before) / n;
-                let rec_share = (merged_recovery(&self.group) - rec_before) / n;
+                let share = meter.since(&self.group, due.len());
                 for (&j, snap) in due.iter().zip(snaps) {
-                    let job = &mut self.running[j];
-                    job.snapshot = Some(snap);
-                    job.device_seconds += share;
-                    job.recovery_s += rec_share;
+                    let run = &mut self.running[j];
+                    run.snapshot = Some(snap);
+                    run.job.bill(share);
                 }
             }
         }
         dev.end_persistent();
-        let share = open_cost / members.len() as f64;
         for &j in members {
-            self.running[j].device_seconds += share;
+            self.running[j].job.bill(open_share);
         }
         out
     }
 
-    fn finalize_completed(&mut self, job: Running, now: f64) {
+    fn finalize_completed(&mut self, run: Running, now: f64) {
         let Running {
-            id,
-            req,
+            mut job,
             plan,
-            partitions,
-            sharded,
             view,
             lease,
             state,
-            submitted_s,
-            started_s,
-            deadline_abs,
-            queue_depth_at_submit,
-            device_seconds,
-            rehomes,
-            recovery_s,
             ..
-        } = job;
+        } = run;
         let iterations = state.iterations_run();
-        let n_shards = partitions.len() as u64;
-        let before = merged_total(&self.group);
-        let result = {
-            let target = target_of(&view, sharded);
-            let run = PlanRun {
-                plan: &plan,
-                cfg: &req.cfg,
-                obj: req.objective.as_ref(),
-                strategy: req.strategy,
-                resilience: req.resilience.as_ref(),
-                partitions,
-                target,
-            };
-            run.finish_state(state)
-        };
+        let meter = Meter::read(&self.group);
+        let result = bind(&job.req, &plan, &view).finish_state(state);
         // The result download is the job's own device time.
-        let device_seconds = device_seconds + (merged_total(&self.group) - before);
+        meter.charge(&self.group, &mut job);
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run.
-        if iterations > 0 && device_seconds > 0.0 {
-            let mut shape = self.shape_of(&req, req.strategy);
+        if iterations > 0 && job.device_seconds > 0.0 {
+            let mut shape = self.shape_of(&job.req, job.req.strategy);
             shape.iterations = iterations as u64;
-            shape.shards = n_shards;
-            self.predictor.observe(&shape, device_seconds);
+            shape.shards = plan.n_shards as u64;
+            self.predictor.observe(&shape, job.device_seconds);
         }
-        if deadline_abs.is_none_or(|d| now <= d) {
-            self.goodput_s += device_seconds;
+        if job.deadline_abs.is_none_or(|d| now <= d) {
+            self.goodput_s += job.device_seconds;
         }
         self.release_shared(lease);
-        self.journal.append(ServeEvent::Complete { job: id.0 });
-        self.records.push(JobRecord {
-            tenant: req.tenant,
-            job: id.0,
-            submitted_s,
-            started_s,
-            finished_s: now,
-            outcome: JobOutcome::Completed,
-            iterations,
-            device_seconds,
-            queue_depth_at_submit,
-            rehomes,
-            recovery_secs: recovery_s,
-        });
-        self.finished.insert(
-            id,
-            Finished {
-                status: JobStatus::Completed,
-                result: Some(result),
-            },
-        );
+        self.close(job, JobOutcome::Completed, iterations, now, Some(result));
     }
 
     /// Finalize a running job that ends without a result (shed, cancelled
     /// or failed): its device buffers drop here, freeing the lease's
     /// memory before the lease itself is returned.
-    fn finalize_running_dropped(&mut self, job: Running, outcome: JobOutcome, now: f64) {
-        self.journal.append(outcome_event(job.id, outcome));
-        self.records.push(JobRecord {
-            tenant: job.req.tenant.clone(),
-            job: job.id.0,
-            submitted_s: job.submitted_s,
-            started_s: job.started_s,
-            finished_s: now,
-            outcome,
-            iterations: job.state.iterations_run(),
-            device_seconds: job.device_seconds,
-            queue_depth_at_submit: job.queue_depth_at_submit,
-            rehomes: job.rehomes,
-            recovery_secs: job.recovery_s,
-        });
-        self.finished.insert(
-            job.id,
-            Finished {
-                status: status_of(outcome),
-                result: None,
-            },
-        );
-        let Running { lease, state, .. } = job;
+    fn finalize_running_dropped(&mut self, run: Running, outcome: JobOutcome, now: f64) {
+        let Running {
+            job, lease, state, ..
+        } = run;
+        self.close(job, outcome, state.iterations_run(), now, None);
         drop(state); // device buffers freed
         self.release_shared(lease);
+    }
+
+    /// Finalize a job that ends while queued, or that failed to start.
+    fn finalize_pending(&mut self, pend: Pending, outcome: JobOutcome, now: f64) {
+        let iterations = pend.iterations();
+        self.close(pend.job, outcome, iterations, now, None);
+    }
+
+    /// Journal `job`'s terminal outcome and file its record and status.
+    fn close(
+        &mut self,
+        job: Job,
+        outcome: JobOutcome,
+        iterations: usize,
+        now: f64,
+        result: Option<RunResult>,
+    ) {
+        let id = job.id;
+        self.journal.append(outcome_event(id, outcome));
+        self.records.push(job.record(outcome, iterations, now));
+        let status = status_of(outcome);
+        self.finished.insert(id, Finished { status, result });
     }
 
     /// Return a (possibly shared) lease to the pool. Micro-batch members
@@ -1315,34 +1231,6 @@ impl Service {
         if let Ok(l) = Rc::try_unwrap(lease) {
             self.pool.release(l);
         }
-    }
-
-    fn finalize_queued(&mut self, entry: QueueEntry<Pending>, outcome: JobOutcome, now: f64) {
-        self.finalize_pending(entry.id, entry.payload, outcome, now);
-    }
-
-    fn finalize_pending(&mut self, id: JobId, pend: Pending, outcome: JobOutcome, now: f64) {
-        self.journal.append(outcome_event(id, outcome));
-        self.records.push(JobRecord {
-            tenant: pend.req.tenant,
-            job: id.0,
-            submitted_s: pend.submitted_s,
-            started_s: pend.started_s.unwrap_or(now),
-            finished_s: now,
-            outcome,
-            iterations: pend.iterations,
-            device_seconds: pend.device_seconds,
-            queue_depth_at_submit: pend.queue_depth_at_submit,
-            rehomes: pend.rehomes,
-            recovery_secs: pend.recovery_s,
-        });
-        self.finished.insert(
-            id,
-            Finished {
-                status: status_of(outcome),
-                result: None,
-            },
-        );
     }
 }
 
@@ -1366,6 +1254,12 @@ fn outcome_event(id: JobId, outcome: JobOutcome) -> ServeEvent {
     }
 }
 
+/// The micro-batch compatibility key of `req` and its element count.
+fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
+    let key = CompatKey::new(req.algorithm, req.strategy, req.cfg.dim, req.cfg.topology);
+    (key, req.cfg.n_particles * req.cfg.dim)
+}
+
 /// The job's execution plan for `n_shards` shards.
 fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
     let reduce = if n_shards > 1 {
@@ -1383,96 +1277,35 @@ fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
     plan
 }
 
-/// Split `n` rows into `k` `(row0, rows)` shards, spreading the remainder
-/// over the leading shards — the same split `MultiGpuBackend` uses.
-fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
-    let base = n / k;
-    let extra = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut row0 = 0;
-    for i in 0..k {
-        let rows = base + usize::from(i < extra);
-        out.push((row0, rows));
-        row0 += rows;
-    }
-    out
-}
-
-fn target_of(view: &DeviceGroup, sharded: bool) -> ExecTarget<'_> {
-    if sharded {
+/// Bind `req`'s `plan` to the leased devices in `view`: the whole view
+/// when the plan is sharded, otherwise the lease's one device.
+fn bind<'a>(
+    req: &'a OptimizeRequest,
+    plan: &'a ExecutionPlan,
+    view: &'a DeviceGroup,
+) -> PlanRun<'a> {
+    let target = if plan.n_shards > 1 {
         ExecTarget::Group(view)
     } else {
         ExecTarget::Single(view.device(0).expect("leased device"))
+    };
+    PlanRun {
+        plan,
+        cfg: &req.cfg,
+        obj: req.objective.as_ref(),
+        strategy: req.strategy,
+        resilience: req.resilience.as_ref(),
+        target,
     }
 }
 
-fn merged_total(group: &DeviceGroup) -> f64 {
-    group.merged_timeline().total_seconds()
-}
-
-fn merged_recovery(group: &DeviceGroup) -> f64 {
-    group.merged_timeline().seconds(Phase::Recovery)
-}
-
 /// Advance one job by up to `slice` iterations. `Ok(true)` = finished.
-fn step_job(job: &mut Running, slice: usize) -> Result<bool, PsoError> {
-    let target = target_of(&job.view, job.sharded);
-    let run = PlanRun {
-        plan: &job.plan,
-        cfg: &job.req.cfg,
-        obj: job.req.objective.as_ref(),
-        strategy: job.req.strategy,
-        resilience: job.req.resilience.as_ref(),
-        partitions: job.partitions.clone(),
-        target,
-    };
+fn step_job(run: &mut Running, slice: usize) -> Result<bool, PsoError> {
+    let exec = bind(&run.job.req, &run.plan, &run.view);
     for _ in 0..slice {
-        if run.step_state(&mut job.state)? {
+        if exec.step_state(&mut run.state)? {
             return Ok(true);
         }
     }
     Ok(false)
-}
-
-/// Evacuate a running job to host memory and requeue it. Returns the
-/// queue entry (payload carries the [`SuspendedJob`]) and the lease to
-/// release.
-fn suspend_to_entry(job: Running) -> (QueueEntry<Pending>, Rc<Lease>) {
-    let Running {
-        id,
-        req,
-        lease,
-        state,
-        submitted_s,
-        started_s,
-        deadline_abs,
-        queue_depth_at_submit,
-        device_seconds,
-        rehomes,
-        recovery_s,
-        predicted_s,
-        ..
-    } = job;
-    let iterations = state.iterations_run();
-    // Dropping `state` afterwards releases every device buffer.
-    let suspended = state.snapshot();
-    let priority = req.priority;
-    let entry = QueueEntry {
-        id,
-        priority,
-        payload: Pending {
-            req,
-            work: Work::Suspended(suspended),
-            submitted_s,
-            deadline_abs,
-            queue_depth_at_submit,
-            started_s: Some(started_s),
-            device_seconds,
-            iterations,
-            rehomes,
-            recovery_s,
-            predicted_s,
-        },
-    };
-    (entry, lease)
 }

@@ -1103,11 +1103,14 @@ fn device_loss_mid_batch_rehomes_every_member_bit_identically() {
     assert!(fired >= 2, "the sweep never exercised a mid-batch loss");
 }
 
-/// Every modeled device-second of a fault-free run lands on exactly one
-/// job: the jobs' records sum to the devices' timelines, the completed
-/// job's result download included, batched or not. And every slice
-/// checkpoint is one packed copy: one `checkpoint_pack` pass per recovery
-/// download on each device.
+/// Every modeled device-second lands on exactly one job: the jobs' records
+/// sum to the devices' timelines, the completed job's result download
+/// included, batched or not. Two inputs: a fault-free trace, where every
+/// slice checkpoint is also one packed copy (one `checkpoint_pack` pass
+/// per recovery download on each device), and a whole-lifecycle trace
+/// (preemption, sharding, cancellation, shedding, device loss and
+/// re-homing), where the records' recovery seconds also sum to the
+/// devices' `Phase::Recovery` time.
 #[test]
 fn job_records_account_for_every_device_second_with_packed_checkpoints() {
     use gpu_sim::{Phase, TransferDirection};
@@ -1159,6 +1162,107 @@ fn job_records_account_for_every_device_second_with_packed_checkpoints() {
             );
         }
     }
+    for batching in [None, Some(BatchPolicy::default())] {
+        for loss in [1, 40, 400] {
+            lifecycle_accounting(batching, loss);
+        }
+    }
+}
+
+/// The second input of the accounting test: a lifecycle trace on 3
+/// devices that hits every path a job's device time is metered on —
+/// Low-priority jobs preempted by High-priority arrivals, one sharded job,
+/// a cancelled running job, a cancelled queued job, a shed 1e-4 s
+/// deadline, and device 1 lost at its `loss`-th launch.
+fn lifecycle_accounting(batching: Option<BatchPolicy>, loss: u64) {
+    use gpu_sim::Phase;
+    use perf_model::JobOutcome;
+    let group = DeviceGroup::v100s(3);
+    group.set_fault_plans(vec![
+        FaultPlan::new(),
+        FaultPlan::new().with_device_loss_at_launch(loss),
+        FaultPlan::new(),
+    ]);
+    let mut svc = Service::new(
+        group,
+        ServeConfig {
+            slots_per_device: 2,
+            slice_iters: 4,
+            checkpoint_slices: 1,
+            shard_threshold_particles: 96,
+            batching,
+            ..ServeConfig::default()
+        },
+    );
+    let submit = |svc: &mut Service, i: u64, n: usize, d: usize, p: Priority| {
+        let req =
+            OptimizeRequest::new("t", Arc::new(Rastrigin), cfg(n, d, 40, 7000 + i)).priority(p);
+        svc.submit(req).unwrap()
+    };
+    // Six dimension classes, so even with batching on the Low jobs take
+    // all six slots and the later arrivals must preempt.
+    for i in 0..6 {
+        submit(
+            &mut svc,
+            i,
+            16 + 4 * (i as usize % 3),
+            2 << i,
+            Priority::Low,
+        );
+    }
+    svc.tick();
+    svc.tick();
+    let running = svc.running_ids()[0];
+    svc.cancel(running).unwrap();
+    submit(&mut svc, 6, 128, 6, Priority::Normal);
+    for i in 7..10 {
+        submit(&mut svc, i, 24, 6, Priority::High);
+    }
+    let queued = submit(&mut svc, 10, 16, 6, Priority::Low);
+    assert_eq!(svc.status(queued).unwrap(), JobStatus::Queued);
+    svc.cancel(queued).unwrap();
+    let late = OptimizeRequest::new("t", Arc::new(Sphere), cfg(32, 6, 40, 7011)).deadline_s(1e-4);
+    svc.submit(late).unwrap();
+    svc.run_until_idle();
+
+    let label = format!("batching {}, loss at launch {loss}", batching.is_some());
+    let records = svc.records();
+    assert_eq!(records.len(), 12, "{label}");
+    let group = svc.group();
+    let close = |jobs: f64, devices: f64, what: &str| {
+        assert!(
+            (jobs - devices).abs() <= 1e-12 * devices,
+            "{label}: records' {what} sum to {jobs:e}s, devices' to {devices:e}s"
+        );
+    };
+    close(
+        records.iter().map(|r| r.device_seconds).sum(),
+        (0..3)
+            .map(|d| group.device(d).unwrap().timeline().total_seconds())
+            .sum(),
+        "device seconds",
+    );
+    close(
+        records.iter().map(|r| r.recovery_secs).sum(),
+        (0..3)
+            .map(|d| group.device(d).unwrap().timeline().seconds(Phase::Recovery))
+            .sum(),
+        "recovery seconds",
+    );
+    let preempts = svc
+        .journal()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ServeEvent::Preempt { .. }))
+        .count();
+    let count = |o: JobOutcome| records.iter().filter(|r| r.outcome == o).count();
+    assert!(preempts >= 1, "{label}: nothing was preempted");
+    assert!(
+        records.iter().map(|r| r.rehomes).sum::<u64>() >= 1,
+        "{label}: nothing was re-homed"
+    );
+    assert!(count(JobOutcome::Shed) >= 1, "{label}: nothing was shed");
+    assert_eq!(count(JobOutcome::Cancelled), 2, "{label}");
 }
 
 /// Path of the pinned batched/persistent calibration tolerance table.
