@@ -23,11 +23,12 @@
 //! iterations. Island shapes are priced with their migration launches so
 //! the equal-budget comparison stays honest.
 
-use fastpso::{Algorithm, GpuBackend, PsoBackend, PsoConfig, Topology};
+use fastpso::{
+    Algorithm, CostPredictor, GpuBackend, JobShape, PsoBackend, PsoConfig, Topology, UpdateStrategy,
+};
 use fastpso_bench::Scale;
 use fastpso_functions::builtins::{Qap, Rastrigin, Sphere};
 use fastpso_functions::Objective;
-use perf_model::{CostPredictor, JobShape};
 
 /// SplitMix64, the bench-local generator behind the random-search floor.
 fn splitmix64(mut z: u64) -> u64 {
@@ -83,11 +84,9 @@ fn compare(
 ) -> (f64, Vec<Row>) {
     let predictor = CostPredictor::v100();
     let per_iter = |algo: Algorithm| {
-        let mut shape =
-            JobShape::new(particles as u64, dim as u64, 1, "global").algorithm(&algo.to_string());
-        if let Topology::Islands { islands, migration } = topology {
-            shape = shape.islands(islands as u64, migration.every_k as u64);
-        }
+        let shape = JobShape::new(particles as u64, dim as u64, 1, UpdateStrategy::GlobalMem)
+            .algorithm(algo)
+            .topology(topology);
         predictor.base_s(&shape)
     };
     let budget_s = per_iter(Algorithm::Pso) * budget_iters as f64;

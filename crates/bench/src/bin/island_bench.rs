@@ -28,10 +28,12 @@
 //! `results/island_compare.md`; this binary is the free-standing,
 //! scale-selectable version of the same experiment.
 
-use fastpso::{GpuBackend, Migration, MigrationKind, PsoBackend, PsoConfig, Topology};
+use fastpso::{
+    CostPredictor, GpuBackend, JobShape, Migration, MigrationKind, PsoBackend, PsoConfig, Topology,
+    UpdateStrategy,
+};
 use fastpso_functions::builtins::{Qap, Rastrigin};
 use fastpso_functions::Objective;
-use perf_model::{CostPredictor, JobShape};
 
 /// The seed panel every setup runs over; the reported statistic is the
 /// median best across the panel.
@@ -58,11 +60,8 @@ fn island_topology(kind: MigrationKind) -> Topology {
 
 /// Modeled cost of `iters` iterations of topology `t` at `n`×`d`.
 fn modeled_s(predictor: &CostPredictor, n: usize, d: usize, iters: usize, t: Topology) -> f64 {
-    let mut shape = JobShape::new(n as u64, d as u64, iters as u64, "global");
-    if let Topology::Islands { islands, migration } = t {
-        shape = shape.islands(islands as u64, migration.every_k as u64);
-    }
-    predictor.base_s(&shape)
+    let shape = JobShape::new(n as u64, d as u64, iters as u64, UpdateStrategy::GlobalMem);
+    predictor.base_s(&shape.topology(t))
 }
 
 /// Largest iteration count whose modeled cost under topology `t` stays

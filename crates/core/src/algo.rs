@@ -32,17 +32,21 @@
 //! contract a new implementation must satisfy.
 
 use crate::config::PsoConfig;
+use crate::cost::RNG_FLOPS_PER_DRAW;
 use crate::error::PsoError;
 use crate::gpu::kernels::{
     explosion, fused_swarm_update, gen_weights, gfwa_selection, guiding_spark,
     init_gfwa_amplitudes, position_update, sso_update, velocity_update, Explosion, GuidingSpark,
-    Shard,
+    Shard, GFWA_SPARKS_PER_FIREWORK, LOWC_VELOCITY_FLOPS_PER_ELEM, POSITION_FLOPS_PER_ELEM,
+    VELOCITY_FLOPS_PER_ELEM,
 };
 use crate::gpu::UpdateStrategy;
 use crate::plan::{push, PlanNode, PlanOp};
+use crate::predictor::eval_work;
 use crate::resilience::{retry_degradable, retry_op, ResilienceConfig};
 use fastpso_functions::Objective;
 use gpu_sim::{Device, Phase};
+use perf_model::GpuKernelWork;
 use std::fmt;
 use std::str::FromStr;
 
@@ -159,6 +163,19 @@ pub trait SwarmAlgorithm: Sync {
     /// the stage it consumes, is rejected with [`PsoError::InvalidConfig`]
     /// before anything is launched.
     fn execute(&self, op: PlanOp, cx: UpdateCtx<'_>) -> Result<(), PsoError>;
+
+    /// The kernels one iteration of this algorithm's update tail launches
+    /// over one `rows × d` shard under `strategy`, in launch order, as
+    /// admission prices them: [`crate::CostPredictor`] adds their modeled
+    /// times after the shared eval → pbest → argmin prefix and takes the
+    /// tail's launch count from the list length.
+    fn predicted_tail(
+        &self,
+        rows: u64,
+        d: u64,
+        flops_per_dim: u64,
+        strategy: UpdateStrategy,
+    ) -> Vec<GpuKernelWork>;
 }
 
 /// Everything one update-tail op reads and writes besides the op itself:
@@ -303,6 +320,61 @@ impl SwarmAlgorithm for Pso {
             op => Err(cannot_execute(self.key(), op, None)),
         }
     }
+
+    /// Two weight generations, velocity and position — the split pair:
+    /// fusion is a plan rewrite admission does not price.
+    fn predicted_tail(
+        &self,
+        rows: u64,
+        d: u64,
+        _flops_per_dim: u64,
+        strategy: UpdateStrategy,
+    ) -> Vec<GpuKernelWork> {
+        let elems = rows * d;
+        // `rows·d` draws per weight matrix, except the low-complexity rung,
+        // which draws per row.
+        let draws = if strategy == UpdateStrategy::LowComplexity {
+            rows
+        } else {
+            elems
+        };
+        let weights = GpuKernelWork::elementwise(draws, RNG_FLOPS_PER_DRAW * draws, 0, 4 * draws);
+        let vel_flops = VELOCITY_FLOPS_PER_ELEM * elems;
+        let velocity = match strategy {
+            UpdateStrategy::GlobalMem => {
+                GpuKernelWork::elementwise(elems, vel_flops, 24 * elems, 4 * elems)
+            }
+            UpdateStrategy::ForLoop => {
+                GpuKernelWork::elementwise(rows, vel_flops, 24 * elems, 4 * elems)
+            }
+            UpdateStrategy::SharedMem => GpuKernelWork {
+                shared_bytes: 8 * elems,
+                ..GpuKernelWork::elementwise(elems, vel_flops, 16 * elems, 4 * elems)
+            },
+            UpdateStrategy::TensorCore => GpuKernelWork {
+                tensor_flops: vel_flops,
+                ..GpuKernelWork::elementwise(elems, 0, 12 * elems, 4 * elems)
+            },
+            UpdateStrategy::LowComplexity => GpuKernelWork::elementwise(
+                elems,
+                LOWC_VELOCITY_FLOPS_PER_ELEM * elems,
+                16 * elems,
+                4 * elems,
+            ),
+        };
+        let pos_threads = if strategy == UpdateStrategy::ForLoop {
+            rows
+        } else {
+            elems
+        };
+        let position = GpuKernelWork::elementwise(
+            pos_threads,
+            POSITION_FLOPS_PER_ELEM * elems,
+            8 * elems,
+            4 * elems,
+        );
+        vec![weights, weights, velocity, position]
+    }
 }
 
 /// Discrete Simplified Swarm Optimization: one index-sampling kernel.
@@ -357,6 +429,24 @@ impl SwarmAlgorithm for Sso {
         retry_op(cx.dev, &cx.guard.retry, || {
             sso_update(cx.dev, cx.shard, cx.cfg, cx.t, domain, cx.lbest)
         })
+    }
+
+    /// One index-sampling launch: one draw per element, no velocity
+    /// arithmetic, no weight matrices.
+    fn predicted_tail(
+        &self,
+        rows: u64,
+        d: u64,
+        _flops_per_dim: u64,
+        _strategy: UpdateStrategy,
+    ) -> Vec<GpuKernelWork> {
+        let elems = rows * d;
+        vec![GpuKernelWork::elementwise(
+            elems,
+            (RNG_FLOPS_PER_DRAW + 4) * elems,
+            12 * elems,
+            4 * elems,
+        )]
     }
 }
 
@@ -453,6 +543,45 @@ impl SwarmAlgorithm for Gfwa {
             op => return Err(cannot_execute(self.key(), op, None)),
         }
         Ok(())
+    }
+
+    /// Spark generation + evaluation over `rows · S` sparks, guiding-spark
+    /// construction (top/bottom-σ means) + evaluation, then selection
+    /// (winner commit) and amplitude adaptation.
+    fn predicted_tail(
+        &self,
+        rows: u64,
+        d: u64,
+        flops_per_dim: u64,
+        _strategy: UpdateStrategy,
+    ) -> Vec<GpuKernelWork> {
+        let elems = rows * d;
+        let per_fw = GFWA_SPARKS_PER_FIREWORK as u64;
+        let sparks = rows * per_fw;
+        let sigma = (per_fw / 4).max(1);
+        vec![
+            GpuKernelWork::elementwise(
+                sparks * d,
+                (RNG_FLOPS_PER_DRAW + 3) * sparks * d,
+                8 * sparks * d,
+                4 * sparks * d,
+            ),
+            eval_work(sparks, d, flops_per_dim),
+            GpuKernelWork::elementwise(
+                elems,
+                (2 * sigma + 2) * elems,
+                (2 * sigma * 4 + 4) * elems,
+                4 * elems,
+            ),
+            eval_work(rows, d, flops_per_dim),
+            GpuKernelWork::elementwise(
+                rows,
+                (per_fw + 2) * rows,
+                (per_fw + 1) * 4 * rows,
+                (d + 1) * 4 * rows,
+            ),
+            GpuKernelWork::elementwise(rows, 2 * rows, 8 * rows, 4 * rows),
+        ]
     }
 }
 

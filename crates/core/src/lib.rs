@@ -49,6 +49,7 @@ pub mod gpu;
 pub mod math;
 pub mod par;
 pub mod plan;
+pub mod predictor;
 pub mod profiling;
 pub mod resilience;
 pub mod result;
@@ -66,6 +67,7 @@ pub use gpu::multi::{MultiGpuBackend, MultiGpuStrategy};
 pub use gpu::{GpuBackend, UpdateStrategy};
 pub use par::ParBackend;
 pub use plan::{BestReduce, ExecutionPlan, PlanNode, PlanOp};
+pub use predictor::{CostPredictor, JobShape};
 pub use profiling::CounterAsserts;
 pub use resilience::{FallbackBackend, ResilienceConfig, RetryPolicy, ShardCheckpoint};
 pub use result::RunResult;

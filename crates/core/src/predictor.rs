@@ -1,0 +1,603 @@
+//! Submit-time job cost prediction with observed-record calibration.
+//!
+//! The serving layer admits jobs *before* running them, so deadline-aware
+//! admission needs an estimate of each job's device-seconds from nothing
+//! but its configuration: swarm size `n·d`, iteration count, shard count,
+//! objective cost, update strategy, algorithm and topology.
+//! [`CostPredictor`] produces that estimate in two layers:
+//!
+//! 1. **Analytic base** ([`CostPredictor::base_s`]) — one iteration's
+//!    kernel schedule: the eval → pbest → argmin prefix every algorithm
+//!    shares, then the algorithm's own update tail
+//!    ([`SwarmAlgorithm::predicted_tail`](crate::SwarmAlgorithm::predicted_tail)),
+//!    priced launch-by-launch through the same roofline model
+//!    ([`perf_model::gpu_kernel_time`]) the simulator charges with. The
+//!    base is pure arithmetic over the [`GpuProfile`], so it is exactly
+//!    reproducible and already strategy-aware: the for-loop rung prices
+//!    latency-bound, the tiled rungs price their staged traffic, the
+//!    low-complexity rung prices `d`-fold fewer RNG draws.
+//! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
+//!    omits scheduler-dependent costs (checkpoint captures, slice
+//!    re-dispatch, reduction adoption traffic), so observed
+//!    [`JobRecord`](perf_model::JobRecord)s close the loop: each completed
+//!    job contributes the ratio `observed / base` and the predictor applies
+//!    the per-key mean ratio as a multiplicative coefficient. With zero
+//!    observations the coefficient is 1.0 and the prediction is the raw
+//!    base.
+//!
+//! Calibration keys are strings built from the `Display` forms of
+//! [`UpdateStrategy`] and [`Algorithm`] ([`JobShape::calibration_key`]).
+//!
+//! ```
+//! use fastpso::{CostPredictor, JobShape, UpdateStrategy};
+//!
+//! let mut p = CostPredictor::v100();
+//! let shape = JobShape::new(1000, 50, 300, UpdateStrategy::GlobalMem);
+//! let base = p.predict_s(&shape);
+//! assert!(base > 0.0);
+//! // One observation calibrates the shape's coefficient exactly.
+//! p.observe(&shape, base * 1.5);
+//! assert!((p.predict_s(&shape) - base * 1.5).abs() < 1e-12);
+//! ```
+
+use crate::algo::{algorithm_impl, Algorithm};
+use crate::gpu::UpdateStrategy;
+use crate::plan::partition;
+use crate::topology::Topology;
+use perf_model::{gpu_kernel_time, GpuKernelWork, GpuProfile};
+use std::collections::BTreeMap;
+
+/// The admission-relevant shape of one optimization job: everything the
+/// predictor reads at submit time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobShape {
+    /// Swarm size `n`.
+    pub particles: u64,
+    /// Dimensionality `d`.
+    pub dim: u64,
+    /// Iterations the job will run (its `max_iter` budget at submit time,
+    /// or the iterations actually run when calibrating from a record).
+    pub iterations: u64,
+    /// Devices the job's shards span (1 = packed onto one device).
+    pub shards: u64,
+    /// Objective FP cost per dimension per evaluation.
+    pub flops_per_dim: u64,
+    /// The update strategy the job runs with.
+    pub strategy: UpdateStrategy,
+    /// True when the job runs device-resident (persistent region / batched
+    /// slice): per-kernel launch overhead is replaced by one launch per
+    /// slice. Calibrated separately from the per-launch schedule.
+    pub persistent: bool,
+    /// Iterations dispatched per slice when `persistent` (the serving
+    /// layer's `slice_iters`); 0 prices the whole run as one slice.
+    pub slice_iters: u64,
+    /// Which engine's update tail the base prices.
+    pub algo: Algorithm,
+    /// The swarm topology. Only islands change the price: each island
+    /// shape adds one attractor-gather launch per iteration plus a periodic
+    /// migration launch, and calibrates under an `+islands`-suffixed key.
+    pub topology: Topology,
+}
+
+impl JobShape {
+    /// A single-shard, global-topology default-algorithm shape with a
+    /// sphere-like (1 flop/dim) objective.
+    pub fn new(particles: u64, dim: u64, iterations: u64, strategy: UpdateStrategy) -> JobShape {
+        JobShape {
+            particles,
+            dim,
+            iterations,
+            shards: 1,
+            flops_per_dim: 1,
+            strategy,
+            persistent: false,
+            slice_iters: 0,
+            algo: Algorithm::default(),
+            topology: Topology::default(),
+        }
+    }
+
+    /// Set the algorithm.
+    pub fn algorithm(mut self, algo: Algorithm) -> JobShape {
+        self.algo = algo;
+        self
+    }
+
+    /// Set the topology.
+    pub fn topology(mut self, topology: Topology) -> JobShape {
+        self.topology = topology;
+        self
+    }
+
+    /// Set the shard count.
+    pub fn shards(mut self, k: u64) -> JobShape {
+        self.shards = k.max(1);
+        self
+    }
+
+    /// Set the objective's per-dimension FP cost.
+    pub fn flops_per_dim(mut self, f: u64) -> JobShape {
+        self.flops_per_dim = f;
+        self
+    }
+
+    /// Price the job as device-resident: `slice_iters` iterations per
+    /// region launch (0 = the whole run in one region).
+    pub fn persistent(mut self, slice_iters: u64) -> JobShape {
+        self.persistent = true;
+        self.slice_iters = slice_iters;
+        self
+    }
+
+    /// The calibration key: persistent shapes calibrate separately from
+    /// per-launch ones, since the scheduler-dependent costs they absorb
+    /// (region open/close, grid syncs, batch sharing) differ; island
+    /// schedules interleave gather/migrate launches with the shared prefix,
+    /// so they calibrate apart too; every algorithm but the default
+    /// calibrates under an `{algo}:`-prefixed key so its observed ratios
+    /// never contaminate the PSO coefficients (whose keys predate
+    /// algorithms and stay unprefixed).
+    pub fn calibration_key(&self) -> String {
+        let mut key = self.strategy.to_string();
+        if self.persistent {
+            key.push_str("+persistent");
+        }
+        if self.islands() > 1 {
+            key.push_str("+islands");
+        }
+        if self.algo == Algorithm::default() {
+            key
+        } else {
+            format!("{}:{key}", self.algo)
+        }
+    }
+
+    /// Islands the swarm is partitioned into (1 for every non-island
+    /// topology).
+    fn islands(&self) -> u64 {
+        match self.topology {
+            Topology::Islands { islands, .. } => islands as u64,
+            _ => 1,
+        }
+    }
+
+    /// Migration launches the shape performs over its full iteration
+    /// budget: one every `every_k` iterations, none when the swarm is a
+    /// single island or never migrates.
+    fn migration_launches(&self) -> u64 {
+        match self.topology {
+            Topology::Islands { islands, migration } if islands > 1 && migration.every_k > 0 => {
+                self.iterations / migration.every_k as u64
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// One evaluation launch over `points` candidate rows of `d` dimensions:
+/// one thread per row, reading the row and writing its error.
+pub(crate) fn eval_work(points: u64, d: u64, flops_per_dim: u64) -> GpuKernelWork {
+    GpuKernelWork::elementwise(
+        points,
+        d * flops_per_dim * points,
+        d * 4 * points,
+        4 * points,
+    )
+}
+
+/// The eval → pbest compare → argmin launches every algorithm shares over
+/// one `rows × d` shard (pbest adoption traffic is absorbed by
+/// calibration).
+fn shared_prefix(rows: u64, d: u64, flops_per_dim: u64) -> Vec<GpuKernelWork> {
+    vec![
+        eval_work(rows, d, flops_per_dim),
+        GpuKernelWork::elementwise(rows, rows, 12 * rows, 4 * rows),
+        GpuKernelWork::elementwise(rows, rows, 4 * rows, 4),
+    ]
+}
+
+/// Per-key calibration state: the running sum of observed/base ratios.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Calibration {
+    sum_ratio: f64,
+    count: u64,
+}
+
+impl Calibration {
+    fn coefficient(&self) -> f64 {
+        if self.count == 0 {
+            1.0
+        } else {
+            self.sum_ratio / self.count as f64
+        }
+    }
+}
+
+/// Predicts a job's device-seconds from its [`JobShape`], refining itself
+/// from observed records. See the [module docs](self) for the model.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostPredictor {
+    gpu: GpuProfile,
+    calib: BTreeMap<String, Calibration>,
+}
+
+impl CostPredictor {
+    /// A predictor over an explicit device profile.
+    pub fn new(gpu: GpuProfile) -> CostPredictor {
+        CostPredictor {
+            gpu,
+            calib: BTreeMap::new(),
+        }
+    }
+
+    /// A predictor for the paper's Tesla V100 profile — the device
+    /// `gpu_sim` models, so this is the right profile for [`crate::serve`].
+    pub fn v100() -> CostPredictor {
+        CostPredictor::new(GpuProfile::tesla_v100())
+    }
+
+    /// The analytic per-job base estimate in device-seconds: the modeled
+    /// time of one iteration's kernel schedule times the iteration count,
+    /// summed over shards. Deterministic arithmetic; no calibration applied.
+    pub fn base_s(&self, shape: &JobShape) -> f64 {
+        let gpu = &self.gpu;
+        let d = shape.dim.max(1);
+        let algo = algorithm_impl(shape.algo);
+        let mut per_iter = 0.0;
+        // Launches of one iteration, summed over the shards holding rows.
+        let mut launches = 0u64;
+        let mut active_shards = 0u64;
+        // Row-partition like the plan: leading shards take the extra.
+        for (_, rows) in partition(shape.particles as usize, shape.shards.max(1) as usize) {
+            if rows == 0 {
+                continue;
+            }
+            let rows = rows as u64;
+            let mut kernels = shared_prefix(rows, d, shape.flops_per_dim);
+            kernels.extend(algo.predicted_tail(rows, d, shape.flops_per_dim, shape.strategy));
+            per_iter += kernels.iter().map(|w| gpu_kernel_time(gpu, w)).sum::<f64>();
+            launches += kernels.len() as u64;
+            active_shards += 1;
+        }
+        let mut total = per_iter * shape.iterations as f64;
+        let mut island_launches = 0u64;
+        let islands = shape.islands();
+        if islands > 1 {
+            // Islands are single-shard (the serving layer rejects sharded
+            // local topologies): one attractor-gather launch per iteration
+            // — each particle scans its contiguous island block — plus a
+            // migration launch every `every_k` iterations that scans the
+            // swarm and copies one elite row per island edge (larger elite
+            // counts are absorbed by the `+islands` calibration key).
+            let rows = shape.particles.max(1);
+            let window = rows.div_ceil(islands);
+            let gather = gpu_kernel_time(
+                gpu,
+                &GpuKernelWork::elementwise(rows, window * rows, window * 4 * rows, 8 * rows),
+            );
+            let migrate = gpu_kernel_time(
+                gpu,
+                &GpuKernelWork::elementwise(
+                    rows,
+                    rows,
+                    rows * 4 + islands * d * 20,
+                    islands * d * 20,
+                ),
+            );
+            let migs = shape.migration_launches();
+            total += gather * shape.iterations as f64 + migrate * migs as f64;
+            island_launches = shape.iterations + migs;
+        }
+        if shape.persistent {
+            // Device-resident execution: the per-kernel launch overheads
+            // baked into every priced launch collapse into one region
+            // launch per slice per shard.
+            let overhead = gpu.kernel_launch_overhead_s;
+            let slices = if shape.slice_iters == 0 {
+                1
+            } else {
+                shape.iterations.div_ceil(shape.slice_iters).max(1)
+            };
+            let saved = overhead * (launches * shape.iterations + island_launches) as f64;
+            let region = overhead * (slices * active_shards) as f64;
+            total = (total - saved + region).max(0.0);
+        }
+        total
+    }
+
+    /// The calibrated multiplier currently applied to estimates under
+    /// calibration key `key` (1.0 with no observations).
+    pub fn coefficient(&self, key: &str) -> f64 {
+        self.calib
+            .get(key)
+            .map(Calibration::coefficient)
+            .unwrap_or(1.0)
+    }
+
+    /// Observations accumulated under calibration key `key`.
+    pub fn observations(&self, key: &str) -> u64 {
+        self.calib.get(key).map(|c| c.count).unwrap_or(0)
+    }
+
+    /// The calibrated estimate: analytic base times the shape's
+    /// calibration-key mean observed/base ratio.
+    pub fn predict_s(&self, shape: &JobShape) -> f64 {
+        self.base_s(shape) * self.coefficient(&shape.calibration_key())
+    }
+
+    /// Feed one observed completion back into the calibration: `observed_s`
+    /// device-seconds for a job of `shape`. Non-finite or non-positive
+    /// observations (a job that ran zero iterations) are ignored.
+    pub fn observe(&mut self, shape: &JobShape, observed_s: f64) {
+        let base = self.base_s(shape);
+        if !(observed_s.is_finite() && observed_s > 0.0 && base > 0.0) {
+            return;
+        }
+        let c = self.calib.entry(shape.calibration_key()).or_default();
+        c.sum_ratio += observed_s / base;
+        c.count += 1;
+    }
+
+    /// Relative prediction error against an observation:
+    /// `|predicted - observed| / observed`.
+    pub fn relative_error(&self, shape: &JobShape, observed_s: f64) -> f64 {
+        (self.predict_s(shape) - observed_s).abs() / observed_s.abs().max(f64::MIN_POSITIVE)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::{Migration, MigrationKind};
+
+    fn islands(islands: usize, every_k: usize) -> Topology {
+        Topology::Islands {
+            islands,
+            migration: Migration {
+                kind: MigrationKind::Ring,
+                every_k,
+                elites: 1,
+            },
+        }
+    }
+
+    #[test]
+    fn base_scales_with_work() {
+        let p = CostPredictor::v100();
+        let small = p.base_s(&JobShape::new(1000, 50, 100, UpdateStrategy::GlobalMem));
+        let more_iters = p.base_s(&JobShape::new(1000, 50, 200, UpdateStrategy::GlobalMem));
+        let bigger = p.base_s(&JobShape::new(4000, 50, 100, UpdateStrategy::GlobalMem));
+        assert!((more_iters / small - 2.0).abs() < 1e-9, "linear in iters");
+        assert!(bigger > small, "more particles cost more");
+    }
+
+    #[test]
+    fn strategy_ordering_matches_the_modeled_kernels() {
+        let p = CostPredictor::v100();
+        let s = |strategy| p.base_s(&JobShape::new(5000, 100, 100, strategy));
+        assert!(
+            s(UpdateStrategy::ForLoop) > s(UpdateStrategy::GlobalMem),
+            "latency-bound for-loop must price slowest"
+        );
+        assert!(
+            s(UpdateStrategy::LowComplexity) < s(UpdateStrategy::GlobalMem),
+            "reduced-work rung must price cheapest: {} vs {}",
+            s(UpdateStrategy::LowComplexity),
+            s(UpdateStrategy::GlobalMem)
+        );
+        assert!(
+            s(UpdateStrategy::SharedMem) < s(UpdateStrategy::GlobalMem),
+            "tiling saves broadcast traffic"
+        );
+    }
+
+    #[test]
+    fn sharding_splits_rows() {
+        let p = CostPredictor::v100();
+        let one = p.base_s(&JobShape::new(10000, 50, 100, UpdateStrategy::GlobalMem));
+        let four = p.base_s(&JobShape::new(10000, 50, 100, UpdateStrategy::GlobalMem).shards(4));
+        // Four shards pay 4x the launch overhead but each covers a quarter
+        // of the rows; the total stays within a small factor of the
+        // single-shard schedule.
+        assert!(four > one * 0.5 && four < one * 4.0);
+    }
+
+    #[test]
+    fn calibration_is_the_mean_ratio_per_strategy() {
+        let mut p = CostPredictor::v100();
+        let a = JobShape::new(1000, 50, 100, UpdateStrategy::GlobalMem);
+        let b = JobShape::new(2000, 20, 300, UpdateStrategy::GlobalMem);
+        let base_a = p.base_s(&a);
+        let base_b = p.base_s(&b);
+        p.observe(&a, base_a * 2.0);
+        p.observe(&b, base_b * 4.0);
+        assert_eq!(p.observations("global"), 2);
+        assert!((p.coefficient("global") - 3.0).abs() < 1e-12);
+        // Other strategies stay uncalibrated.
+        assert_eq!(p.coefficient("lowcomp"), 1.0);
+        assert_eq!(p.observations("lowcomp"), 0);
+    }
+
+    #[test]
+    fn degenerate_observations_are_ignored() {
+        let mut p = CostPredictor::v100();
+        let shape = JobShape::new(100, 10, 10, UpdateStrategy::GlobalMem);
+        p.observe(&shape, 0.0);
+        p.observe(&shape, f64::NAN);
+        p.observe(&shape, -1.0);
+        assert_eq!(p.observations("global"), 0);
+        assert_eq!(p.coefficient("global"), 1.0);
+    }
+
+    #[test]
+    fn persistent_shapes_price_one_launch_per_slice() {
+        let p = CostPredictor::v100();
+        let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
+        let sliced = solo.clone().persistent(8); // ceil(80/8) = 10 slices
+        let whole = solo.clone().persistent(0); // one region for the run
+        let base = p.base_s(&solo);
+        let t_sliced = p.base_s(&sliced);
+        let t_whole = p.base_s(&whole);
+        assert!(t_whole < t_sliced && t_sliced < base);
+        // Savings are launch-overhead arithmetic: solo pays 7·iters
+        // launches, sliced pays ceil(iters/slice), whole pays 1. The
+        // implied per-launch overhead must agree between the two rungs.
+        let per_launch_a = (base - t_sliced) / (7.0 * 80.0 - 10.0);
+        let per_launch_b = (base - t_whole) / (7.0 * 80.0 - 1.0);
+        assert!((per_launch_a - per_launch_b).abs() < 1e-15);
+        assert!(per_launch_a > 0.0);
+    }
+
+    #[test]
+    fn persistent_calibration_is_keyed_separately() {
+        let mut p = CostPredictor::v100();
+        let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).persistent(8);
+        let base = p.base_s(&shape);
+        p.observe(&shape, base * 2.0);
+        assert_eq!(p.observations("global+persistent"), 1);
+        assert_eq!(p.observations("global"), 0);
+        assert_eq!(p.coefficient("global"), 1.0);
+        assert!((p.predict_s(&shape) - base * 2.0).abs() < 1e-12);
+        // The per-launch rung is untouched by persistent observations.
+        let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
+        assert!((p.predict_s(&solo) - p.base_s(&solo)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn relative_error_is_zero_after_single_shape_calibration() {
+        let mut p = CostPredictor::v100();
+        let shape = JobShape::new(500, 30, 200, UpdateStrategy::SharedMem);
+        p.observe(&shape, 0.123);
+        assert!(p.relative_error(&shape, 0.123) < 1e-12);
+    }
+
+    #[test]
+    fn algorithms_price_their_own_kernel_schedules() {
+        let p = CostPredictor::v100();
+        let pso = JobShape::new(5000, 100, 100, UpdateStrategy::GlobalMem);
+        let sso = pso.clone().algorithm(Algorithm::Sso);
+        let gfwa = pso.clone().algorithm(Algorithm::Gfwa);
+        // SSO replaces two weight launches + the velocity/position pair
+        // with one index-sampling launch: strictly cheaper per iteration.
+        assert!(p.base_s(&sso) < p.base_s(&pso));
+        // GFWA evaluates 8 sparks per firework on top of the shared
+        // prefix: strictly pricier than both.
+        assert!(p.base_s(&gfwa) > p.base_s(&pso));
+    }
+
+    #[test]
+    fn persistent_savings_use_per_algorithm_launch_counts() {
+        let p = CostPredictor::v100();
+        for (algo, launches) in [
+            (Algorithm::Pso, 7.0),
+            (Algorithm::Sso, 4.0),
+            (Algorithm::Gfwa, 9.0),
+        ] {
+            let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
+            let whole = solo.clone().persistent(0);
+            let saved = p.base_s(&solo) - p.base_s(&whole);
+            let per_launch = saved / (launches * 80.0 - 1.0);
+            assert!(per_launch > 0.0, "{algo}: persistent must save time");
+            // All three must imply the same per-launch overhead once
+            // divided by their own launch count.
+            let pso_solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
+            let pso_saved = p.base_s(&pso_solo) - p.base_s(&pso_solo.clone().persistent(0));
+            let pso_per_launch = pso_saved / (7.0 * 80.0 - 1.0);
+            assert!(
+                (per_launch - pso_per_launch).abs() < 1e-15,
+                "{algo}: per-launch overhead must match the device constant"
+            );
+        }
+    }
+
+    #[test]
+    fn calibration_keys_are_algorithm_qualified_except_pso() {
+        let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
+        assert_eq!(pso.calibration_key(), "global");
+        assert_eq!(
+            pso.clone().persistent(4).calibration_key(),
+            "global+persistent"
+        );
+        let sso = pso.clone().algorithm(Algorithm::Sso);
+        assert_eq!(sso.calibration_key(), "sso:global");
+        assert_eq!(
+            pso.clone()
+                .algorithm(Algorithm::Gfwa)
+                .persistent(4)
+                .calibration_key(),
+            "gfwa:global+persistent"
+        );
+    }
+
+    #[test]
+    fn island_shapes_price_their_extra_launches_and_key_separately() {
+        let p = CostPredictor::v100();
+        let solo = JobShape::new(256, 32, 200, UpdateStrategy::GlobalMem);
+        let isl = solo.clone().topology(islands(8, 10));
+        let no_mig = solo.clone().topology(islands(8, 0));
+        // The gather runs every iteration, migration every 10th: islands
+        // must price strictly above the single swarm, and migration above
+        // gather-only.
+        assert!(p.base_s(&no_mig) > p.base_s(&solo));
+        assert!(p.base_s(&isl) > p.base_s(&no_mig));
+        // A degenerate single-island shape is byte-identical to the plain
+        // schedule — existing predictions and keys are untouched.
+        let one = solo.clone().topology(islands(1, 10));
+        assert_eq!(p.base_s(&one), p.base_s(&solo));
+        assert_eq!(one.calibration_key(), "global");
+        assert_eq!(isl.calibration_key(), "global+islands");
+        assert_eq!(
+            isl.clone().persistent(4).calibration_key(),
+            "global+persistent+islands"
+        );
+        assert_eq!(
+            isl.clone().algorithm(Algorithm::Sso).calibration_key(),
+            "sso:global+islands"
+        );
+    }
+
+    #[test]
+    fn island_observations_leave_single_swarm_coefficients_untouched() {
+        let mut p = CostPredictor::v100();
+        let isl = JobShape::new(256, 32, 200, UpdateStrategy::GlobalMem).topology(islands(4, 5));
+        let base = p.base_s(&isl);
+        p.observe(&isl, base * 2.0);
+        assert_eq!(p.observations("global+islands"), 1);
+        assert!((p.coefficient("global+islands") - 2.0).abs() < 1e-12);
+        assert_eq!(p.observations("global"), 0);
+        let solo = JobShape::new(256, 32, 200, UpdateStrategy::GlobalMem);
+        assert!((p.predict_s(&solo) - p.base_s(&solo)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn persistent_island_shapes_collapse_their_extra_launches_too() {
+        let p = CostPredictor::v100();
+        let isl = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).topology(islands(4, 10));
+        let whole = isl.clone().persistent(0);
+        // 7 PSO launches + 1 gather per iteration + 8 migrations, minus
+        // the single region launch.
+        let saved = p.base_s(&isl) - p.base_s(&whole);
+        let per_launch = saved / ((7.0 + 1.0) * 80.0 + 8.0 - 1.0);
+        let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
+        let pso_per_launch =
+            (p.base_s(&pso) - p.base_s(&pso.clone().persistent(0))) / (7.0 * 80.0 - 1.0);
+        assert!(
+            (per_launch - pso_per_launch).abs() < 1e-15,
+            "island launches must collapse at the same device constant"
+        );
+    }
+
+    #[test]
+    fn non_pso_observations_leave_pso_coefficients_untouched() {
+        let mut p = CostPredictor::v100();
+        let sso = JobShape::new(1000, 50, 100, UpdateStrategy::GlobalMem).algorithm(Algorithm::Sso);
+        let base = p.base_s(&sso);
+        p.observe(&sso, base * 3.0);
+        assert_eq!(p.observations("sso:global"), 1);
+        assert!((p.coefficient("sso:global") - 3.0).abs() < 1e-12);
+        assert_eq!(p.observations("global"), 0);
+        assert_eq!(p.coefficient("global"), 1.0);
+        let pso = JobShape::new(1000, 50, 100, UpdateStrategy::GlobalMem);
+        assert!((p.predict_s(&pso) - p.base_s(&pso)).abs() < 1e-15);
+    }
+}

@@ -39,7 +39,6 @@
 
 pub mod counters;
 pub mod model;
-pub mod predictor;
 pub mod profile;
 pub mod record;
 pub mod tenant;
@@ -50,7 +49,6 @@ pub use counters::{Counters, MemoryPattern, TransferDirection};
 pub use model::{
     cpu_time, gpu_kernel_time, interpreter_time, transfer_time, CpuWork, GpuKernelWork,
 };
-pub use predictor::{CostPredictor, JobShape};
 pub use profile::{CpuProfile, GpuProfile, InterpreterProfile, LinkProfile, Testbed};
 pub use record::{AllocKind, AllocRecord, KernelRecord, KernelStats, ProfilerLog, TransferRecord};
 pub use tenant::{JobOutcome, JobRecord, TenantSummary};

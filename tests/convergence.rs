@@ -6,8 +6,8 @@
 
 use fastpso_suite::baselines::{GpuPsoBaseline, HGpuPsoBaseline, PySwarmsLike, ScikitOptLike};
 use fastpso_suite::fastpso::{
-    Algorithm, AttractorSemantics, GpuBackend, Migration, MigrationKind, ParBackend, PsoBackend,
-    PsoConfig, SeqBackend, Topology,
+    Algorithm, AttractorSemantics, CostPredictor, GpuBackend, JobShape, Migration, MigrationKind,
+    ParBackend, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{
     Easom, Griewank, Levy, Qap, Rastrigin, Rosenbrock, Sphere,
@@ -161,11 +161,9 @@ fn random_search(obj: &dyn Objective, dim: usize, evals: u64, seed: u64) -> f32 
 /// run of `iters` iterations, per the V100 cost predictor — the same
 /// equal-budget accounting the `algo_compare` bench uses.
 fn budget_iters(algo: Algorithm, n: usize, d: usize, iters: usize) -> usize {
-    let p = perf_model::CostPredictor::v100();
+    let p = CostPredictor::v100();
     let per_iter = |a: Algorithm| {
-        p.base_s(
-            &perf_model::JobShape::new(n as u64, d as u64, 1, "global").algorithm(&a.to_string()),
-        )
+        p.base_s(&JobShape::new(n as u64, d as u64, 1, UpdateStrategy::GlobalMem).algorithm(a))
     };
     let budget = per_iter(Algorithm::Pso) * iters as f64;
     ((budget / per_iter(algo)).floor() as usize).max(1)
@@ -236,11 +234,8 @@ fn gfwa_beats_random_search_on_high_dim_multimodal_at_equal_modeled_budget() {
 /// same V100 pricing `island_bench` uses, including the island gather and
 /// migration launches.
 fn modeled_s(n: usize, d: usize, iters: usize, t: Topology) -> f64 {
-    let mut shape = perf_model::JobShape::new(n as u64, d as u64, iters as u64, "global");
-    if let Topology::Islands { islands, migration } = t {
-        shape = shape.islands(islands as u64, migration.every_k as u64);
-    }
-    perf_model::CostPredictor::v100().base_s(&shape)
+    let shape = JobShape::new(n as u64, d as u64, iters as u64, UpdateStrategy::GlobalMem);
+    CostPredictor::v100().base_s(&shape.topology(t))
 }
 
 /// Largest iteration count whose modeled cost under topology `t` stays
