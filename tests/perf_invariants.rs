@@ -17,9 +17,13 @@
 //!   [`Phase::Recovery`] — never double-counting into the natural phase.
 
 use fastpso_suite::fastpso::resilience::{retry_op, ResilienceConfig, RetryPolicy};
-use fastpso_suite::fastpso::{CounterAsserts, GpuBackend, PsoBackend, PsoConfig, UpdateStrategy};
-use fastpso_suite::functions::builtins::Sphere;
+use fastpso_suite::fastpso::{
+    algorithm_impl, Algorithm, CounterAsserts, GpuBackend, PsoBackend, PsoConfig, UpdateStrategy,
+};
+use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
+use fastpso_suite::functions::Objective;
 use fastpso_suite::gpu_sim::{AllocMode, Device, FaultPlan, Phase};
+use fastpso_suite::perf_model::gpu_kernel_time;
 
 const ALL_STRATEGIES: [UpdateStrategy; 4] = [
     UpdateStrategy::GlobalMem,
@@ -128,6 +132,104 @@ fn launch_schedule_is_pinned_per_strategy() {
                 (pos, 1),
             ],
         );
+    }
+}
+
+/// Launches, flops, DRAM bytes and modeled seconds of the kernel records
+/// charged to the update tail's phases (`Init` holds the weight
+/// generations, `SwarmUpdate` the rest of every engine's tail).
+fn tail_totals(b: &GpuBackend, cfg: &PsoConfig, obj: &dyn Objective) -> (u64, u64, u64, f64) {
+    b.run(cfg, obj).unwrap();
+    let mut totals = (0, 0, 0, 0.0);
+    for k in b.profile().kernels {
+        if matches!(k.phase, Phase::Init | Phase::SwarmUpdate) {
+            totals.0 += k.launches;
+            totals.1 += k.flops + k.tensor_flops;
+            totals.2 += k.dram_read_bytes + k.dram_write_bytes;
+            totals.3 += k.duration_s;
+        }
+    }
+    totals
+}
+
+/// The update tail admission prices (`SwarmAlgorithm::predicted_tail`) is
+/// the tail the executor runs. Diffing a 6-iteration against a 3-iteration
+/// run cancels the one-time init kernels and leaves exactly three
+/// iterations of tail, which must match three times the predicted list:
+/// launch count and flops on every rung; DRAM bytes and modeled seconds on
+/// every rung except three known gaps, where the prediction is cheaper than
+/// the run:
+///
+/// * SharedMem and TensorCore velocity read 20 B/elem when executed but
+///   are priced at 16 and 12;
+/// * ForLoop is priced coalesced but runs strided.
+#[test]
+fn predicted_tail_matches_the_executed_tail() {
+    let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
+        .iter()
+        .map(|&s| (Algorithm::Pso, s))
+        .collect();
+    rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
+    rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
+    let objectives: [&dyn Objective; 2] = [&Sphere, &Rastrigin];
+    // The large size is not a multiple of a warp or a block, and its
+    // element count exceeds the V100's resident-thread capacity.
+    for (n, d) in [(64, 8), (2500, 77)] {
+        for obj in objectives {
+            for &(algo, strategy) in &rungs {
+                let label = format!("{algo}/{strategy} {} {n}x{d}", obj.name());
+                let b = GpuBackend::new().algorithm(algo).strategy(strategy);
+                let cfg = |iters| {
+                    PsoConfig::builder(n, d)
+                        .max_iter(iters)
+                        .seed(42)
+                        .build()
+                        .unwrap()
+                };
+                let lo = tail_totals(&b, &cfg(3), obj);
+                let hi = tail_totals(&b, &cfg(6), obj);
+                let tail = algorithm_impl(algo).predicted_tail(
+                    n as u64,
+                    d as u64,
+                    obj.flops_per_dim(),
+                    strategy,
+                );
+                let profile = b.device().profile();
+                let predicted = (
+                    3 * tail.len() as u64,
+                    3 * tail.iter().map(|w| w.flops + w.tensor_flops).sum::<u64>(),
+                    3 * tail
+                        .iter()
+                        .map(|w| w.dram_read_bytes + w.dram_write_bytes)
+                        .sum::<u64>(),
+                    3.0 * tail
+                        .iter()
+                        .map(|w| gpu_kernel_time(&profile, w))
+                        .sum::<f64>(),
+                );
+                assert_eq!(hi.0 - lo.0, predicted.0, "{label}: launches");
+                assert_eq!(hi.1 - lo.1, predicted.1, "{label}: flops");
+                let known_gap = algo == Algorithm::Pso
+                    && matches!(
+                        strategy,
+                        UpdateStrategy::SharedMem
+                            | UpdateStrategy::TensorCore
+                            | UpdateStrategy::ForLoop
+                    );
+                let executed_s = hi.3 - lo.3;
+                if known_gap {
+                    assert!(executed_s > predicted.3, "{label}: the gap closed");
+                    continue;
+                }
+                assert_eq!(hi.2 - lo.2, predicted.2, "{label}: DRAM bytes");
+                let rel = (executed_s - predicted.3).abs() / predicted.3;
+                assert!(
+                    rel < 1e-12,
+                    "{label}: executed {executed_s} s vs predicted {} s",
+                    predicted.3
+                );
+            }
+        }
     }
 }
 
