@@ -198,7 +198,7 @@ impl PsoConfig {
         self.domain.unwrap_or(objective_domain)
     }
 
-    fn validate(&self) -> Result<(), PsoError> {
+    pub(crate) fn validate(&self) -> Result<(), PsoError> {
         if self.n_particles == 0 {
             return Err(PsoError::InvalidConfig("n_particles must be > 0".into()));
         }
