@@ -26,7 +26,6 @@ use crate::error::PsoError;
 use crate::plan::{check_shardable, BestReduce, ExecTarget, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
-use crate::swarm::Swarm;
 use fastpso_functions::Objective;
 use gpu_sim::{AllocMode, DeviceGroup};
 
@@ -169,17 +168,6 @@ impl PsoBackend for MultiGpuBackend {
         }
         .execute()
     }
-}
-
-/// Convenience check used by tests: run the sequential reference and
-/// return its best value for comparison.
-#[doc(hidden)]
-pub fn host_reference(cfg: &PsoConfig, obj: &dyn Objective) -> f64 {
-    let _ = Swarm::init(cfg, obj.domain());
-    crate::seq::SeqBackend
-        .run(cfg, obj)
-        .map(|r| r.best_value)
-        .unwrap_or(f64::INFINITY)
 }
 
 #[cfg(test)]

@@ -226,55 +226,6 @@ proptest! {
         prop_assert_eq!(mangled.parse::<UpdateStrategy>().unwrap(), strategy);
     }
 
-    /// `Display` → `FromStr` round-trips every `PlanOp`, including the
-    /// parameterised `ring_lbest:k`, and parsing is case-insensitive.
-    #[test]
-    fn plan_op_display_fromstr_round_trips(
-        idx in 0usize..17,
-        k in 1usize..64,
-        caps in prop::collection::vec(any::<bool>(), 20..21),
-    ) {
-        use fastpso_suite::fastpso::{MigrationKind, PlanOp};
-        let op = match idx {
-            0 => PlanOp::Eval,
-            1 => PlanOp::PBest,
-            2 => PlanOp::Argmin,
-            3 => PlanOp::ReduceAdopt,
-            4 => PlanOp::RingLbest { k },
-            5 => PlanOp::GenWeights,
-            6 => PlanOp::Velocity,
-            7 => PlanOp::Position,
-            8 => PlanOp::FusedSwarmUpdate,
-            9 => PlanOp::DeviceSync,
-            10 => PlanOp::PersistentKernel,
-            11 => PlanOp::SsoUpdate,
-            12 => PlanOp::Explosion,
-            13 => PlanOp::GuidingSpark,
-            14 => PlanOp::Selection,
-            15 => PlanOp::Migrate {
-                kind: [MigrationKind::Ring, MigrationKind::Star, MigrationKind::Random][k % 3],
-                elites: k,
-            },
-            _ => PlanOp::EliteSelect { islands: k },
-        };
-        let printed = op.to_string();
-        prop_assert_eq!(printed.parse::<PlanOp>().unwrap(), op);
-        // Flip an arbitrary subset of characters to uppercase.
-        let mangled: String = printed
-            .chars()
-            .zip(caps.iter().cycle())
-            .map(|(ch, &up)| if up { ch.to_ascii_uppercase() } else { ch })
-            .collect();
-        prop_assert_eq!(mangled.parse::<PlanOp>().unwrap(), op);
-        // A bare ring_lbest (no half-width) or a non-numeric one never parses,
-        // and neither do malformed island ops.
-        prop_assert!("ring_lbest".parse::<PlanOp>().is_err());
-        prop_assert!("ring_lbest:x".parse::<PlanOp>().is_err());
-        prop_assert!("migrate:ring".parse::<PlanOp>().is_err());
-        prop_assert!("migrate:sideways:2".parse::<PlanOp>().is_err());
-        prop_assert!("elite_select:x".parse::<PlanOp>().is_err());
-    }
-
     /// `Display` → `FromStr` round-trips every `Topology` — `global`,
     /// `ring_lbest:<k>` and the island grammar
     /// `islands:<m>:<kind>:<every_k>:<elites>` — and malformed or
