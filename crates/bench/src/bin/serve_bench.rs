@@ -112,10 +112,12 @@ const OVERLOAD_DEVICES: usize = 2;
 const WARMUP_JOBS: u64 = 8;
 /// Deadline jobs in the overload burst.
 const BURST_JOBS: u64 = 24;
-/// Completion deadline of every burst job, in modeled seconds after its
-/// submission. The burst is worth several times `OVERLOAD_DEVICES *
-/// OVERLOAD_DEADLINE_S` device-seconds, so most of it cannot finish in time.
-const OVERLOAD_DEADLINE_S: f64 = 0.05;
+/// Completion deadline of every burst job, as a multiple of the first
+/// burst job's solo `GpuBackend` modeled seconds (see
+/// [`overload_deadline_s`]). The burst is worth several times
+/// `OVERLOAD_DEVICES` times the deadline in device-seconds, so most of it
+/// cannot finish in time.
+const OVERLOAD_DEADLINE_SOLO_MULTIPLE: f64 = 3.65;
 
 fn overload_cfg(i: u64) -> PsoConfig {
     PsoConfig::builder(64, 8)
@@ -123,6 +125,17 @@ fn overload_cfg(i: u64) -> PsoConfig {
         .seed(2000 + i)
         .build()
         .unwrap()
+}
+
+/// The burst's deadline in modeled seconds after submission. Scaling it by
+/// one burst job's solo cost keeps the scenario's overload ratio — and so
+/// its outcome — independent of how fast the engine models a job.
+fn overload_deadline_s() -> f64 {
+    let i = WARMUP_JOBS;
+    let solo = GpuBackend::new()
+        .run(&overload_cfg(i), job_objective(i).as_ref())
+        .expect("a solo burst job runs");
+    OVERLOAD_DEADLINE_SOLO_MULTIPLE * solo.elapsed_seconds()
 }
 
 struct OverloadOutcome {
@@ -137,7 +150,7 @@ struct OverloadOutcome {
 /// Replay the warmup + burst trace through one service. The trace and every
 /// scheduler decision are deterministic, so the two calls differ only in
 /// the admission policy.
-fn run_overload_trace(predictive: bool) -> OverloadOutcome {
+fn run_overload_trace(predictive: bool, deadline_s: f64) -> OverloadOutcome {
     let mut svc = Service::new(
         DeviceGroup::v100s(OVERLOAD_DEVICES),
         ServeConfig {
@@ -167,7 +180,7 @@ fn run_overload_trace(predictive: bool) -> OverloadOutcome {
     let mut burst_ids = Vec::new();
     for i in WARMUP_JOBS..WARMUP_JOBS + BURST_JOBS {
         let req = OptimizeRequest::new(job_tenant(i), job_objective(i), overload_cfg(i))
-            .deadline_s(OVERLOAD_DEADLINE_S);
+            .deadline_s(deadline_s);
         match svc.submit(req) {
             Ok(id) => {
                 accepted += 1;
@@ -198,12 +211,14 @@ fn run_overload_trace(predictive: bool) -> OverloadOutcome {
 }
 
 fn run_overload() {
-    let blind = run_overload_trace(false);
-    let predictive = run_overload_trace(true);
+    let deadline_s = overload_deadline_s();
+    let blind = run_overload_trace(false, deadline_s);
+    let predictive = run_overload_trace(true, deadline_s);
 
     let mut t = Table::new(
         format!(
-            "Overload burst: {BURST_JOBS} jobs, {OVERLOAD_DEADLINE_S}s deadline, \
+            "Overload burst: {BURST_JOBS} jobs, {deadline_s:.4}s deadline \
+             ({OVERLOAD_DEADLINE_SOLO_MULTIPLE}x a solo burst job), \
              {OVERLOAD_DEVICES} devices — blind vs predictive admission"
         ),
         &[

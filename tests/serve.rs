@@ -1012,8 +1012,18 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
 /// on the same deterministic trace, blind admission sheds mid-flight while
 /// predictive admission converts every shed into an up-front rejection and
 /// at least doubles deadline-met goodput.
+///
+/// The deadline is a fixed multiple of one burst job's solo modeled
+/// seconds, so the overload ratio — and the pinned outcome — does not
+/// drift when the engine models every job faster or slower.
 #[test]
 fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
+    use fastpso::{GpuBackend, PsoBackend};
+    let solo_s = GpuBackend::new()
+        .run(&cfg(64, 8, 80, 4100), &Sphere)
+        .unwrap()
+        .elapsed_seconds();
+    let deadline_s = 3.8 * solo_s;
     let overload_run = |predictive: bool| {
         let mut svc = Service::new(
             DeviceGroup::v100s(2),
@@ -1040,7 +1050,7 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
         let mut rejected = 0u64;
         for i in 0..12u64 {
             let req = OptimizeRequest::new("burst", Arc::new(Sphere), cfg(64, 8, 80, 4100 + i))
-                .deadline_s(0.05);
+                .deadline_s(deadline_s);
             match svc.submit(req) {
                 Ok(id) => ids.push(id),
                 Err(ServeError::Infeasible { .. }) => rejected += 1,
