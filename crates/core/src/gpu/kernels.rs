@@ -19,7 +19,6 @@ use gpu_sim::tiled::TILE_SIZE;
 use gpu_sim::{Device, DeviceBuffer, KernelCost, KernelDesc, LaunchConfig, MemoryPattern, Phase};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Flop estimate of one velocity-update element (Equation 1 + clamp).
 pub const VELOCITY_FLOPS_PER_ELEM: u64 = 10;
@@ -323,58 +322,94 @@ pub fn eval_shard(dev: &Device, shard: &mut Shard, obj: &dyn Objective) -> Resul
 }
 
 /// Step (iii.a): per-particle best update. Returns how many particles
-/// improved (drives the copy-traffic charge).
+/// improved.
+///
+/// Element-wise, the paper's §3.1 layout: one thread per (particle, dim)
+/// element, so the row copies of improved particles run at full occupancy
+/// inside this launch. The compare is charged per row (one flop, the
+/// current and best error read, the best error written); each improved
+/// row adds its copy traffic, counted by the body's atomic and charged on
+/// the same launch once the body has run.
 pub fn pbest_update(dev: &Device, shard: &mut Shard) -> Result<u64, PsoError> {
     let d = shard.d;
-    let desc = desc_for(
-        dev,
-        "pbest_update",
-        Phase::PBest,
-        KernelCost::elementwise(1, 8, 4),
-        shard.rows as u64,
-    );
-    let improved = AtomicU64::new(0);
+    let elems = shard.elems() as u64;
+    let desc = KernelDesc {
+        threads: elems,
+        config: Some(LaunchConfig::resource_aware(&dev.profile(), elems)),
+        ..desc_for(
+            dev,
+            "pbest_update",
+            Phase::PBest,
+            KernelCost::elementwise(1, 8, 4),
+            shard.rows as u64,
+        )
+    };
     let errors = shard.errors.as_slice();
     let pos = shard.pos.as_slice();
-    dev.launch_chunks2(
+    let improved = dev.launch_chunks2_counted(
         &desc,
+        ROW_COPY,
         shard.pbest_err.as_mut_slice(),
         1,
         shard.pbest_pos.as_mut_slice(),
         d,
         |i, pb, pb_row| {
-            if errors[i] < pb[0] {
+            let better = errors[i] < pb[0];
+            if better {
                 pb[0] = errors[i];
                 pb_row.copy_from_slice(&pos[i * d..(i + 1) * d]);
-                improved.fetch_add(1, Ordering::Relaxed);
             }
+            better
         },
     )?;
-    let improved = improved.load(Ordering::Relaxed);
-    if improved > 0 {
-        // Position-row copy traffic for the particles that improved.
-        let copy = desc_for(
-            dev,
-            "pbest_copy_traffic",
-            Phase::PBest,
-            KernelCost::elementwise(0, 4, 4),
-            improved * d as u64,
-        );
-        dev.charge_kernel(&copy);
-    }
     Ok(improved)
 }
 
+/// Per-element cost of copying a row into a best-position buffer: one
+/// read, one write.
+const ROW_COPY: KernelCost = KernelCost::elementwise(0, 4, 4);
+
 /// Step (iii.b): find the shard's best particle (parallel reduction).
-/// Returned index is *global*.
+/// Returned index is *global*. Used by multi-shard plans, whose adoption
+/// waits for the exchange.
 pub fn local_argmin(dev: &Device, shard: &Shard) -> Result<MinResult, PsoError> {
     let mut r = dev.reduce_min_index(Phase::GBest, shard.pbest_err.as_slice())?;
     r.index += shard.row0;
     Ok(r)
 }
 
+/// Step (iii.b) on a single-shard plan: one argmin launch whose last block
+/// also adopts the winner — copies its `pbest` row into `gbest_pos` — when
+/// it improves on the shard's swarm best. The copy is charged on the same
+/// launch. The fault gate fires before the adoption, so a faulted attempt
+/// leaves `gbest` untouched. Returned index is *global*.
+pub fn argmin_adopt(dev: &Device, shard: &mut Shard) -> Result<MinResult, PsoError> {
+    let (d, row0) = (shard.d, shard.row0);
+    let Shard {
+        pbest_err,
+        pbest_pos,
+        gbest_pos,
+        gbest_err,
+        ..
+    } = shard;
+    let mut r =
+        dev.reduce_min_index_then(Phase::GBest, pbest_err.as_slice(), ROW_COPY, |best| {
+            if best.value < *gbest_err {
+                let row = &pbest_pos.as_slice()[best.index * d..(best.index + 1) * d];
+                gbest_pos.as_mut_slice().copy_from_slice(row);
+                *gbest_err = best.value;
+                d as u64
+            } else {
+                0
+            }
+        })?;
+    r.index += row0;
+    Ok(r)
+}
+
 /// Adopt a new swarm best from this shard's own `pbest_pos` (no
-/// host↔device traffic; a device-to-device row copy).
+/// host↔device traffic; a device-to-device row copy). Multi-shard plans
+/// only: a single shard adopts inside its argmin ([`argmin_adopt`]).
 pub fn adopt_gbest_local(
     dev: &Device,
     shard: &mut Shard,
@@ -383,13 +418,7 @@ pub fn adopt_gbest_local(
 ) -> Result<(), PsoError> {
     let local = global_index - shard.row0;
     let d = shard.d;
-    let desc = desc_for(
-        dev,
-        "gbest_copy",
-        Phase::GBest,
-        KernelCost::elementwise(0, 4, 4),
-        d as u64,
-    );
+    let desc = desc_for(dev, "gbest_copy", Phase::GBest, ROW_COPY, d as u64);
     let src = shard.pbest_pos.as_slice()[local * d..(local + 1) * d].to_vec();
     dev.launch_map(&desc, shard.gbest_pos.as_mut_slice(), |i| src[i])?;
     shard.gbest_err = err;
@@ -1311,6 +1340,85 @@ mod tests {
         let improved = pbest_update(&dev, &mut shard).unwrap();
         assert_eq!(improved, 0);
         assert_eq!(shard.pbest_pos.as_slice(), shard.pos.as_slice());
+    }
+
+    #[test]
+    fn pbest_update_charges_its_row_copies_on_one_element_wise_launch() {
+        let dev = Device::v100();
+        let cfg = cfg();
+        let (n, d) = (cfg.n_particles as u64, cfg.dim as u64);
+        let mut shard = setup(&dev, &cfg);
+        eval_shard(&dev, &mut shard, &Sphere).unwrap();
+        // Make exactly three particles improve on the second update.
+        pbest_update(&dev, &mut shard).unwrap();
+        for i in [0, 5, 9] {
+            shard.errors.as_mut_slice()[i] -= 1.0;
+        }
+        dev.reset_profiler();
+        let improved = pbest_update(&dev, &mut shard).unwrap();
+        assert_eq!(improved, 3);
+        let log = dev.profiler();
+        assert_eq!(log.kernels.len(), 1, "the row copies ride on the launch");
+        let k = &log.kernels[0];
+        assert_eq!(k.name, "pbest_update");
+        assert_eq!(k.threads, n * d, "one thread per (particle, dim)");
+        assert_eq!(k.flops, n);
+        assert_eq!(k.dram_read_bytes + k.dram_write_bytes, 12 * n + 8 * d * 3);
+    }
+
+    #[test]
+    fn argmin_adopt_matches_argmin_then_adopt_in_one_launch() {
+        let dev = Device::v100();
+        let cfg = cfg();
+        let d = cfg.dim;
+        let mut fused = setup(&dev, &cfg);
+        eval_shard(&dev, &mut fused, &Sphere).unwrap();
+        pbest_update(&dev, &mut fused).unwrap();
+        let mut split = setup(&dev, &cfg);
+        eval_shard(&dev, &mut split, &Sphere).unwrap();
+        pbest_update(&dev, &mut split).unwrap();
+
+        dev.reset_profiler();
+        let r = argmin_adopt(&dev, &mut fused).unwrap();
+        let log = dev.profiler();
+        assert_eq!(log.kernels.len(), 1, "the adoption rides on the argmin");
+        let adopting = &log.kernels[0];
+        assert_eq!(
+            adopting.dram_read_bytes + adopting.dram_write_bytes,
+            8 * cfg.n_particles as u64 + 8 * d as u64
+        );
+        let expect = local_argmin(&dev, &split).unwrap();
+        adopt_gbest_local(&dev, &mut split, expect.index, expect.value).unwrap();
+        assert_eq!(r, expect);
+        assert_eq!(fused.gbest_err.to_bits(), split.gbest_err.to_bits());
+        assert_eq!(fused.gbest_pos.as_slice(), split.gbest_pos.as_slice());
+
+        // No improvement: nothing is copied and the launch carries no copy.
+        dev.reset_profiler();
+        argmin_adopt(&dev, &mut fused).unwrap();
+        let k = &dev.profiler().kernels[0];
+        assert_eq!(
+            k.dram_read_bytes + k.dram_write_bytes,
+            8 * cfg.n_particles as u64
+        );
+    }
+
+    #[test]
+    fn faulted_argmin_adopt_leaves_gbest_untouched() {
+        let dev = Device::v100();
+        let cfg = cfg();
+        let mut shard = setup(&dev, &cfg);
+        eval_shard(&dev, &mut shard, &Sphere).unwrap();
+        pbest_update(&dev, &mut shard).unwrap();
+        // Fault positions count from the plan's attach: the argmin is launch 1.
+        dev.set_fault_plan(gpu_sim::FaultPlan::new().with_transient_launch(1));
+        let before = shard.gbest_pos.as_slice().to_vec();
+        assert!(argmin_adopt(&dev, &mut shard).is_err());
+        assert_eq!(shard.gbest_err, f32::INFINITY);
+        assert_eq!(shard.gbest_pos.as_slice(), &before[..]);
+        // The retry adopts.
+        argmin_adopt(&dev, &mut shard).unwrap();
+        assert!(shard.gbest_err.is_finite());
     }
 
     #[test]

@@ -36,9 +36,13 @@
 //! * **Node order is execution order.** Nodes are constructed in exactly the
 //!   sequence the legacy loops issued their kernels, and the executor never
 //!   reorders. Dependency edges exist for the rewrite passes (fusion
-//!   locality, stream scheduling), not for a scheduler — so launch schedules
-//!   and `gbest` trajectories are byte- and bit-identical to the seed.
-//! * **Passes are opt-in.** A freshly built plan executes the legacy
+//!   locality, stream scheduling), not for a scheduler — so `gbest`
+//!   trajectories are bit-identical to the seed's. Launch schedules are
+//!   not: best tracking takes one launch per decision (`pbest_update`
+//!   carries its row copies; the argmin is single-pass and, on one shard,
+//!   adopts the winner), so the seed's separate copy and reduction-pass
+//!   launches are gone while every flop and byte is still charged.
+//! * **Passes are opt-in.** A freshly built plan executes the default
 //!   schedule; fusion and streams only change anything when a backend
 //!   explicitly enables them.
 //!
@@ -71,8 +75,9 @@ use crate::algo::{algorithm_impl, Algorithm, TailScratch, UpdateCtx};
 use crate::config::{BoundSchedule, PsoConfig};
 use crate::error::PsoError;
 use crate::gpu::kernels::{
-    adopt_gbest_from_host, adopt_gbest_local, eval_shard, init_shard, island_attractors,
-    local_argmin, migrate_elites, pbest_update, ring_lbest, Shard, UpdateStrategy,
+    adopt_gbest_from_host, adopt_gbest_local, argmin_adopt, eval_shard, init_shard,
+    island_attractors, local_argmin, migrate_elites, pbest_update, ring_lbest, Shard,
+    UpdateStrategy,
 };
 use crate::resilience::{
     quarantine_nonfinite, retry_op, ResilienceConfig, RetryPolicy, ShardCheckpoint,
@@ -89,13 +94,18 @@ use gpu_sim::{Device, DeviceGroup, Event, Phase, Timeline};
 pub enum PlanOp {
     /// Step (ii): evaluate the objective over a shard's rows.
     Eval,
-    /// Step (iii), per-particle half: update pbest errors/positions.
+    /// Step (iii), per-particle half: update pbest errors and copy the
+    /// rows that improved, in one element-wise launch.
     PBest,
-    /// Step (iii), reduction half: argmin over a shard's pbest errors.
+    /// Step (iii), reduction half: a single-pass argmin over a shard's
+    /// pbest errors. Under [`BestReduce::Local`] the same launch adopts the
+    /// winner into `gbest` when it improves.
     Argmin,
     /// Step (iii), adoption half: combine per-shard argmins into the swarm
-    /// best and adopt it on every shard that improves. Local reduction for
-    /// one shard, an exchange + broadcast for a device group.
+    /// best and adopt it on every shard that improves — an exchange +
+    /// broadcast for a device group. Under [`BestReduce::Local`] the argmin
+    /// already adopted, so this node only records whether the best
+    /// improved and launches nothing.
     ReduceAdopt,
     /// Ring-topology neighbourhood bests (single-shard plans only; the
     /// multi-GPU backends reject ring configs).
@@ -214,7 +224,7 @@ pub struct PlanNode {
 /// How step (iii) combines per-shard bests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BestReduce {
-    /// Single shard: adopt the local argmin directly.
+    /// Single shard: the argmin launch adopts its winner directly.
     Local,
     /// Device group: exchange local bests and broadcast the winner every
     /// `sync_every` iterations (1 = every iteration, the tile-matrix
@@ -678,23 +688,23 @@ impl<'a> PlanRun<'a> {
                 PlanOp::Argmin => {
                     let dev = self.device(homes[s])?;
                     self.enter(dev, node, &events);
-                    let shard = &shards[s];
-                    locals[s] = Some(retry_op(dev, &res.retry, || local_argmin(dev, shard))?);
+                    let shard = &mut shards[s];
+                    match plan.reduce {
+                        // One shard holds the whole swarm: its argmin's
+                        // last block adopts the winner in the same launch.
+                        BestReduce::Local => {
+                            retry_op(dev, &res.retry, || argmin_adopt(dev, shard))?;
+                        }
+                        BestReduce::Exchange { .. } => {
+                            locals[s] =
+                                Some(retry_op(dev, &res.retry, || local_argmin(dev, shard))?);
+                        }
+                    }
                 }
                 PlanOp::ReduceAdopt => {
                     match plan.reduce {
-                        BestReduce::Local => {
-                            let dev = self.device(homes[0])?;
-                            self.enter(dev, node, &events);
-                            let shard = &mut shards[0];
-                            let best = locals[0].expect("argmin node precedes reduce");
-                            improved = best.value < shard.gbest_err;
-                            if improved {
-                                retry_op(dev, &res.retry, || {
-                                    adopt_gbest_local(dev, shard, best.index, best.value)
-                                })?;
-                            }
-                        }
+                        // The argmin already adopted; nothing is launched.
+                        BestReduce::Local => improved = shards[0].gbest_err < gbest_before,
                         BestReduce::Exchange { sync_every } => {
                             let group = self.group();
                             let sync_now = sync_every != 0 && (t + 1).is_multiple_of(sync_every);

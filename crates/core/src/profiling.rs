@@ -133,8 +133,8 @@ impl CounterAsserts {
     ///
     /// Comparing two run lengths pins the steady-state launch rate while
     /// staying insensitive to one-time setup launches (init kernels) and to
-    /// conditional kernels outside `expected` (e.g. `gbest_copy` only fires
-    /// on improvement).
+    /// conditional kernels outside `expected` (e.g. a multi-shard
+    /// `gbest_copy` only fires on improvement).
     #[track_caller]
     pub fn assert_launches_per_iter(
         lo: &CounterAsserts,

@@ -9,8 +9,8 @@ use crate::profiler::Profiler;
 use crate::stream::{Event, StreamWindow};
 use crate::sync::Mutex;
 use perf_model::{
-    gpu_kernel_time, transfer_time, AllocKind, AllocRecord, Counters, GpuProfile, KernelRecord,
-    LinkProfile, Phase, ProfilerLog, Timeline, TransferDirection, TransferRecord,
+    gpu_kernel_time, transfer_time, AllocKind, AllocRecord, Counters, GpuKernelWork, GpuProfile,
+    KernelRecord, LinkProfile, Phase, ProfilerLog, Timeline, TransferDirection, TransferRecord,
 };
 use std::sync::Arc;
 
@@ -350,9 +350,24 @@ impl Device {
     ///
     /// Called internally by the `launch_*` methods; exposed for
     /// implementations (like the baselines) that model kernels whose bodies
-    /// run through other entry points.
+    /// run through other entry points. Kernels whose work depends on their
+    /// data are charged through the same path with their final work once
+    /// their body has run.
     pub fn charge_kernel(&self, desc: &KernelDesc) {
-        let work = desc.work();
+        self.charge_launch(desc, desc.work());
+    }
+
+    /// Charge one launch of `desc`'s kernel whose final work is `work`, and
+    /// record it in the profiler — the one charging path every launch
+    /// takes.
+    ///
+    /// `work` is `desc.work()` plus whatever the body decided at run time:
+    /// the rows a `pbest` update copied, the partial sums a single-pass
+    /// reduction folded, the row an argmin adopted. Kernels with such
+    /// data-dependent totals charge after their body, so the launch carries
+    /// its whole cost in one record; `desc` supplies the name, phase and
+    /// launch geometry.
+    pub(crate) fn charge_launch(&self, desc: &KernelDesc, work: GpuKernelWork) {
         let config = desc
             .config
             .unwrap_or_else(|| LaunchConfig::one_per_element(desc.threads.max(1), DEFAULT_BLOCK));

@@ -8,13 +8,17 @@
 //! * [`Device::launch_map`] — `out[i] = f(i)` (pure production),
 //! * [`Device::launch_update`] — `out[i] = f(i, out[i])` (in-place update),
 //! * [`Device::launch_chunks2`] — one thread per *row/particle* updating two
-//!   output arrays chunk-wise (the `pbest` error + position update shape),
+//!   output arrays chunk-wise,
+//! * [`Device::launch_chunks2_counted`] — the same shape whose body counts
+//!   the chunks that took a data-dependent path and whose launch is charged
+//!   after the body (the `pbest` error + row-copy shape),
 //! * [`Device::launch_visit`] — read-only traversal with per-thread state.
 
 use crate::device::Device;
 use crate::error::GpuError;
-use crate::launch::KernelDesc;
+use crate::launch::{KernelCost, KernelDesc};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 impl Device {
     /// `out[i] = f(i)` for every element. `desc.elems` must equal
@@ -55,11 +59,8 @@ impl Device {
     }
 
     /// One logical thread per chunk pair: thread `i` gets mutable access to
-    /// `a[i*ca .. (i+1)*ca]` and `b[i*cb .. (i+1)*cb]`.
-    ///
-    /// This is the `pbest` update shape: per particle, compare the new error
-    /// (`a` chunk of 1) and copy the position row (`b` chunk of `d`) when it
-    /// improved. `desc.elems` must equal the number of chunks.
+    /// `a[i*ca .. (i+1)*ca]` and `b[i*cb .. (i+1)*cb]`. `desc.elems` must
+    /// equal the number of chunks.
     pub fn launch_chunks2<A, B, F>(
         &self,
         desc: &KernelDesc,
@@ -73,6 +74,39 @@ impl Device {
         A: Send + Sync,
         B: Send + Sync,
         F: Fn(usize, &mut [A], &mut [B]) + Sync,
+    {
+        self.launch_chunks2_counted(desc, KernelCost::default(), a, ca, b, cb, |i, ac, bc| {
+            f(i, ac, bc);
+            false
+        })
+        .map(|_| ())
+    }
+
+    /// [`Device::launch_chunks2`] whose body returns whether chunk `i` took
+    /// its data-dependent path — a *hit* — and whose launch carries that
+    /// path's cost. Returns the number of hits.
+    ///
+    /// This is the `pbest` update shape: per particle, compare the new error
+    /// (`a` chunk of 1) and, when it improved, copy the position row (`b`
+    /// chunk of `d`). The hits are counted with an atomic inside the body,
+    /// and the launch is charged once, after the body: `desc`'s work plus
+    /// `per_hit` for every element of each hit's `b` chunk. The fault gate
+    /// still fires before the body writes anything.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch_chunks2_counted<A, B, F>(
+        &self,
+        desc: &KernelDesc,
+        per_hit: KernelCost,
+        a: &mut [A],
+        ca: usize,
+        b: &mut [B],
+        cb: usize,
+        f: F,
+    ) -> Result<u64, GpuError>
+    where
+        A: Send + Sync,
+        B: Send + Sync,
+        F: Fn(usize, &mut [A], &mut [B]) -> bool + Sync,
     {
         self.begin_launch()?;
         if ca == 0 || cb == 0 {
@@ -89,12 +123,20 @@ impl Device {
             });
         }
         self.check_elems(desc, a.len() / ca, "launch_chunks2")?;
-        self.charge_kernel(desc);
+        let hits = AtomicU64::new(0);
         a.par_chunks_mut(ca)
             .zip(b.par_chunks_mut(cb))
             .enumerate()
-            .for_each(|(i, (ac, bc))| f(i, ac, bc));
-        Ok(())
+            .for_each(|(i, (ac, bc))| {
+                if f(i, ac, bc) {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        let hits = hits.into_inner();
+        let mut work = desc.work();
+        per_hit.add_to(&mut work, hits * cb as u64);
+        self.charge_launch(desc, work);
+        Ok(hits)
     }
 
     /// One logical thread per chunk quadruple — the fused

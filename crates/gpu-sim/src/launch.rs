@@ -137,6 +137,17 @@ impl KernelCost {
             shared: 0,
         }
     }
+
+    /// Add `elems` elements at this cost onto `work`'s totals. Launch
+    /// geometry and access pattern are left alone: the elements belong to
+    /// the launch `work` describes.
+    pub(crate) fn add_to(&self, work: &mut GpuKernelWork, elems: u64) {
+        work.flops += self.flops * elems;
+        work.tensor_flops += self.tensor_flops * elems;
+        work.dram_read_bytes += self.dram_read * elems;
+        work.dram_write_bytes += self.dram_write * elems;
+        work.shared_bytes += self.shared * elems;
+    }
 }
 
 /// Complete descriptor of one kernel launch: identity, phase attribution,

@@ -3,13 +3,18 @@
 //! The paper implements the `gbest` update as "a process of finding the
 //! minimum and its corresponding index in all the `pbest` of the particles
 //! ... using a GPU-based parallel reduction" (§3.3). The simulator models a
-//! standard two-level tree reduction: one pass through global memory plus a
-//! logarithmic number of tiny follow-up launches, priced accordingly.
+//! single-pass tree reduction: every block reduces its slice of the input
+//! to one partial in global memory, and the last block to finish (found
+//! with an atomic ticket) folds the per-block partials in the same launch.
+//! The fold is charged exactly what separate follow-up passes over the
+//! partials would be — one flop and one read and one write of the payload
+//! per partial, per tree level — so the single pass saves their launch
+//! overhead and nothing else.
 
 use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
-use perf_model::{MemoryPattern, Phase};
+use perf_model::{GpuKernelWork, MemoryPattern, Phase};
 use rayon::prelude::*;
 
 /// Result of an argmin reduction.
@@ -25,11 +30,32 @@ pub struct MinResult {
 impl Device {
     /// Find the minimum value and its index (`gbest` update).
     pub fn reduce_min_index(&self, phase: Phase, data: &[f32]) -> Result<MinResult, GpuError> {
+        self.reduce_min_index_then(phase, data, KernelCost::default(), |_| 0)
+    }
+
+    /// [`Device::reduce_min_index`] whose last block runs `epilogue` on the
+    /// result inside the same launch — the shape of an argmin that adopts
+    /// its winner, e.g. copies the winning row into a swarm-best buffer.
+    ///
+    /// `epilogue` returns how many elements it wrote; each is charged at
+    /// `per_elem` on top of the reduction's own work, and the launch is
+    /// charged once, after the epilogue. The fault gate fires first, so a
+    /// faulted launch runs no epilogue and writes nothing. The epilogue
+    /// runs inside the launch, so it must not issue device work of its own.
+    pub fn reduce_min_index_then<F>(
+        &self,
+        phase: Phase,
+        data: &[f32],
+        per_elem: KernelCost,
+        epilogue: F,
+    ) -> Result<MinResult, GpuError>
+    where
+        F: FnOnce(MinResult) -> u64,
+    {
         self.begin_launch()?;
         if data.is_empty() {
             return Err(GpuError::Empty("reduce_min_index"));
         }
-        self.charge_reduction(phase, data.len(), 8);
         let (index, value) = data.par_iter().copied().enumerate().reduce(
             || (usize::MAX, f32::INFINITY),
             |a, b| {
@@ -51,15 +77,20 @@ impl Device {
                 }
             },
         );
-        if index == usize::MAX {
+        let result = if index == usize::MAX {
             // All-NaN input: fall back to index 0 like a sequential scan
             // that never updates its running best.
-            return Ok(MinResult {
+            MinResult {
                 value: data[0],
                 index: 0,
-            });
-        }
-        Ok(MinResult { value, index })
+            }
+        } else {
+            MinResult { value, index }
+        };
+        let (desc, mut work) = self.reduction_work(phase, data.len(), 8);
+        per_elem.add_to(&mut work, epilogue(result));
+        self.charge_launch(&desc, work);
+        Ok(result)
     }
 
     /// Sum of all elements (used by evaluation kernels and `tgbm`).
@@ -68,33 +99,40 @@ impl Device {
         if data.is_empty() {
             return Err(GpuError::Empty("reduce_sum"));
         }
-        self.charge_reduction(phase, data.len(), 4);
+        let (desc, work) = self.reduction_work(phase, data.len(), 4);
+        self.charge_launch(&desc, work);
         // f64 accumulation keeps the result independent of the parallel
         // split, so reductions are bit-deterministic across runs.
         Ok(data.par_iter().map(|&x| x as f64).sum())
     }
 
-    /// Charge the modeled cost of a tree reduction over `n` elements, where
-    /// each element carries `elem_bytes` of payload (value or value+index).
-    fn charge_reduction(&self, phase: Phase, n: usize, elem_bytes: u64) {
-        let profile = self.profile();
-        let first = KernelDesc {
+    /// The launch descriptor and total work of a single-pass tree reduction
+    /// over `n` elements, where each element carries `elem_bytes` of
+    /// payload (value or value+index): the block pass over the input plus
+    /// the last block's fold of every level of per-block partials.
+    fn reduction_work(
+        &self,
+        phase: Phase,
+        n: usize,
+        elem_bytes: u64,
+    ) -> (KernelDesc, GpuKernelWork) {
+        let desc = KernelDesc {
             name: "reduce_pass0",
             phase,
             cost: KernelCost::elementwise(1, elem_bytes, 0),
             elems: n as u64,
             threads: n as u64,
-            config: Some(LaunchConfig::resource_aware(&profile, n as u64)),
+            config: Some(LaunchConfig::resource_aware(&self.profile(), n as u64)),
             pattern: MemoryPattern::Coalesced,
         };
-        self.charge_kernel(&first);
-        // Follow-up passes over one partial per block.
-        let mut remaining = (n as u64).div_ceil(DEFAULT_BLOCK as u64);
-        while remaining > 1 {
-            let d = KernelDesc::simple("reduce_passN", phase, 1, elem_bytes, elem_bytes, remaining);
-            self.charge_kernel(&d);
-            remaining = remaining.div_ceil(DEFAULT_BLOCK as u64);
+        let mut work = desc.work();
+        let fold = KernelCost::elementwise(1, elem_bytes, elem_bytes);
+        let mut partials = (n as u64).div_ceil(DEFAULT_BLOCK as u64);
+        while partials > 1 {
+            fold.add_to(&mut work, partials);
+            partials = partials.div_ceil(DEFAULT_BLOCK as u64);
         }
+        (desc, work)
     }
 }
 
@@ -159,7 +197,55 @@ mod tests {
         let data = vec![1.0f32; 100_000];
         dev.reduce_min_index(Phase::GBest, &data).unwrap();
         let c = dev.counters();
-        // 100k elems → pass0 + 391-partials pass + 2-partials pass.
-        assert!(c.kernel_launches >= 3, "launches = {}", c.kernel_launches);
+        assert_eq!(c.kernel_launches, 1, "the last block folds the partials");
+        // 100k elems: pass0 reads 8 B per element; the fold then reads and
+        // writes 8 B per partial over 391 partials, then over 2.
+        let partials = [391u64, 2];
+        assert_eq!(c.flops, 100_000 + partials.iter().sum::<u64>());
+        assert_eq!(
+            c.dram_read_bytes,
+            8 * 100_000 + partials.iter().map(|p| 8 * p).sum::<u64>()
+        );
+        assert_eq!(
+            c.dram_write_bytes,
+            partials.iter().map(|p| 8 * p).sum::<u64>()
+        );
+        let log = dev.profiler();
+        assert_eq!(log.kernels.len(), 1);
+        assert_eq!(log.kernels[0].name, "reduce_pass0");
+    }
+
+    #[test]
+    fn epilogue_work_rides_on_the_reduction_launch() {
+        let dev = Device::v100();
+        let data = vec![4.0, 1.0, 3.0];
+        let mut adopted = None;
+        let r = dev
+            .reduce_min_index_then(Phase::GBest, &data, KernelCost::elementwise(0, 4, 4), |m| {
+                adopted = Some(m.index);
+                5
+            })
+            .unwrap();
+        assert_eq!((r.index, adopted), (1, Some(1)));
+        let c = dev.counters();
+        assert_eq!(c.kernel_launches, 1);
+        assert_eq!(c.flops, 3);
+        assert_eq!(c.dram_read_bytes, 8 * 3 + 4 * 5);
+        assert_eq!(c.dram_write_bytes, 4 * 5);
+    }
+
+    #[test]
+    fn faulted_reduction_runs_no_epilogue() {
+        use crate::fault::FaultPlan;
+        let dev = Device::v100();
+        dev.set_fault_plan(FaultPlan::new().with_transient_launch(1));
+        let mut ran = false;
+        let err = dev.reduce_min_index_then(Phase::GBest, &[1.0], KernelCost::default(), |_| {
+            ran = true;
+            0
+        });
+        assert!(err.is_err());
+        assert!(!ran, "the gate fires before the epilogue");
+        assert_eq!(dev.counters().kernel_launches, 0);
     }
 }

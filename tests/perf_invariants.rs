@@ -9,6 +9,8 @@
 //!   (Table 4) for **all four** swarm-update strategies, and the
 //!   `Realloc` contrast paying a driver round-trip per request;
 //! * the per-iteration kernel-launch schedule, per strategy, by name;
+//! * one launch per best-tracking decision (pbest, gbest) on every engine,
+//!   carrying its data-dependent copies;
 //! * the traffic ordering `TensorCore ≤ SharedMemTiled < GlobalMem`
 //!   (Figure 6's axes);
 //! * profiler totals equal timeline totals to the last byte;
@@ -33,8 +35,6 @@ const ALL_STRATEGIES: [UpdateStrategy; 4] = [
 ];
 
 fn cfg(iters: usize) -> PsoConfig {
-    // n ≤ 256 keeps the argmin reduction single-pass (`reduce_pass0`
-    // only), so the per-iteration launch schedule below is exact.
     PsoConfig::builder(64, 8)
         .max_iter(iters)
         .seed(42)
@@ -90,8 +90,7 @@ fn realloc_mode_pays_driver_allocations_every_iteration() {
 /// The steady-state launch schedule, pinned per kernel *name* and per
 /// strategy: exactly one launch of each pipeline kernel per iteration.
 /// Comparing a 3-iteration against a 6-iteration run isolates the
-/// per-iteration rate from one-time init launches and conditional
-/// kernels (`gbest_copy` fires only on improvement).
+/// per-iteration rate from one-time init launches.
 #[test]
 fn launch_schedule_is_pinned_per_strategy() {
     for (strategy, vel, pos) in [
@@ -132,6 +131,77 @@ fn launch_schedule_is_pinned_per_strategy() {
                 (pos, 1),
             ],
         );
+    }
+}
+
+/// Best tracking takes one launch per decision, on every engine and rung.
+/// On a single-shard plan each iteration issues exactly one
+/// [`Phase::PBest`] launch — the element-wise `pbest_update`, which also
+/// carries the row copies of the particles that improved — and one
+/// [`Phase::GBest`] launch — the single-pass argmin, which also carries
+/// the `gbest` row copy whenever the swarm best improved. The large size
+/// needs a second reduction level (4096 rows → 16 block partials), which
+/// the argmin folds in the same launch.
+#[test]
+fn best_tracking_is_one_launch_per_decision() {
+    let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
+        .iter()
+        .map(|&s| (Algorithm::Pso, s))
+        .collect();
+    rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
+    rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
+    let iters = 4;
+    for (n, d) in [(64usize, 8usize), (4096, 64)] {
+        let (rows, d64) = (n as u64, d as u64);
+        // Bytes of the argmin's fold: 8 B (value + index) read and written
+        // per block partial, per level above the first.
+        let mut fold_bytes = 0;
+        let mut partials = rows.div_ceil(256);
+        while partials > 1 {
+            fold_bytes += 16 * partials;
+            partials = partials.div_ceil(256);
+        }
+        for &(algo, strategy) in &rungs {
+            let label = format!("{algo}/{strategy} {n}x{d}");
+            let b = GpuBackend::new().algorithm(algo).strategy(strategy);
+            let c = PsoConfig::builder(n, d)
+                .max_iter(iters)
+                .seed(42)
+                .record_history(true)
+                .build()
+                .unwrap();
+            let history = b.run(&c, &Sphere).unwrap().history.unwrap();
+            assert_eq!(history.len(), iters, "{label}: ran every iteration");
+            let kernels = b.profile().kernels;
+            let in_phase = |p: Phase| kernels.iter().filter(move |k| k.phase == p);
+            assert_eq!(in_phase(Phase::PBest).count(), iters, "{label}: PBest");
+            assert_eq!(in_phase(Phase::GBest).count(), iters, "{label}: GBest");
+
+            for (t, k) in in_phase(Phase::PBest).enumerate() {
+                assert_eq!(k.name, "pbest_update", "{label}");
+                assert_eq!(k.threads, rows * d64, "{label}: one thread per element");
+                assert_eq!(k.flops, rows, "{label}: one compare per row");
+                let bytes = k.dram_read_bytes + k.dram_write_bytes;
+                let copied = bytes - 12 * rows;
+                assert_eq!(copied % (8 * d64), 0, "{label}: whole rows copied");
+                let improved = copied / (8 * d64);
+                assert!(improved <= rows, "{label}: {improved} rows improved");
+                if t == 0 {
+                    assert_eq!(improved, rows, "{label}: every row beats infinity");
+                }
+            }
+            for (t, k) in in_phase(Phase::GBest).enumerate() {
+                assert_eq!(k.name, "reduce_pass0", "{label}");
+                assert_eq!(k.launches, 1, "{label}");
+                let adopted = t == 0 || history[t] < history[t - 1];
+                let adoption = if adopted { 8 * d64 } else { 0 };
+                assert_eq!(
+                    k.dram_read_bytes + k.dram_write_bytes,
+                    8 * rows + fold_bytes + adoption,
+                    "{label}: iteration {t} (adopted: {adopted})"
+                );
+            }
+        }
     }
 }
 
