@@ -546,8 +546,8 @@ impl SwarmAlgorithm for Gfwa {
     }
 
     /// Spark generation + evaluation over `rows · S` sparks, guiding-spark
-    /// construction (top/bottom-σ means) + evaluation, then selection
-    /// (winner commit) and amplitude adaptation.
+    /// construction (top/bottom-σ means) + evaluation, then selection:
+    /// winner commit and amplitude adaptation in one launch.
     fn predicted_tail(
         &self,
         rows: u64,
@@ -576,11 +576,10 @@ impl SwarmAlgorithm for Gfwa {
             eval_work(rows, d, flops_per_dim),
             GpuKernelWork::elementwise(
                 rows,
-                (per_fw + 2) * rows,
-                (per_fw + 1) * 4 * rows,
-                (d + 1) * 4 * rows,
+                (per_fw + 4) * rows,
+                ((per_fw + 1) * 4 + 8) * rows,
+                (d + 2) * 4 * rows,
             ),
-            GpuKernelWork::elementwise(rows, 2 * rows, 8 * rows, 4 * rows),
         ]
     }
 }

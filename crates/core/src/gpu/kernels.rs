@@ -209,7 +209,13 @@ fn desc_for(
 }
 
 /// Step (i): initialize positions, velocities and best-state on the device
-/// with parallel counter-based RNG (paper §3.1).
+/// with parallel counter-based RNG (paper §3.1), in one element-wise launch
+/// ("init_swarm") over the `rows × d` index space: element `i` draws its
+/// position and velocity from their own Philox domains at its global
+/// index, and each row's best error starts at infinity. Charged two draws
+/// and two 4-byte writes per element plus the 4-byte best error per row.
+/// The fault gate fires before anything is written, so the op retries as
+/// a whole.
 pub fn init_shard(
     dev: &Device,
     shard: &mut Shard,
@@ -219,29 +225,30 @@ pub fn init_shard(
     let rng = Philox::new(cfg.seed);
     let (lo, hi) = domain;
     let vscale = cfg.init_velocity_scale * (hi - lo);
-    let elems = shard.elems() as u64;
-    let rng_cost = KernelCost::elementwise(RNG_FLOPS_PER_DRAW, 0, 4);
-
-    let row0 = shard.row0;
-    let d = shard.d;
-    let desc = desc_for(dev, "init_positions", Phase::Init, rng_cost, elems);
-    dev.launch_map(&desc, shard.pos.as_mut_slice(), |i| {
-        rng.uniform_range_at((row0 * d + i) as u64, domains::INIT_POS, lo, hi)
-    })?;
-
-    let desc = desc_for(dev, "init_velocities", Phase::Init, rng_cost, elems);
-    dev.launch_map(&desc, shard.vel.as_mut_slice(), |i| {
-        rng.uniform_range_at((row0 * d + i) as u64, domains::INIT_VEL, -vscale, vscale)
-    })?;
-
+    let (row0, d) = (shard.row0, shard.d);
     let desc = desc_for(
         dev,
-        "init_best_state",
+        "init_swarm",
         Phase::Init,
-        KernelCost::elementwise(0, 0, 4),
-        shard.rows as u64,
+        KernelCost::elementwise(2 * RNG_FLOPS_PER_DRAW, 0, 8),
+        shard.elems() as u64,
     );
-    dev.launch_map(&desc, shard.pbest_err.as_mut_slice(), |_| f32::INFINITY)?;
+    dev.launch_rows(
+        &desc,
+        KernelCost::elementwise(0, 0, 4),
+        shard.pos.as_mut_slice(),
+        shard.vel.as_mut_slice(),
+        shard.pbest_err.as_mut_slice(),
+        |r, pos, vel, best| {
+            let g0 = ((row0 + r) * d) as u64;
+            for (c, (p, v)) in pos.iter_mut().zip(vel.iter_mut()).enumerate() {
+                let g = g0 + c as u64;
+                *p = rng.uniform_range_at(g, domains::INIT_POS, lo, hi);
+                *v = rng.uniform_range_at(g, domains::INIT_VEL, -vscale, vscale);
+            }
+            *best = f32::INFINITY;
+        },
+    )?;
     shard.gbest_err = f32::INFINITY;
     Ok(())
 }
@@ -1156,13 +1163,9 @@ pub fn guiding_spark(
 /// otherwise (clamped to `[GFWA_AMP_MIN_FRAC · span, span]`).
 ///
 /// The winners are picked host-side from the *pre-mutation* state, then
-/// committed in **one** fault-gated launch ("gfwa_selection") whose gate
-/// fires before any element is written — so the whole op retries safely.
-/// The amplitude adaptation that follows is charged as a separate
-/// "gfwa_amplitude" kernel but applied as an ungated host-mirror write
-/// (like [`ring_lbest`]'s host compute): gating it would break retry
-/// idempotence, because a fault *between* the two launches would otherwise
-/// re-pick winners from already-mutated errors.
+/// committed — winning error, winning row and new amplitude — in **one**
+/// fault-gated launch ("gfwa_selection") whose gate fires before any
+/// element is written, so the whole op retries safely.
 pub fn gfwa_selection(
     dev: &Device,
     shard: &mut Shard,
@@ -1209,52 +1212,41 @@ pub fn gfwa_selection(
         }
     }
 
-    // Reads the S+1 candidate errors, writes the winning error + row.
+    // Reads the S+1 candidate errors, writes the winning error + row; the
+    // amplitude adaptation reads the pick and the amplitude and writes it.
     let cost = KernelCost::elementwise(
         per_fw as u64 + 2,
         (per_fw as u64 + 1) * 4,
         (d as u64 + 1) * 4,
     );
     let desc = desc_for(dev, "gfwa_selection", Phase::SwarmUpdate, cost, rows as u64);
-    dev.launch_chunks2(
-        &desc,
-        errors.as_mut_slice(),
-        1,
-        pos.as_mut_slice(),
-        d,
-        |fw, e, p| {
-            match picks[fw] {
-                Pick::Keep => {}
-                Pick::Spark(j) => {
-                    let s = (fw * per_fw + j) * d;
-                    p.copy_from_slice(&ex.pos[s..s + d]);
-                }
-                Pick::Guide => p.copy_from_slice(&gu.pos[fw * d..(fw + 1) * d]),
-            }
-            e[0] = new_err[fw];
-        },
-    )?;
-
     let amp = extra
         .as_mut()
         .expect("GFWA shards carry explosion amplitudes");
-    let amp_desc = desc_for(
-        dev,
-        "gfwa_amplitude",
-        Phase::SwarmUpdate,
-        KernelCost::elementwise(2, 8, 4),
-        rows as u64,
-    );
-    dev.charge_kernel(&amp_desc);
     let (amp_lo, amp_hi) = (GFWA_AMP_MIN_FRAC * span, span);
-    for (fw, a) in amp.as_mut_slice().iter_mut().enumerate() {
-        let factor = if matches!(picks[fw], Pick::Keep) {
-            GFWA_AMP_SHRINK
-        } else {
-            GFWA_AMP_GROW
-        };
-        *a = (*a * factor).clamp(amp_lo, amp_hi);
-    }
+    dev.launch_rows(
+        &desc,
+        KernelCost::elementwise(2, 8, 4),
+        errors.as_mut_slice(),
+        pos.as_mut_slice(),
+        amp.as_mut_slice(),
+        |fw, e, p, a| {
+            let factor = match picks[fw] {
+                Pick::Keep => GFWA_AMP_SHRINK,
+                Pick::Spark(j) => {
+                    let s = (fw * per_fw + j) * d;
+                    p.copy_from_slice(&ex.pos[s..s + d]);
+                    GFWA_AMP_GROW
+                }
+                Pick::Guide => {
+                    p.copy_from_slice(&gu.pos[fw * d..(fw + 1) * d]);
+                    GFWA_AMP_GROW
+                }
+            };
+            e[0] = new_err[fw];
+            *a = (*a * factor).clamp(amp_lo, amp_hi);
+        },
+    )?;
     Ok(())
 }
 
@@ -1753,6 +1745,37 @@ mod tests {
                 Sphere.eval(&shard.pos.as_slice()[fw * d..(fw + 1) * d])
             );
         }
+    }
+
+    #[test]
+    fn faulted_gfwa_selection_leaves_the_shard_untouched() {
+        let dev = Device::v100();
+        let cfg = cfg();
+        let mut shard = gfwa_setup(&dev, &cfg);
+        let domain = Sphere.domain();
+        let ex = explosion(&dev, &shard, &cfg, 0, domain, &Sphere).unwrap();
+        let gu = guiding_spark(&dev, &shard, domain, &Sphere, &ex).unwrap();
+        let state = |s: &Shard| {
+            (
+                s.errors.as_slice().to_vec(),
+                s.pos.as_slice().to_vec(),
+                s.extra.as_ref().unwrap().as_slice().to_vec(),
+            )
+        };
+        let before = state(&shard);
+        // Fault positions count from the plan's attach: selection is launch 1.
+        dev.set_fault_plan(gpu_sim::FaultPlan::new().with_transient_launch(1));
+        assert!(gfwa_selection(&dev, &mut shard, &ex, &gu, domain).is_err());
+        assert!(
+            state(&shard) == before,
+            "errors, rows and amplitudes untouched"
+        );
+        // The retry commits exactly what a clean selection commits.
+        gfwa_selection(&dev, &mut shard, &ex, &gu, domain).unwrap();
+        let clean_dev = Device::v100();
+        let mut clean = gfwa_setup(&clean_dev, &cfg);
+        gfwa_selection(&clean_dev, &mut clean, &ex, &gu, domain).unwrap();
+        assert!(state(&shard) == state(&clean));
     }
 
     #[test]

@@ -335,14 +335,14 @@ mod tests {
         assert_eq!(split.best_position, persist.best_position);
 
         // A solo run is one slice: exactly one host-side launch beyond the
-        // three Init-phase prologue launches (positions, velocities, best
-        // state — they precede the iteration loop in both modes), and every
-        // counter other than launch count byte-exact vs per-launch mode.
+        // one Init-phase prologue launch (`init_swarm` — it precedes the
+        // iteration loop in both modes), and every counter other than
+        // launch count byte-exact vs per-launch mode.
         let init = persist_backend
             .profile()
             .phase_counters(gpu_sim::Phase::Init)
             .kernel_launches;
-        assert_eq!(init, 3);
+        assert_eq!(init, 1);
         assert_eq!(pc.kernel_launches - init, 1);
         let mut expect = split_counters;
         expect.kernel_launches = pc.kernel_launches;

@@ -491,7 +491,7 @@ mod tests {
         for (algo, launches) in [
             (Algorithm::Pso, 7.0),
             (Algorithm::Sso, 4.0),
-            (Algorithm::Gfwa, 9.0),
+            (Algorithm::Gfwa, 8.0),
         ] {
             let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
             let whole = solo.clone().persistent(0);

@@ -12,6 +12,8 @@
 //! * [`Device::launch_chunks2_counted`] — the same shape whose body counts
 //!   the chunks that took a data-dependent path and whose launch is charged
 //!   after the body (the `pbest` error + row-copy shape),
+//! * [`Device::launch_rows`] — two row-chunked outputs plus a per-row
+//!   output, charged an extra per-row cost (the swarm-init shape),
 //! * [`Device::launch_visit`] — read-only traversal with per-thread state.
 
 use crate::device::Device;
@@ -137,6 +139,59 @@ impl Device {
         per_hit.add_to(&mut work, hits * cb as u64);
         self.charge_launch(desc, work);
         Ok(hits)
+    }
+
+    /// Two element-wise outputs plus a per-row output, in one launch: `a`
+    /// and `b` are each split into `rows.len()` equal row chunks (their
+    /// widths may differ), and the body gets row `r`'s chunk of each and
+    /// `rows[r]`. `desc` prices the element-wise index space, so
+    /// `desc.elems` must equal `a.len()`; the launch is charged `desc`'s
+    /// work plus `per_row` for every row. The fault gate fires before the
+    /// body writes anything.
+    ///
+    /// This is the swarm-init shape (positions, velocities and per-particle
+    /// best error from one launch) and GFWA's selection commit (errors and
+    /// positions plus the per-firework amplitude).
+    pub fn launch_rows<A, B, R, F>(
+        &self,
+        desc: &KernelDesc,
+        per_row: KernelCost,
+        a: &mut [A],
+        b: &mut [B],
+        rows: &mut [R],
+        f: F,
+    ) -> Result<(), GpuError>
+    where
+        A: Send + Sync,
+        B: Send + Sync,
+        R: Send + Sync,
+        F: Fn(usize, &mut [A], &mut [B], &mut R) + Sync,
+    {
+        self.begin_launch()?;
+        let n = rows.len();
+        if n == 0 {
+            return Err(GpuError::InvalidLaunch("zero rows".into()));
+        }
+        for (len, what) in [(a.len(), "launch_rows a"), (b.len(), "launch_rows b")] {
+            if len == 0 || !len.is_multiple_of(n) {
+                return Err(GpuError::ShapeMismatch {
+                    expected: n,
+                    actual: len,
+                    what,
+                });
+            }
+        }
+        self.check_elems(desc, a.len(), "launch_rows")?;
+        let (wa, wb) = (a.len() / n, b.len() / n);
+        a.par_chunks_mut(wa)
+            .zip(b.par_chunks_mut(wb))
+            .zip(rows.par_iter_mut())
+            .enumerate()
+            .for_each(|(r, ((ac, bc), slot))| f(r, ac, bc, slot));
+        let mut work = desc.work();
+        per_row.add_to(&mut work, n as u64);
+        self.charge_launch(desc, work);
+        Ok(())
     }
 
     /// One logical thread per chunk quadruple — the fused
@@ -288,6 +343,98 @@ mod tests {
             .launch_chunks2(&desc(4), &mut a, 0, &mut b, 3, |_, _, _| {})
             .unwrap_err();
         assert!(matches!(err, GpuError::InvalidLaunch(_)));
+    }
+
+    #[test]
+    fn rows_launch_fills_both_outputs_and_charges_per_row_work() {
+        let dev = Device::v100();
+        let (n, d) = (4, 3);
+        let mut a = vec![0.0f32; n * d];
+        let mut b = vec![0u32; n * d];
+        let mut best = vec![0.0f32; n];
+        let per_row = KernelCost::elementwise(0, 0, 4);
+        dev.launch_rows(
+            &desc((n * d) as u64),
+            per_row,
+            &mut a,
+            &mut b,
+            &mut best,
+            |r, ar, br, e| {
+                ar.iter_mut().for_each(|x| *x = r as f32);
+                br.iter_mut().for_each(|x| *x = 2 * r as u32);
+                *e = f32::INFINITY;
+            },
+        )
+        .unwrap();
+        assert_eq!(&a[6..9], &[2.0; 3]);
+        assert_eq!(&b[9..12], &[6; 3]);
+        assert!(best.iter().all(|e| e.is_infinite()));
+        let c = dev.counters();
+        assert_eq!(c.kernel_launches, 1);
+        assert_eq!(c.flops, (n * d) as u64);
+        assert_eq!(c.dram_write_bytes, 4 * (n * d) as u64 + 4 * n as u64);
+    }
+
+    #[test]
+    fn rows_launch_allows_outputs_of_different_widths() {
+        let dev = Device::v100();
+        let (n, d) = (3, 5);
+        let mut err = vec![0.0f32; n];
+        let mut pos = vec![0.0f32; n * d];
+        let mut amp = vec![1.0f32; n];
+        dev.launch_rows(
+            &desc(n as u64),
+            KernelCost::default(),
+            &mut err,
+            &mut pos,
+            &mut amp,
+            |r, e, p, a| {
+                e[0] = r as f32;
+                p.fill(1.0);
+                *a *= 2.0;
+            },
+        )
+        .unwrap();
+        assert_eq!(err, vec![0.0, 1.0, 2.0]);
+        assert!(pos.iter().all(|&x| x == 1.0));
+        assert_eq!(amp, vec![2.0; 3]);
+        let mut short = vec![0.0f32; 7]; // not a whole number of rows
+        let err = dev
+            .launch_rows(
+                &desc(n as u64),
+                KernelCost::default(),
+                &mut err,
+                &mut short,
+                &mut amp,
+                |_, _, _, _| {},
+            )
+            .unwrap_err();
+        assert!(matches!(err, GpuError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    fn faulted_rows_launch_writes_nothing() {
+        use crate::fault::FaultPlan;
+        let dev = Device::v100();
+        dev.set_fault_plan(FaultPlan::new().with_transient_launch(1));
+        let mut a = vec![0.0f32; 4];
+        let mut b = vec![0.0f32; 4];
+        let mut rows = vec![0.0f32; 2];
+        let err = dev.launch_rows(
+            &desc(4),
+            KernelCost::default(),
+            &mut a,
+            &mut b,
+            &mut rows,
+            |_, ar, br, e| {
+                ar.fill(1.0);
+                br.fill(1.0);
+                *e = 1.0;
+            },
+        );
+        assert!(err.is_err());
+        assert!(a.iter().chain(&b).chain(&rows).all(|&x| x == 0.0));
+        assert_eq!(dev.counters().kernel_launches, 0);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * the per-iteration kernel-launch schedule, per strategy, by name;
 //! * one launch per best-tracking decision (pbest, gbest) on every engine,
 //!   carrying its data-dependent copies;
+//! * one `init_swarm` launch per run and one `gfwa_selection` launch per
+//!   GFWA iteration, each carrying the work of the kernels it replaced;
 //! * the traffic ordering `TensorCore ≤ SharedMemTiled < GlobalMem`
 //!   (Figure 6's axes);
 //! * profiler totals equal timeline totals to the last byte;
@@ -18,6 +20,8 @@
 //! * retried operations after injected faults charging to
 //!   [`Phase::Recovery`] — never double-counting into the natural phase.
 
+use fastpso_suite::fastpso::cost::RNG_FLOPS_PER_DRAW;
+use fastpso_suite::fastpso::gpu::kernels::GFWA_SPARKS_PER_FIREWORK;
 use fastpso_suite::fastpso::resilience::{retry_op, ResilienceConfig, RetryPolicy};
 use fastpso_suite::fastpso::{
     algorithm_impl, Algorithm, CounterAsserts, GpuBackend, PsoBackend, PsoConfig, UpdateStrategy,
@@ -203,6 +207,139 @@ fn best_tracking_is_one_launch_per_decision() {
             }
         }
     }
+}
+
+/// Every engine's swarm init is one element-wise launch per run, and GFWA
+/// commits selection and amplitude in one launch per iteration. The
+/// `init_swarm` record carries exactly the work of the three kernels it
+/// replaced (positions and velocities: one draw and one 4-byte write per
+/// element each; best state: one 4-byte write per row), and each
+/// `gfwa_selection` record carries the old selection + amplitude pair
+/// (amplitude: 2 flops, 8 B read and 4 B written per firework).
+#[test]
+fn swarm_init_and_gfwa_selection_are_one_launch_each() {
+    let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
+        .iter()
+        .map(|&s| (Algorithm::Pso, s))
+        .collect();
+    rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
+    rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
+    let iters = 3;
+    let per_fw = GFWA_SPARKS_PER_FIREWORK as u64;
+    for (n, d) in [(64usize, 8usize), (4096, 64)] {
+        let (rows, d64) = (n as u64, d as u64);
+        let elems = rows * d64;
+        for &(algo, strategy) in &rungs {
+            let label = format!("{algo}/{strategy} {n}x{d}");
+            let b = GpuBackend::new().algorithm(algo).strategy(strategy);
+            let c = PsoConfig::builder(n, d)
+                .max_iter(iters)
+                .seed(42)
+                .build()
+                .unwrap();
+            b.run(&c, &Sphere).unwrap();
+            let kernels = b.profile().kernels;
+            let named = |name: &'static str| kernels.iter().filter(move |k| k.name == name);
+
+            let init: Vec<_> = kernels
+                .iter()
+                .filter(|k| k.name.starts_with("init_"))
+                .map(|k| k.name)
+                .collect();
+            let expected: &[&str] = if algo == Algorithm::Gfwa {
+                &["init_swarm", "init_gfwa_amplitudes"]
+            } else {
+                &["init_swarm"]
+            };
+            assert_eq!(init, expected, "{label}: init launches");
+            let k = named("init_swarm").next().unwrap();
+            assert_eq!(k.phase, Phase::Init, "{label}");
+            assert_eq!(k.launches, 1, "{label}");
+            assert_eq!(k.threads, elems, "{label}: one thread per element");
+            assert_eq!(k.flops, 2 * RNG_FLOPS_PER_DRAW * elems, "{label}: flops");
+            assert_eq!(k.dram_read_bytes, 0, "{label}: reads");
+            assert_eq!(k.dram_write_bytes, 8 * elems + 4 * rows, "{label}: writes");
+
+            assert_eq!(named("gfwa_amplitude").count(), 0, "{label}");
+            if algo == Algorithm::Gfwa {
+                let sel: Vec<_> = named("gfwa_selection").collect();
+                assert_eq!(sel.len(), iters, "{label}: one selection per iteration");
+                for k in sel {
+                    assert_eq!(k.launches, 1, "{label}");
+                    assert_eq!(k.flops, (per_fw + 2 + 2) * rows, "{label}: flops");
+                    assert_eq!(
+                        k.dram_read_bytes,
+                        ((per_fw + 1) * 4 + 8) * rows,
+                        "{label}: reads"
+                    );
+                    assert_eq!(
+                        k.dram_write_bytes,
+                        ((d64 + 1) * 4 + 4) * rows,
+                        "{label}: writes"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A transient fault at `init_swarm`'s launch gate fires before anything
+/// is written, so the whole-op retry re-runs it from scratch: the result
+/// stays bit-identical to the clean run, every natural phase matches it
+/// exactly, and the retry adds only backoff to [`Phase::Recovery`] (the
+/// failed attempt completed no work to replay).
+#[test]
+fn retried_init_swarm_charges_recovery_not_natural_phase() {
+    let c = PsoConfig::builder(64, 8)
+        .max_iter(6)
+        .seed(42)
+        .record_history(true)
+        .build()
+        .unwrap();
+    let probe = GpuBackend::new().resilient(ResilienceConfig::default());
+    let clean_result = probe.run(&c, &Sphere).unwrap();
+    let clean = CounterAsserts::capture(probe.device());
+    let ordinal = clean
+        .log()
+        .kernels
+        .iter()
+        .find(|k| k.name == "init_swarm")
+        .expect("init_swarm launches once per run")
+        .ordinal;
+
+    let faulted_backend = GpuBackend::new().resilient(ResilienceConfig::default());
+    faulted_backend
+        .device()
+        .set_fault_plan(FaultPlan::new().with_transient_launch(ordinal));
+    let faulted_result = faulted_backend.run(&c, &Sphere).unwrap();
+    let faulted = CounterAsserts::capture(faulted_backend.device());
+    assert_eq!(faulted_backend.device().fault_stats().injected, 1);
+
+    CounterAsserts::assert_bit_identical_gbest(&clean_result, &faulted_result);
+    assert_eq!(clean_result.history, faulted_result.history);
+    for phase in Phase::ALL {
+        if phase == Phase::Recovery {
+            continue;
+        }
+        assert_eq!(
+            faulted.timeline().phase_counters(phase),
+            clean.timeline().phase_counters(phase),
+            "{phase:?} counters must match the fault-free run exactly"
+        );
+        assert_eq!(
+            faulted.timeline().seconds(phase),
+            clean.timeline().seconds(phase),
+            "{phase:?} modeled seconds must match the fault-free run exactly"
+        );
+    }
+    assert_eq!(
+        faulted.timeline().phase_counters(Phase::Recovery),
+        clean.timeline().phase_counters(Phase::Recovery),
+        "the faulted attempt wrote nothing, so nothing is replayed"
+    );
+    assert!(
+        faulted.timeline().seconds(Phase::Recovery) > clean.timeline().seconds(Phase::Recovery)
+    );
 }
 
 /// Launches, flops, DRAM bytes and modeled seconds of the kernel records

@@ -62,9 +62,7 @@ fn every_launch_site_is_named() {
             seen.insert(k.name);
         }
         for expected in [
-            "init_positions",
-            "init_velocities",
-            "init_best_state",
+            "init_swarm",
             "evaluate_swarm",
             "pbest_update",
             "reduce_pass0",
