@@ -6,11 +6,12 @@
 //! (mixed priorities, a handful of deadlines) through `fastpso::serve` on
 //! a 4-device V100 group, packing several co-resident jobs per device.
 //! The baseline runs the identical job list sequentially through the
-//! dedicated `GpuBackend`. Because the serving layer packs independent
-//! jobs onto idle devices, modeled makespan drops roughly in proportion
-//! to the group size; the binary asserts at least a 2x throughput gain
-//! and prints per-tenant p50/p95 latency and shed counts from the
-//! service's own accounting.
+//! dedicated `GpuBackend`, on the schedule the service runs a solo job
+//! with (weight generation overlapped on a second stream). Because the
+//! serving layer packs independent jobs onto idle devices, modeled
+//! makespan drops roughly in proportion to the group size; the binary
+//! asserts at least a 2x throughput gain and prints per-tenant p50/p95
+//! latency and shed counts from the service's own accounting.
 //!
 //! With `--overload`, runs the predictive-admission comparison instead: an
 //! overload trace (a burst of deadline jobs worth several times the
@@ -113,10 +114,9 @@ const WARMUP_JOBS: u64 = 8;
 /// Deadline jobs in the overload burst.
 const BURST_JOBS: u64 = 24;
 /// Completion deadline of every burst job, as a multiple of the first
-/// burst job's solo `GpuBackend` modeled seconds (see
-/// [`overload_deadline_s`]). The burst is worth several times
-/// `OVERLOAD_DEVICES` times the deadline in device-seconds, so most of it
-/// cannot finish in time.
+/// burst job's solo modeled seconds (see [`overload_deadline_s`]). The
+/// burst is worth several times `OVERLOAD_DEVICES` times the deadline in
+/// device-seconds, so most of it cannot finish in time.
 const OVERLOAD_DEADLINE_SOLO_MULTIPLE: f64 = 3.65;
 
 fn overload_cfg(i: u64) -> PsoConfig {
@@ -129,10 +129,13 @@ fn overload_cfg(i: u64) -> PsoConfig {
 
 /// The burst's deadline in modeled seconds after submission. Scaling it by
 /// one burst job's solo cost keeps the scenario's overload ratio — and so
-/// its outcome — independent of how fast the engine models a job.
+/// its outcome — independent of how fast the engine models a job. The
+/// solo run uses the schedule the service runs a solo job with: weight
+/// generation overlapped on a second stream.
 fn overload_deadline_s() -> f64 {
     let i = WARMUP_JOBS;
     let solo = GpuBackend::new()
+        .streams(true)
         .run(&overload_cfg(i), job_objective(i).as_ref())
         .expect("a solo burst job runs");
     OVERLOAD_DEADLINE_SOLO_MULTIPLE * solo.elapsed_seconds()
@@ -455,11 +458,13 @@ fn main() {
         run_small_jobs();
         return;
     }
-    // Baseline: every job back-to-back on one dedicated device.
+    // Baseline: every job back-to-back on one dedicated device, on the
+    // streamed schedule the service runs each of them with.
     let topology = cli_topology();
     let mut sequential_s = 0.0;
     for i in 0..N_JOBS {
         let res = GpuBackend::new()
+            .streams(true)
             .run(&job_cfg(i, topology), job_objective(i).as_ref())
             .expect("baseline run");
         sequential_s += res.elapsed_seconds();

@@ -918,7 +918,9 @@ impl<'a> PlanRun<'a> {
             ex.done = true;
             return Ok(true);
         }
-        match self.run_iteration(&mut ex.st, ex.t) {
+        let outcome = self.run_iteration(&mut ex.st, ex.t);
+        self.join_streams();
+        match outcome {
             Ok(improved) => {
                 ex.iterations_run = ex.t + 1;
                 if let Some(h) = ex.history.as_mut() {
@@ -996,6 +998,29 @@ impl<'a> PlanRun<'a> {
                     h.truncate(ex.t);
                 }
                 Ok(false)
+            }
+        }
+    }
+
+    /// Close the stream window of every device this run steps on. An
+    /// iteration closes its windows at its `DeviceSync` nodes; one that
+    /// fails before reaching them would leave a window open, and the
+    /// device's next charge — a retry, a checkpoint restore, another job's
+    /// kernel — would queue on a stale lane frontier in the past. Called
+    /// after every iteration, the way [`PlanRun::step_slice`] closes
+    /// persistent regions; a no-op on devices with no open window.
+    fn join_streams(&self) {
+        if !self.plan.streams_enabled {
+            return;
+        }
+        match self.target {
+            ExecTarget::Single(dev) => {
+                dev.join_streams();
+            }
+            ExecTarget::Group(g) => {
+                for dev in g.iter() {
+                    dev.join_streams();
+                }
             }
         }
     }

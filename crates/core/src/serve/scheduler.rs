@@ -76,8 +76,9 @@ pub struct ServeConfig {
     /// launch per batch-slice instead of one per kernel per job. Per-job
     /// results stay bit-identical to solo execution; checkpoint, preempt,
     /// re-home and journal semantics are unchanged at slice boundaries.
-    /// `None` (the default) disables batching — existing serve traces
-    /// replay byte-for-byte.
+    /// Batch members step unstreamed inside the region, while every job
+    /// stepped launch by launch overlaps its weight generation on a second
+    /// stream. `None` (the default) disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -963,7 +964,7 @@ impl Service {
             Work::Fresh => lease.devices().len(),
         };
         let view = self.pool.group_view(&lease);
-        let plan = build_plan(&job.req, n_shards);
+        let plan = build_plan(&job.req, n_shards, batch.is_some());
         let meter = Meter::read(&self.group);
         let run = bind(&job.req, &plan, &view);
         let state = match &work {
@@ -1261,8 +1262,13 @@ fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
     (key, req.cfg.n_particles * req.cfg.dim)
 }
 
-/// The job's execution plan for `n_shards` shards.
-fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
+/// The job's execution plan for `n_shards` shards. A job stepped launch
+/// by launch (solo or sharded) overlaps each iteration's weight
+/// generation with eval → pbest → argmin on a second stream lane; every
+/// iteration closes its stream window before it returns, so co-resident
+/// jobs never share one. A micro-batch member steps inside the batch's
+/// persistent region, which has no lanes, so its plan stays unstreamed.
+fn build_plan(req: &OptimizeRequest, n_shards: usize, batched: bool) -> ExecutionPlan {
     let reduce = if n_shards > 1 {
         BestReduce::Exchange { sync_every: 1 }
     } else {
@@ -1272,9 +1278,9 @@ fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
     if req.fused {
         plan.fuse_swarm_update(req.strategy);
     }
-    // Streams are deliberately never enabled here: the per-device stream
-    // window is shared state, and packed co-resident jobs would corrupt
-    // each other's overlap accounting.
+    if !batched {
+        plan.assign_streams();
+    }
     plan
 }
 

@@ -9,12 +9,12 @@
 
 use fastpso_suite::fastpso::resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 use fastpso_suite::fastpso::{
-    Algorithm, FallbackBackend, GpuBackend, Migration, MigrationKind, MultiGpuBackend,
-    MultiGpuStrategy, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
+    Algorithm, CounterAsserts, FallbackBackend, GpuBackend, Migration, MigrationKind,
+    MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::schema::CustomObjective;
-use fastpso_suite::gpu_sim::{Device, FaultPlan, Phase};
+use fastpso_suite::gpu_sim::{Device, FaultPlan, KernelDesc, Phase};
 use fastpso_suite::perf_model::{GpuProfile, LinkProfile};
 use proptest::prelude::*;
 
@@ -347,6 +347,75 @@ fn plain_runs_never_retry() {
             assert_eq!(b.device().timeline().seconds(Phase::Recovery), 0.0);
             assert_eq!(b.device().fault_stats().injected, 1, "{algo} at {ord}");
         }
+    }
+}
+
+/// A streamed iteration that fails still closes its stream window. A
+/// transient fault at any launch of iteration 0 of a streamed run (weight
+/// generation on lane 1, the rest on lane 0) fails a plain run, and the
+/// next kernel charged on the device queues on the default stream at the
+/// timeline front — not on a lane frontier left behind in the past. A
+/// resilient run retries the same faults in place: the trajectory is
+/// bit-identical to the fault-free run and the profiler still reconstructs
+/// the timeline's totals.
+#[test]
+fn a_faulted_streamed_iteration_closes_its_stream_window() {
+    let c = cfg(64, 8, 6);
+    let streamed = || GpuBackend::new().streams(true);
+    let probe_backend = streamed();
+    let clean = probe_backend.run(&c, &Rastrigin).unwrap();
+    // Iteration 0: from the launch after `init_swarm` up to the next
+    // launch of the same kernel.
+    let kernels = probe_backend.profile().kernels;
+    let first = 1 + kernels
+        .iter()
+        .position(|k| k.name == "init_swarm")
+        .expect("init_swarm launches once per run");
+    let len = 1 + kernels[first + 1..]
+        .iter()
+        .position(|k| k.name == kernels[first].name)
+        .expect("more than one iteration");
+    let iteration0 = &kernels[first..first + len];
+    for name in [
+        "gen_l_weights",
+        "gen_g_weights",
+        "velocity_update",
+        "position_update",
+    ] {
+        assert!(
+            iteration0.iter().any(|k| k.name == name),
+            "{name} runs in iteration 0"
+        );
+    }
+    let mut ordinals: Vec<u64> = iteration0.iter().map(|k| k.ordinal).collect();
+    ordinals.dedup();
+
+    for ord in ordinals {
+        let plain = streamed();
+        let dev = plain.device();
+        dev.set_fault_plan(FaultPlan::new().with_transient_launch(ord));
+        let err = plain.run(&c, &Rastrigin).unwrap_err();
+        assert!(err.is_transient(), "launch ordinal {ord}: {err}");
+        let front = dev.timeline().total_seconds();
+        dev.charge_kernel(&KernelDesc::simple("probe", Phase::Other, 1, 4, 4, 1024));
+        let log = dev.profiler();
+        let probe = log.kernels.last().expect("probe recorded");
+        assert_eq!(probe.stream, 0, "launch ordinal {ord}: probe lane");
+        assert_eq!(probe.start_s, front, "launch ordinal {ord}: probe start");
+
+        let resilient = streamed().resilient(ResilienceConfig::default());
+        resilient
+            .device()
+            .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
+        let r = resilient.run(&c, &Rastrigin).unwrap();
+        assert_eq!(resilient.device().fault_stats().injected, 1);
+        assert_eq!(r.history, clean.history, "launch ordinal {ord}");
+        assert_eq!(
+            bits(&r.best_position),
+            bits(&clean.best_position),
+            "launch ordinal {ord}"
+        );
+        CounterAsserts::capture(resilient.device()).assert_profiler_matches_timeline();
     }
 }
 
