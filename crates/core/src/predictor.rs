@@ -239,6 +239,9 @@ impl CostPredictor {
     /// The analytic per-job base estimate in device-seconds: the modeled
     /// time of one iteration's kernel schedule times the iteration count,
     /// summed over shards. Deterministic arithmetic; no calibration applied.
+    /// The schedule is priced unstreamed: a job the service runs on stream
+    /// lanes hides its weight generation, so the cold-start base
+    /// over-prices it until calibration absorbs the overlap.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
