@@ -135,8 +135,20 @@ pub trait SwarmAlgorithm: Sync {
 
     /// The next cheaper rung below `s` in this algorithm's admission
     /// downgrade ladder, or `None` when there is nothing cheaper to
-    /// downgrade to (see `DESIGN.md`'s per-algorithm ladder table).
-    fn cheaper_strategy(&self, s: UpdateStrategy) -> Option<UpdateStrategy>;
+    /// downgrade to (see `DESIGN.md`'s per-algorithm ladder table). The
+    /// default has no rungs: the algorithm's update has one implementation
+    /// and the memory strategy does not change its cost.
+    fn cheaper_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
+        None
+    }
+
+    /// The next more conservative rung below `s` in this algorithm's fault
+    /// ladder — where a permanent launch failure in the update degrades to
+    /// — or `None` when the run must fail instead. The default has no
+    /// rungs.
+    fn fallback_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
+        None
+    }
 
     /// Name of the persistent-kernel region [`crate::plan`]'s executor
     /// opens when a plan of this algorithm is lowered persistent.
@@ -260,9 +272,9 @@ impl SwarmAlgorithm for Pso {
     ///
     /// This is the admission controller's downgrade ladder — the knob
     /// `fastpso::serve` turns when a job's requested strategy cannot meet
-    /// its deadline. It is deliberately distinct from the resilience
-    /// layer's [`crate::resilience::fallback_strategy`] chain, which walks
-    /// toward the most *conservative* rung after faults:
+    /// its deadline. It is deliberately distinct from the fault ladder
+    /// ([`SwarmAlgorithm::fallback_strategy`]), which walks toward the
+    /// most *conservative* rung after faults:
     ///
     /// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — each step
     ///   strictly reduces modeled cost (fewer latency-bound threads, then
@@ -284,6 +296,21 @@ impl SwarmAlgorithm for Pso {
         }
     }
 
+    /// `TensorCore → SharedMem → GlobalMem → ForLoop`: each step gives up
+    /// a hardware feature a failing launch may depend on.
+    fn fallback_strategy(&self, s: UpdateStrategy) -> Option<UpdateStrategy> {
+        match s {
+            UpdateStrategy::TensorCore => Some(UpdateStrategy::SharedMem),
+            UpdateStrategy::SharedMem => Some(UpdateStrategy::GlobalMem),
+            UpdateStrategy::GlobalMem => Some(UpdateStrategy::ForLoop),
+            UpdateStrategy::ForLoop => None,
+            // The reduced-work rung never degrades: switching numerics
+            // mid-run would silently change a trajectory the caller opted
+            // into. Faults that exhaust its retries fail the run instead.
+            UpdateStrategy::LowComplexity => None,
+        }
+    }
+
     fn persistent_region(&self) -> &'static str {
         "persistent_pso"
     }
@@ -294,8 +321,8 @@ impl SwarmAlgorithm for Pso {
                 // The weight *shape* follows the current strategy: the
                 // low-complexity rung draws one scalar per row. The
                 // degradation chain never crosses into or out of that
-                // rung (see `resilience::fallback_strategy`), so the
-                // shape can never disagree with the consuming update.
+                // rung (see `fallback_strategy`), so the shape can never
+                // disagree with the consuming update.
                 let stg = *cx.strategy;
                 retry_op(cx.dev, &cx.guard.retry, || {
                     gen_weights(cx.dev, cx.shard, cx.cfg, cx.t, stg)
@@ -305,18 +332,20 @@ impl SwarmAlgorithm for Pso {
             // so it retries (and strategy-degrades) independently —
             // retrying the pair as one op would double-apply the in-place
             // velocity update.
-            PlanOp::Velocity => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
+            PlanOp::Velocity => retry_degradable(self, cx.dev, cx.guard, cx.strategy, |stg| {
                 velocity_update(cx.dev, cx.shard, cx.cfg, cx.t, cx.bound, stg, cx.lbest)
             }),
-            PlanOp::Position => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
+            PlanOp::Position => retry_degradable(self, cx.dev, cx.guard, cx.strategy, |stg| {
                 position_update(cx.dev, cx.shard, stg)
             }),
             // Unlike the split pair, the fused launch's single fault gate
             // fires before any element is written, so the whole step
             // retries safely as one op.
-            PlanOp::FusedSwarmUpdate => retry_degradable(cx.dev, cx.guard, cx.strategy, |stg| {
-                fused_swarm_update(cx.dev, cx.shard, cx.cfg, cx.t, cx.bound, stg, cx.lbest)
-            }),
+            PlanOp::FusedSwarmUpdate => {
+                retry_degradable(self, cx.dev, cx.guard, cx.strategy, |stg| {
+                    fused_swarm_update(cx.dev, cx.shard, cx.cfg, cx.t, cx.bound, stg, cx.lbest)
+                })
+            }
             op => Err(cannot_execute(self.key(), op, None)),
         }
     }
@@ -400,12 +429,6 @@ impl SwarmAlgorithm for Sso {
         false
     }
 
-    fn cheaper_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
-        // The index-sampling kernel has one implementation; the memory
-        // strategy does not change its cost, so the ladder has no rungs.
-        None
-    }
-
     fn persistent_region(&self) -> &'static str {
         "persistent_sso"
     }
@@ -479,11 +502,6 @@ impl SwarmAlgorithm for Gfwa {
         // The three stages exchange spark populations host-side; collapsing
         // them would change the modeled traffic, so fusion is illegal.
         false
-    }
-
-    fn cheaper_strategy(&self, _s: UpdateStrategy) -> Option<UpdateStrategy> {
-        // Spark generation dominates and has one implementation: no rungs.
-        None
     }
 
     fn persistent_region(&self) -> &'static str {
@@ -587,13 +605,6 @@ pub fn algorithm_impl(a: Algorithm) -> &'static dyn SwarmAlgorithm {
     }
 }
 
-/// The next cheaper rung below `s` in `algo`'s admission downgrade ladder
-/// ([`SwarmAlgorithm::cheaper_strategy`]); the per-algorithm entry point
-/// the serve admission controller walks.
-pub fn cheaper_strategy_for(algo: Algorithm, s: UpdateStrategy) -> Option<UpdateStrategy> {
-    algorithm_impl(algo).cheaper_strategy(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,19 +649,37 @@ mod tests {
     fn per_algorithm_ladders_match_design_table() {
         // PSO walks the full cheaper-strategy ladder…
         assert_eq!(
-            cheaper_strategy_for(Algorithm::Pso, UpdateStrategy::GlobalMem),
+            Pso.cheaper_strategy(UpdateStrategy::GlobalMem),
             Some(UpdateStrategy::SharedMem)
         );
-        assert_eq!(
-            cheaper_strategy_for(Algorithm::Pso, UpdateStrategy::LowComplexity),
-            None
-        );
+        assert_eq!(Pso.cheaper_strategy(UpdateStrategy::LowComplexity), None);
         // …while the single-kernel algorithms have no rungs at all.
         for a in [Algorithm::Sso, Algorithm::Gfwa] {
+            let imp = algorithm_impl(a);
             for s in UpdateStrategy::ALL {
-                assert_eq!(cheaper_strategy_for(a, s), None, "{a}/{s}");
+                assert_eq!(imp.cheaper_strategy(s), None, "{a}/{s}");
+                assert_eq!(imp.fallback_strategy(s), None, "{a}/{s}");
             }
         }
+    }
+
+    #[test]
+    fn fallback_chain_ends_at_forloop() {
+        let mut s = UpdateStrategy::TensorCore;
+        let mut seen = vec![s];
+        while let Some(next) = Pso.fallback_strategy(s) {
+            s = next;
+            seen.push(s);
+        }
+        assert_eq!(
+            seen,
+            vec![
+                UpdateStrategy::TensorCore,
+                UpdateStrategy::SharedMem,
+                UpdateStrategy::GlobalMem,
+                UpdateStrategy::ForLoop,
+            ]
+        );
     }
 
     /// Run `op` through `algo` on a fresh shard and fresh scratch; returns

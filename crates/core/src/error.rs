@@ -18,9 +18,10 @@ pub enum PsoError {
     /// A device operation failed.
     Gpu(GpuError),
     /// A permanent launch failure could not be degraded: the active update
-    /// strategy has no cheaper rung in its algorithm's ladder (see
-    /// `resilience::fallback_strategy` and the per-algorithm ladder table
-    /// in DESIGN.md). Carries the device failure that exhausted the ladder.
+    /// strategy has no lower rung in its algorithm's fault ladder (see
+    /// [`crate::SwarmAlgorithm::fallback_strategy`] and the per-algorithm
+    /// ladder table in DESIGN.md). Carries the device failure that
+    /// exhausted the ladder.
     NoFallback {
         /// The strategy the job was on when the ladder ran out.
         strategy: UpdateStrategy,

@@ -182,12 +182,6 @@ impl Shard {
     pub fn elems(&self) -> usize {
         self.rows * self.d
     }
-
-    /// Global flat element index of shard-local element `i`.
-    #[inline]
-    pub fn global_elem(&self, i: usize) -> u64 {
-        (self.row0 * self.d + i) as u64
-    }
 }
 
 fn desc_for(

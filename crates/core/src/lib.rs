@@ -59,7 +59,7 @@ pub mod stats;
 pub mod swarm;
 pub mod topology;
 
-pub use algo::{algorithm_impl, cheaper_strategy_for, Algorithm, SwarmAlgorithm};
+pub use algo::{algorithm_impl, Algorithm, SwarmAlgorithm};
 pub use backend::PsoBackend;
 pub use config::{AttractorSemantics, PsoConfig, PsoConfigBuilder, VelocityBound};
 pub use error::PsoError;
@@ -69,7 +69,7 @@ pub use par::ParBackend;
 pub use plan::{BestReduce, ExecutionPlan, PlanNode, PlanOp};
 pub use predictor::{CostPredictor, JobShape};
 pub use profiling::CounterAsserts;
-pub use resilience::{FallbackBackend, ResilienceConfig, RetryPolicy, ShardCheckpoint};
+pub use resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 pub use result::RunResult;
 pub use seq::SeqBackend;
 pub use stats::{run_many, MultiRunSummary};

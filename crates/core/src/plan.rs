@@ -513,8 +513,9 @@ impl ExecutionPlan {
 
 /// Split `n` rows into `k` `(row0, rows)` shards, spreading the remainder
 /// over the leading shards. The one row split: [`PlanRun::init_state`]
-/// lays out a plan's `n_shards` shards with it, and a suspended job's
-/// checkpoints keep the geometry it produced.
+/// lays out a plan's `n_shards` shards with it, a suspended job's
+/// checkpoints keep the geometry it produced, and the island topology's
+/// islands are its blocks.
 pub(crate) fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
     let base = n / k;
     let extra = n % k;

@@ -18,11 +18,12 @@
 //!    objectives can misbehave) are re-evaluated once and, if still
 //!    non-finite, pinned to `+∞` so they can never poison `pbest`/`gbest`.
 //! 4. **Graceful degradation** — a permanent launch failure in the swarm
-//!    update walks the strategy chain `TensorCore → SharedMem → GlobalMem →
-//!    ForLoop`; a permanently failing device walks the backend chain
-//!    `Gpu → Parallel → Sequential` ([`FallbackBackend`]) or, under
-//!    multi-GPU particle splitting, re-homes the lost device's sub-swarm on
-//!    a survivor (see `gpu::multi`).
+//!    update walks the algorithm's fault ladder
+//!    ([`SwarmAlgorithm::fallback_strategy`]; for PSO `TensorCore →
+//!    SharedMem → GlobalMem → ForLoop`). A lost device is re-homed rather
+//!    than retried: multi-GPU particle splitting moves its sub-swarm onto
+//!    a survivor (see `gpu::multi`), and the serve layer resumes the
+//!    device's jobs on another lease.
 //!
 //! All recovery overhead — backoff, checkpoint and restore transfers, the
 //! degradation switch penalty — is charged to [`Phase::Recovery`], so it
@@ -54,11 +55,9 @@
 //! assert!(faulted.phase_seconds(Phase::Recovery) > 0.0);
 //! ```
 
-use crate::backend::PsoBackend;
-use crate::config::PsoConfig;
+use crate::algo::SwarmAlgorithm;
 use crate::error::PsoError;
 use crate::gpu::kernels::{Shard, UpdateStrategy};
-use crate::result::RunResult;
 use fastpso_functions::Objective;
 use gpu_sim::{Counters, Device, DeviceBuffer, KernelDesc, Phase};
 
@@ -190,25 +189,10 @@ fn mark_completed_work_redundant(dev: &Device, before: &gpu_sim::FaultStats, err
     dev.mark_redundant(launches, allocs, transfers);
 }
 
-/// The next (slower, more conservative) rung below `s`, or `None` if `s` is
-/// already the last resort.
-pub fn fallback_strategy(s: UpdateStrategy) -> Option<UpdateStrategy> {
-    match s {
-        UpdateStrategy::TensorCore => Some(UpdateStrategy::SharedMem),
-        UpdateStrategy::SharedMem => Some(UpdateStrategy::GlobalMem),
-        UpdateStrategy::GlobalMem => Some(UpdateStrategy::ForLoop),
-        UpdateStrategy::ForLoop => None,
-        // The reduced-work rung never degrades: switching numerics mid-run
-        // would silently change a trajectory the caller opted into. Faults
-        // that exhaust its retries fail the run instead.
-        UpdateStrategy::LowComplexity => None,
-    }
-}
-
 /// Run one strategy-dependent update step under the combined recovery
 /// policy: transient faults retry in place, permanent launch failures walk
-/// the degradation chain ([`fallback_strategy`]) — updating `strategy` for
-/// the rest of the run — before giving up.
+/// `algo`'s fault ladder ([`SwarmAlgorithm::fallback_strategy`]) —
+/// updating `strategy` for the rest of the run — before giving up.
 ///
 /// `op` must be idempotent per attempt, i.e. a *single* fault-gated launch.
 /// That is why the swarm update is driven here as two halves
@@ -216,6 +200,7 @@ pub fn fallback_strategy(s: UpdateStrategy) -> Option<UpdateStrategy> {
 /// retrying the pair after the position launch faults would re-apply the
 /// in-place velocity update and silently corrupt the trajectory.
 pub(crate) fn retry_degradable(
+    algo: &dyn SwarmAlgorithm,
     dev: &Device,
     res: &ResilienceConfig,
     strategy: &mut UpdateStrategy,
@@ -227,7 +212,7 @@ pub(crate) fn retry_degradable(
         match retry_op(dev, policy, || op(st)) {
             Ok(()) => return Ok(()),
             Err(e) if res.strategy_fallback && !e.is_transient() && e.lost_device().is_none() => {
-                match fallback_strategy(st) {
+                match algo.fallback_strategy(st) {
                     Some(lower) => {
                         // Switching rungs costs one backoff unit on the
                         // recovery ledger (pipeline re-setup).
@@ -472,69 +457,11 @@ pub fn quarantine_nonfinite(
     Ok(bad.len() as u64)
 }
 
-/// A backend chain with graceful degradation: run on the first backend; if
-/// it fails with a device-side (non-config) error, fall through to the
-/// next. The canonical chain is [`FallbackBackend::gpu_par_seq`] — FastPSO
-/// on the GPU, then the OpenMP-style parallel port, then the sequential
-/// reference, which cannot fail.
-pub struct FallbackBackend {
-    chain: Vec<Box<dyn PsoBackend>>,
-}
-
-impl FallbackBackend {
-    /// A chain over explicit backends, tried in order.
-    pub fn new(chain: Vec<Box<dyn PsoBackend>>) -> Self {
-        assert!(
-            !chain.is_empty(),
-            "fallback chain needs at least one backend"
-        );
-        FallbackBackend { chain }
-    }
-
-    /// The canonical `Gpu → Parallel → Sequential` degradation chain.
-    pub fn gpu_par_seq() -> Self {
-        Self::new(vec![
-            Box::new(crate::gpu::GpuBackend::new()),
-            Box::new(crate::par::ParBackend),
-            Box::new(crate::seq::SeqBackend),
-        ])
-    }
-
-    /// Run the chain and also report which backend produced the result.
-    ///
-    /// Config errors abort immediately — a config a GPU rejects is just as
-    /// invalid on the CPU. Device errors (transient-but-exhausted, lost
-    /// device, OOM, …) fall through to the next backend.
-    pub fn run_with_report(
-        &self,
-        cfg: &PsoConfig,
-        obj: &dyn Objective,
-    ) -> Result<(RunResult, &'static str), PsoError> {
-        let mut last_err = None;
-        for backend in &self.chain {
-            match backend.run(cfg, obj) {
-                Ok(r) => return Ok((r, backend.name())),
-                Err(e @ PsoError::InvalidConfig(_)) => return Err(e),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("non-empty chain"))
-    }
-}
-
-impl PsoBackend for FallbackBackend {
-    fn name(&self) -> &'static str {
-        "fastpso-fallback"
-    }
-
-    fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
-        self.run_with_report(cfg, obj).map(|(r, _)| r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Pso;
+    use crate::config::PsoConfig;
     use crate::gpu::kernels::init_shard;
     use fastpso_functions::builtins::Sphere;
     use fastpso_functions::schema::CustomObjective;
@@ -547,25 +474,6 @@ mod tests {
         assert_eq!(p.backoff_s(1), 200e-6);
         assert_eq!(p.backoff_s(2), 400e-6);
         assert_eq!(p.backoff_s(1), p.backoff_s(1));
-    }
-
-    #[test]
-    fn fallback_chain_ends_at_forloop() {
-        let mut s = UpdateStrategy::TensorCore;
-        let mut seen = vec![s];
-        while let Some(next) = fallback_strategy(s) {
-            s = next;
-            seen.push(s);
-        }
-        assert_eq!(
-            seen,
-            vec![
-                UpdateStrategy::TensorCore,
-                UpdateStrategy::SharedMem,
-                UpdateStrategy::GlobalMem,
-                UpdateStrategy::ForLoop,
-            ]
-        );
     }
 
     #[test]
@@ -737,7 +645,7 @@ mod tests {
         // LowComplexity has no cheaper rung: a permanent launch failure
         // must come back as NoFallback naming the stuck strategy.
         let mut strategy = UpdateStrategy::LowComplexity;
-        let err = retry_degradable(&dev, &res, &mut strategy, |_| {
+        let err = retry_degradable(&Pso, &dev, &res, &mut strategy, |_| {
             Err(PsoError::Gpu(GpuError::InvalidLaunch("perma".into())))
         })
         .unwrap_err();
@@ -751,7 +659,7 @@ mod tests {
         // A ladder that still has rungs walks them and only reports
         // NoFallback from the bottom.
         let mut strategy = UpdateStrategy::GlobalMem;
-        let err = retry_degradable(&dev, &res, &mut strategy, |_| {
+        let err = retry_degradable(&Pso, &dev, &res, &mut strategy, |_| {
             Err(PsoError::Gpu(GpuError::InvalidLaunch("perma".into())))
         })
         .unwrap_err();

@@ -29,7 +29,7 @@
 //!   [`crate::CostPredictor`] prices every deadline job at submit
 //!   time; a job that cannot finish in the device-seconds left before its
 //!   deadline is first downgraded along the
-//!   [`crate::algo::cheaper_strategy_for`] ladder and, if no rung fits,
+//!   [`crate::SwarmAlgorithm::cheaper_strategy`] ladder and, if no rung fits,
 //!   rejected up front with [`ServeError::Infeasible`] — the caller learns
 //!   immediately instead of watching the job shed later, and accepted
 //!   deadlines stay feasible because every accepted job reserves its

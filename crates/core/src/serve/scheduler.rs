@@ -5,7 +5,7 @@ use super::batch::{BatchFormer, BatchPolicy, CompatKey};
 use super::journal::{ServeEvent, ServeJournal};
 use super::queue::{AdmissionQueue, QueueEntry};
 use super::request::{JobId, JobStatus, OptimizeRequest, Priority, ServeError};
-use crate::algo::cheaper_strategy_for;
+use crate::algo::algorithm_impl;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
@@ -59,7 +59,7 @@ pub struct ServeConfig {
     /// they cannot finish in the device-seconds left before their deadline
     /// ([`ServeError::Infeasible`]), after first trying to downgrade the
     /// request to a cheaper update strategy that still fits — walking the
-    /// per-algorithm ladder ([`crate::algo::cheaper_strategy_for`]). Off
+    /// per-algorithm ladder ([`crate::SwarmAlgorithm::cheaper_strategy`]). Off
     /// by default: the blind scheduler accepts everything and sheds at the
     /// deadline instead.
     pub predictive_admission: bool,
@@ -537,7 +537,7 @@ impl Service {
     /// The admission decision [`Service::submit`] would make for `req`
     /// right now, without mutating anything: the update strategy the job
     /// would run with (possibly downgraded along
-    /// [`crate::algo::cheaper_strategy_for`]) and its predicted device-seconds
+    /// [`crate::SwarmAlgorithm::cheaper_strategy`]) and its predicted device-seconds
     /// at that strategy, or [`ServeError::Infeasible`] if no rung fits.
     ///
     /// With [`ServeConfig::predictive_admission`] off, or for a request
@@ -565,7 +565,7 @@ impl Service {
             if predicted * h <= available {
                 return Ok((strategy, predicted));
             }
-            match cheaper_strategy_for(req.algorithm, strategy) {
+            match algorithm_impl(req.algorithm).cheaper_strategy(strategy) {
                 Some(next) => {
                     strategy = next;
                     predicted = self.predict_request(req, strategy);

@@ -22,6 +22,7 @@
 //! tie rule as the global reduction (lowest index wins), so runs remain
 //! bit-identical across backends.
 
+use crate::plan::partition;
 use crate::swarm::domains;
 use fastpso_prng::Philox;
 use std::fmt;
@@ -226,29 +227,19 @@ pub fn ring_neighborhood_best(pbest_err: &[f32], k: usize, out: &mut [usize]) {
     }
 }
 
-/// Row range `[start, end)` of island `g` when `n` particles are split
-/// over `m` contiguous islands. The remainder spreads over the leading
-/// islands, mirroring the multi-GPU row partitioner.
-pub fn island_bounds(n: usize, m: usize, g: usize) -> (usize, usize) {
-    assert!(m >= 1 && g < m, "island index out of range");
-    let base = n / m;
-    let extra = n % m;
-    let start = g * base + g.min(extra);
-    (start, start + base + usize::from(g < extra))
-}
-
 /// Compute each particle's island-best attractor index: `out[i]` is the
 /// index of the lowest `pbest` within particle `i`'s island (ties resolve
-/// to the lowest index, the global reduction's tie rule).
+/// to the lowest index, the global reduction's tie rule). Islands are the
+/// contiguous row blocks of `plan::partition`: the remainder spreads over the
+/// leading islands.
 pub fn island_attractors(pbest_err: &[f32], islands: usize, out: &mut [usize]) {
     let n = pbest_err.len();
     assert_eq!(out.len(), n, "output length");
     if n == 0 {
         return;
     }
-    let m = islands.clamp(1, n);
-    for g in 0..m {
-        let (start, end) = island_bounds(n, m, g);
+    for (start, rows) in partition(n, islands.clamp(1, n)) {
+        let end = start + rows;
         let mut best_idx = start;
         let mut best_val = pbest_err[start];
         for (j, &v) in pbest_err.iter().enumerate().take(end).skip(start + 1) {
@@ -313,10 +304,14 @@ pub fn plan_migration(
     if m < 2 || migration.elites == 0 || n == 0 {
         return Vec::new();
     }
+    let bounds: Vec<(usize, usize)> = partition(n, m)
+        .into_iter()
+        .map(|(start, rows)| (start, start + rows))
+        .collect();
     let mut pairs = Vec::new();
     let exchange = |src_g: usize, dst_g: usize, pairs: &mut Vec<(usize, usize)>| {
-        let (ss, se) = island_bounds(n, m, src_g);
-        let (ds, de) = island_bounds(n, m, dst_g);
+        let (ss, se) = bounds[src_g];
+        let (ds, de) = bounds[dst_g];
         let count = migration.elites.min(se - ss).min(de - ds);
         let best = best_rows(pbest_err, ss, se, count);
         let worst = worst_rows(pbest_err, ds, de, count);
@@ -332,26 +327,16 @@ pub fn plan_migration(
             for g in 1..m {
                 exchange(0, g, &mut pairs);
             }
+            let island_best = |g: usize| {
+                let (start, end) = bounds[g];
+                best_rows(pbest_err, start, end, 1)
+                    .first()
+                    .map(|&r| pbest_err[r])
+                    .unwrap_or(f32::INFINITY)
+            };
             let best_spoke = (1..m)
                 .min_by(|&a, &b| {
-                    let va = best_rows(
-                        pbest_err,
-                        island_bounds(n, m, a).0,
-                        island_bounds(n, m, a).1,
-                        1,
-                    )
-                    .first()
-                    .map(|&r| pbest_err[r])
-                    .unwrap_or(f32::INFINITY);
-                    let vb = best_rows(
-                        pbest_err,
-                        island_bounds(n, m, b).0,
-                        island_bounds(n, m, b).1,
-                        1,
-                    )
-                    .first()
-                    .map(|&r| pbest_err[r])
-                    .unwrap_or(f32::INFINITY);
+                    let (va, vb) = (island_best(a), island_best(b));
                     va.partial_cmp(&vb)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.cmp(&b))
@@ -448,13 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn island_bounds_spread_the_remainder_over_leading_islands() {
+    fn islands_spread_the_remainder_over_leading_islands() {
         // 10 over 3 → 4, 3, 3.
-        assert_eq!(island_bounds(10, 3, 0), (0, 4));
-        assert_eq!(island_bounds(10, 3, 1), (4, 7));
-        assert_eq!(island_bounds(10, 3, 2), (7, 10));
+        assert_eq!(partition(10, 3), vec![(0, 4), (4, 3), (7, 3)]);
         // Exact split.
-        assert_eq!(island_bounds(8, 4, 3), (6, 8));
+        assert_eq!(partition(8, 4)[3], (6, 2));
     }
 
     #[test]
@@ -513,8 +496,8 @@ mod tests {
             for &(src, dst) in &a {
                 let find = |row: usize| {
                     (0..4).find(|&g| {
-                        let (s, e) = island_bounds(12, 4, g);
-                        (s..e).contains(&row)
+                        let (s, rows) = partition(12, 4)[g];
+                        (s..s + rows).contains(&row)
                     })
                 };
                 assert_ne!(find(src), find(dst), "t={t}: island donated to itself");

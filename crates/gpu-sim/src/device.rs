@@ -21,9 +21,8 @@ const SYNC_OVERHEAD_S: f64 = 3.0e-6;
 /// (`cooperative_groups::grid_group::sync()`): resident threads rendezvous
 /// on-device without a host round-trip, so it is much cheaper than
 /// [`SYNC_OVERHEAD_S`]. Charged by [`Device::synchronize`] inside an open
-/// persistent region and by the cooperative grid launches in
-/// [`crate::coop`].
-pub(crate) const GRID_SYNC_OVERHEAD_S: f64 = 0.5e-6;
+/// persistent region.
+const GRID_SYNC_OVERHEAD_S: f64 = 0.5e-6;
 
 /// Host-visible tallies of one closed persistent region, returned by
 /// [`Device::end_persistent`].

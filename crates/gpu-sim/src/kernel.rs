@@ -13,8 +13,7 @@
 //!   the chunks that took a data-dependent path and whose launch is charged
 //!   after the body (the `pbest` error + row-copy shape),
 //! * [`Device::launch_rows`] — two row-chunked outputs plus a per-row
-//!   output, charged an extra per-row cost (the swarm-init shape),
-//! * [`Device::launch_visit`] — read-only traversal with per-thread state.
+//!   output, charged an extra per-row cost (the swarm-init shape).
 
 use crate::device::Device;
 use crate::error::GpuError;
@@ -248,20 +247,6 @@ impl Device {
         Ok(())
     }
 
-    /// Read-only traversal: `f(i)` for every logical element, with no
-    /// output. Useful for kernels whose effects are captured through
-    /// atomics or external accumulation (rare; prefer the shaped variants).
-    pub fn launch_visit<F>(&self, desc: &KernelDesc, elems: usize, f: F) -> Result<(), GpuError>
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        self.begin_launch()?;
-        self.check_elems(desc, elems, "launch_visit")?;
-        self.charge_kernel(desc);
-        (0..elems).into_par_iter().for_each(f);
-        Ok(())
-    }
-
     fn check_elems(
         &self,
         desc: &KernelDesc,
@@ -447,17 +432,5 @@ mod tests {
         assert_eq!(c.kernel_launches, 2);
         assert_eq!(c.flops, 32);
         assert_eq!(c.dram_read_bytes, 2 * 64);
-    }
-
-    #[test]
-    fn visit_observes_every_index() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let dev = Device::v100();
-        let sum = AtomicU64::new(0);
-        dev.launch_visit(&desc(10), 10, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(sum.load(Ordering::Relaxed), 45);
     }
 }

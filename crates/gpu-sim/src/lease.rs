@@ -137,11 +137,6 @@ impl LeasePool {
         self.peak
     }
 
-    /// Slots in use on device `i` (0 if out of range).
-    pub fn device_load(&self, i: usize) -> usize {
-        self.used.get(i).copied().unwrap_or(0)
-    }
-
     /// Handle to leased device `i`. Panics if out of range — leases only
     /// carry indices the pool itself issued.
     pub fn device(&self, i: usize) -> &Device {

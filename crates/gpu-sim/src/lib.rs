@@ -4,6 +4,12 @@
 //! tensor-core fragments, a caching device allocator and explicit host↔device
 //! transfers — on a machine with no physical GPU.
 //!
+//! The launch API is flat: element-wise launches ([`kernel`]), shared-memory
+//! tiled launches ([`tiled`]), tensor-core element-wise launches ([`tensor`])
+//! and a single-pass argmin ([`reduce`]). A persistent region
+//! ([`Device::begin_persistent`]) keeps a loop of launches device-resident,
+//! and a stream window ([`stream`]) lets independent launches overlap.
+//!
 //! Two things happen on every kernel launch:
 //!
 //! 1. the kernel body **really executes** (data-parallel on the host via
@@ -36,7 +42,6 @@
 
 pub mod alloc;
 pub mod buffer;
-pub mod coop;
 pub mod device;
 pub mod error;
 pub mod fault;
@@ -53,7 +58,6 @@ pub mod tensor;
 pub mod tiled;
 
 pub use buffer::DeviceBuffer;
-pub use coop::{BlockCtx, GridCtx};
 pub use device::{Device, DeviceMetrics, PersistentStats};
 pub use error::GpuError;
 pub use fault::{FaultPlan, FaultStats};
@@ -61,9 +65,8 @@ pub use health::{FleetHealth, HealthPolicy, HealthState};
 pub use launch::{AllocMode, Dim3, KernelCost, KernelDesc, LaunchConfig};
 pub use multi::DeviceGroup;
 pub use perf_model::{
-    chrome_trace_event_count, chrome_trace_json, gpu_summary, AllocKind, AllocRecord, Counters,
-    KernelRecord, KernelStats, MemoryPattern, Phase, ProfilerLog, Timeline, TransferDirection,
-    TransferRecord,
+    chrome_trace_json, gpu_summary, AllocKind, AllocRecord, Counters, KernelRecord, KernelStats,
+    MemoryPattern, Phase, ProfilerLog, Timeline, TransferDirection, TransferRecord,
 };
-pub use stream::{Event, Stream};
+pub use stream::Event;
 pub use tensor::{f16_bits_to_f32, f32_to_f16_bits, through_f16, Fragment, FRAGMENT_DIM};

@@ -87,35 +87,18 @@ impl Device {
         } else {
             MinResult { value, index }
         };
-        let (desc, mut work) = self.reduction_work(phase, data.len(), 8);
+        let (desc, mut work) = self.reduction_work(phase, data.len());
         per_elem.add_to(&mut work, epilogue(result));
         self.charge_launch(&desc, work);
         Ok(result)
     }
 
-    /// Sum of all elements (used by evaluation kernels and `tgbm`).
-    pub fn reduce_sum(&self, phase: Phase, data: &[f32]) -> Result<f64, GpuError> {
-        self.begin_launch()?;
-        if data.is_empty() {
-            return Err(GpuError::Empty("reduce_sum"));
-        }
-        let (desc, work) = self.reduction_work(phase, data.len(), 4);
-        self.charge_launch(&desc, work);
-        // f64 accumulation keeps the result independent of the parallel
-        // split, so reductions are bit-deterministic across runs.
-        Ok(data.par_iter().map(|&x| x as f64).sum())
-    }
-
     /// The launch descriptor and total work of a single-pass tree reduction
-    /// over `n` elements, where each element carries `elem_bytes` of
-    /// payload (value or value+index): the block pass over the input plus
-    /// the last block's fold of every level of per-block partials.
-    fn reduction_work(
-        &self,
-        phase: Phase,
-        n: usize,
-        elem_bytes: u64,
-    ) -> (KernelDesc, GpuKernelWork) {
+    /// over `n` elements, where each element carries an 8-byte value+index
+    /// payload: the block pass over the input plus the last block's fold of
+    /// every level of per-block partials.
+    fn reduction_work(&self, phase: Phase, n: usize) -> (KernelDesc, GpuKernelWork) {
+        let elem_bytes = 8;
         let desc = KernelDesc {
             name: "reduce_pass0",
             phase,
@@ -161,7 +144,6 @@ mod tests {
     fn empty_input_errors() {
         let dev = Device::v100();
         assert!(dev.reduce_min_index(Phase::GBest, &[]).is_err());
-        assert!(dev.reduce_sum(Phase::GBest, &[]).is_err());
     }
 
     #[test]
@@ -181,14 +163,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.index, 0);
         assert!(r.value.is_nan());
-    }
-
-    #[test]
-    fn sum_is_exact_for_integers() {
-        let dev = Device::v100();
-        let data: Vec<f32> = (1..=1000).map(|i| i as f32).collect();
-        let s = dev.reduce_sum(Phase::Eval, &data).unwrap();
-        assert_eq!(s, 500_500.0);
     }
 
     #[test]

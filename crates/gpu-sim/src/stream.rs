@@ -19,8 +19,12 @@
 //! frontier) and credits it to the timeline as overlap, which only shrinks
 //! [`perf_model::Timeline::total_seconds`]. With no window open the device
 //! behaves byte-for-byte as before.
+//!
+//! [`Device::bind_stream`]: crate::Device::bind_stream
+//! [`Device::join_streams`]: crate::Device::join_streams
+//! [`Device::record_event`]: crate::Device::record_event
+//! [`Device::wait_event`]: crate::Device::wait_event
 
-use crate::device::Device;
 use std::collections::BTreeMap;
 
 /// Per-device bookkeeping for one open stream window.
@@ -35,7 +39,7 @@ pub(crate) struct StreamWindow {
     /// Lane the next charge queues on.
     pub current: u32,
     /// Completion-time offset of the last op queued on each lane (includes
-    /// stalls introduced by [`Device::wait_event`]).
+    /// stalls introduced by [`Device::wait_event`](crate::Device::wait_event)).
     pub frontier: BTreeMap<u32, f64>,
     /// Sum of all op durations queued in this window (serial time).
     pub serial_s: f64,
@@ -63,60 +67,11 @@ impl Event {
     pub fn stream(&self) -> u32 {
         self.stream
     }
-
-    /// Frontier offset (seconds from the window base) the event captured.
-    pub fn offset_seconds(&self) -> f64 {
-        self.offset_s
-    }
-}
-
-/// A handle to one simulated stream lane of a device — the analogue of a
-/// `cudaStream_t`. Thin sugar over the [`Device`] stream API: binding makes
-/// subsequent charges on the device queue on this lane.
-#[derive(Clone)]
-pub struct Stream {
-    device: Device,
-    id: u32,
-}
-
-impl Stream {
-    /// Lane id (0 is the default stream).
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// Make subsequent charges on the device queue on this lane (opens a
-    /// stream window if none is open).
-    pub fn bind(&self) {
-        self.device.bind_stream(self.id);
-    }
-
-    /// Record an event at this lane's current frontier.
-    pub fn record_event(&self) -> Event {
-        self.bind();
-        self.device.record_event()
-    }
-
-    /// Stall this lane until `ev`'s position in its lane has been reached.
-    pub fn wait_event(&self, ev: &Event) {
-        self.bind();
-        self.device.wait_event(ev);
-    }
-}
-
-impl Device {
-    /// A handle to stream lane `id` of this device.
-    pub fn stream(&self, id: u32) -> Stream {
-        Stream {
-            device: self.clone(),
-            id,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::device::Device;
     use crate::launch::KernelDesc;
     use perf_model::Phase;
 
@@ -143,11 +98,9 @@ mod tests {
     #[test]
     fn two_lanes_overlap_and_join_credits_hidden_time() {
         let dev = Device::v100();
-        let s0 = dev.stream(0);
-        let s1 = dev.stream(1);
-        s0.bind();
+        dev.bind_stream(0);
         dev.charge_kernel(&kernel("a", 1 << 20));
-        s1.bind();
+        dev.bind_stream(1);
         dev.charge_kernel(&kernel("b", 1 << 16));
         let credit = dev.join_streams();
         let log = dev.profiler();
@@ -170,13 +123,12 @@ mod tests {
     #[test]
     fn event_wait_serializes_across_lanes() {
         let dev = Device::v100();
-        let s0 = dev.stream(0);
-        let s1 = dev.stream(1);
-        s1.bind();
+        dev.bind_stream(1);
         dev.charge_kernel(&kernel("producer", 1 << 16));
-        let ev = s1.record_event();
+        let ev = dev.record_event();
         assert_eq!(ev.stream(), 1);
-        s0.wait_event(&ev);
+        dev.bind_stream(0);
+        dev.wait_event(&ev);
         dev.charge_kernel(&kernel("consumer", 1 << 16));
         let credit = dev.join_streams();
         let log = dev.profiler();

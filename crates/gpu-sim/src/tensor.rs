@@ -167,39 +167,6 @@ impl Fragment {
     pub fn get(&self, r: usize, c: usize) -> f32 {
         self.data[r * FRAGMENT_DIM + c]
     }
-
-    /// Mutable element access.
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * FRAGMENT_DIM + c] = v;
-    }
-
-    /// `d = a ⊙ b · scale + c` element-wise with f32 accumulation — the
-    /// Hadamard-product MMA the swarm update maps onto tensor cores.
-    pub fn hadamard_fma(a: &Fragment, b: &Fragment, c: &Fragment, scale: f32) -> Fragment {
-        let mut d = Fragment::zeroed();
-        for i in 0..FRAGMENT_ELEMS {
-            d.data[i] = a.data[i] * b.data[i] * scale + c.data[i];
-        }
-        d
-    }
-
-    /// Classic `d = a × b + c` matrix multiply-accumulate
-    /// (`wmma::mma_sync`), f32 accumulation.
-    pub fn mma(a: &Fragment, b: &Fragment, c: &Fragment) -> Fragment {
-        let mut d = c.clone();
-        for r in 0..FRAGMENT_DIM {
-            for k in 0..FRAGMENT_DIM {
-                let av = a.data[r * FRAGMENT_DIM + k];
-                if av == 0.0 {
-                    continue;
-                }
-                for cc in 0..FRAGMENT_DIM {
-                    d.data[r * FRAGMENT_DIM + cc] += av * b.data[k * FRAGMENT_DIM + cc];
-                }
-            }
-        }
-        d
-    }
 }
 
 impl Device {
@@ -335,40 +302,6 @@ mod tests {
         frag.store(&mut dst, rows, cols, 16, 16, cols);
         assert_eq!(dst[17 * cols + 18], src[17 * cols + 18]);
         assert_eq!(dst[0], 0.0, "out-of-fragment region untouched");
-    }
-
-    #[test]
-    fn hadamard_fma_is_elementwise() {
-        let mut a = Fragment::zeroed();
-        let mut b = Fragment::zeroed();
-        let mut c = Fragment::zeroed();
-        a.set(1, 2, 3.0);
-        b.set(1, 2, 4.0);
-        c.set(1, 2, 1.0);
-        c.set(0, 0, 5.0);
-        let d = Fragment::hadamard_fma(&a, &b, &c, 0.5);
-        assert_eq!(d.get(1, 2), 3.0 * 4.0 * 0.5 + 1.0);
-        assert_eq!(d.get(0, 0), 5.0);
-    }
-
-    #[test]
-    fn mma_matches_reference_matmul() {
-        let mut a = Fragment::zeroed();
-        let mut b = Fragment::zeroed();
-        // a = row-index matrix on the diagonal, b = dense small values.
-        for i in 0..FRAGMENT_DIM {
-            a.set(i, i, (i + 1) as f32);
-            for j in 0..FRAGMENT_DIM {
-                b.set(i, j, (i + j) as f32);
-            }
-        }
-        let d = Fragment::mma(&a, &b, &Fragment::zeroed());
-        // d[r][c] = (r+1) * b[r][c]
-        for r in 0..FRAGMENT_DIM {
-            for c in 0..FRAGMENT_DIM {
-                assert_eq!(d.get(r, c), (r + 1) as f32 * (r + c) as f32);
-            }
-        }
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use profile::{CpuProfile, GpuProfile, InterpreterProfile, LinkProfile, Testb
 pub use record::{AllocKind, AllocRecord, KernelRecord, KernelStats, ProfilerLog, TransferRecord};
 pub use tenant::{JobOutcome, JobRecord, TenantSummary};
 pub use timeline::{Phase, Timeline};
-pub use trace::{chrome_trace_event_count, chrome_trace_json, gpu_summary, parse_json, JsonValue};
+pub use trace::{chrome_trace_json, gpu_summary};

@@ -1,10 +1,7 @@
 //! Exporters for [`ProfilerLog`]: an nvprof-style summary table and
 //! chrome://tracing JSON.
 //!
-//! The JSON writer is hand-rolled (the workspace vendors no serde), and a
-//! minimal recursive-descent parser ships alongside it so tests can prove
-//! the emitted traces are syntactically valid and round-trip their event
-//! count without an external library.
+//! The JSON writer is hand-rolled: the workspace vendors no serde.
 
 use crate::counters::TransferDirection;
 use crate::profile::GpuProfile;
@@ -215,274 +212,6 @@ pub fn chrome_trace_json(log: &ProfilerLog) -> String {
     )
 }
 
-/// A parsed JSON value (minimal, for validating emitted traces).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Number(f64),
-    /// A string literal (escapes resolved).
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object, as insertion-ordered key/value pairs.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Look up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.parse_value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(JsonValue::Object(pairs)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or ']'"));
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err(self.err("truncated \\u escape"));
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-                        self.pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.err("bad escape sequence")),
-                },
-                Some(b) if b < 0x20 => return Err(self.err("raw control char in string")),
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 sequences byte-wise: the
-                    // input came from a &str, so sequences are valid.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    self.pos = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
-/// Parse a JSON document, validating full syntax (no trailing garbage).
-pub fn parse_json(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser::new(s);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-/// Validate a chrome-trace document and return its event count.
-///
-/// Checks that the document parses, is an object with a `traceEvents`
-/// array, and that every event is an object carrying at least `name`,
-/// `ph`, `ts` and `pid` fields of the right types.
-pub fn chrome_trace_event_count(json: &str) -> Result<usize, String> {
-    let doc = parse_json(json)?;
-    let events = match doc.get("traceEvents") {
-        Some(JsonValue::Array(events)) => events,
-        Some(_) => return Err("traceEvents is not an array".into()),
-        None => return Err("missing traceEvents field".into()),
-    };
-    for (i, ev) in events.iter().enumerate() {
-        if !matches!(ev, JsonValue::Object(_)) {
-            return Err(format!("event {i} is not an object"));
-        }
-        match ev.get("name") {
-            Some(JsonValue::String(_)) => {}
-            _ => return Err(format!("event {i} missing string 'name'")),
-        }
-        match ev.get("ph") {
-            Some(JsonValue::String(_)) => {}
-            _ => return Err(format!("event {i} missing string 'ph'")),
-        }
-        match ev.get("ts") {
-            Some(JsonValue::Number(_)) => {}
-            _ => return Err(format!("event {i} missing numeric 'ts'")),
-        }
-        match ev.get("pid") {
-            Some(JsonValue::Number(_)) => {}
-            _ => return Err(format!("event {i} missing numeric 'pid'")),
-        }
-    }
-    Ok(events.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,44 +266,6 @@ mod tests {
         let s = gpu_summary(&log, &GpuProfile::tesla_v100());
         assert!(s.contains("warning"));
         assert!(s.contains('7'));
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_event_count() {
-        let log = sample_log();
-        let json = chrome_trace_json(&log);
-        assert_eq!(chrome_trace_event_count(&json).unwrap(), log.len());
-    }
-
-    #[test]
-    fn parser_accepts_standard_json() {
-        let v = parse_json(r#"{"a": [1, -2.5, 3e2], "b": "x\ny", "c": null, "d": true}"#).unwrap();
-        assert_eq!(v.get("c"), Some(&JsonValue::Null));
-        assert_eq!(v.get("b"), Some(&JsonValue::String("x\ny".into())));
-        match v.get("a") {
-            Some(JsonValue::Array(items)) => {
-                assert_eq!(items[1], JsonValue::Number(-2.5));
-                assert_eq!(items[2], JsonValue::Number(300.0));
-            }
-            other => panic!("bad array: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parser_rejects_malformed_json() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\":1} extra").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(chrome_trace_event_count("{\"traceEvents\":1}").is_err());
-        assert!(chrome_trace_event_count("{}").is_err());
-    }
-
-    #[test]
-    fn escaping_survives_round_trip() {
-        let s = escape_json("a\"b\\c\nd");
-        let parsed = parse_json(&format!("\"{s}\"")).unwrap();
-        assert_eq!(parsed, JsonValue::String("a\"b\\c\nd".into()));
     }
 
     #[test]

@@ -8,10 +8,9 @@ use fastpso_suite::fastpso::{
 };
 use fastpso_suite::functions::builtins::Sphere;
 use fastpso_suite::gpu_sim::{
-    chrome_trace_event_count, chrome_trace_json, gpu_summary, Device, KernelDesc, Phase,
-    ProfilerLog,
+    chrome_trace_json, gpu_summary, Device, KernelDesc, Phase, ProfilerLog,
 };
-use fastpso_suite::perf_model::{parse_json, GpuProfile};
+use fastpso_suite::perf_model::GpuProfile;
 use std::collections::BTreeSet;
 
 fn cfg(iters: usize) -> PsoConfig {
@@ -136,13 +135,43 @@ fn records_carry_sane_geometry_and_metrics() {
 fn chrome_trace_is_valid_json_and_round_trips_event_count() {
     let log = run_log(UpdateStrategy::GlobalMem);
     let json = chrome_trace_json(&log);
-    let value = parse_json(&json).expect("exporter must emit valid JSON");
+    let value = parse(&json).expect("exporter must emit valid JSON");
     assert!(value.get("traceEvents").is_some());
     assert_eq!(
-        chrome_trace_event_count(&json).expect("well-formed trace"),
+        trace_event_count(&json).expect("well-formed trace"),
         log.len(),
         "every kernel/alloc/transfer record becomes exactly one trace event"
     );
+}
+
+/// A kernel name that needs escaping survives export: the exporter's
+/// escapes decode back to the original name.
+#[test]
+fn chrome_trace_escapes_kernel_names() {
+    const NAME: &str = "a\"b\\c\n";
+    let dev = Device::v100();
+    dev.charge_kernel(&KernelDesc::simple(NAME, Phase::Eval, 1, 4, 4, 64));
+    let json = chrome_trace_json(&dev.profiler());
+    assert_eq!(trace_event_count(&json), Ok(1));
+    let Some(Json::Arr(events)) = parse(&json).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents array in {json}");
+    };
+    assert_eq!(events[0].get("name"), Some(&Json::Str(NAME.into())));
+}
+
+/// The trace checker itself rejects what is not a well-formed trace.
+#[test]
+fn trace_checker_rejects_malformed_json() {
+    for bad in [
+        "{",
+        "[1,]",
+        "{\"a\":1} extra",
+        "\"unterminated",
+        "{\"traceEvents\":1}",
+        "{}",
+    ] {
+        assert!(trace_event_count(bad).is_err(), "accepted {bad:?}");
+    }
 }
 
 /// The nvprof-style summary lists every kernel by name with its call
@@ -212,5 +241,125 @@ fn multi_device_profiles_merge_with_device_indices() {
     );
     // The merged trace is still a valid chrome trace (pid = device).
     let json = chrome_trace_json(&log);
-    assert_eq!(chrome_trace_event_count(&json).unwrap(), log.len());
+    assert_eq!(trace_event_count(&json).unwrap(), log.len());
+}
+
+/// A JSON value: just enough of a parser to validate the exporter's output
+/// without a JSON library (the workspace vendors none).
+#[derive(Debug, Clone, PartialEq)]
+enum Json {
+    Lit, // true, false or null
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
+/// The reader's input. Every reader returns `None` on a syntax error.
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
+/// The next non-whitespace char, without consuming it.
+fn peek(it: &mut Chars) -> Option<char> {
+    while it.next_if(char::is_ascii_whitespace).is_some() {}
+    it.peek().copied()
+}
+
+/// Consume `c` if it is the next non-whitespace char.
+fn eat(it: &mut Chars, c: char) -> Option<()> {
+    peek(it);
+    it.next_if_eq(&c).map(drop)
+}
+
+fn value(it: &mut Chars) -> Option<Json> {
+    match peek(it)? {
+        '{' => seq(it, '}', |it| {
+            let key = string(it)?;
+            eat(it, ':')?;
+            Some((key, value(it)?))
+        })
+        .map(Json::Obj),
+        '[' => seq(it, ']', value).map(Json::Arr),
+        '"' => string(it).map(Json::Str),
+        first => {
+            let word = |c: &char| c.is_ascii_alphanumeric() || "+-.".contains(*c);
+            let word: String = std::iter::from_fn(|| it.next_if(word)).collect();
+            match word.as_str() {
+                "true" | "false" | "null" => Some(Json::Lit),
+                _ if first == '-' || first.is_ascii_digit() => word.parse().ok().map(Json::Num),
+                _ => None,
+            }
+        }
+    }
+}
+
+/// The comma-separated items after an opening bracket, up to `close`.
+fn seq<T>(it: &mut Chars, close: char, item: fn(&mut Chars) -> Option<T>) -> Option<Vec<T>> {
+    it.next();
+    let mut items = Vec::new();
+    while eat(it, close).is_none() {
+        if !items.is_empty() {
+            eat(it, ',')?;
+        }
+        items.push(item(it)?);
+    }
+    Some(items)
+}
+
+fn string(it: &mut Chars) -> Option<String> {
+    eat(it, '"')?;
+    let mut out = String::new();
+    loop {
+        match it.next()? {
+            '"' => return Some(out),
+            '\\' => out.push(match it.next()? {
+                c @ ('"' | '\\' | '/') => c,
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'u' => {
+                    let hex: String = it.by_ref().take(4).collect();
+                    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
+                }
+                _ => return None,
+            }),
+            c if c < ' ' => return None,
+            c => out.push(c),
+        }
+    }
+}
+
+/// Parse a whole document: one value and nothing after it.
+fn parse(json: &str) -> Option<Json> {
+    let it = &mut json.chars().peekable();
+    let v = value(it)?;
+    peek(it).is_none().then_some(v)
+}
+
+/// Validate a chrome://tracing document — `traceEvents` is an array of
+/// events with a string `name`/`ph` and a numeric `ts`/`pid` — and count it.
+fn trace_event_count(json: &str) -> Result<usize, String> {
+    let doc = parse(json).ok_or("not valid JSON")?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err("'traceEvents' is missing or not an array".into());
+    };
+    for (i, ev) in events.iter().enumerate() {
+        for (key, numeric) in [("name", false), ("ph", false), ("ts", true), ("pid", true)] {
+            match (ev.get(key), numeric) {
+                (Some(Json::Str(_)), false) | (Some(Json::Num(_)), true) => {}
+                _ => return Err(format!("event {i}: missing or mistyped '{key}'")),
+            }
+        }
+    }
+    Ok(events.len())
 }

@@ -9,8 +9,8 @@
 
 use fastpso_suite::fastpso::resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 use fastpso_suite::fastpso::{
-    Algorithm, CounterAsserts, FallbackBackend, GpuBackend, Migration, MigrationKind,
-    MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
+    Algorithm, CounterAsserts, GpuBackend, Migration, MigrationKind, MultiGpuBackend,
+    MultiGpuStrategy, PsoBackend, PsoConfig, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::schema::CustomObjective;
@@ -214,24 +214,6 @@ fn nan_quarantine_keeps_best_finite() {
     assert!(resilient.best_value.is_finite());
     assert_eq!(resilient.best_value, plain.best_value);
     assert_eq!(resilient.best_position, plain.best_position);
-}
-
-/// The backend degradation chain: a dead GPU falls through to the CPU
-/// backends instead of failing the optimization.
-#[test]
-fn backend_chain_falls_through_to_cpu() {
-    let c = cfg(24, 4, 30);
-    let dead = Device::v100();
-    dead.set_fault_plan(FaultPlan::new().with_device_loss_at_launch(1));
-    let chain = FallbackBackend::new(vec![
-        Box::new(GpuBackend::with_device(dead)),
-        Box::new(SeqBackend),
-    ]);
-    let (result, served_by) = chain.run_with_report(&c, &Sphere).unwrap();
-    assert_eq!(served_by, "fastpso-seq");
-    let reference = SeqBackend.run(&c, &Sphere).unwrap();
-    assert_eq!(result.best_value, reference.best_value);
-    assert_eq!(result.best_position, reference.best_position);
 }
 
 /// Multi-GPU ParticleSplit with injected faults still reports the modeled
