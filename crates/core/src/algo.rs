@@ -122,10 +122,21 @@ pub trait SwarmAlgorithm: Sync {
     /// Emit one shard's per-iteration update tail (everything between the
     /// shared eval→pbest→argmin→reduce prefix and the end of the
     /// iteration, *including* the trailing [`PlanOp::DeviceSync`]) into
-    /// `nodes`. `barrier` is the node index the tail's first data-dependent
-    /// op must depend on — the reduce/adopt node, or the ring gather when
-    /// one was inserted.
-    fn emit_update(&self, nodes: &mut Vec<PlanNode>, shard: usize, barrier: usize);
+    /// `nodes`, each op declaring the dependencies it really has: the
+    /// stream pass ([`crate::ExecutionPlan::assign_streams`]) moves every
+    /// op that needs nothing from the prefix onto a second lane.
+    /// `barrier` is the node an op reading the iteration's fitness, bests
+    /// or attractors depends on — the reduce/adopt node, or the ring or
+    /// island gather when one was inserted. `rows_writer` is the prefix
+    /// node that rewrites particle rows this iteration (island migration),
+    /// if any: an op that reads only the rows depends on it alone.
+    fn emit_update(
+        &self,
+        nodes: &mut Vec<PlanNode>,
+        shard: usize,
+        barrier: usize,
+        rows_writer: Option<usize>,
+    );
 
     /// Whether the kernel-fusion rewrite pass is legal for this algorithm
     /// under `strategy`. Fusion collapses a `Velocity`/`Position` pair, so
@@ -188,6 +199,17 @@ pub trait SwarmAlgorithm: Sync {
         flops_per_dim: u64,
         strategy: UpdateStrategy,
     ) -> Vec<GpuKernelWork>;
+
+    /// How many leading kernels of [`SwarmAlgorithm::predicted_tail`] a
+    /// streamed plan runs on the side lane: those of the tail ops that
+    /// [`SwarmAlgorithm::emit_update`] declares independent of the shared
+    /// prefix. `migrates` is true when a prefix node rewrites particle rows
+    /// (island migration), which pins the ops that read them to lane 0.
+    /// [`crate::CostPredictor`] prices a streamed shape from this split;
+    /// the default is none.
+    fn side_lane_kernels(&self, _migrates: bool) -> usize {
+        0
+    }
 }
 
 /// Everything one update-tail op reads and writes besides the op itself:
@@ -239,7 +261,13 @@ impl SwarmAlgorithm for Pso {
         Algorithm::Pso
     }
 
-    fn emit_update(&self, nodes: &mut Vec<PlanNode>, shard: usize, barrier: usize) {
+    fn emit_update(
+        &self,
+        nodes: &mut Vec<PlanNode>,
+        shard: usize,
+        barrier: usize,
+        _rows_writer: Option<usize>,
+    ) {
         // GenWeights has no in-iteration deps: its RNG is counter-based
         // on (seed, t, element), independent of every other step.
         let g = push(nodes, PlanOp::GenWeights, shard, Phase::Init, vec![]);
@@ -396,6 +424,11 @@ impl SwarmAlgorithm for Pso {
         };
         vec![weights, weights, velocity, position]
     }
+
+    /// The two weight generations.
+    fn side_lane_kernels(&self, _migrates: bool) -> usize {
+        2
+    }
 }
 
 /// Discrete Simplified Swarm Optimization: one index-sampling kernel.
@@ -406,7 +439,13 @@ impl SwarmAlgorithm for Sso {
         Algorithm::Sso
     }
 
-    fn emit_update(&self, nodes: &mut Vec<PlanNode>, shard: usize, barrier: usize) {
+    fn emit_update(
+        &self,
+        nodes: &mut Vec<PlanNode>,
+        shard: usize,
+        barrier: usize,
+        _rows_writer: Option<usize>,
+    ) {
         let u = push(
             nodes,
             PlanOp::SsoUpdate,
@@ -473,13 +512,24 @@ impl SwarmAlgorithm for Gfwa {
         Algorithm::Gfwa
     }
 
-    fn emit_update(&self, nodes: &mut Vec<PlanNode>, shard: usize, barrier: usize) {
+    /// The explosion reads only the firework rows and their amplitudes,
+    /// and the guiding spark only those rows and the explosion's sparks,
+    /// so both depend on nothing in the prefix but a migration rewriting
+    /// the rows. Selection compares against the iteration's fitness, so
+    /// it follows the barrier.
+    fn emit_update(
+        &self,
+        nodes: &mut Vec<PlanNode>,
+        shard: usize,
+        barrier: usize,
+        rows_writer: Option<usize>,
+    ) {
         let e = push(
             nodes,
             PlanOp::Explosion,
             shard,
             Phase::SwarmUpdate,
-            vec![barrier],
+            rows_writer.into_iter().collect(),
         );
         let g = push(
             nodes,
@@ -488,7 +538,13 @@ impl SwarmAlgorithm for Gfwa {
             Phase::SwarmUpdate,
             vec![e],
         );
-        let s = push(nodes, PlanOp::Selection, shard, Phase::SwarmUpdate, vec![g]);
+        let s = push(
+            nodes,
+            PlanOp::Selection,
+            shard,
+            Phase::SwarmUpdate,
+            vec![barrier, g],
+        );
         push(
             nodes,
             PlanOp::DeviceSync,
@@ -591,6 +647,16 @@ impl SwarmAlgorithm for Gfwa {
                 (d + 2) * 4 * rows,
             ),
         ]
+    }
+
+    /// Spark generation and evaluation, guiding construction and
+    /// evaluation — unless a migration pins the explosion behind it.
+    fn side_lane_kernels(&self, migrates: bool) -> usize {
+        if migrates {
+            0
+        } else {
+            4
+        }
     }
 }
 

@@ -110,10 +110,12 @@ impl GpuBackend {
         self
     }
 
-    /// Enable simulated stream overlap: the stream-assignment pass schedules
-    /// weight generation on a second stream so its modeled time overlaps the
-    /// eval→reduce chain. Trajectories and per-phase accounting are
-    /// unchanged; only total modeled time shrinks.
+    /// Enable simulated stream overlap: the stream-assignment pass
+    /// ([`ExecutionPlan::assign_streams`]) schedules the update-tail work
+    /// that needs nothing from the iteration's prefix (PSO's weight
+    /// generation, GFWA's spark chain) on a second stream so its modeled
+    /// time overlaps the eval→reduce chain. Trajectories and per-phase
+    /// accounting are unchanged; only total modeled time shrinks.
     pub fn streams(mut self, on: bool) -> Self {
         self.streams = on;
         self

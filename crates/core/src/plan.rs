@@ -46,12 +46,13 @@
 //!   schedule; fusion and streams only change anything when a backend
 //!   explicitly enables them.
 //!
-//! With [`ExecutionPlan::assign_streams`], nodes with no dependency path
-//! between them are pushed onto different simulated stream lanes (see
-//! `gpu_sim::stream`): weight generation — which depends on nothing inside
-//! the iteration — runs on lane 1 and overlaps the eval→reduce chain, with
-//! a recorded [`Event`] ordering it before the velocity update that consumes
-//! the weights. The `ablation_overlap` bench bin measures the hidden time.
+//! With [`ExecutionPlan::assign_streams`], update-tail nodes with no
+//! dependency path into the shared prefix run on a second simulated stream
+//! lane (see `gpu_sim::stream`) and overlap the eval→reduce chain, each
+//! with a recorded [`Event`] ordering it before the lane-0 node that
+//! consumes it: PSO's weight generation ahead of the velocity update,
+//! GFWA's explosion and guiding spark ahead of selection. The
+//! `ablation_overlap` bench bin measures the hidden time.
 //!
 //! # Example
 //!
@@ -248,6 +249,10 @@ pub struct ExecutionPlan {
     pub n_shards: usize,
     /// Best-reduction mode.
     pub reduce: BestReduce,
+    /// Length of the shared prefix: nodes `[0, prefix_len)` are every
+    /// shard's eval → pbest → argmin, the reduce and the optional ring or
+    /// island gathers; the rest are the algorithm's update tails.
+    prefix_len: usize,
     /// Whether the stream pass ran (nodes carry lane assignments and the
     /// executor opens stream windows).
     pub streams_enabled: bool,
@@ -311,6 +316,7 @@ impl ExecutionPlan {
         }
         let reduce_idx = push(&mut nodes, PlanOp::ReduceAdopt, 0, Phase::GBest, argmins);
         let mut barrier = reduce_idx;
+        let mut rows_writer = None;
         if n_shards == 1 {
             match cfg.topology {
                 Topology::Ring { k } => {
@@ -339,6 +345,7 @@ impl ExecutionPlan {
                         Phase::GBest,
                         vec![reduce_idx],
                     );
+                    rows_writer = Some(mig);
                     barrier = push(
                         &mut nodes,
                         PlanOp::EliteSelect { islands },
@@ -350,14 +357,16 @@ impl ExecutionPlan {
                 Topology::Global => {}
             }
         }
+        let prefix_len = nodes.len();
         for s in 0..n_shards {
-            alg.emit_update(&mut nodes, s, barrier);
+            alg.emit_update(&mut nodes, s, barrier, rows_writer);
         }
         ExecutionPlan {
             nodes,
             algorithm,
             n_shards,
             reduce,
+            prefix_len,
             streams_enabled: false,
             persistent: false,
             body: Vec::new(),
@@ -415,30 +424,28 @@ impl ExecutionPlan {
         true
     }
 
-    /// Rewrite pass: schedule dependency-independent nodes onto separate
-    /// simulated stream lanes. Weight generation (no in-iteration deps)
-    /// moves to lane 1 so its modeled time overlaps the eval→reduce chain
-    /// on lane 0; each shard's velocity (or fused) update gains a `wait`
-    /// edge on its shard's weights, mirroring `cudaStreamWaitEvent`.
+    /// Rewrite pass: schedule update-tail work that does not need the
+    /// iteration's prefix onto a second simulated stream lane. Lanes follow
+    /// the dependency edges alone, never op names: a tail node goes on
+    /// lane 1 when it depends on nothing in the shared prefix, directly or
+    /// through another node, and every other node stays on lane 0. Each
+    /// lane-0 node that depends on a lane-1 node gains a `wait` edge on it,
+    /// mirroring `cudaStreamWaitEvent`. For PSO that moves weight
+    /// generation to lane 1 with the velocity (or fused) update waiting on
+    /// it; for GFWA the explosion and guiding spark, with selection waiting
+    /// on the guiding spark. Island migration rewrites particle rows in
+    /// the prefix, so an explosion behind `Migrate` stays on lane 0.
     pub fn assign_streams(&mut self) {
         self.streams_enabled = true;
-        let n = self.nodes.len();
-        for i in 0..n {
-            if self.nodes[i].op == PlanOp::GenWeights {
-                self.nodes[i].stream = 1;
-            }
-        }
-        for i in 0..n {
-            if matches!(
-                self.nodes[i].op,
-                PlanOp::Velocity | PlanOp::FusedSwarmUpdate
-            ) {
-                let s = self.nodes[i].shard;
-                if let Some(g) = (0..n)
-                    .find(|&j| self.nodes[j].op == PlanOp::GenWeights && self.nodes[j].shard == s)
-                {
-                    if !self.nodes[i].wait.contains(&g) {
-                        self.nodes[i].wait.push(g);
+        let mut pinned = vec![false; self.nodes.len()];
+        for i in 0..self.nodes.len() {
+            pinned[i] = i < self.prefix_len || self.nodes[i].deps.iter().any(|&d| pinned[d]);
+            let node = &mut self.nodes[i];
+            node.stream = u32::from(!pinned[i]);
+            if pinned[i] {
+                for &d in &node.deps {
+                    if !pinned[d] && !node.wait.contains(&d) {
+                        node.wait.push(d);
                     }
                 }
             }
@@ -1668,5 +1675,68 @@ mod tests {
                 assert_eq!(node.stream, 0, "{:?}", node.op);
             }
         }
+    }
+
+    #[test]
+    fn stream_pass_moves_the_gfwa_spark_chain_unless_migration_pins_it() {
+        let lanes = |plan: &ExecutionPlan| -> Vec<(PlanOp, u32, Vec<usize>)> {
+            plan.nodes
+                .iter()
+                .map(|n| (n.op, n.stream, n.wait.clone()))
+                .collect()
+        };
+        let mut plan = ExecutionPlan::build_for(Algorithm::Gfwa, &cfg(), 1, BestReduce::Local);
+        plan.assign_streams();
+        assert_eq!(
+            lanes(&plan),
+            vec![
+                (PlanOp::Eval, 0, vec![]),
+                (PlanOp::PBest, 0, vec![]),
+                (PlanOp::Argmin, 0, vec![]),
+                (PlanOp::ReduceAdopt, 0, vec![]),
+                (PlanOp::Explosion, 1, vec![]),
+                (PlanOp::GuidingSpark, 1, vec![]),
+                (PlanOp::Selection, 0, vec![5]),
+                (PlanOp::DeviceSync, 0, vec![]),
+            ]
+        );
+
+        // Migration rewrites the firework rows the explosion reads, so the
+        // whole tail stays behind it on lane 0, while PSO's weights (which
+        // read no rows) keep their lane.
+        let c = PsoConfig::builder(32, 8)
+            .topology(Topology::Islands {
+                islands: 4,
+                migration: Migration {
+                    kind: MigrationKind::Ring,
+                    every_k: 5,
+                    elites: 2,
+                },
+            })
+            .build()
+            .unwrap();
+        let mut gfwa = ExecutionPlan::build_for(Algorithm::Gfwa, &c, 1, BestReduce::Local);
+        gfwa.assign_streams();
+        let explosion = gfwa
+            .nodes
+            .iter()
+            .position(|n| n.op == PlanOp::Explosion)
+            .unwrap();
+        assert!(
+            matches!(gfwa.nodes[explosion].deps[..], [m] if matches!(gfwa.nodes[m].op, PlanOp::Migrate { .. }))
+        );
+        assert!(gfwa
+            .nodes
+            .iter()
+            .all(|n| n.stream == 0 && n.wait.is_empty()));
+        let mut pso = ExecutionPlan::build_for(Algorithm::Pso, &c, 1, BestReduce::Local);
+        pso.assign_streams();
+        let on_side: Vec<PlanOp> = pso
+            .nodes
+            .iter()
+            .filter(|n| n.stream == 1)
+            .map(|n| n.op)
+            .collect();
+        assert_eq!(on_side, vec![PlanOp::GenWeights]);
     }
 }

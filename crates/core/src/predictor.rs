@@ -71,6 +71,15 @@ pub struct JobShape {
     /// Iterations dispatched per slice when `persistent` (the serving
     /// layer's `slice_iters`); 0 prices the whole run as one slice.
     pub slice_iters: u64,
+    /// True when the job steps launch by launch on stream lanes, as the
+    /// serving layer runs every job it does not batch: each shard's
+    /// side-lane kernels ([`SwarmAlgorithm::side_lane_kernels`]) overlap
+    /// its lane-0 prefix. Ignored when `persistent`, since a persistent
+    /// region has no lanes. Calibrates under the same key as the
+    /// unstreamed shape.
+    ///
+    /// [`SwarmAlgorithm::side_lane_kernels`]: crate::SwarmAlgorithm::side_lane_kernels
+    pub streamed: bool,
     /// Which engine's update tail the base prices.
     pub algo: Algorithm,
     /// The swarm topology. Only islands change the price: each island
@@ -92,6 +101,7 @@ impl JobShape {
             strategy,
             persistent: false,
             slice_iters: 0,
+            streamed: false,
             algo: Algorithm::default(),
             topology: Topology::default(),
         }
@@ -126,6 +136,12 @@ impl JobShape {
     pub fn persistent(mut self, slice_iters: u64) -> JobShape {
         self.persistent = true;
         self.slice_iters = slice_iters;
+        self
+    }
+
+    /// Price the job on stream lanes (see [`JobShape::streamed`]).
+    pub fn streamed(mut self) -> JobShape {
+        self.streamed = true;
         self
     }
 
@@ -239,14 +255,26 @@ impl CostPredictor {
     /// The analytic per-job base estimate in device-seconds: the modeled
     /// time of one iteration's kernel schedule times the iteration count,
     /// summed over shards. Deterministic arithmetic; no calibration applied.
-    /// The schedule is priced unstreamed: a job the service runs on stream
-    /// lanes hides its weight generation, so the cold-start base
-    /// over-prices it until calibration absorbs the overlap.
+    ///
+    /// A [`JobShape::streamed`] shape prices the stream lanes the service
+    /// runs it on: per shard and iteration, `max(prefix, side lane) +
+    /// dependent tail`, where the prefix is the lane-0 work before the
+    /// tail (eval → pbest → argmin, plus the island launches) and the side
+    /// lane is the algorithm's
+    /// [`SwarmAlgorithm::side_lane_kernels`](crate::SwarmAlgorithm::side_lane_kernels)
+    /// split of its tail. Every other shape is priced unstreamed.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
         let algo = algorithm_impl(shape.algo);
+        let islands = shape.islands();
+        // An island plan migrates in its prefix, even when the period
+        // never fires within the budget.
+        let side_lane = algo.side_lane_kernels(matches!(shape.topology, Topology::Islands { .. }));
+        let time = |ks: &[GpuKernelWork]| ks.iter().map(|w| gpu_kernel_time(gpu, w)).sum::<f64>();
         let mut per_iter = 0.0;
+        // Per shard: the lane-0 prefix and the side lane, in seconds.
+        let mut lanes = Vec::new();
         // Launches of one iteration, summed over the shards holding rows.
         let mut launches = 0u64;
         let mut active_shards = 0u64;
@@ -257,14 +285,20 @@ impl CostPredictor {
             }
             let rows = rows as u64;
             let mut kernels = shared_prefix(rows, d, shape.flops_per_dim);
+            let prefix = kernels.len();
             kernels.extend(algo.predicted_tail(rows, d, shape.flops_per_dim, shape.strategy));
-            per_iter += kernels.iter().map(|w| gpu_kernel_time(gpu, w)).sum::<f64>();
+            per_iter += time(&kernels);
+            lanes.push((
+                time(&kernels[..prefix]),
+                time(&kernels[prefix..prefix + side_lane]),
+            ));
             launches += kernels.len() as u64;
             active_shards += 1;
         }
         let mut total = per_iter * shape.iterations as f64;
         let mut island_launches = 0u64;
-        let islands = shape.islands();
+        let (mut gather, mut migrate) = (0.0, 0.0);
+        let migs = shape.migration_launches();
         if islands > 1 {
             // Islands are single-shard (the serving layer rejects sharded
             // local topologies): one attractor-gather launch per iteration
@@ -274,11 +308,11 @@ impl CostPredictor {
             // counts are absorbed by the `+islands` calibration key).
             let rows = shape.particles.max(1);
             let window = rows.div_ceil(islands);
-            let gather = gpu_kernel_time(
+            gather = gpu_kernel_time(
                 gpu,
                 &GpuKernelWork::elementwise(rows, window * rows, window * 4 * rows, 8 * rows),
             );
-            let migrate = gpu_kernel_time(
+            migrate = gpu_kernel_time(
                 gpu,
                 &GpuKernelWork::elementwise(
                     rows,
@@ -287,7 +321,6 @@ impl CostPredictor {
                     islands * d * 20,
                 ),
             );
-            let migs = shape.migration_launches();
             total += gather * shape.iterations as f64 + migrate * migs as f64;
             island_launches = shape.iterations + migs;
         }
@@ -304,6 +337,14 @@ impl CostPredictor {
             let saved = overhead * (launches * shape.iterations + island_launches) as f64;
             let region = overhead * (slices * active_shards) as f64;
             total = (total - saved + region).max(0.0);
+        } else if shape.streamed {
+            // Each iteration hides the shorter of its two lanes; a
+            // migrating iteration's prefix is one launch longer.
+            let plain = shape.iterations.saturating_sub(migs) as f64;
+            for (prefix, side) in lanes {
+                let prefix = prefix + gather;
+                total -= plain * prefix.min(side) + migs as f64 * (prefix + migrate).min(side);
+            }
         }
         total
     }

@@ -77,8 +77,12 @@ pub struct ServeConfig {
     /// results stay bit-identical to solo execution; checkpoint, preempt,
     /// re-home and journal semantics are unchanged at slice boundaries.
     /// Batch members step unstreamed inside the region, while every job
-    /// stepped launch by launch overlaps its weight generation on a second
-    /// stream. `None` (the default) disables batching.
+    /// stepped launch by launch — including a batch-eligible job that
+    /// found no mates — overlaps its prefix-independent tail work (PSO's
+    /// weight generation, GFWA's spark chain) on a second stream. The cost
+    /// predictor prices and calibrates each job on the schedule it runs:
+    /// `+persistent` only inside a batch region. `None` (the default)
+    /// disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -662,8 +666,10 @@ impl Service {
     }
 
     /// The predictor's view of `req` run with `strategy`: full iteration
-    /// budget, sharded the way admission would shard it.
-    fn shape_of(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> JobShape {
+    /// budget, sharded the way admission would shard it, and priced (and
+    /// keyed) on the schedule it runs — inside a micro-batch's persistent
+    /// regions when `batched`, launch by launch on stream lanes otherwise.
+    fn shape_of(&self, req: &OptimizeRequest, strategy: UpdateStrategy, batched: bool) -> JobShape {
         let shards = if self.will_shard(&req.cfg) {
             self.pool.n_devices()
         } else {
@@ -679,12 +685,10 @@ impl Service {
         .flops_per_dim(req.objective.flops_per_dim())
         .algorithm(req.algorithm)
         .topology(req.cfg.topology);
-        // A batch-eligible job runs inside persistent regions, so price it
-        // (and key its calibration) that way — admission predictions and
-        // completion observations then agree on the shape.
-        match self.batchable_cfg(&req.cfg) {
-            Some(_) => shape.persistent(self.cfg.slice_iters as u64),
-            None => shape,
+        if batched {
+            shape.persistent(self.cfg.slice_iters as u64)
+        } else {
+            shape.streamed()
         }
     }
 
@@ -712,8 +716,13 @@ impl Service {
         self.batchable_cfg(&e.payload.job.req.cfg)
     }
 
+    /// The predicted cost of `req` run with `strategy`. Admission cannot
+    /// know whether a batch-eligible job will find mates, so it prices one
+    /// as batched.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
-        self.predictor.predict_s(&self.shape_of(req, strategy))
+        let batched = self.batchable_cfg(&req.cfg).is_some();
+        self.predictor
+            .predict_s(&self.shape_of(req, strategy, batched))
     }
 
     /// Devices the budget can draw on: every device of the group that has
@@ -1169,6 +1178,7 @@ impl Service {
             plan,
             view,
             lease,
+            batch,
             state,
             ..
         } = run;
@@ -1178,9 +1188,11 @@ impl Service {
         // The result download is the job's own device time.
         meter.charge(&self.group, &mut job);
         // Close the calibration loop: every completion is one observation
-        // of (shape → device-seconds) at the iterations actually run.
+        // of (shape → device-seconds) at the iterations actually run, on
+        // the schedule it ran — a batch-eligible job that found no mates
+        // stepped launch by launch, not in a batch region.
         if iterations > 0 && job.device_seconds > 0.0 {
-            let mut shape = self.shape_of(&job.req, job.req.strategy);
+            let mut shape = self.shape_of(&job.req, job.req.strategy, batch.is_some());
             shape.iterations = iterations as u64;
             shape.shards = plan.n_shards as u64;
             self.predictor.observe(&shape, job.device_seconds);
@@ -1263,8 +1275,9 @@ fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
 }
 
 /// The job's execution plan for `n_shards` shards. A job stepped launch
-/// by launch (solo or sharded) overlaps each iteration's weight
-/// generation with eval → pbest → argmin on a second stream lane; every
+/// by launch (solo or sharded) overlaps each iteration's
+/// prefix-independent tail work (PSO's weight generation, GFWA's spark
+/// chain) with eval → pbest → argmin on a second stream lane; every
 /// iteration closes its stream window before it returns, so co-resident
 /// jobs never share one. A micro-batch member steps inside the batch's
 /// persistent region, which has no lanes, so its plan stays unstreamed.

@@ -436,6 +436,100 @@ fn predicted_tail_matches_the_executed_tail() {
     }
 }
 
+/// Launches, flops, DRAM bytes and modeled seconds of the kernel records a
+/// streamed run queued on the side lane (stream 1).
+fn side_lane_totals(b: &GpuBackend, cfg: &PsoConfig, obj: &dyn Objective) -> (u64, u64, u64, f64) {
+    b.run(cfg, obj).unwrap();
+    let mut totals = (0, 0, 0, 0.0);
+    for k in b.profile().kernels.iter().filter(|k| k.stream == 1) {
+        totals.0 += k.launches;
+        totals.1 += k.flops + k.tensor_flops;
+        totals.2 += k.dram_read_bytes + k.dram_write_bytes;
+        totals.3 += k.duration_s;
+    }
+    totals
+}
+
+/// The side lane admission prices for a streamed job — the leading
+/// `SwarmAlgorithm::side_lane_kernels` entries of `predicted_tail` — is
+/// the lane the stream pass schedules from `emit_update`'s dependency
+/// edges. Diffing a 6-iteration against a 3-iteration streamed run leaves
+/// three iterations of lane-1 records, which must equal three times the
+/// predicted side lane exactly: launches, flops, DRAM bytes and seconds,
+/// on every rung, with and without island migration (which pins GFWA's
+/// explosion behind it).
+#[test]
+fn priced_side_lane_matches_the_executed_side_lane() {
+    use fastpso_suite::fastpso::{Migration, MigrationKind, Topology};
+    let islands = Topology::Islands {
+        islands: 4,
+        migration: Migration {
+            kind: MigrationKind::Ring,
+            every_k: 2,
+            elites: 1,
+        },
+    };
+    let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
+        .iter()
+        .map(|&s| (Algorithm::Pso, s))
+        .collect();
+    rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
+    rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
+    for (n, d, topology) in [
+        (64, 8, Topology::Global),
+        (2500, 77, Topology::Global),
+        (64, 8, islands),
+    ] {
+        for &(algo, strategy) in &rungs {
+            let label = format!("{algo}/{strategy} {n}x{d} {topology}");
+            let b = GpuBackend::new()
+                .algorithm(algo)
+                .strategy(strategy)
+                .streams(true);
+            let cfg = |iters| {
+                PsoConfig::builder(n, d)
+                    .max_iter(iters)
+                    .seed(42)
+                    .topology(topology)
+                    .build()
+                    .unwrap()
+            };
+            let lo = side_lane_totals(&b, &cfg(3), &Rastrigin);
+            let hi = side_lane_totals(&b, &cfg(6), &Rastrigin);
+            let alg = algorithm_impl(algo);
+            let tail = alg.predicted_tail(n as u64, d as u64, Rastrigin.flops_per_dim(), strategy);
+            let side = &tail[..alg.side_lane_kernels(topology != Topology::Global)];
+            let predicted = (
+                3 * side.len() as u64,
+                3 * side.iter().map(|w| w.flops + w.tensor_flops).sum::<u64>(),
+                3 * side
+                    .iter()
+                    .map(|w| w.dram_read_bytes + w.dram_write_bytes)
+                    .sum::<u64>(),
+                3.0 * side
+                    .iter()
+                    .map(|w| gpu_kernel_time(&b.device().profile(), w))
+                    .sum::<f64>(),
+            );
+            let expect_side = match algo {
+                Algorithm::Sso => false,
+                Algorithm::Gfwa => topology == Topology::Global,
+                Algorithm::Pso => true,
+            };
+            assert_eq!(predicted.0 > 0, expect_side, "{label}: side lane");
+            assert_eq!(hi.0 - lo.0, predicted.0, "{label}: launches");
+            assert_eq!(hi.1 - lo.1, predicted.1, "{label}: flops");
+            assert_eq!(hi.2 - lo.2, predicted.2, "{label}: DRAM bytes");
+            let executed_s = hi.3 - lo.3;
+            assert!(
+                (executed_s - predicted.3).abs() <= 1e-12 * predicted.3,
+                "{label}: executed {executed_s} s vs predicted {} s",
+                predicted.3
+            );
+        }
+    }
+}
+
 /// Figure 6's memory-hierarchy ordering, as exact byte counts: shared-
 /// memory tiling moves strictly less global-DRAM traffic than the plain
 /// global-memory kernels (same bit-identical trajectory, so totals are

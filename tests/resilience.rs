@@ -342,33 +342,67 @@ fn plain_runs_never_retry() {
 /// the timeline's totals.
 #[test]
 fn a_faulted_streamed_iteration_closes_its_stream_window() {
+    faulted_streamed_iteration_sweep(
+        Algorithm::Pso,
+        "init_swarm",
+        &[
+            "gen_l_weights",
+            "gen_g_weights",
+            "velocity_update",
+            "position_update",
+        ],
+    );
+}
+
+/// The same sweep over one streamed GFWA iteration, whose spark chain
+/// (explosion and guiding spark) runs on lane 1 and selection on lane 0
+/// behind it: a fault at any of its launches, on either lane, closes the
+/// window, and a resilient run replays bit-identically.
+#[test]
+fn a_faulted_streamed_gfwa_iteration_closes_its_stream_window() {
+    faulted_streamed_iteration_sweep(
+        Algorithm::Gfwa,
+        "init_gfwa_amplitudes",
+        &[
+            "gfwa_sparks",
+            "gfwa_spark_eval",
+            "gfwa_guiding",
+            "gfwa_guide_eval",
+            "gfwa_selection",
+        ],
+    );
+}
+
+/// Inject one transient launch fault at every launch ordinal of iteration
+/// 0 of a streamed `algo` run — from the launch after the run's last init
+/// kernel `last_init` up to the next launch of iteration 0's first kernel,
+/// which must include every kernel in `names` — and check the plain and
+/// resilient outcomes described above.
+fn faulted_streamed_iteration_sweep(algo: Algorithm, last_init: &str, names: &[&str]) {
     let c = cfg(64, 8, 6);
-    let streamed = || GpuBackend::new().streams(true);
+    let streamed = || GpuBackend::new().algorithm(algo).streams(true);
     let probe_backend = streamed();
     let clean = probe_backend.run(&c, &Rastrigin).unwrap();
-    // Iteration 0: from the launch after `init_swarm` up to the next
-    // launch of the same kernel.
     let kernels = probe_backend.profile().kernels;
     let first = 1 + kernels
         .iter()
-        .position(|k| k.name == "init_swarm")
-        .expect("init_swarm launches once per run");
+        .position(|k| k.name == last_init)
+        .expect("the init kernel launches once per run");
     let len = 1 + kernels[first + 1..]
         .iter()
         .position(|k| k.name == kernels[first].name)
         .expect("more than one iteration");
     let iteration0 = &kernels[first..first + len];
-    for name in [
-        "gen_l_weights",
-        "gen_g_weights",
-        "velocity_update",
-        "position_update",
-    ] {
+    for name in names {
         assert!(
-            iteration0.iter().any(|k| k.name == name),
-            "{name} runs in iteration 0"
+            iteration0.iter().any(|k| k.name == *name),
+            "{algo}: {name} runs in iteration 0"
         );
     }
+    assert!(
+        iteration0.iter().any(|k| k.stream == 1),
+        "{algo}: iteration 0 uses the side lane"
+    );
     let mut ordinals: Vec<u64> = iteration0.iter().map(|k| k.ordinal).collect();
     ordinals.dedup();
 
@@ -377,13 +411,16 @@ fn a_faulted_streamed_iteration_closes_its_stream_window() {
         let dev = plain.device();
         dev.set_fault_plan(FaultPlan::new().with_transient_launch(ord));
         let err = plain.run(&c, &Rastrigin).unwrap_err();
-        assert!(err.is_transient(), "launch ordinal {ord}: {err}");
+        assert!(err.is_transient(), "{algo} launch ordinal {ord}: {err}");
         let front = dev.timeline().total_seconds();
         dev.charge_kernel(&KernelDesc::simple("probe", Phase::Other, 1, 4, 4, 1024));
         let log = dev.profiler();
         let probe = log.kernels.last().expect("probe recorded");
-        assert_eq!(probe.stream, 0, "launch ordinal {ord}: probe lane");
-        assert_eq!(probe.start_s, front, "launch ordinal {ord}: probe start");
+        assert_eq!(probe.stream, 0, "{algo} launch ordinal {ord}: probe lane");
+        assert_eq!(
+            probe.start_s, front,
+            "{algo} launch ordinal {ord}: probe start"
+        );
 
         let resilient = streamed().resilient(ResilienceConfig::default());
         resilient
@@ -391,11 +428,11 @@ fn a_faulted_streamed_iteration_closes_its_stream_window() {
             .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
         let r = resilient.run(&c, &Rastrigin).unwrap();
         assert_eq!(resilient.device().fault_stats().injected, 1);
-        assert_eq!(r.history, clean.history, "launch ordinal {ord}");
+        assert_eq!(r.history, clean.history, "{algo} launch ordinal {ord}");
         assert_eq!(
             bits(&r.best_position),
             bits(&clean.best_position),
-            "launch ordinal {ord}"
+            "{algo} launch ordinal {ord}"
         );
         CounterAsserts::capture(resilient.device()).assert_profiler_matches_timeline();
     }
