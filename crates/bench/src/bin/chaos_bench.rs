@@ -22,6 +22,11 @@
 //!   --sweep           sweep a fixed ordinal ladder instead of one ordinal
 //!   --batched         enable cross-job micro-batching for the whole trace
 //!   --seed S          base RNG seed for the job configs (default 1000)
+//!
+//! Writes `results/chaos_bench.csv` and `results/chaos_bench_tenants.csv`
+//! (`--sweep`: `results/chaos_sweep.csv`); `--batched` adds `_batched` to
+//! the stem (`chaos_bench_batched.csv`, `chaos_bench_batched_tenants.csv`,
+//! `chaos_sweep_batched.csv`), so each mode has its own files.
 
 use fastpso::serve::{BatchPolicy, OptimizeRequest, Priority, ServeConfig, ServeEvent, Service};
 use fastpso::{PsoConfig, RunResult};
@@ -284,6 +289,8 @@ fn main() {
     };
     let clean = run_trace(&args, None);
     assert_eq!(clean.rehomes, 0, "fault-free run must not re-home");
+    // Each mode writes its own files, so no run overwrites another's.
+    let mode = if args.batched { "_batched" } else { "" };
 
     if args.sweep {
         let ordinals = [1u64, 5, 10, 25, 50, 100, 200, 400];
@@ -321,7 +328,7 @@ fn main() {
                 format!("{n}/{n} jobs"),
             ]);
         }
-        t.emit("chaos_sweep");
+        t.emit(&format!("chaos_sweep{mode}"));
         println!(
             "fault-free makespan {}; every swept scenario re-converged bit-identically",
             fmt_secs(clean.makespan_s)
@@ -360,7 +367,7 @@ fn main() {
             fmt_secs(faulted.recovery_s),
             format!("{n}/{n} bit-identical"),
         ]);
-        t.emit("chaos_bench");
+        t.emit(&format!("chaos_bench{mode}"));
         let mut per_tenant = Table::new(
             "Per-tenant fault absorption (faulted run)",
             &["tenant", "completed", "re-homes", "recovery (s)"],
@@ -373,7 +380,7 @@ fn main() {
                 fmt_secs(*recovery_s),
             ]);
         }
-        per_tenant.emit("chaos_bench_tenants");
+        per_tenant.emit(&format!("chaos_bench{mode}_tenants"));
         println!(
             "loss fired: {}; lost-device health: {:?}; re-homed jobs completed \
              bit-identically and the dead device was never leased again",

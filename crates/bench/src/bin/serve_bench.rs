@@ -47,6 +47,11 @@
 //! `ring_lbest:<k>`, or `islands:<m>:<ring|star|random>:<every_k>:<elites>`
 //! — e.g. `--topology islands:4:ring:5:2` serves a trace of island-model
 //! jobs, exercising island-aware admission pricing and batching keys.
+//!
+//! The default trace writes `results/serve_bench.csv` and
+//! `results/serve_bench_tenants.csv`; a non-global `--topology` writes
+//! `results/serve_bench_<spec>.csv` and `results/serve_bench_<spec>_tenants.csv`
+//! instead, with the spec's `:` as `_` (`serve_bench_islands_4_ring_5_2.csv`).
 
 use fastpso::serve::{
     BatchPolicy, JobStatus, OptimizeRequest, Priority, ServeConfig, ServeError, Service,
@@ -510,7 +515,12 @@ fn main() {
         format!("{:.1}", N_JOBS as f64 / served_s),
         fmt_speedup(speedup),
     ]);
-    t.emit("serve_bench");
+    // A topology trace writes its own files beside the default trace's.
+    let stem = match topology {
+        Topology::Global => "serve_bench".to_string(),
+        t => format!("serve_bench_{}", t.to_string().replace(':', "_")),
+    };
+    t.emit(&stem);
 
     let mut tenants = Table::new(
         "Per-tenant rollup (completed-job latency percentiles, nearest-rank)",
@@ -537,7 +547,7 @@ fn main() {
             fmt_secs(s.device_seconds),
         ]);
     }
-    tenants.emit("serve_bench_tenants");
+    tenants.emit(&format!("{stem}_tenants"));
 
     let (in_use, peak) = svc.occupancy();
     println!(

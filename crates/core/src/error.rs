@@ -15,6 +15,10 @@ pub enum PsoError {
     /// Invalid configuration (zero particles, zero dimensions, bad
     /// coefficients, inverted domain bounds, ...).
     InvalidConfig(String),
+    /// An execution plan that cannot run as built (a node before one it
+    /// consumes, an op its algorithm does not emit, an exchange reduction
+    /// without a device group, a resilient state with no checkpoint).
+    InvalidPlan(String),
     /// A device operation failed.
     Gpu(GpuError),
     /// A permanent launch failure could not be degraded: the active update
@@ -52,6 +56,7 @@ impl fmt::Display for PsoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PsoError::InvalidConfig(msg) => write!(f, "invalid PSO configuration: {msg}"),
+            PsoError::InvalidPlan(msg) => write!(f, "invalid execution plan: {msg}"),
             PsoError::Gpu(e) => write!(f, "GPU error: {e}"),
             PsoError::NoFallback { strategy, cause } => write!(
                 f,

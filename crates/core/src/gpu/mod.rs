@@ -157,7 +157,7 @@ impl GpuBackend {
     /// built the same way [`GpuBackend::run`] builds it, with the configured
     /// rewrite passes applied.
     pub fn plan(&self, cfg: &PsoConfig) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg, 1, BestReduce::Local);
+        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg.topology, 1, BestReduce::Local);
         if self.fuse {
             plan.fuse_swarm_update(self.strategy);
         }

@@ -59,7 +59,7 @@ pub mod stats;
 pub mod swarm;
 pub mod topology;
 
-pub use algo::{algorithm_impl, Algorithm, SwarmAlgorithm};
+pub use algo::{algorithm_impl, Algorithm, PrefixDep, Stage, StageSpec, SwarmAlgorithm, TailShape};
 pub use backend::PsoBackend;
 pub use config::{AttractorSemantics, PsoConfig, PsoConfigBuilder, VelocityBound};
 pub use error::PsoError;

@@ -7,18 +7,20 @@
 //! [`CostPredictor`] produces that estimate in two layers:
 //!
 //! 1. **Analytic base** ([`CostPredictor::base_s`]) — one iteration's
-//!    kernel schedule: the eval → pbest → argmin prefix every algorithm
-//!    shares, then the algorithm's own update tail
-//!    ([`SwarmAlgorithm::predicted_tail`](crate::SwarmAlgorithm::predicted_tail)),
-//!    priced launch-by-launch through the same roofline model
-//!    ([`perf_model::gpu_kernel_time`]) the simulator charges with. The
-//!    base is pure arithmetic over the [`GpuProfile`], so it is exactly
-//!    reproducible and already strategy-aware: the for-loop rung prices
-//!    latency-bound, the tiled rungs price their staged traffic, the
-//!    low-complexity rung prices `d`-fold fewer RNG draws.
+//!    kernel schedule, read off the plan the service would run: the
+//!    eval → pbest → argmin prefix every algorithm shares, then each
+//!    shard's update-tail nodes, priced from the launch descriptors their
+//!    stages' kernels launch ([`crate::ExecutionPlan::tail_launches`]),
+//!    through the same roofline model ([`perf_model::gpu_kernel_time`])
+//!    the simulator charges with. The tail's price therefore equals what
+//!    the tail executes on every rung: the for-loop rung is latency-bound,
+//!    the tiled and tensor-core rungs pay their staged traffic, the
+//!    low-complexity rung draws `d`-fold fewer numbers. The base is pure
+//!    arithmetic over the [`GpuProfile`], so it is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
-//!    omits scheduler-dependent costs (checkpoint captures, slice
-//!    re-dispatch, reduction adoption traffic), so observed
+//!    omits scheduler-dependent and data-dependent costs (checkpoint
+//!    captures, slice re-dispatch, the pbest and gbest adoption copies,
+//!    the result download), so observed
 //!    [`JobRecord`](perf_model::JobRecord)s close the loop: each completed
 //!    job contributes the ratio `observed / base` and the predictor applies
 //!    the per-key mean ratio as a multiplicative coefficient. With zero
@@ -40,9 +42,9 @@
 //! assert!((p.predict_s(&shape) - base * 1.5).abs() < 1e-12);
 //! ```
 
-use crate::algo::{algorithm_impl, Algorithm};
+use crate::algo::{Algorithm, TailShape};
 use crate::gpu::UpdateStrategy;
-use crate::plan::partition;
+use crate::plan::{partition, BestReduce, ExecutionPlan};
 use crate::topology::Topology;
 use perf_model::{gpu_kernel_time, GpuKernelWork, GpuProfile};
 use std::collections::BTreeMap;
@@ -72,13 +74,11 @@ pub struct JobShape {
     /// layer's `slice_iters`); 0 prices the whole run as one slice.
     pub slice_iters: u64,
     /// True when the job steps launch by launch on stream lanes, as the
-    /// serving layer runs every job it does not batch: each shard's
-    /// side-lane kernels ([`SwarmAlgorithm::side_lane_kernels`]) overlap
-    /// its lane-0 prefix. Ignored when `persistent`, since a persistent
-    /// region has no lanes. Calibrates under the same key as the
-    /// unstreamed shape.
-    ///
-    /// [`SwarmAlgorithm::side_lane_kernels`]: crate::SwarmAlgorithm::side_lane_kernels
+    /// serving layer runs every job it does not batch: the tail nodes
+    /// [`crate::ExecutionPlan::assign_streams`] puts on the side lane
+    /// overlap each shard's lane-0 prefix. Ignored when `persistent`,
+    /// since a persistent region has no lanes. Calibrates under the same
+    /// key as the unstreamed shape.
     pub streamed: bool,
     /// Which engine's update tail the base prices.
     pub algo: Algorithm,
@@ -192,7 +192,7 @@ impl JobShape {
 
 /// One evaluation launch over `points` candidate rows of `d` dimensions:
 /// one thread per row, reading the row and writing its error.
-pub(crate) fn eval_work(points: u64, d: u64, flops_per_dim: u64) -> GpuKernelWork {
+fn eval_work(points: u64, d: u64, flops_per_dim: u64) -> GpuKernelWork {
     GpuKernelWork::elementwise(
         points,
         d * flops_per_dim * points,
@@ -256,45 +256,57 @@ impl CostPredictor {
     /// time of one iteration's kernel schedule times the iteration count,
     /// summed over shards. Deterministic arithmetic; no calibration applied.
     ///
-    /// A [`JobShape::streamed`] shape prices the stream lanes the service
-    /// runs it on: per shard and iteration, `max(prefix, side lane) +
-    /// dependent tail`, where the prefix is the lane-0 work before the
-    /// tail (eval → pbest → argmin, plus the island launches) and the side
-    /// lane is the algorithm's
-    /// [`SwarmAlgorithm::side_lane_kernels`](crate::SwarmAlgorithm::side_lane_kernels)
-    /// split of its tail. Every other shape is priced unstreamed.
+    /// The schedule is the plan the service would run for the shape
+    /// ([`ExecutionPlan::build_for`], plus [`ExecutionPlan::assign_streams`]
+    /// when [`JobShape::streamed`]); each shard's tail is priced from the
+    /// launch descriptors its stages' kernels launch
+    /// ([`ExecutionPlan::tail_launches`]). The prefix, the island gather and
+    /// migration, and the persistent launch-overhead saving are priced by
+    /// this predictor's own arithmetic. A streamed shape prices per shard
+    /// and iteration the longer of the lane-0 prefix (plus the island
+    /// launches) and the side lane (the tail nodes on lane 1), plus the
+    /// dependent tail.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
-        let algo = algorithm_impl(shape.algo);
         let islands = shape.islands();
-        // An island plan migrates in its prefix, even when the period
-        // never fires within the budget.
-        let side_lane = algo.side_lane_kernels(matches!(shape.topology, Topology::Islands { .. }));
-        let time = |ks: &[GpuKernelWork]| ks.iter().map(|w| gpu_kernel_time(gpu, w)).sum::<f64>();
+        let n_shards = shape.shards.max(1) as usize;
+        let reduce = BestReduce::for_shards(n_shards);
+        let mut plan = ExecutionPlan::build_for(shape.algo, shape.topology, n_shards, reduce);
+        if shape.streamed {
+            plan.assign_streams();
+        }
+        let time = |w: &GpuKernelWork| gpu_kernel_time(gpu, w);
         let mut per_iter = 0.0;
         // Per shard: the lane-0 prefix and the side lane, in seconds.
         let mut lanes = Vec::new();
         // Launches of one iteration, summed over the shards holding rows.
         let mut launches = 0u64;
-        let mut active_shards = 0u64;
         // Row-partition like the plan: leading shards take the extra.
-        for (_, rows) in partition(shape.particles as usize, shape.shards.max(1) as usize) {
+        let parts = partition(shape.particles as usize, n_shards);
+        for (s, rows) in parts.into_iter().map(|(_, r)| r as u64).enumerate() {
             if rows == 0 {
                 continue;
             }
-            let rows = rows as u64;
-            let mut kernels = shared_prefix(rows, d, shape.flops_per_dim);
-            let prefix = kernels.len();
-            kernels.extend(algo.predicted_tail(rows, d, shape.flops_per_dim, shape.strategy));
-            per_iter += time(&kernels);
-            lanes.push((
-                time(&kernels[..prefix]),
-                time(&kernels[prefix..prefix + side_lane]),
-            ));
-            launches += kernels.len() as u64;
-            active_shards += 1;
+            let (flops_per_dim, strategy) = (shape.flops_per_dim, shape.strategy);
+            let tail_shape = TailShape {
+                gpu,
+                rows,
+                d,
+                flops_per_dim,
+                strategy,
+            };
+            let tail: Vec<(u32, f64)> = (plan.tail_launches(s, &tail_shape).iter())
+                .map(|(lane, desc)| (*lane, time(&desc.work())))
+                .collect();
+            let prefix = shared_prefix(rows, d, flops_per_dim);
+            let prefix_s: f64 = prefix.iter().map(time).sum();
+            per_iter += tail.iter().fold(prefix_s, |acc, (_, t)| acc + t);
+            let side = tail.iter().filter(|(lane, _)| *lane == 1);
+            lanes.push((prefix_s, side.map(|(_, t)| t).sum::<f64>()));
+            launches += (prefix.len() + tail.len()) as u64;
         }
+        let active_shards = lanes.len() as u64;
         let mut total = per_iter * shape.iterations as f64;
         let mut island_launches = 0u64;
         let (mut gather, mut migrate) = (0.0, 0.0);
@@ -429,9 +441,12 @@ mod tests {
             s(UpdateStrategy::LowComplexity),
             s(UpdateStrategy::GlobalMem)
         );
+        // Tiling saves the broadcast's DRAM reads but stages every operand
+        // through shared memory; at this size the kernels model the
+        // staging as costing more than it saves.
         assert!(
-            s(UpdateStrategy::SharedMem) < s(UpdateStrategy::GlobalMem),
-            "tiling saves broadcast traffic"
+            s(UpdateStrategy::SharedMem) > s(UpdateStrategy::GlobalMem),
+            "shared-memory staging outweighs the broadcast traffic it saves"
         );
     }
 

@@ -1282,12 +1282,8 @@ fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
 /// jobs never share one. A micro-batch member steps inside the batch's
 /// persistent region, which has no lanes, so its plan stays unstreamed.
 fn build_plan(req: &OptimizeRequest, n_shards: usize, batched: bool) -> ExecutionPlan {
-    let reduce = if n_shards > 1 {
-        BestReduce::Exchange { sync_every: 1 }
-    } else {
-        BestReduce::Local
-    };
-    let mut plan = ExecutionPlan::build_for(req.algorithm, &req.cfg, n_shards, reduce);
+    let reduce = BestReduce::for_shards(n_shards);
+    let mut plan = ExecutionPlan::build_for(req.algorithm, req.cfg.topology, n_shards, reduce);
     if req.fused {
         plan.fuse_swarm_update(req.strategy);
     }

@@ -7,7 +7,7 @@
 //! one-thread-per-element launch into a grid-stride loop whose per-thread
 //! workload is the paper's `tw = n·d / mem` (Equation 3 analogue).
 
-use perf_model::{GpuKernelWork, MemoryPattern, Phase};
+use perf_model::{GpuKernelWork, GpuProfile, MemoryPattern, Phase};
 
 /// Device allocation strategy (paper §4.4, Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,6 +195,26 @@ impl KernelDesc {
                 config: None,
                 pattern: MemoryPattern::Coalesced,
             },
+        }
+    }
+
+    /// A coalesced kernel over `elems` elements at `cost` each, one thread
+    /// per element, grid clamped by [`LaunchConfig::resource_aware`].
+    pub fn resource_aware(
+        name: &'static str,
+        phase: Phase,
+        cost: KernelCost,
+        elems: u64,
+        profile: &GpuProfile,
+    ) -> Self {
+        KernelDesc {
+            name,
+            phase,
+            cost,
+            elems,
+            threads: elems,
+            config: Some(LaunchConfig::resource_aware(profile, elems)),
+            pattern: MemoryPattern::Coalesced,
         }
     }
 

@@ -13,8 +13,8 @@
 
 use crate::device::Device;
 use crate::error::GpuError;
-use crate::launch::{KernelCost, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
-use perf_model::{GpuKernelWork, MemoryPattern, Phase};
+use crate::launch::{KernelCost, KernelDesc, DEFAULT_BLOCK};
+use perf_model::{GpuKernelWork, Phase};
 use rayon::prelude::*;
 
 /// Result of an argmin reduction.
@@ -99,15 +99,13 @@ impl Device {
     /// every level of per-block partials.
     fn reduction_work(&self, phase: Phase, n: usize) -> (KernelDesc, GpuKernelWork) {
         let elem_bytes = 8;
-        let desc = KernelDesc {
-            name: "reduce_pass0",
+        let desc = KernelDesc::resource_aware(
+            "reduce_pass0",
             phase,
-            cost: KernelCost::elementwise(1, elem_bytes, 0),
-            elems: n as u64,
-            threads: n as u64,
-            config: Some(LaunchConfig::resource_aware(&self.profile(), n as u64)),
-            pattern: MemoryPattern::Coalesced,
-        };
+            KernelCost::elementwise(1, elem_bytes, 0),
+            n as u64,
+            &self.profile(),
+        );
         let mut work = desc.work();
         let fold = KernelCost::elementwise(1, elem_bytes, elem_bytes);
         let mut partials = (n as u64).div_ceil(DEFAULT_BLOCK as u64);

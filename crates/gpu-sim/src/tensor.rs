@@ -14,8 +14,8 @@
 
 use crate::device::Device;
 use crate::error::GpuError;
-use crate::launch::{KernelCost, KernelDesc, LaunchConfig};
-use perf_model::{MemoryPattern, Phase};
+use crate::launch::{KernelCost, KernelDesc};
+use perf_model::{GpuProfile, Phase};
 use rayon::prelude::*;
 
 /// Edge length of a tensor-core fragment (16×16 on Volta).
@@ -169,6 +169,31 @@ impl Fragment {
     }
 }
 
+impl KernelDesc {
+    /// The launch [`Device::launch_tensor_elementwise`] issues over `elems`
+    /// elements and `inputs` input arrays: tensor-core work, each input and
+    /// the old output read once, the result written once, the fragments
+    /// staged on-chip. Cost models price a tensor-core launch from it.
+    pub fn tensor_elementwise(
+        name: &'static str,
+        phase: Phase,
+        tensor_flops_per_elem: u64,
+        inputs: usize,
+        elems: u64,
+        profile: &GpuProfile,
+    ) -> KernelDesc {
+        let per_elem_read = (inputs as u64 + 1) * 4;
+        let cost = KernelCost {
+            flops: 0,
+            tensor_flops: tensor_flops_per_elem,
+            dram_read: per_elem_read,
+            dram_write: 4,
+            shared: per_elem_read + 4,
+        };
+        KernelDesc::resource_aware(name, phase, cost, elems, profile)
+    }
+}
+
 impl Device {
     /// Tensor-core element-wise update: `out[i] = f(i, rounded_inputs, old)`
     /// where every input value and the old output value have been rounded
@@ -200,25 +225,14 @@ impl Device {
                 });
             }
         }
-        let elems = out.len() as u64;
-        let profile = self.profile();
-        let per_elem_read = (inputs.len() as u64 + 1) * 4;
-        let desc = KernelDesc {
+        let desc = KernelDesc::tensor_elementwise(
             name,
             phase,
-            cost: KernelCost {
-                flops: 0,
-                tensor_flops: tensor_flops_per_elem,
-                dram_read: per_elem_read,
-                dram_write: 4,
-                // Fragments stage through shared memory/register files.
-                shared: per_elem_read + 4,
-            },
-            elems,
-            threads: elems,
-            config: Some(LaunchConfig::resource_aware(&profile, elems)),
-            pattern: MemoryPattern::Coalesced,
-        };
+            tensor_flops_per_elem,
+            inputs.len(),
+            out.len() as u64,
+            &self.profile(),
+        );
         self.charge_kernel(&desc);
 
         let n_inputs = inputs.len();

@@ -12,13 +12,38 @@
 
 use crate::device::Device;
 use crate::error::GpuError;
-use crate::launch::{KernelCost, KernelDesc, LaunchConfig};
-use perf_model::{MemoryPattern, Phase};
+use crate::launch::{KernelCost, KernelDesc};
+use perf_model::{GpuProfile, Phase};
 use rayon::prelude::*;
 
 /// Default tile edge used by the shared-memory swarm update; a 32×32 f32
 /// tile is 4 KiB, letting several blocks stage multiple operand tiles per SM.
 pub const TILE_SIZE: usize = 32;
+
+impl KernelDesc {
+    /// The launch [`Device::launch_tiled`] issues over `elems` elements
+    /// and `inputs` input arrays: each input and the old output read once,
+    /// the result written once, every staged byte crossing shared memory
+    /// twice. Cost models price a tiled launch from it.
+    pub fn tiled(
+        name: &'static str,
+        phase: Phase,
+        flops_per_elem: u64,
+        inputs: usize,
+        elems: u64,
+        profile: &GpuProfile,
+    ) -> KernelDesc {
+        let per_elem_read = (inputs as u64 + 1) * 4;
+        let cost = KernelCost {
+            flops: flops_per_elem,
+            tensor_flops: 0,
+            dram_read: per_elem_read,
+            dram_write: 4,
+            shared: 2 * (per_elem_read + 4),
+        };
+        KernelDesc::resource_aware(name, phase, cost, elems, profile)
+    }
+}
 
 /// Staged view of one tile, handed to the per-element function.
 pub struct TileCtx<'a> {
@@ -77,26 +102,14 @@ impl Device {
             )));
         }
 
-        let elems = out.len() as u64;
-        // Per element: read each input + the old output from DRAM once,
-        // write the result once; every staged byte crosses shared memory
-        // twice (store + load).
-        let per_elem_read = (inputs.len() as u64 + 1) * 4;
-        let desc = KernelDesc {
+        let desc = KernelDesc::tiled(
             name,
             phase,
-            cost: KernelCost {
-                flops: flops_per_elem,
-                tensor_flops: 0,
-                dram_read: per_elem_read,
-                dram_write: 4,
-                shared: 2 * (per_elem_read + 4),
-            },
-            elems,
-            threads: elems,
-            config: Some(LaunchConfig::resource_aware(&profile, elems)),
-            pattern: MemoryPattern::Coalesced,
-        };
+            flops_per_elem,
+            inputs.len(),
+            out.len() as u64,
+            &profile,
+        );
         self.charge_kernel(&desc);
 
         out.par_chunks_mut(tile_elems)
