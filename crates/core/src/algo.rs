@@ -8,8 +8,8 @@
 //! declares its tail's stages ([`SwarmAlgorithm::stages`]: name, deps,
 //! fusion role), builds each stage's launch descriptors from the functions
 //! its kernels launch ([`SwarmAlgorithm::launches`]), executes the stages
-//! ([`SwarmAlgorithm::execute`]), and names its strategy ladders, its
-//! persistent region and any extra per-particle state. The plan builder,
+//! ([`SwarmAlgorithm::execute`]), and names its strategy ladders and any
+//! extra per-particle state. The plan builder,
 //! the `PlanRun` executor, the serving layer and the cost predictor all
 //! work from those declarations and never branch on "is this PSO".
 //!
@@ -235,10 +235,6 @@ pub trait SwarmAlgorithm: Sync {
         None
     }
 
-    /// Name of the persistent-kernel region [`crate::plan`]'s executor
-    /// opens when a plan of this algorithm is lowered persistent.
-    fn persistent_region(&self) -> &'static str;
-
     /// Allocate and initialise the optional extra per-particle state of a
     /// freshly initialised shard (`Shard::extra` — GFWA's explosion
     /// amplitudes). Must be idempotent: the executor retries it in place.
@@ -387,8 +383,8 @@ impl SwarmAlgorithm for Pso {
         }
     }
 
-    /// The next *cheaper* (fewer modeled device-seconds) strategy rung
-    /// below `s`, or `None` when `s` is already the cheapest.
+    /// The next strategy rung below `s` on the admission downgrade ladder,
+    /// or `None` when `s` is the last rung.
     ///
     /// This is the admission controller's downgrade ladder — the knob
     /// `fastpso::serve` turns when a job's requested strategy cannot meet
@@ -397,8 +393,12 @@ impl SwarmAlgorithm for Pso {
     /// most *conservative* rung after faults:
     ///
     /// * `ForLoop → GlobalMem → SharedMem → LowComplexity` — each step
-    ///   strictly reduces modeled cost (fewer latency-bound threads, then
-    ///   staged broadcast traffic, then `d`-fold fewer RNG draws).
+    ///   removes a cost source (latency-bound threads, then broadcast
+    ///   DRAM reads, then `d`-fold RNG draws), but a step is not always
+    ///   cheaper: at 5000×100 SharedMem's staging prices and executes above
+    ///   GlobalMem (the predictor's `strategy_ordering_matches_the_modeled_kernels`
+    ///   test pins that). Admission prices every rung it reaches, so its
+    ///   fit check simply moves past a rung that is not cheaper.
     /// * [`UpdateStrategy::TensorCore`] is never *entered* by a downgrade:
     ///   its f16 rounding is an opt-in numeric contract. A job that
     ///   requested it steps straight to the reduced-work rung.
@@ -429,10 +429,6 @@ impl SwarmAlgorithm for Pso {
             // into. Faults that exhaust its retries fail the run instead.
             UpdateStrategy::LowComplexity => None,
         }
-    }
-
-    fn persistent_region(&self) -> &'static str {
-        "persistent_pso"
     }
 
     fn execute(&self, stage: Stage, cx: UpdateCtx<'_>) -> Result<(), PsoError> {
@@ -495,10 +491,6 @@ impl SwarmAlgorithm for Sso {
         }
     }
 
-    fn persistent_region(&self) -> &'static str {
-        "persistent_sso"
-    }
-
     fn execute(&self, stage: Stage, cx: UpdateCtx<'_>) -> Result<(), PsoError> {
         if stage.index != Self::UPDATE {
             return Err(not_emitted(Algorithm::Sso, stage));
@@ -557,10 +549,6 @@ impl SwarmAlgorithm for Gfwa {
             Self::SELECTION => vec![selection_desc(gpu, rows, d)],
             _ => Vec::new(),
         }
-    }
-
-    fn persistent_region(&self) -> &'static str {
-        "persistent_gfwa"
     }
 
     /// The per-firework explosion amplitudes, allocated (and later
@@ -796,18 +784,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn persistent_regions_are_distinct_per_algorithm() {
-        let names: std::collections::HashSet<_> = Algorithm::ALL
-            .iter()
-            .map(|&a| algorithm_impl(a).persistent_region())
-            .collect();
-        assert_eq!(names.len(), Algorithm::ALL.len());
-        assert_eq!(
-            algorithm_impl(Algorithm::Pso).persistent_region(),
-            "persistent_pso"
-        );
     }
 }

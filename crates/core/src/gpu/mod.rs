@@ -7,11 +7,11 @@ use crate::algo::Algorithm;
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecTarget, ExecutionPlan, PlanRun};
+use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
-use gpu_sim::{AllocMode, Device};
+use gpu_sim::{AllocMode, Device, DeviceGroup};
 
 pub use kernels::UpdateStrategy;
 
@@ -121,14 +121,16 @@ impl GpuBackend {
         self
     }
 
-    /// Enable persistent-kernel execution: the per-iteration launch graph is
-    /// lowered into one device-resident kernel whose body loops over
-    /// iterations, replacing per-pass launch overheads with grid-wide sync
-    /// points. Trajectories are bitwise-identical; only launch accounting and
-    /// modeled time change. Silently falls back to per-launch execution when
-    /// the swarm does not fit co-resident on the device
-    /// (`n_particles × dim > max_resident_threads`) or when stream overlap is
-    /// enabled (overlap is a host-side launch model).
+    /// Enable persistent-kernel execution: after init, the whole run is
+    /// dispatched as one slice inside a single device-resident region, so
+    /// it costs one host launch and each synchronisation is a grid-wide
+    /// barrier instead of a host round-trip. The plan is the same either
+    /// way; residency only changes how it is dispatched. Trajectories are
+    /// bitwise-identical; only launch accounting and modeled time change.
+    /// Silently falls back to per-launch execution when the swarm does not
+    /// fit co-resident on the device (`n_particles × dim >
+    /// max_resident_threads`) or when stream overlap is enabled (overlap
+    /// is a host-side launch model).
     pub fn persistent(mut self, on: bool) -> Self {
         self.persistent = on;
         self
@@ -164,16 +166,16 @@ impl GpuBackend {
         if self.streams {
             plan.assign_streams();
         }
-        if self.persistent && self.swarm_fits(cfg) {
-            plan.lower_persistent();
-        }
         plan
     }
 
-    /// Whether the whole swarm can be co-resident on the device — the
-    /// occupancy requirement for a persistent grid (see `DESIGN.md` §12).
-    fn swarm_fits(&self, cfg: &PsoConfig) -> bool {
-        (cfg.n_particles * cfg.dim) as u64 <= self.device.profile().max_resident_threads()
+    /// Whether a run of `cfg` is dispatched inside one persistent region:
+    /// persistence on, no stream lanes, and the whole swarm co-resident on
+    /// the device (see `DESIGN.md` §12).
+    fn resident(&self, cfg: &PsoConfig) -> bool {
+        let fits =
+            (cfg.n_particles * cfg.dim) as u64 <= self.device.profile().max_resident_threads();
+        self.persistent && !self.streams && fits
     }
 }
 
@@ -204,9 +206,9 @@ impl PsoBackend for GpuBackend {
             obj,
             strategy: self.strategy,
             resilience: self.resilience.as_ref(),
-            target: ExecTarget::Single(&self.device),
+            group: &DeviceGroup::from_devices(vec![self.device.clone()]),
         }
-        .execute()
+        .execute(self.resident(cfg))
     }
 }
 
@@ -329,7 +331,6 @@ mod tests {
         let split_counters = split_backend.profile().total_counters();
 
         let persist_backend = GpuBackend::new().persistent(true);
-        assert!(persist_backend.plan(&c).persistent);
         let persist = persist_backend.run(&c, &Sphere).unwrap();
         let pc = persist_backend.profile().total_counters();
 
@@ -360,26 +361,34 @@ mod tests {
 
     #[test]
     fn persistent_falls_back_when_ineligible() {
-        // 2048 × 128 threads exceed the V100's resident capacity.
+        // Kernel launches of one run and whether it matches `reference`.
+        let launches = |b: GpuBackend, c: &PsoConfig, reference: &RunResult| {
+            let r = b.run(c, &Sphere).unwrap();
+            assert_eq!(r.best_position, reference.best_position);
+            b.profile().total_counters().kernel_launches
+        };
+        // 2048 × 128 threads exceed the V100's resident capacity, and
+        // stream overlap is a host-side launch model: both run launch by
+        // launch, as if persistence were off.
         let big = cfg(2048, 128, 5);
-        assert!(!GpuBackend::new().persistent(true).plan(&big).persistent);
-        // Stream overlap is a host-side launch model; persistent loses.
         let small = cfg(48, 6, 5);
-        assert!(
-            !GpuBackend::new()
-                .persistent(true)
-                .streams(true)
-                .plan(&small)
-                .persistent
-        );
-        // Fusion composes with persistent lowering.
-        assert!(
-            GpuBackend::new()
-                .persistent(true)
-                .fused(true)
-                .plan(&small)
-                .persistent
-        );
+        for (on, off, c) in [
+            (GpuBackend::new().persistent(true), GpuBackend::new(), &big),
+            (
+                GpuBackend::new().persistent(true).streams(true),
+                GpuBackend::new().streams(true),
+                &small,
+            ),
+        ] {
+            let reference = off.run(c, &Sphere).unwrap();
+            let per_launch = off.profile().total_counters().kernel_launches;
+            assert!(per_launch > 2);
+            assert_eq!(launches(on, c, &reference), per_launch);
+        }
+        // Fusion composes with residency: init plus one region.
+        let fused = GpuBackend::new().fused(true);
+        let reference = fused.run(&small, &Sphere).unwrap();
+        assert_eq!(launches(fused.persistent(true), &small, &reference), 2);
     }
 
     #[test]

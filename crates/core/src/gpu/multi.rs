@@ -23,7 +23,7 @@
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{check_shardable, BestReduce, ExecTarget, ExecutionPlan, PlanRun};
+use crate::plan::{check_shardable, BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
@@ -164,9 +164,9 @@ impl PsoBackend for MultiGpuBackend {
             obj,
             strategy: self.update,
             resilience: self.resilience.as_ref(),
-            target: ExecTarget::Group(&self.group),
+            group: &self.group,
         }
-        .execute()
+        .execute(false)
     }
 }
 

@@ -23,6 +23,16 @@
 //! — the mechanism [`crate::serve`] uses to time-slice and preempt jobs
 //! without perturbing their trajectories.
 //!
+//! Every run targets a [`DeviceGroup`] (a single-GPU run is a group of
+//! one), and every execution state advances through one loop,
+//! `PlanRun::step_slice`. Residency is a dispatch decision, not a plan
+//! rewrite: the plan describes one iteration's schedule, and a slice runs
+//! either launch by launch or inside one device-resident region opened by
+//! the crate-private `run_resident`, the one place a persistent region
+//! opens and closes. Its two callers are a persistent single-GPU run
+//! ([`crate::GpuBackend::persistent`], the whole run as one slice) and the
+//! serving layer's micro-batch (its members, one slice at a time).
+//!
 //! Rows are split across shards in one place: the crate-private
 //! `partition(n, k)` gives shard `i` a contiguous block, with the
 //! remainder spread over the leading shards. `PlanRun::init_state` applies
@@ -119,13 +129,6 @@ pub enum PlanOp {
     /// End-of-iteration device synchronisation; with streams enabled this
     /// is also the join point where lanes merge back into the timeline.
     DeviceSync,
-    /// A device-resident iteration loop: the single node a
-    /// [`ExecutionPlan::lower_persistent`] rewrite leaves at top level.
-    /// The collapsed per-iteration graph moves to [`ExecutionPlan::body`]
-    /// and runs inside one persistent-kernel region per dispatch slice —
-    /// one host launch, grid-wide syncs between ops, no per-kernel launch
-    /// overhead.
-    PersistentKernel,
     /// One stage of the plan's algorithm's update tail: its name, deps,
     /// fusion role and launches come from the algorithm
     /// ([`crate::SwarmAlgorithm`]), which also executes it.
@@ -167,7 +170,6 @@ impl std::fmt::Display for PlanOp {
             PlanOp::ReduceAdopt => write!(f, "reduce_adopt"),
             PlanOp::RingLbest { k } => write!(f, "ring_lbest:{k}"),
             PlanOp::DeviceSync => write!(f, "device_sync"),
-            PlanOp::PersistentKernel => write!(f, "persistent_kernel"),
             PlanOp::Stage(stage) => write!(f, "{stage}"),
             PlanOp::Migrate { migration, .. } => {
                 write!(f, "migrate:{}:{}", migration.kind, migration.elites)
@@ -246,13 +248,6 @@ pub struct ExecutionPlan {
     /// Whether the stream pass ran (nodes carry lane assignments and the
     /// executor opens stream windows).
     pub streams_enabled: bool,
-    /// Whether [`ExecutionPlan::lower_persistent`] collapsed the plan into
-    /// a single device-resident [`PlanOp::PersistentKernel`] node.
-    pub persistent: bool,
-    /// The collapsed per-iteration graph of a persistent plan (empty
-    /// otherwise): what the executor walks inside the region, in the same
-    /// order the unlowered plan executed.
-    pub body: Vec<PlanNode>,
 }
 
 /// Append a node on the default stream and return its index.
@@ -361,8 +356,6 @@ impl ExecutionPlan {
             reduce,
             prefix_len,
             streams_enabled: false,
-            persistent: false,
-            body: Vec::new(),
         }
     }
 
@@ -450,54 +443,17 @@ impl ExecutionPlan {
         }
     }
 
-    /// Rewrite pass: collapse the whole per-iteration graph into a single
-    /// device-resident [`PlanOp::PersistentKernel`] node carrying the
-    /// iteration loop. The original nodes move to [`ExecutionPlan::body`]
-    /// in unchanged order; the executor then runs each dispatch slice
-    /// inside one persistent region (`gpu_sim::Device::begin_persistent`),
-    /// so a slice costs one host launch plus the per-iteration
-    /// compute/memory, with grid-wide syncs instead of host round-trips.
-    ///
-    /// Only single-shard, stream-free plans lower (returns `false`
-    /// otherwise): a grid-wide barrier cannot span devices, and the stream
-    /// pass's overlap model already re-times launches host-side. Kernel
-    /// fusion composes fine — run [`ExecutionPlan::fuse_swarm_update`]
-    /// first. Idempotent: lowering an already-persistent plan returns
-    /// `true` without rewriting.
-    pub fn lower_persistent(&mut self) -> bool {
-        if self.persistent {
-            return true;
-        }
-        if self.n_shards != 1 || self.streams_enabled {
-            return false;
-        }
-        self.body = std::mem::take(&mut self.nodes);
-        self.nodes = vec![PlanNode {
-            op: PlanOp::PersistentKernel,
-            shard: 0,
-            phase: Phase::SwarmUpdate,
-            deps: Vec::new(),
-            stream: 0,
-            wait: Vec::new(),
-        }];
-        self.persistent = true;
-        true
-    }
-
-    /// The nodes the executor walks once per iteration: the collapsed
-    /// [`ExecutionPlan::body`] for a persistent plan, the top-level list
-    /// otherwise.
+    /// The nodes the executor walks once per iteration, in order. Every
+    /// dispatch mode walks the same list: whether a slice runs launch by
+    /// launch or inside a device-resident region is decided where it is
+    /// dispatched, not in the plan.
     pub fn iteration_nodes(&self) -> &[PlanNode] {
-        if self.persistent {
-            &self.body
-        } else {
-            &self.nodes
-        }
+        &self.nodes
     }
 
     /// Whether the fusion pass rewrote this plan (any fused node present).
     pub fn is_fused(&self) -> bool {
-        self.iteration_nodes()
+        self.nodes
             .iter()
             .any(|n| matches!(n.op, PlanOp::Stage(s) if s.spec().fuses.is_some()))
     }
@@ -509,7 +465,7 @@ impl ExecutionPlan {
     /// runs.
     pub fn tail_launches(&self, shard: usize, shape: &TailShape<'_>) -> Vec<(u32, KernelDesc)> {
         let mut out = Vec::new();
-        for node in &self.iteration_nodes()[self.prefix_len..] {
+        for node in &self.nodes[self.prefix_len..] {
             if let (PlanOp::Stage(stage), true) = (node.op, node.shard == shard) {
                 let launches = algorithm_impl(stage.algorithm()).launches(stage, shape);
                 out.extend(launches.into_iter().map(|d| (node.stream, d)));
@@ -521,9 +477,8 @@ impl ExecutionPlan {
     /// Which nodes some later node waits on (their events must be
     /// recorded when streams are enabled).
     fn event_sources(&self) -> Vec<bool> {
-        let nodes = self.iteration_nodes();
-        let mut out = vec![false; nodes.len()];
-        for node in nodes {
+        let mut out = vec![false; self.nodes.len()];
+        for node in &self.nodes {
             for &w in &node.wait {
                 out[w] = true;
             }
@@ -570,13 +525,6 @@ pub(crate) fn check_shardable(cfg: &PsoConfig, n_devices: usize) -> Result<(), S
     Ok(())
 }
 
-/// What the executor runs against: one device or a group.
-#[derive(Clone, Copy)]
-pub(crate) enum ExecTarget<'a> {
-    Single(&'a Device),
-    Group(&'a DeviceGroup),
-}
-
 /// A bound plan execution: the plan plus everything one run needs. Both GPU
 /// backends build one of these in `run` and call [`PlanRun::execute`].
 pub(crate) struct PlanRun<'a> {
@@ -585,7 +533,9 @@ pub(crate) struct PlanRun<'a> {
     pub obj: &'a dyn Objective,
     pub strategy: UpdateStrategy,
     pub resilience: Option<&'a ResilienceConfig>,
-    pub target: ExecTarget<'a>,
+    /// The devices shards home on: a group of one for a single-GPU run or
+    /// a solo serve lease, the leased or owned devices of a sharded one.
+    pub group: &'a DeviceGroup,
 }
 
 /// Mutable optimizer state threaded through iterations.
@@ -617,19 +567,7 @@ impl<'a> PlanRun<'a> {
     }
 
     fn device(&self, home: usize) -> Result<&'a Device, PsoError> {
-        match self.target {
-            ExecTarget::Single(dev) => Ok(dev),
-            ExecTarget::Group(g) => Ok(g.device(home)?),
-        }
-    }
-
-    fn group(&self) -> Result<&'a DeviceGroup, PsoError> {
-        match self.target {
-            ExecTarget::Group(g) => Ok(g),
-            ExecTarget::Single(_) => Err(PsoError::InvalidPlan(
-                "an exchange reduction needs a device group, not a single device".into(),
-            )),
-        }
+        Ok(self.group.device(home)?)
     }
 
     /// Stream hook at node entry: bind the node's lane and wait on its
@@ -728,7 +666,6 @@ impl<'a> PlanRun<'a> {
                         // The argmin already adopted; nothing is launched.
                         BestReduce::Local => improved = shards[0].gbest_err < gbest_before,
                         BestReduce::Exchange { sync_every } => {
-                            let group = self.group()?;
                             let Some(locals) = locals.iter().copied().collect::<Option<Vec<_>>>()
                             else {
                                 return Err(PsoError::InvalidPlan(
@@ -740,7 +677,7 @@ impl<'a> PlanRun<'a> {
                                 // Every device publishes its local best
                                 // (value + position row); the winner is
                                 // broadcast and adopted where it improves.
-                                group.exchange(Phase::GBest, (d as u64 + 1) * 4);
+                                self.group.exchange(Phase::GBest, (d as u64 + 1) * 4);
                                 let (mut win_dev, mut win) = (0usize, locals[0]);
                                 for (i, &r) in locals.iter().enumerate().skip(1) {
                                     if r.value < win.value
@@ -872,9 +809,9 @@ impl<'a> PlanRun<'a> {
                     )?;
                     self.record(dev, idx, &needs_event, &mut events);
                 }
-                // Another engine's stage, or a region node inside an
-                // iteration: nothing the plan's algorithm emits there.
-                op @ (PlanOp::Stage(_) | PlanOp::PersistentKernel) => {
+                // Another engine's stage: nothing the plan's algorithm
+                // emits.
+                op @ PlanOp::Stage(_) => {
                     return Err(not_emitted(plan.algorithm, op));
                 }
             }
@@ -994,22 +931,17 @@ impl<'a> PlanRun<'a> {
                 let Some(res) = self.resilience else {
                     return Err(e);
                 };
-                let lost = e.lost_device();
-                let recoverable = match self.target {
-                    ExecTarget::Single(_) => e.is_transient(),
-                    ExecTarget::Group(_) => lost.is_some() || e.is_transient(),
-                } && ex.restores < res.max_restores;
+                // A lost device is survivable while the group has another.
+                let lost = e.lost_device().is_some();
+                let recoverable = (e.is_transient() || lost && !self.group.survivors().is_empty())
+                    && ex.restores < res.max_restores;
                 if !recoverable {
                     return Err(e);
                 }
                 ex.restores += 1;
-                if let ExecTarget::Group(g) = self.target {
-                    if lost.is_some() {
-                        if g.survivors().is_empty() {
-                            return Err(e);
-                        }
-                        rehome_lost_shards(g, &mut ex.st.homes, &mut ex.st.shards, &res.retry)?;
-                    }
+                if lost {
+                    let st = &mut ex.st;
+                    rehome_lost_shards(self.group, &mut st.homes, &mut st.shards, &res.retry)?;
                 }
                 // In-place retries exhausted: roll the optimizer back to
                 // the last checkpoint and replay. Replayed iterations
@@ -1044,70 +976,27 @@ impl<'a> PlanRun<'a> {
     /// fails before reaching them would leave a window open, and the
     /// device's next charge — a retry, a checkpoint restore, another job's
     /// kernel — would queue on a stale lane frontier in the past. Called
-    /// after every iteration, the way [`PlanRun::step_slice`] closes
-    /// persistent regions; a no-op on devices with no open window.
+    /// after every iteration, the way [`run_resident`] closes its region; a
+    /// no-op on devices with no open window.
     fn join_streams(&self) {
-        if !self.plan.streams_enabled {
-            return;
-        }
-        match self.target {
-            ExecTarget::Single(dev) => {
+        if self.plan.streams_enabled {
+            for dev in self.group.iter() {
                 dev.join_streams();
             }
-            ExecTarget::Group(g) => {
-                for dev in g.iter() {
-                    dev.join_streams();
-                }
-            }
         }
     }
 
-    /// Resident thread count of a persistent region over this run's swarm:
-    /// the widest per-iteration kernel is one thread per element.
-    fn region_threads(&self) -> u64 {
-        (self.cfg.n_particles * self.cfg.dim) as u64
-    }
-
-    /// Step up to `iters` iterations as one dispatch slice. For a
-    /// persistent plan the whole slice runs inside one device-resident
-    /// region: a single host launch, inner kernels charged without launch
-    /// overhead, grid-wide syncs between iterations — the region is opened
-    /// and closed here, on every path, so a failed slice never leaks it.
-    /// For a per-launch plan this is just [`PlanRun::step_state`] in a
-    /// loop. Returns `true` once the run has reached a stopping condition.
+    /// Step up to `iters` iterations as one dispatch slice: the one
+    /// stepping loop every execution advances through, launch by launch or
+    /// inside a [`run_resident`] region its caller opened. Returns `true` once
+    /// the run has reached a stopping condition.
     pub(crate) fn step_slice(&self, ex: &mut ExecState, iters: usize) -> Result<bool, PsoError> {
-        if !self.plan.persistent {
-            for _ in 0..iters {
-                if self.step_state(ex)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        if ex.done {
-            return Ok(true);
-        }
-        let dev = self.device(ex.st.homes[0])?;
-        let region = algorithm_impl(self.plan.algorithm).persistent_region();
-        if let Err(e) = dev.begin_persistent(region, Phase::SwarmUpdate, self.region_threads()) {
-            return Err(e.into());
-        }
-        let mut out = Ok(false);
         for _ in 0..iters {
-            match self.step_state(ex) {
-                Ok(true) => {
-                    out = Ok(true);
-                    break;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    out = Err(e);
-                    break;
-                }
+            if self.step_state(ex)? {
+                return Ok(true);
             }
         }
-        dev.end_persistent();
-        out
+        Ok(false)
     }
 
     /// Assemble the [`RunResult`] from a finished (or abandoned) execution
@@ -1115,8 +1004,8 @@ impl<'a> PlanRun<'a> {
     /// device→host transfer.
     pub(crate) fn finish_state(&self, ex: ExecState) -> RunResult {
         let cfg = self.cfg;
-        match self.target {
-            ExecTarget::Single(dev) => {
+        match self.plan.reduce {
+            BestReduce::Local => {
                 // Bring the result back to the host (the only mandatory
                 // transfer).
                 let shard = &ex.st.shards[0];
@@ -1126,27 +1015,27 @@ impl<'a> PlanRun<'a> {
                     best_position,
                     iterations: ex.iterations_run,
                     evaluations: (cfg.n_particles * ex.iterations_run) as u64,
-                    timeline: dev.timeline(),
+                    timeline: shard.gbest_pos.device().timeline(),
                     history: ex.history,
                     migrations: ex.st.migrations,
                 }
             }
-            ExecTarget::Group(g) => RunResult {
+            BestReduce::Exchange { .. } => RunResult {
                 best_value: ex.st.global_best_err as f64,
                 best_position: ex.st.global_best_pos,
                 iterations: ex.iterations_run,
                 evaluations: (cfg.n_particles * ex.iterations_run) as u64,
-                timeline: scaled_group_timeline(g),
+                timeline: scaled_group_timeline(self.group),
                 history: ex.history,
                 migrations: ex.st.migrations,
             },
         }
     }
 
-    /// Rehydrate a [`SuspendedJob`] onto this run's target: reallocate one
+    /// Rehydrate a [`SuspendedJob`] onto this run's group: reallocate one
     /// shard per checkpoint (host→device uploads charged to
     /// [`Phase::Recovery`]) and restore the optimizer state exactly. The
-    /// target may differ from the one the job was suspended on — the
+    /// group may differ from the one the job was suspended on — the
     /// checkpoints pin shard geometry, not device identity — and may even
     /// span *fewer* devices than there are shards (a fleet that lost a
     /// device re-homes a group job onto the survivors): shards are then
@@ -1154,10 +1043,7 @@ impl<'a> PlanRun<'a> {
     /// unaffected either way — the reduction is over shards, not devices.
     pub(crate) fn resume(&self, s: SuspendedJob) -> Result<ExecState, PsoError> {
         let policy = self.resilience.map(|r| r.retry).unwrap_or_default();
-        let n_dev = match self.target {
-            ExecTarget::Single(_) => 1,
-            ExecTarget::Group(g) => g.len().max(1),
-        };
+        let n_dev = self.group.len().max(1);
         let homes: Vec<usize> = (0..s.shards.len()).map(|i| i % n_dev).collect();
         let mut shards = Vec::with_capacity(s.shards.len());
         for (i, snap) in s.shards.iter().enumerate() {
@@ -1201,24 +1087,53 @@ impl<'a> PlanRun<'a> {
     /// from the latest checkpoint and replays on unrecovered transient
     /// failures, re-homing shards off permanently lost devices first.
     ///
-    /// This is [`PlanRun::init_state`] + [`PlanRun::step_state`] driven in a
-    /// tight loop; the serving layer (`fastpso::serve`) drives the same
-    /// three-phase API one iteration at a time to interleave many jobs.
-    pub fn execute(self) -> Result<RunResult, PsoError> {
-        match self.target {
-            ExecTarget::Single(dev) => dev.reset_timeline(),
-            ExecTarget::Group(g) => g.reset_timelines(),
-        }
+    /// This is [`PlanRun::init_state`] + one [`PlanRun::step_slice`] that
+    /// runs to the end; the serving layer (`fastpso::serve`) drives the same
+    /// three-phase API a slice at a time to interleave many jobs. When
+    /// `resident`, that one slice runs inside a single [`run_resident`] region
+    /// on the group's device, so the run costs one host launch after its
+    /// init.
+    pub fn execute(self, resident: bool) -> Result<RunResult, PsoError> {
+        self.group.reset_timelines();
         let mut ex = self.init_state()?;
-        if self.plan.persistent {
-            // One region spans the whole run: a solo persistent job costs
-            // a single kernel launch end to end.
-            while !self.step_slice(&mut ex, usize::MAX)? {}
+        if resident {
+            let threads = (self.cfg.n_particles * self.cfg.dim) as u64;
+            run_resident(self.group, "persistent_run", threads, || {
+                self.step_slice(&mut ex, usize::MAX)
+            })??;
         } else {
-            while !self.step_state(&mut ex)? {}
+            self.step_slice(&mut ex, usize::MAX)?;
         }
         Ok(self.finish_state(ex))
     }
+}
+
+/// Run `slice` inside one device-resident region: the one place a
+/// persistent region opens and closes. The region lives on `group`'s first
+/// device, which must hold every execution state the slice steps, and its
+/// grid keeps `threads` threads co-resident: one per element of each
+/// state's swarm, since the widest per-iteration kernel is one thread per
+/// element. Opening it is one host launch; inside it every kernel is a
+/// device-resident pass with no launch overhead of its own, and each
+/// synchronisation is a grid-wide barrier. The co-residency rule is the
+/// device's: more than its `max_resident_threads` fails to open, so
+/// callers fall back or bound their batches by that cap first. The region
+/// closes on every path `slice` returns by, errors included, so a failed
+/// slice never leaves it open. Two dispatchers call this: a persistent
+/// single-GPU run ([`PlanRun::execute`]), with one state for the whole
+/// run, and the serving layer's micro-batch, with its members for one
+/// slice.
+pub(crate) fn run_resident<T>(
+    group: &DeviceGroup,
+    name: &'static str,
+    threads: u64,
+    slice: impl FnOnce() -> T,
+) -> Result<T, PsoError> {
+    let dev = group.device(0)?;
+    dev.begin_persistent(name, Phase::SwarmUpdate, threads)?;
+    let out = slice();
+    dev.end_persistent();
+    Ok(out)
 }
 
 /// The owned, resumable state of one plan execution: shards, bound
@@ -1421,9 +1336,9 @@ mod tests {
         plan.nodes.iter().map(|n| (n.op, n.shard)).collect()
     }
 
-    /// Initialise `plan` on `target` and step one iteration, without
+    /// Initialise `plan` on `group` and step one iteration, without
     /// resilience.
-    fn step_once(plan: &ExecutionPlan, target: ExecTarget<'_>) -> Result<bool, PsoError> {
+    fn step_once(plan: &ExecutionPlan, group: &DeviceGroup) -> Result<bool, PsoError> {
         let c = cfg();
         let run = PlanRun {
             plan,
@@ -1431,7 +1346,7 @@ mod tests {
             obj: &Sphere,
             strategy: UpdateStrategy::GlobalMem,
             resilience: None,
-            target,
+            group,
         };
         let mut ex = run.init_state()?;
         run.step_state(&mut ex)
@@ -1446,13 +1361,6 @@ mod tests {
     }
 
     #[test]
-    fn an_exchange_reduction_on_one_device_is_an_invalid_plan() {
-        let plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Exchange { sync_every: 1 });
-        let msg = invalid_plan(step_once(&plan, ExecTarget::Single(&Device::v100())));
-        assert!(msg.contains("device group"), "{msg}");
-    }
-
-    #[test]
     fn a_reduce_before_its_argmins_is_an_invalid_plan() {
         // Exchanging (sync_every 1) and adopting locally between exchanges
         // (sync_every 2, iteration 0) both need every shard's argmin.
@@ -1462,7 +1370,7 @@ mod tests {
                 plan.nodes
                     .retain(|n| !(n.op == PlanOp::Argmin && missing.contains(&n.shard)));
                 let group = DeviceGroup::v100s(2);
-                let msg = invalid_plan(step_once(&plan, ExecTarget::Group(&group)));
+                let msg = invalid_plan(step_once(&plan, &group));
                 assert!(msg.contains("argmin"), "{msg}");
             }
         }
@@ -1470,23 +1378,29 @@ mod tests {
 
     #[test]
     fn an_op_the_algorithm_does_not_emit_is_an_invalid_plan_that_launches_nothing() {
-        for foreign in [gfwa("explosion"), PlanOp::PersistentKernel] {
-            let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
-            let at = plan
-                .nodes
-                .iter()
-                .position(|n| n.op == pso("velocity"))
-                .unwrap();
-            plan.nodes[at].op = foreign;
-            let dev = Device::v100();
-            let msg = invalid_plan(step_once(&plan, ExecTarget::Single(&dev)));
-            assert_eq!(
-                msg,
-                format!("pso cannot execute plan op {foreign}: it does not emit it")
-            );
-            let last = dev.profiler().kernels.last().unwrap().name;
-            assert_eq!(last, "gen_g_weights", "{foreign} must launch nothing");
-        }
+        let foreign = gfwa("explosion");
+        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
+        let at = plan
+            .nodes
+            .iter()
+            .position(|n| n.op == pso("velocity"))
+            .unwrap();
+        plan.nodes[at].op = foreign;
+        let group = DeviceGroup::v100s(1);
+        let msg = invalid_plan(step_once(&plan, &group));
+        assert_eq!(
+            msg,
+            format!("pso cannot execute plan op {foreign}: it does not emit it")
+        );
+        let last = group
+            .device(0)
+            .unwrap()
+            .profiler()
+            .kernels
+            .last()
+            .unwrap()
+            .name;
+        assert_eq!(last, "gen_g_weights", "{foreign} must launch nothing");
     }
 
     #[test]
@@ -1502,7 +1416,7 @@ mod tests {
             let reduce = BestReduce::Exchange { sync_every: 1 };
             let plan = ExecutionPlan::build_for(Algorithm::Pso, topology, 2, reduce);
             let group = DeviceGroup::v100s(2);
-            let msg = invalid_plan(step_once(&plan, ExecTarget::Group(&group)));
+            let msg = invalid_plan(step_once(&plan, &group));
             assert_eq!(msg, format!("plan op {op} needs a one-shard plan"));
         }
     }
@@ -1511,14 +1425,15 @@ mod tests {
     fn a_resilient_step_of_a_state_without_a_checkpoint_is_an_invalid_plan() {
         let c = cfg();
         let plan = ExecutionPlan::build(&c, 1, BestReduce::Local);
-        let dev = Device::v100();
+        let group = DeviceGroup::v100s(1);
+        let dev = group.device(0).unwrap();
         let run = |resilience| PlanRun {
             plan: &plan,
             cfg: &c,
             obj: &Sphere,
             strategy: UpdateStrategy::GlobalMem,
             resilience,
-            target: ExecTarget::Single(&dev),
+            group: &group,
         };
         // Initialised without resilience, so no replay checkpoint exists.
         let mut ex = run(None).init_state().unwrap();
@@ -1651,47 +1566,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_persistent_collapses_single_shard_plans_only() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
-        let body_before = ops(&plan);
-        assert!(plan.lower_persistent());
-        assert!(plan.persistent);
-        assert_eq!(plan.nodes.len(), 1);
-        assert_eq!(plan.nodes[0].op, PlanOp::PersistentKernel);
-        // The body keeps the legacy execution order exactly.
-        assert_eq!(
-            plan.body
-                .iter()
-                .map(|n| (n.op, n.shard))
-                .collect::<Vec<_>>(),
-            body_before
-        );
-        assert_eq!(plan.iteration_nodes().len(), body_before.len());
-        // Idempotent.
-        assert!(plan.lower_persistent());
-        assert_eq!(plan.nodes.len(), 1);
-
-        // Multi-shard plans refuse: a grid barrier cannot span devices.
-        let mut multi = ExecutionPlan::build(&cfg(), 2, BestReduce::Exchange { sync_every: 1 });
-        assert!(!multi.lower_persistent());
-        assert!(!multi.persistent);
-
-        // Streamed plans refuse: overlap is a host-side launch model.
-        let mut streamed = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
-        streamed.assign_streams();
-        assert!(!streamed.lower_persistent());
-    }
-
-    #[test]
-    fn lower_persistent_composes_with_fusion() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
-        assert!(plan.fuse_swarm_update(UpdateStrategy::GlobalMem));
-        assert!(plan.lower_persistent());
-        assert!(plan.is_fused(), "fusion state is read through the body");
-        assert!(plan.body.iter().any(|n| n.op == pso("fused_swarm_update")));
-    }
-
-    #[test]
     fn plan_op_display_names_are_distinct() {
         let mut ops = vec![
             PlanOp::Eval,
@@ -1700,7 +1574,6 @@ mod tests {
             PlanOp::ReduceAdopt,
             PlanOp::RingLbest { k: 3 },
             PlanOp::DeviceSync,
-            PlanOp::PersistentKernel,
             PlanOp::Migrate {
                 islands: 4,
                 migration: RING_MIGRATION,
@@ -1749,13 +1622,6 @@ mod tests {
                 "{algo}: update tail must wait on the island barrier"
             );
         }
-        // Persistent lowering stays algorithm-agnostic with islands present.
-        let mut plan = ExecutionPlan::build_for(Algorithm::Pso, c.topology, 1, BestReduce::Local);
-        assert!(plan.lower_persistent());
-        assert!(plan
-            .body
-            .iter()
-            .any(|n| matches!(n.op, PlanOp::Migrate { .. })));
     }
 
     #[test]
@@ -1784,7 +1650,7 @@ mod tests {
     }
 
     #[test]
-    fn gfwa_plan_carries_the_three_stage_tail_and_lowers_persistent() {
+    fn gfwa_plan_carries_the_three_stage_tail() {
         let mut plan =
             ExecutionPlan::build_for(Algorithm::Gfwa, cfg().topology, 1, BestReduce::Local);
         assert_eq!(
@@ -1801,11 +1667,6 @@ mod tests {
             ]
         );
         assert!(!plan.fuse_swarm_update(UpdateStrategy::GlobalMem));
-        // Persistent lowering is algorithm-agnostic: the generic pass
-        // collapses the tail like any other single-shard plan.
-        assert!(plan.lower_persistent());
-        assert_eq!(plan.nodes[0].op, PlanOp::PersistentKernel);
-        assert_eq!(plan.body.len(), 8);
         assert_eq!(plan.algorithm, Algorithm::Gfwa);
     }
 

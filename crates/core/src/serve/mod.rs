@@ -37,9 +37,11 @@
 //!   decision; every completion feeds the predictor one calibration
 //!   observation);
 //! * **cross-job micro-batching** — with [`ServeConfig::batching`] set,
-//!   admission gathers compatible small jobs (same [`BatchPolicy`]-bounded
-//!   [`CompatKey`]: update strategy × dimension class) under **one** device
-//!   lease, and every tick advances the batch inside a single persistent
+//!   admission gathers compatible small jobs (same [`CompatKey`]: algorithm
+//!   × update strategy × dimension class × topology; within the
+//!   [`BatchPolicy`] bounds and the device's resident-thread capacity)
+//!   under **one** device lease, and every tick advances the batch inside
+//!   a single persistent
 //!   device region: one host launch per batch-slice over the concatenated
 //!   Σ(n·d) state segments, instead of one launch per kernel per job.
 //!   Per-job results are bit-identical to solo runs (each member keeps its

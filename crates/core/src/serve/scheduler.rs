@@ -10,7 +10,7 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
 use crate::plan::{
-    check_shardable, BestReduce, ExecState, ExecTarget, ExecutionPlan, PlanRun, SuspendedJob,
+    check_shardable, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
 };
 use crate::predictor::{CostPredictor, JobShape};
 use crate::result::RunResult;
@@ -70,10 +70,11 @@ pub struct ServeConfig {
     pub admission_headroom: f64,
     /// Cross-job micro-batching policy. When set, each admission gathers
     /// compatible small queued jobs (same [`CompatKey`]: algorithm ×
-    /// strategy × dim-class; single-shard; global topology; within the policy's
-    /// element bound) under **one** device lease, and every tick advances
-    /// the batch inside a single persistent device region — one host
-    /// launch per batch-slice instead of one per kernel per job. Per-job
+    /// strategy × dim-class × topology; single-shard; global or islands
+    /// topology; within the policy's element bound and the devices'
+    /// resident-thread capacity) under **one** device lease, and every
+    /// tick advances the batch inside a single persistent device region —
+    /// one host launch per batch-slice instead of one per kernel per job. Per-job
     /// results stay bit-identical to solo execution; checkpoint, preempt,
     /// re-home and journal semantics are unchanged at slice boundaries.
     /// Batch members step unstreamed inside the region, while every job
@@ -256,6 +257,10 @@ pub struct Service {
     records: Vec<JobRecord>,
     next_id: u64,
     next_batch: u64,
+    /// The fewest threads any device of the group keeps co-resident: a
+    /// micro-batch's persistent region holds one per element, so no batch
+    /// grows past it.
+    resident_threads: usize,
     predictor: CostPredictor,
     goodput_s: f64,
     rejected_infeasible: u64,
@@ -277,6 +282,11 @@ impl Service {
         pool.set_health(health.clone());
         let queue = AdmissionQueue::new(cfg.queue_capacity);
         let predictor = CostPredictor::new(group.device(0).expect("non-empty group").profile());
+        let resident_threads = group
+            .iter()
+            .map(|d| d.profile().max_resident_threads() as usize)
+            .min()
+            .unwrap_or(0);
         Service {
             group,
             pool,
@@ -289,6 +299,7 @@ impl Service {
             records: Vec::new(),
             next_id: 0,
             next_batch: 0,
+            resident_threads,
             predictor,
             goodput_s: 0.0,
             rejected_infeasible: 0,
@@ -698,8 +709,12 @@ impl Service {
     /// migrate/gather nodes act on the job's own state segment, and the
     /// topology is part of the compat key, so islands jobs only fuse with
     /// identically-configured peers); ring jobs never fuse across jobs.
+    /// The returned policy's element bound is capped at the devices'
+    /// resident-thread capacity, the co-residency rule every persistent
+    /// region obeys ([`run_resident`]).
     fn batchable_cfg(&self, cfg: &PsoConfig) -> Option<BatchPolicy> {
-        let policy = self.cfg.batching?;
+        let mut policy = self.cfg.batching?;
+        policy.max_elems = policy.max_elems.min(self.resident_threads);
         let fits = cfg.n_particles * cfg.dim <= policy.max_elems;
         let topo_ok = matches!(cfg.topology, Topology::Global | Topology::Islands { .. });
         (!self.will_shard(cfg) && topo_ok && fits).then_some(policy)
@@ -1039,7 +1054,7 @@ impl Service {
             visited[i] = true;
             let meter = Meter::read(&self.group);
             let run = &mut self.running[i];
-            let res = step_job(run, slice);
+            let res = bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
             if matches!(res, Ok(false)) && self.cfg.checkpoint_slices > 0 {
                 run.slices_since_snapshot += 1;
                 if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
@@ -1079,23 +1094,20 @@ impl Service {
     }
 
     /// Advance one micro-batch by a slice: a single persistent region on
-    /// the shared device spans the whole batch-slice (its open is the
-    /// batch's one host launch; the cost is split equally across members),
-    /// and members step sequentially inside it over their own state
-    /// segments and PRNG streams — bit-identical to solo execution. A
-    /// member that errors closes the region early; members not yet stepped
-    /// simply run next tick (or are swept by the next tick's re-homing if
-    /// the device died). Returns `(running-index, outcome)` per member.
+    /// the shared device spans the whole batch-slice ([`run_resident`]; its
+    /// open is the batch's one host launch, and the cost is split equally
+    /// across members), and members step sequentially inside it over their
+    /// own state segments and PRNG streams — bit-identical to solo
+    /// execution. A member that errors ends the batch's slice early;
+    /// members not yet stepped simply run next tick (or are swept by the
+    /// next tick's re-homing if the device died). Returns
+    /// `(running-index, outcome)` per member.
     fn step_batch(
         &mut self,
         members: &[usize],
         slice: usize,
     ) -> Vec<(usize, Result<bool, PsoError>)> {
-        let dev = self.running[members[0]]
-            .view
-            .device(0)
-            .expect("leased device")
-            .clone();
+        let view = self.running[members[0]].view.clone();
         let threads: u64 = members
             .iter()
             .map(|&j| {
@@ -1103,36 +1115,52 @@ impl Service {
                 (c.n_particles * c.dim) as u64
             })
             .sum();
-        let mut out = Vec::with_capacity(members.len());
         let open = Meter::read(&self.group);
-        if let Err(e) = dev.begin_persistent("batched_slice", Phase::SwarmUpdate, threads) {
-            // The region never opened: charge the attempt to the first
-            // member and surface the error there; the rest are untouched.
-            open.charge(&self.group, &mut self.running[members[0]].job);
-            out.push((members[0], Err(e.into())));
-            out.extend(members[1..].iter().map(|&j| (j, Ok(false))));
-            return out;
-        }
-        let open_share = open.since(&self.group, members.len());
-        let mut failed = false;
-        for &j in members {
-            if failed {
-                out.push((j, Ok(false)));
-                continue;
+        let region = run_resident(&view, "batched_slice", threads, || {
+            let open_share = open.since(&self.group, members.len());
+            let mut out = Vec::with_capacity(members.len());
+            let mut failed = false;
+            for &j in members {
+                if failed {
+                    out.push((j, Ok(false)));
+                    continue;
+                }
+                let meter = Meter::read(&self.group);
+                let run = &mut self.running[j];
+                let res =
+                    bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
+                meter.charge(&self.group, &mut run.job);
+                failed = res.is_err();
+                out.push((j, res));
             }
-            let meter = Meter::read(&self.group);
-            let run = &mut self.running[j];
-            let res = step_job(run, slice);
-            meter.charge(&self.group, &mut run.job);
-            failed = res.is_err();
-            out.push((j, res));
+            self.checkpoint_batch(members, &out);
+            (out, open_share)
+        });
+        match region {
+            Ok((out, open_share)) => {
+                for &j in members {
+                    self.running[j].job.bill(open_share);
+                }
+                out
+            }
+            Err(e) => {
+                // The region never opened: charge the attempt to the first
+                // member and surface the error there; the rest are
+                // untouched.
+                open.charge(&self.group, &mut self.running[members[0]].job);
+                let rest = members[1..].iter().map(|&j| (j, Ok(false)));
+                std::iter::once((members[0], Err(e))).chain(rest).collect()
+            }
         }
-        // Checkpoint at the slice boundary, as the solo path does, while the
-        // region is still open: every due member is captured in one packed
-        // copy (one pack pass and one PCIe latency per batch-slice) whose
-        // cost is split equally, like the region open. Skipped if the
-        // device died mid-batch (the next tick's sweep rolls every member
-        // back to its last capture).
+    }
+
+    /// Checkpoint a micro-batch at its slice boundary, as the solo path
+    /// does, while its region is still open: every member `out` reports
+    /// as `Ok(false)` that is due is captured in one packed copy (one pack
+    /// pass and one PCIe latency per batch-slice) whose cost is split
+    /// equally, like the region open. Skipped if the device died mid-batch (the
+    /// next tick's sweep rolls every member back to its last capture).
+    fn checkpoint_batch(&mut self, members: &[usize], out: &[(usize, Result<bool, PsoError>)]) {
         let stranded = members.iter().any(|&j| {
             self.running[j]
                 .lease
@@ -1140,36 +1168,33 @@ impl Service {
                 .iter()
                 .any(|&d| self.device_lost(d))
         });
-        if self.cfg.checkpoint_slices > 0 && !stranded {
-            let mut due = Vec::new();
-            for &(j, ref res) in &out {
-                if !matches!(res, Ok(false)) {
-                    continue;
-                }
-                let run = &mut self.running[j];
-                run.slices_since_snapshot += 1;
-                if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    run.slices_since_snapshot = 0;
-                    due.push(j);
-                }
+        if self.cfg.checkpoint_slices == 0 || stranded {
+            return;
+        }
+        let mut due = Vec::new();
+        for (j, res) in out {
+            if !matches!(res, Ok(false)) {
+                continue;
             }
-            if !due.is_empty() {
-                let meter = Meter::read(&self.group);
-                let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
-                let snaps = ExecState::snapshot_many(&states);
-                let share = meter.since(&self.group, due.len());
-                for (&j, snap) in due.iter().zip(snaps) {
-                    let run = &mut self.running[j];
-                    run.snapshot = Some(snap);
-                    run.job.bill(share);
-                }
+            let run = &mut self.running[*j];
+            run.slices_since_snapshot += 1;
+            if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
+                run.slices_since_snapshot = 0;
+                due.push(*j);
             }
         }
-        dev.end_persistent();
-        for &j in members {
-            self.running[j].job.bill(open_share);
+        if due.is_empty() {
+            return;
         }
-        out
+        let meter = Meter::read(&self.group);
+        let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
+        let snaps = ExecState::snapshot_many(&states);
+        let share = meter.since(&self.group, due.len());
+        for (&j, snap) in due.iter().zip(snaps) {
+            let run = &mut self.running[j];
+            run.snapshot = Some(snap);
+            run.job.bill(share);
+        }
     }
 
     fn finalize_completed(&mut self, run: Running, now: f64) {
@@ -1293,35 +1318,18 @@ fn build_plan(req: &OptimizeRequest, n_shards: usize, batched: bool) -> Executio
     plan
 }
 
-/// Bind `req`'s `plan` to the leased devices in `view`: the whole view
-/// when the plan is sharded, otherwise the lease's one device.
+/// Bind `req`'s `plan` to the leased devices in `view`.
 fn bind<'a>(
     req: &'a OptimizeRequest,
     plan: &'a ExecutionPlan,
     view: &'a DeviceGroup,
 ) -> PlanRun<'a> {
-    let target = if plan.n_shards > 1 {
-        ExecTarget::Group(view)
-    } else {
-        ExecTarget::Single(view.device(0).expect("leased device"))
-    };
     PlanRun {
         plan,
         cfg: &req.cfg,
         obj: req.objective.as_ref(),
         strategy: req.strategy,
         resilience: req.resilience.as_ref(),
-        target,
+        group: view,
     }
-}
-
-/// Advance one job by up to `slice` iterations. `Ok(true)` = finished.
-fn step_job(run: &mut Running, slice: usize) -> Result<bool, PsoError> {
-    let exec = bind(&run.job.req, &run.plan, &run.view);
-    for _ in 0..slice {
-        if exec.step_state(&mut run.state)? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }

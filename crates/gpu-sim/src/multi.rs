@@ -11,7 +11,9 @@ use crate::device::Device;
 use crate::error::GpuError;
 use perf_model::{Counters, GpuProfile, LinkProfile, Phase, Timeline};
 
-/// A collection of simulated GPUs attached to one host.
+/// A collection of simulated GPUs attached to one host. A clone is another
+/// view of the same devices, as [`Device`]'s own clone is.
+#[derive(Clone)]
 pub struct DeviceGroup {
     devices: Vec<Device>,
 }

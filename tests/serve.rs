@@ -1467,6 +1467,101 @@ fn device_loss_mid_batch_rehomes_every_member_bit_identically() {
     assert!(fired >= 2, "the sweep never exercised a mid-batch loss");
 }
 
+/// A micro-batch never outgrows its device's residency. The policy's
+/// element bound (400 000) is above the V100's 163 840 co-resident
+/// threads, and six 64×500 Sphere jobs (192 000 elements together) would
+/// all fit it; the batch stops at what the device holds, so every job
+/// completes, bit-identical to its solo run, instead of the first member
+/// failing when the region cannot open.
+#[test]
+fn a_batch_is_bounded_by_the_devices_resident_threads() {
+    use fastpso::{GpuBackend, PsoBackend};
+    let configs: Vec<PsoConfig> = (0..6).map(|i| cfg(64, 500, 6, 9_100 + i)).collect();
+    let mut svc = Service::new(
+        DeviceGroup::v100s(1),
+        ServeConfig {
+            batching: Some(BatchPolicy {
+                max_jobs: 8,
+                max_elems: 400_000,
+            }),
+            ..ServeConfig::default()
+        },
+    );
+    let ids: Vec<JobId> = configs
+        .iter()
+        .map(|c| {
+            svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), c.clone()))
+                .unwrap()
+        })
+        .collect();
+    svc.run_until_idle();
+    let statuses: Vec<JobStatus> = ids.iter().map(|&id| svc.status(id).unwrap()).collect();
+    assert_eq!(statuses, vec![JobStatus::Completed; 6]);
+    for (id, c) in ids.iter().zip(&configs) {
+        let solo = GpuBackend::new().run(c, &Sphere).unwrap();
+        CounterAsserts::assert_bit_identical_gbest(svc.result(*id).unwrap(), &solo);
+    }
+}
+
+/// No dispatcher leaves a device-resident region open when a slice inside
+/// it fails. A persistent single-GPU run without resilience fails on a
+/// transient launch fault inside its region, returns the error with the
+/// region closed, and the next run on the same backend is bit-identical
+/// to a fault-free one. A batched service tick whose member faults leaves
+/// the device with no open region, and the next ticks finish every other
+/// member bit-identical to its solo run.
+#[test]
+fn a_failed_resident_slice_leaves_no_region_open() {
+    use fastpso::{GpuBackend, PsoBackend};
+    let c = cfg(32, 6, 12, 77);
+    let clean = GpuBackend::new().run(&c, &Sphere).unwrap();
+    // Ordinal 1 is the init launch, which precedes the region.
+    for ord in [2u64, 9, 40] {
+        let b = GpuBackend::new().persistent(true);
+        b.device()
+            .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
+        let err = b.run(&c, &Sphere).unwrap_err();
+        assert!(err.is_transient(), "ordinal {ord}: {err}");
+        assert!(
+            !b.device().in_persistent(),
+            "ordinal {ord}: region left open"
+        );
+        let again = b.run(&c, &Sphere).unwrap();
+        CounterAsserts::assert_bit_identical_gbest(&again, &clean);
+    }
+
+    let group = DeviceGroup::v100s(1);
+    let dev = group.device(0).unwrap().clone();
+    // Three init launches at admission, then the batch's first slice.
+    dev.set_fault_plan(FaultPlan::new().with_transient_launch(10));
+    let mut svc = Service::new(
+        group,
+        ServeConfig {
+            slice_iters: 4,
+            batching: Some(BatchPolicy::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let ids: Vec<JobId> = (0..3)
+        .map(|i| {
+            svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), small_cfg(i)))
+                .unwrap()
+        })
+        .collect();
+    let mut ticks = 0;
+    while svc.tick() > 0 {
+        assert!(!dev.in_persistent(), "tick {ticks} left a region open");
+        ticks += 1;
+    }
+    assert_eq!(svc.status(ids[0]).unwrap(), JobStatus::Failed);
+    for (i, &id) in ids.iter().enumerate().skip(1) {
+        let solo = GpuBackend::new()
+            .run(&small_cfg(i as u64), &Sphere)
+            .unwrap();
+        CounterAsserts::assert_bit_identical_gbest(svc.result(id).unwrap(), &solo);
+    }
+}
+
 /// Every modeled device-second lands on exactly one job: the jobs' records
 /// sum to the devices' timelines, the completed job's result download
 /// included, batched or not. Two inputs: a fault-free trace, where every
