@@ -7,7 +7,7 @@
 //! a 4-device V100 group, packing several co-resident jobs per device.
 //! The baseline runs the identical job list sequentially through the
 //! dedicated `GpuBackend`, on the schedule the service runs a solo job
-//! with (weight generation overlapped on a second stream). Because the
+//! with (resident, inside a persistent region). Because the
 //! serving layer packs independent jobs onto idle devices, modeled
 //! makespan drops roughly in proportion to the group size; the binary
 //! asserts at least a 2x throughput gain and prints per-tenant p50/p95
@@ -29,10 +29,12 @@
 //! With `--small-jobs`, runs the cross-job micro-batching comparison: a
 //! trace of 64 tiny jobs (at most 64 particles each) on a 2-device group,
 //! replayed once with batching off and once with `ServeConfig::batching`
-//! set. Tiny jobs are launch-bound, so fusing compatible jobs into one
-//! persistent region per batch-slice (one host launch instead of one per
-//! kernel per job) multiplies modeled throughput; the binary asserts at
-//! least a 5x gain, verifies per-job results are bit-identical between the
+//! set. With batching off every job still runs resident, one region per
+//! slice per job; fusing compatible jobs into one region per batch-slice
+//! (one host launch per batch instead of one per job) and sharing its
+//! checkpoint copy cuts launches and lifts modeled throughput. The binary
+//! asserts at least 3x fewer launches and at least a 1.3x gain, verifies
+//! per-job results are bit-identical between the
 //! modes, pins them against `results/serve_batch_fingerprints.golden.txt`
 //! (regenerate with `UPDATE_GOLDEN=1`), and writes
 //! `results/serve_batch.csv`.
@@ -135,12 +137,12 @@ fn overload_cfg(i: u64) -> PsoConfig {
 /// The burst's deadline in modeled seconds after submission. Scaling it by
 /// one burst job's solo cost keeps the scenario's overload ratio — and so
 /// its outcome — independent of how fast the engine models a job. The
-/// solo run uses the schedule the service runs a solo job with: weight
-/// generation overlapped on a second stream.
+/// solo run uses the schedule the service runs a solo job with: resident,
+/// inside a persistent region.
 fn overload_deadline_s() -> f64 {
     let i = WARMUP_JOBS;
     let solo = GpuBackend::new()
-        .streams(true)
+        .persistent(true)
         .run(&overload_cfg(i), job_objective(i).as_ref())
         .expect("a solo burst job runs");
     OVERLOAD_DEADLINE_SOLO_MULTIPLE * solo.elapsed_seconds()
@@ -437,15 +439,17 @@ fn run_small_jobs() {
     }
     t.emit("serve_batch");
 
+    // The baseline already runs every job resident, one region per slice
+    // per job; batching shares each region and its checkpoint copy.
     assert!(
-        batched.launches * 10 < unbatched.launches,
+        batched.launches * 3 <= unbatched.launches,
         "batch-slices must collapse launches: {} vs {}",
         batched.launches,
         unbatched.launches
     );
     assert!(
-        gain >= 5.0,
-        "expected >= 5x modeled throughput from micro-batching, got {gain:.2}x"
+        gain >= 1.3,
+        "expected >= 1.3x modeled throughput from micro-batching, got {gain:.2}x"
     );
     println!(
         "micro-batching lifted modeled throughput {gain:.1}x \
@@ -464,12 +468,12 @@ fn main() {
         return;
     }
     // Baseline: every job back-to-back on one dedicated device, on the
-    // streamed schedule the service runs each of them with.
+    // resident schedule the service runs each of them with.
     let topology = cli_topology();
     let mut sequential_s = 0.0;
     for i in 0..N_JOBS {
         let res = GpuBackend::new()
-            .streams(true)
+            .persistent(true)
             .run(&job_cfg(i, topology), job_objective(i).as_ref())
             .expect("baseline run");
         sequential_s += res.elapsed_seconds();

@@ -33,9 +33,9 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::kernels::{
     explosion, explosion_descs, fused_desc, fused_swarm_update, gen_weights, gen_weights_descs,
-    gfwa_selection, guiding_descs, guiding_spark, init_gfwa_amplitudes, position_desc,
-    position_update, selection_desc, sso_desc, sso_update, velocity_desc, velocity_update,
-    Explosion, GuidingSpark, Shard,
+    gfwa_selection, guiding_descs, guiding_spark, init_gfwa_amplitudes, init_gfwa_desc,
+    position_desc, position_update, selection_desc, sso_desc, sso_update, velocity_desc,
+    velocity_update, Explosion, GuidingSpark, Shard,
 };
 use crate::gpu::UpdateStrategy;
 use crate::resilience::{retry_degradable, retry_op, ResilienceConfig};
@@ -250,6 +250,20 @@ pub trait SwarmAlgorithm: Sync {
         Ok(())
     }
 
+    /// The launch [`SwarmAlgorithm::init_extra`] issues over a shard of
+    /// `shape` after allocating its one per-row buffer, or `None` when the
+    /// algorithm carries no extra state (the default).
+    fn init_extra_launch(&self, _shape: &TailShape<'_>) -> Option<KernelDesc> {
+        None
+    }
+
+    /// Device buffers one shard's update tail requests afresh every
+    /// iteration (PSO's weight matrices). The caching allocator serves
+    /// them from its pool. The default requests none.
+    fn iteration_allocs(&self, _shape: &TailShape<'_>) -> u64 {
+        0
+    }
+
     /// Execute one of this algorithm's update-tail stages under the
     /// executor's resilience guard (`cx`'s retry policy and strategy
     /// ladder). A stage run before the stage it consumes, or one the
@@ -381,6 +395,18 @@ impl SwarmAlgorithm for Pso {
             Self::FUSED => vec![fused_desc(gpu, rows, d, strategy)],
             _ => Vec::new(),
         }
+    }
+
+    /// `gen_weights` writes each weight launch into a fresh buffer.
+    fn iteration_allocs(&self, shape: &TailShape<'_>) -> u64 {
+        let TailShape {
+            gpu,
+            rows,
+            d,
+            strategy,
+            ..
+        } = *shape;
+        gen_weights_descs(gpu, rows, d, strategy).len() as u64
     }
 
     /// The next strategy rung below `s` on the admission downgrade ladder,
@@ -560,6 +586,10 @@ impl SwarmAlgorithm for Gfwa {
         domain: (f32, f32),
     ) -> Result<(), PsoError> {
         init_gfwa_amplitudes(dev, shard, domain)
+    }
+
+    fn init_extra_launch(&self, shape: &TailShape<'_>) -> Option<KernelDesc> {
+        Some(init_gfwa_desc(shape.gpu, shape.rows))
     }
 
     /// The three stages hand their spark populations to each other through

@@ -160,6 +160,33 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// Device buffers [`Shard::alloc`] allocates.
+    pub const BUFFERS: u64 = 8;
+
+    /// Elements of the state a checkpoint of a `rows × d` shard packs
+    /// ([`crate::ShardCheckpoint::capture_many`]): positions, velocities,
+    /// errors, best errors, best positions and the swarm best, plus one
+    /// per row when the shard carries `extra` state. The weight matrices
+    /// are regenerated, never captured.
+    pub fn checkpoint_elems(rows: u64, d: u64, extra: bool) -> u64 {
+        3 * rows * d + 2 * rows + d + if extra { rows } else { 0 }
+    }
+
+    /// The buffers a checkpoint packs, in capture order; their lengths
+    /// sum to [`Shard::checkpoint_elems`].
+    pub fn checkpoint_buffers(&self) -> impl Iterator<Item = &DeviceBuffer<f32>> {
+        [
+            &self.pos,
+            &self.vel,
+            &self.errors,
+            &self.pbest_err,
+            &self.pbest_pos,
+            &self.gbest_pos,
+        ]
+        .into_iter()
+        .chain(self.extra.as_ref())
+    }
+
     /// Allocate a shard on `dev` for rows `[row0, row0 + rows)`.
     pub fn alloc(dev: &Device, row0: usize, rows: usize, d: usize) -> Result<Shard, PsoError> {
         Ok(Shard {
@@ -199,6 +226,13 @@ fn eval_desc(
     KernelDesc::resource_aware(name, phase, cost, points, gpu)
 }
 
+/// The `init_swarm` launch over a shard of `elems` elements
+/// ([`init_shard`]).
+pub(crate) fn init_swarm_desc(gpu: &GpuProfile, elems: u64) -> KernelDesc {
+    let cost = KernelCost::elementwise(2 * RNG_FLOPS_PER_DRAW, 0, 8);
+    KernelDesc::resource_aware("init_swarm", Phase::Init, cost, elems, gpu)
+}
+
 /// Step (i): initialize positions, velocities and best-state on the device
 /// with parallel counter-based RNG (paper §3.1), in one element-wise launch
 /// ("init_swarm") over the `rows × d` index space: element `i` draws its
@@ -217,13 +251,7 @@ pub fn init_shard(
     let (lo, hi) = domain;
     let vscale = cfg.init_velocity_scale * (hi - lo);
     let (row0, d) = (shard.row0, shard.d);
-    let desc = KernelDesc::resource_aware(
-        "init_swarm",
-        Phase::Init,
-        KernelCost::elementwise(2 * RNG_FLOPS_PER_DRAW, 0, 8),
-        shard.elems() as u64,
-        &dev.profile(),
-    );
+    let desc = init_swarm_desc(&dev.profile(), shard.elems() as u64);
     dev.launch_rows(
         &desc,
         KernelCost::elementwise(0, 0, 4),
@@ -286,6 +314,8 @@ pub fn gen_weights(
     // requests are pool hits; in `Realloc` mode each pays a driver
     // round-trip. (The previous iteration's buffers return to the pool
     // when the assignments below drop them.)
+    // One buffer per weight launch: [`SwarmAlgorithm::iteration_allocs`]
+    // counts them off the descriptors.
     let mut l = dev.alloc::<f32>(l_desc.elems as usize)?;
     let mut g = dev.alloc::<f32>(g_desc.elems as usize)?;
     for (desc, out, dom) in [
@@ -956,6 +986,13 @@ pub const GFWA_AMP_SHRINK: f32 = 0.9;
 /// firework able to move).
 pub const GFWA_AMP_MIN_FRAC: f32 = 1e-4;
 
+/// The `init_gfwa_amplitudes` launch over a shard of `rows` fireworks
+/// ([`init_gfwa_amplitudes`]).
+pub(crate) fn init_gfwa_desc(gpu: &GpuProfile, rows: u64) -> KernelDesc {
+    let cost = KernelCost::elementwise(1, 0, 4);
+    KernelDesc::resource_aware("init_gfwa_amplitudes", Phase::Init, cost, rows, gpu)
+}
+
 /// Allocate and initialise a GFWA shard's per-firework explosion
 /// amplitudes to [`GFWA_INIT_AMP`] of the domain span. Re-allocates on
 /// retry, so the op is idempotent.
@@ -966,13 +1003,7 @@ pub fn init_gfwa_amplitudes(
 ) -> Result<(), PsoError> {
     let span = domain.1 - domain.0;
     let mut amp = dev.alloc::<f32>(shard.rows)?;
-    let desc = KernelDesc::resource_aware(
-        "init_gfwa_amplitudes",
-        Phase::Init,
-        KernelCost::elementwise(1, 0, 4),
-        shard.rows as u64,
-        &dev.profile(),
-    );
+    let desc = init_gfwa_desc(&dev.profile(), shard.rows as u64);
     dev.launch_map(&desc, amp.as_mut_slice(), |_| GFWA_INIT_AMP * span)?;
     shard.extra = Some(amp);
     Ok(())

@@ -67,7 +67,7 @@ pub use gpu::multi::{MultiGpuBackend, MultiGpuStrategy};
 pub use gpu::{GpuBackend, UpdateStrategy};
 pub use par::ParBackend;
 pub use plan::{BestReduce, ExecutionPlan, PlanNode, PlanOp};
-pub use predictor::{CostPredictor, JobShape};
+pub use predictor::{CostPredictor, JobShape, Schedule};
 pub use profiling::CounterAsserts;
 pub use resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 pub use result::RunResult;

@@ -31,7 +31,8 @@
 //! the crate-private `run_resident`, the one place a persistent region
 //! opens and closes. Its two callers are a persistent single-GPU run
 //! ([`crate::GpuBackend::persistent`], the whole run as one slice) and the
-//! serving layer's micro-batch (its members, one slice at a time).
+//! serving layer, one slice at a time over a micro-batch's members or a
+//! resident solo job.
 //!
 //! Rows are split across shards in one place: the crate-private
 //! `partition(n, k)` gives shard `i` a contiguous block, with the
@@ -1121,8 +1122,8 @@ impl<'a> PlanRun<'a> {
 /// closes on every path `slice` returns by, errors included, so a failed
 /// slice never leaves it open. Two dispatchers call this: a persistent
 /// single-GPU run ([`PlanRun::execute`]), with one state for the whole
-/// run, and the serving layer's micro-batch, with its members for one
-/// slice.
+/// run, and the serving layer, with a micro-batch's members (or a
+/// resident solo job, a batch of one) for one slice.
 pub(crate) fn run_resident<T>(
     group: &DeviceGroup,
     name: &'static str,

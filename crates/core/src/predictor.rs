@@ -15,12 +15,18 @@
 //!    the simulator charges with. The tail's price therefore equals what
 //!    the tail executes on every rung: the for-loop rung is latency-bound,
 //!    the tiled and tensor-core rungs pay their staged traffic, the
-//!    low-complexity rung draws `d`-fold fewer numbers. The base is pure
-//!    arithmetic over the [`GpuProfile`], so it is exactly reproducible.
+//!    low-complexity rung draws `d`-fold fewer numbers. The base is
+//!    priced on the shape's [`Schedule`]: launch by launch, on stream
+//!    lanes, in a micro-batch's regions, or resident alone in one region
+//!    per slice — the last with the init, allocation, barrier, checkpoint
+//!    and download charges a solo region exposes. The base is pure
+//!    arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it is
+//!    exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
-//!    omits scheduler-dependent and data-dependent costs (checkpoint
-//!    captures, slice re-dispatch, the pbest and gbest adoption copies,
-//!    the result download), so observed
+//!    omits data-dependent costs (the pbest and gbest adoption copies,
+//!    allocator history) and, outside the resident schedule, the
+//!    scheduler-dependent ones (checkpoint captures, the result
+//!    download), so observed
 //!    [`JobRecord`](perf_model::JobRecord)s close the loop: each completed
 //!    job contributes the ratio `observed / base` and the predictor applies
 //!    the per-key mean ratio as a multiplicative coefficient. With zero
@@ -42,12 +48,60 @@
 //! assert!((p.predict_s(&shape) - base * 1.5).abs() < 1e-12);
 //! ```
 
-use crate::algo::{Algorithm, TailShape};
+use crate::algo::{algorithm_impl, Algorithm, TailShape};
+use crate::gpu::kernels::{init_swarm_desc, Shard};
 use crate::gpu::UpdateStrategy;
-use crate::plan::{partition, BestReduce, ExecutionPlan};
+use crate::plan::{partition, BestReduce, ExecutionPlan, PlanOp};
 use crate::topology::Topology;
-use perf_model::{gpu_kernel_time, GpuKernelWork, GpuProfile};
+use gpu_sim::{KernelDesc, Phase, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S};
+use perf_model::{gpu_kernel_time, transfer_time, GpuKernelWork, GpuProfile, LinkProfile};
 use std::collections::BTreeMap;
+
+/// The dispatch a [`JobShape`] is priced on: how the serving layer steps
+/// the job's iterations. Each variant is one schedule, so a shape cannot
+/// name two at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Schedule {
+    /// Launch by launch on one stream, as a dedicated unstreamed run.
+    #[default]
+    Launches,
+    /// Launch by launch on stream lanes, as the serving layer steps sharded
+    /// jobs and jobs too large to be co-resident: the tail nodes
+    /// [`crate::ExecutionPlan::assign_streams`] puts on the side lane
+    /// overlap each shard's lane-0 prefix. Calibrates under the same key
+    /// as [`Schedule::Launches`].
+    Streamed,
+    /// Inside a micro-batch's persistent regions, `slice` iterations per
+    /// region (0 = the whole run in one): every launch overhead collapses
+    /// into one region launch per slice and shard. Calibrates under a
+    /// `+persistent` key, which absorbs what the batch shares.
+    Batched {
+        /// Iterations per region (the serving layer's `slice_iters`).
+        slice: u64,
+    },
+    /// A solo job inside one persistent region per slice: the
+    /// [`Schedule::Batched`] price plus the charges a region no longer
+    /// hides behind launch overhead (see [`CostPredictor::base_s`]).
+    /// Calibrates under a `+resident` key.
+    Resident {
+        /// Iterations per region (the serving layer's `slice_iters`).
+        slice: u64,
+        /// Slice boundaries per checkpoint capture (the serving layer's
+        /// `checkpoint_slices`; 0 = none).
+        checkpoint_slices: u64,
+    },
+}
+
+impl Schedule {
+    /// Iterations per region of a region schedule; `None` when the job
+    /// steps launch by launch.
+    fn region_slice(self) -> Option<u64> {
+        match self {
+            Schedule::Batched { slice } | Schedule::Resident { slice, .. } => Some(slice),
+            Schedule::Launches | Schedule::Streamed => None,
+        }
+    }
+}
 
 /// The admission-relevant shape of one optimization job: everything the
 /// predictor reads at submit time.
@@ -66,20 +120,8 @@ pub struct JobShape {
     pub flops_per_dim: u64,
     /// The update strategy the job runs with.
     pub strategy: UpdateStrategy,
-    /// True when the job runs device-resident (persistent region / batched
-    /// slice): per-kernel launch overhead is replaced by one launch per
-    /// slice. Calibrated separately from the per-launch schedule.
-    pub persistent: bool,
-    /// Iterations dispatched per slice when `persistent` (the serving
-    /// layer's `slice_iters`); 0 prices the whole run as one slice.
-    pub slice_iters: u64,
-    /// True when the job steps launch by launch on stream lanes, as the
-    /// serving layer runs every job it does not batch: the tail nodes
-    /// [`crate::ExecutionPlan::assign_streams`] puts on the side lane
-    /// overlap each shard's lane-0 prefix. Ignored when `persistent`,
-    /// since a persistent region has no lanes. Calibrates under the same
-    /// key as the unstreamed shape.
-    pub streamed: bool,
+    /// The dispatch the job runs on.
+    pub schedule: Schedule,
     /// Which engine's update tail the base prices.
     pub algo: Algorithm,
     /// The swarm topology. Only islands change the price: each island
@@ -99,9 +141,7 @@ impl JobShape {
             shards: 1,
             flops_per_dim: 1,
             strategy,
-            persistent: false,
-            slice_iters: 0,
-            streamed: false,
+            schedule: Schedule::Launches,
             algo: Algorithm::default(),
             topology: Topology::default(),
         }
@@ -131,23 +171,16 @@ impl JobShape {
         self
     }
 
-    /// Price the job as device-resident: `slice_iters` iterations per
-    /// region launch (0 = the whole run in one region).
-    pub fn persistent(mut self, slice_iters: u64) -> JobShape {
-        self.persistent = true;
-        self.slice_iters = slice_iters;
+    /// Set the schedule the job is dispatched on.
+    pub fn schedule(mut self, schedule: Schedule) -> JobShape {
+        self.schedule = schedule;
         self
     }
 
-    /// Price the job on stream lanes (see [`JobShape::streamed`]).
-    pub fn streamed(mut self) -> JobShape {
-        self.streamed = true;
-        self
-    }
-
-    /// The calibration key: persistent shapes calibrate separately from
-    /// per-launch ones, since the scheduler-dependent costs they absorb
-    /// (region open/close, grid syncs, batch sharing) differ; island
+    /// The calibration key: batched and resident shapes calibrate apart
+    /// from per-launch ones and from each other, since the
+    /// scheduler-dependent costs they absorb (batch sharing, allocator
+    /// history) differ; island
     /// schedules interleave gather/migrate launches with the shared prefix,
     /// so they calibrate apart too; every algorithm but the default
     /// calibrates under an `{algo}:`-prefixed key so its observed ratios
@@ -155,8 +188,10 @@ impl JobShape {
     /// algorithms and stay unprefixed).
     pub fn calibration_key(&self) -> String {
         let mut key = self.strategy.to_string();
-        if self.persistent {
-            key.push_str("+persistent");
+        match self.schedule {
+            Schedule::Batched { .. } => key.push_str("+persistent"),
+            Schedule::Resident { .. } => key.push_str("+resident"),
+            Schedule::Launches | Schedule::Streamed => {}
         }
         if self.islands() > 1 {
             key.push_str("+islands");
@@ -212,6 +247,16 @@ fn shared_prefix(rows: u64, d: u64, flops_per_dim: u64) -> Vec<GpuKernelWork> {
     ]
 }
 
+/// Regions a run of `iters` iterations dispatches at `slice` iterations
+/// per region (0 = one region for the whole run).
+fn slices(iters: u64, slice: u64) -> u64 {
+    if slice == 0 {
+        1
+    } else {
+        iters.div_ceil(slice).max(1)
+    }
+}
+
 /// Per-key calibration state: the running sum of observed/base ratios.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Calibration {
@@ -234,22 +279,25 @@ impl Calibration {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostPredictor {
     gpu: GpuProfile,
+    link: LinkProfile,
     calib: BTreeMap<String, Calibration>,
 }
 
 impl CostPredictor {
-    /// A predictor over an explicit device profile.
-    pub fn new(gpu: GpuProfile) -> CostPredictor {
+    /// A predictor over an explicit device profile and host interconnect.
+    pub fn new(gpu: GpuProfile, link: LinkProfile) -> CostPredictor {
         CostPredictor {
             gpu,
+            link,
             calib: BTreeMap::new(),
         }
     }
 
-    /// A predictor for the paper's Tesla V100 profile — the device
-    /// `gpu_sim` models, so this is the right profile for [`crate::serve`].
+    /// A predictor for the paper's Tesla V100 behind PCIe 3.0 x16 — the
+    /// device `gpu_sim` models, so this is the right profile for
+    /// [`crate::serve`].
     pub fn v100() -> CostPredictor {
-        CostPredictor::new(GpuProfile::tesla_v100())
+        CostPredictor::new(GpuProfile::tesla_v100(), LinkProfile::pcie3_x16())
     }
 
     /// The analytic per-job base estimate in device-seconds: the modeled
@@ -258,14 +306,31 @@ impl CostPredictor {
     ///
     /// The schedule is the plan the service would run for the shape
     /// ([`ExecutionPlan::build_for`], plus [`ExecutionPlan::assign_streams`]
-    /// when [`JobShape::streamed`]); each shard's tail is priced from the
+    /// under [`Schedule::Streamed`]); each shard's tail is priced from the
     /// launch descriptors its stages' kernels launch
     /// ([`ExecutionPlan::tail_launches`]). The prefix, the island gather and
-    /// migration, and the persistent launch-overhead saving are priced by
+    /// migration, and the region launch-overhead saving are priced by
     /// this predictor's own arithmetic. A streamed shape prices per shard
     /// and iteration the longer of the lane-0 prefix (plus the island
     /// launches) and the side lane (the tail nodes on lane 1), plus the
     /// dependent tail.
+    ///
+    /// A [`Schedule::Resident`] shape starts from the [`Schedule::Batched`]
+    /// price and adds, per shard, what a solo region no longer hides behind
+    /// launch overhead, each charge priced from the descriptor, function or
+    /// constant that charges it:
+    /// - the init launches (`init_swarm`, and the algorithm's
+    ///   [`crate::SwarmAlgorithm::init_extra_launch`]) at full launch price;
+    /// - the shard's [`Shard::BUFFERS`] allocations (plus the extra state's)
+    ///   at the driver price, and each iteration's
+    ///   [`crate::SwarmAlgorithm::iteration_allocs`] at the pool-hit price
+    ///   ([`CACHE_HIT_COST_FRACTION`]);
+    /// - one grid barrier ([`GRID_SYNC_OVERHEAD_S`]) per device-sync node
+    ///   and iteration;
+    /// - one checkpoint per due slice boundary: an in-region
+    ///   [`KernelDesc::checkpoint_pack`] pass plus one D2H of
+    ///   [`Shard::checkpoint_elems`] floats;
+    /// - the result download.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -273,7 +338,8 @@ impl CostPredictor {
         let n_shards = shape.shards.max(1) as usize;
         let reduce = BestReduce::for_shards(n_shards);
         let mut plan = ExecutionPlan::build_for(shape.algo, shape.topology, n_shards, reduce);
-        if shape.streamed {
+        let streamed = shape.schedule == Schedule::Streamed;
+        if streamed {
             plan.assign_streams();
         }
         let time = |w: &GpuKernelWork| gpu_kernel_time(gpu, w);
@@ -282,6 +348,8 @@ impl CostPredictor {
         let mut lanes = Vec::new();
         // Launches of one iteration, summed over the shards holding rows.
         let mut launches = 0u64;
+        // What a solo region adds per shard (resident shapes only).
+        let mut residency = 0.0;
         // Row-partition like the plan: leading shards take the extra.
         let parts = partition(shape.particles as usize, n_shards);
         for (s, rows) in parts.into_iter().map(|(_, r)| r as u64).enumerate() {
@@ -305,6 +373,16 @@ impl CostPredictor {
             let side = tail.iter().filter(|(lane, _)| *lane == 1);
             lanes.push((prefix_s, side.map(|(_, t)| t).sum::<f64>()));
             launches += (prefix.len() + tail.len()) as u64;
+            if let Schedule::Resident {
+                slice,
+                checkpoint_slices,
+            } = shape.schedule
+            {
+                let syncs = (plan.nodes.iter())
+                    .filter(|n| n.shard == s && n.op == PlanOp::DeviceSync)
+                    .count() as u64;
+                residency += self.residency_s(shape, &tail_shape, syncs, slice, checkpoint_slices);
+            }
         }
         let active_shards = lanes.len() as u64;
         let mut total = per_iter * shape.iterations as f64;
@@ -336,20 +414,16 @@ impl CostPredictor {
             total += gather * shape.iterations as f64 + migrate * migs as f64;
             island_launches = shape.iterations + migs;
         }
-        if shape.persistent {
+        if let Some(slice) = shape.schedule.region_slice() {
             // Device-resident execution: the per-kernel launch overheads
             // baked into every priced launch collapse into one region
             // launch per slice per shard.
             let overhead = gpu.kernel_launch_overhead_s;
-            let slices = if shape.slice_iters == 0 {
-                1
-            } else {
-                shape.iterations.div_ceil(shape.slice_iters).max(1)
-            };
             let saved = overhead * (launches * shape.iterations + island_launches) as f64;
-            let region = overhead * (slices * active_shards) as f64;
+            let region = overhead * (slices(shape.iterations, slice) * active_shards) as f64;
             total = (total - saved + region).max(0.0);
-        } else if shape.streamed {
+            total += residency;
+        } else if streamed {
             // Each iteration hides the shorter of its two lanes; a
             // migrating iteration's prefix is one launch longer.
             let plain = shape.iterations.saturating_sub(migs) as f64;
@@ -361,6 +435,43 @@ impl CostPredictor {
         total
     }
 
+    /// The charges one shard of a [`Schedule::Resident`] shape pays that
+    /// the [`Schedule::Batched`] price leaves to calibration: its init
+    /// launches and allocations, the weight buffers each iteration
+    /// requests, `syncs` grid barriers per iteration, the slice-boundary
+    /// checkpoints and the result download (see [`CostPredictor::base_s`]).
+    fn residency_s(
+        &self,
+        shape: &JobShape,
+        tail: &TailShape<'_>,
+        syncs: u64,
+        slice: u64,
+        checkpoint_slices: u64,
+    ) -> f64 {
+        let gpu = &self.gpu;
+        let (rows, d, iters) = (tail.rows, tail.d, shape.iterations);
+        let alg = algorithm_impl(shape.algo);
+        let time = |desc: &KernelDesc| gpu_kernel_time(gpu, &desc.work());
+        let extra = alg.init_extra_launch(tail);
+        let init = time(&init_swarm_desc(gpu, rows * d)) + extra.as_ref().map_or(0.0, time);
+        let buffers = Shard::BUFFERS + u64::from(extra.is_some());
+        let allocs = gpu.device_alloc_cost_s
+            * (buffers as f64
+                + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION);
+        let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S;
+        let captures = match checkpoint_slices {
+            0 => 0,
+            c => (slices(iters, slice) - 1) / c,
+        };
+        let elems = Shard::checkpoint_elems(rows, d, extra.is_some());
+        let pack = (time(&KernelDesc::checkpoint_pack(Phase::Recovery, elems))
+            - gpu.kernel_launch_overhead_s)
+            .max(0.0);
+        let f32_bytes = std::mem::size_of::<f32>() as u64;
+        let capture = pack + transfer_time(&self.link, elems * f32_bytes);
+        let download = transfer_time(&self.link, d * f32_bytes);
+        init + allocs + barriers + captures as f64 * capture + download
+    }
     /// The calibrated multiplier currently applied to estimates under
     /// calibration key `key` (1.0 with no observations).
     pub fn coefficient(&self, key: &str) -> f64 {
@@ -405,6 +516,10 @@ impl CostPredictor {
 mod tests {
     use super::*;
     use crate::topology::{Migration, MigrationKind};
+
+    fn batched(slice: u64) -> Schedule {
+        Schedule::Batched { slice }
+    }
 
     fn islands(islands: usize, every_k: usize) -> Topology {
         Topology::Islands {
@@ -492,8 +607,8 @@ mod tests {
     fn persistent_shapes_price_one_launch_per_slice() {
         let p = CostPredictor::v100();
         let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
-        let sliced = solo.clone().persistent(8); // ceil(80/8) = 10 slices
-        let whole = solo.clone().persistent(0); // one region for the run
+        let sliced = solo.clone().schedule(batched(8)); // ceil(80/8) = 10 slices
+        let whole = solo.clone().schedule(batched(0)); // one region for the run
         let base = p.base_s(&solo);
         let t_sliced = p.base_s(&sliced);
         let t_whole = p.base_s(&whole);
@@ -510,7 +625,7 @@ mod tests {
     #[test]
     fn persistent_calibration_is_keyed_separately() {
         let mut p = CostPredictor::v100();
-        let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).persistent(8);
+        let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).schedule(batched(8));
         let base = p.base_s(&shape);
         p.observe(&shape, base * 2.0);
         assert_eq!(p.observations("global+persistent"), 1);
@@ -520,6 +635,61 @@ mod tests {
         // The per-launch rung is untouched by persistent observations.
         let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
         assert!((p.predict_s(&solo) - p.base_s(&solo)).abs() < 1e-15);
+    }
+
+    fn resident(slice: u64, checkpoint_slices: u64) -> Schedule {
+        Schedule::Resident {
+            slice,
+            checkpoint_slices,
+        }
+    }
+
+    #[test]
+    fn resident_shapes_add_the_charges_a_solo_region_exposes() {
+        let p = CostPredictor::v100();
+        for algo in Algorithm::ALL {
+            let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
+            let batched = p.base_s(&shape.clone().schedule(batched(8)));
+            let uncaptured = p.base_s(&shape.clone().schedule(resident(8, 0)));
+            let every = p.base_s(&shape.clone().schedule(resident(8, 1)));
+            let every_other = p.base_s(&shape.clone().schedule(resident(8, 2)));
+            assert!(batched < uncaptured, "{algo}: the init and syncs are free");
+            // Ten slices: nine boundaries with a job still running.
+            let capture = (every - uncaptured) / 9.0;
+            assert!(capture > p.link.latency_s, "{algo}: {capture}");
+            assert!(((every_other - uncaptured) / 4.0 - capture).abs() < 1e-15);
+            assert_eq!(
+                shape.schedule(resident(8, 1)).calibration_key(),
+                match algo {
+                    Algorithm::Pso => "global+resident".to_string(),
+                    other => format!("{other}:global+resident"),
+                }
+            );
+        }
+    }
+
+    /// Running resident is the cheaper schedule for every co-resident
+    /// shape, so the scheduler's "resident when it fits" rule picks what a
+    /// price comparison would: 40 iterations, 8 per slice, a capture at
+    /// every boundary, against the streamed price, which carries no
+    /// captures at all. 2560×64 is exactly a V100's 163 840 resident
+    /// threads.
+    #[test]
+    fn resident_prices_below_streamed_for_every_co_resident_shape() {
+        let p = CostPredictor::v100();
+        for algo in Algorithm::ALL {
+            for strategy in UpdateStrategy::ALL {
+                for (n, d) in [(64, 8), (2560, 64)] {
+                    let shape = JobShape::new(n, d, 40, strategy).algorithm(algo);
+                    let res = p.base_s(&shape.clone().schedule(resident(8, 1)));
+                    let streamed = p.base_s(&shape.schedule(Schedule::Streamed));
+                    assert!(
+                        res < streamed,
+                        "{algo}/{strategy} {n}x{d}: resident {res:e} vs streamed {streamed:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -553,14 +723,14 @@ mod tests {
             (Algorithm::Gfwa, 8.0),
         ] {
             let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
-            let whole = solo.clone().persistent(0);
+            let whole = solo.clone().schedule(batched(0));
             let saved = p.base_s(&solo) - p.base_s(&whole);
             let per_launch = saved / (launches * 80.0 - 1.0);
             assert!(per_launch > 0.0, "{algo}: persistent must save time");
             // All three must imply the same per-launch overhead once
             // divided by their own launch count.
             let pso_solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
-            let pso_saved = p.base_s(&pso_solo) - p.base_s(&pso_solo.clone().persistent(0));
+            let pso_saved = p.base_s(&pso_solo) - p.base_s(&pso_solo.clone().schedule(batched(0)));
             let pso_per_launch = pso_saved / (7.0 * 80.0 - 1.0);
             assert!(
                 (per_launch - pso_per_launch).abs() < 1e-15,
@@ -574,7 +744,7 @@ mod tests {
         let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
         assert_eq!(pso.calibration_key(), "global");
         assert_eq!(
-            pso.clone().persistent(4).calibration_key(),
+            pso.clone().schedule(batched(4)).calibration_key(),
             "global+persistent"
         );
         let sso = pso.clone().algorithm(Algorithm::Sso);
@@ -582,7 +752,7 @@ mod tests {
         assert_eq!(
             pso.clone()
                 .algorithm(Algorithm::Gfwa)
-                .persistent(4)
+                .schedule(batched(4))
                 .calibration_key(),
             "gfwa:global+persistent"
         );
@@ -606,7 +776,7 @@ mod tests {
         assert_eq!(one.calibration_key(), "global");
         assert_eq!(isl.calibration_key(), "global+islands");
         assert_eq!(
-            isl.clone().persistent(4).calibration_key(),
+            isl.clone().schedule(batched(4)).calibration_key(),
             "global+persistent+islands"
         );
         assert_eq!(
@@ -632,14 +802,14 @@ mod tests {
     fn persistent_island_shapes_collapse_their_extra_launches_too() {
         let p = CostPredictor::v100();
         let isl = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).topology(islands(4, 10));
-        let whole = isl.clone().persistent(0);
+        let whole = isl.clone().schedule(batched(0));
         // 7 PSO launches + 1 gather per iteration + 8 migrations, minus
         // the single region launch.
         let saved = p.base_s(&isl) - p.base_s(&whole);
         let per_launch = saved / ((7.0 + 1.0) * 80.0 + 8.0 - 1.0);
         let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
         let pso_per_launch =
-            (p.base_s(&pso) - p.base_s(&pso.clone().persistent(0))) / (7.0 * 80.0 - 1.0);
+            (p.base_s(&pso) - p.base_s(&pso.clone().schedule(batched(0)))) / (7.0 * 80.0 - 1.0);
         assert!(
             (per_launch - pso_per_launch).abs() < 1e-15,
             "island launches must collapse at the same device constant"

@@ -294,21 +294,8 @@ impl ShardCheckpoint {
         let Some(first) = shards.first() else {
             return Vec::new();
         };
-        let bufs: Vec<&DeviceBuffer<f32>> = shards
-            .iter()
-            .flat_map(|s| {
-                [
-                    &s.pos,
-                    &s.vel,
-                    &s.errors,
-                    &s.pbest_err,
-                    &s.pbest_pos,
-                    &s.gbest_pos,
-                ]
-                .into_iter()
-                .chain(s.extra.as_ref())
-            })
-            .collect();
+        let bufs: Vec<&DeviceBuffer<f32>> =
+            shards.iter().flat_map(|s| s.checkpoint_buffers()).collect();
         let mut host = first
             .pos
             .device()
@@ -636,6 +623,22 @@ mod tests {
         assert_eq!(many, solo);
         assert_eq!(dev.counters().transfers - before, 1, "one packed copy");
         assert!(ShardCheckpoint::capture_many(&[]).is_empty());
+    }
+
+    #[test]
+    fn shard_size_functions_match_what_alloc_and_capture_do() {
+        let dev = Device::v100();
+        let allocs = dev.counters().device_allocs;
+        let mut shard = Shard::alloc(&dev, 0, 8, 4).unwrap();
+        assert_eq!(dev.counters().device_allocs - allocs, Shard::BUFFERS);
+        for extra in [false, true] {
+            if extra {
+                crate::gpu::kernels::init_gfwa_amplitudes(&dev, &mut shard, Sphere.domain())
+                    .unwrap();
+            }
+            let packed: usize = shard.checkpoint_buffers().map(|b| b.len()).sum();
+            assert_eq!(packed as u64, Shard::checkpoint_elems(8, 4, extra));
+        }
     }
 
     #[test]

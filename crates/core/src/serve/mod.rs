@@ -16,6 +16,12 @@
 //!   (several co-resident jobs per device), large jobs (at least
 //!   [`ServeConfig::shard_threshold_particles`] particles) shard across
 //!   every device with an exchange reduction each iteration;
+//! * **residency** — every single-shard job whose swarm fits its device
+//!   (`n·d ≤ max_resident_threads`) steps each slice inside one
+//!   persistent region: one host launch per slice instead of one per
+//!   kernel, with its slice checkpoint packed inside the region. Sharded
+//!   jobs and jobs too large to be co-resident step launch by launch and
+//!   overlap their prefix-independent tail work on a second stream;
 //! * **preemption** — a queued high-priority job may suspend a running
 //!   lower-priority one: its shards are checkpointed to host memory, the
 //!   device memory is freed, and it later resumes **bit-identically**
@@ -43,7 +49,8 @@
 //!   under **one** device lease, and every tick advances the batch inside
 //!   a single persistent
 //!   device region: one host launch per batch-slice over the concatenated
-//!   Σ(n·d) state segments, instead of one launch per kernel per job.
+//!   Σ(n·d) state segments, instead of one region per job. A resident job
+//!   that found no mates is a micro-batch of one.
 //!   Per-job results are bit-identical to solo runs (each member keeps its
 //!   own state segment, counter-based PRNG stream and best-reduce
 //!   segment), and checkpoint/preempt/re-home/journal semantics are
@@ -383,10 +390,11 @@ mod tests {
             );
             assert_eq!(a.best_position, b.best_position);
         }
-        assert!(
-            batch_launches * 10 < solo_launches,
-            "one launch per batch-slice: {batch_launches} vs {solo_launches}"
-        );
+        // Alone or batched, every job steps resident after its one init
+        // launch: four regions (30 iterations, 8 per slice) per job alone,
+        // four for the whole batch.
+        assert_eq!(solo_launches, 4 * (1 + 4), "one region per slice per job");
+        assert_eq!(batch_launches, 4 + 4, "one region per batch-slice");
     }
 
     #[test]
@@ -515,9 +523,9 @@ mod tests {
         assert_eq!(svc.admission_downgrades(), 0);
         assert!(svc.goodput_s() > 0.0, "met deadline counts as goodput");
         assert_eq!(
-            svc.predictor().observations("global"),
+            svc.predictor().observations("global+resident"),
             1,
-            "completion fed the calibration loop"
+            "completion fed the calibration loop on the schedule it ran"
         );
     }
 

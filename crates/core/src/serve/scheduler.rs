@@ -12,7 +12,7 @@ use crate::gpu::UpdateStrategy;
 use crate::plan::{
     check_shardable, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
 };
-use crate::predictor::{CostPredictor, JobShape};
+use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
 use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
@@ -74,16 +74,18 @@ pub struct ServeConfig {
     /// topology; within the policy's element bound and the devices'
     /// resident-thread capacity) under **one** device lease, and every
     /// tick advances the batch inside a single persistent device region —
-    /// one host launch per batch-slice instead of one per kernel per job. Per-job
-    /// results stay bit-identical to solo execution; checkpoint, preempt,
-    /// re-home and journal semantics are unchanged at slice boundaries.
-    /// Batch members step unstreamed inside the region, while every job
-    /// stepped launch by launch — including a batch-eligible job that
-    /// found no mates — overlaps its prefix-independent tail work (PSO's
-    /// weight generation, GFWA's spark chain) on a second stream. The cost
+    /// one host launch per batch-slice instead of one per slice per job.
+    /// Per-job results stay bit-identical to solo execution; checkpoint,
+    /// preempt, re-home and journal semantics are unchanged at slice
+    /// boundaries. Batching or not, every single-shard job whose swarm
+    /// fits the device (`n·d ≤ max_resident_threads`) steps resident: a
+    /// job that found no mates is a micro-batch of one. Only sharded jobs
+    /// and jobs too large to be co-resident step launch by launch, and
+    /// they overlap their prefix-independent tail work (PSO's weight
+    /// generation, GFWA's spark chain) on a second stream. The cost
     /// predictor prices and calibrates each job on the schedule it runs:
-    /// `+persistent` only inside a batch region. `None` (the default)
-    /// disables batching.
+    /// `+persistent` in a batch with mates, `+resident` alone in its
+    /// region. `None` (the default) disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -224,9 +226,12 @@ struct Running {
     /// The device lease. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
     lease: Rc<Lease>,
-    /// Micro-batch membership: jobs with the same id advance together
-    /// inside one persistent region per slice. `None` = solo.
+    /// Region membership: jobs with the same id advance together inside
+    /// one persistent region per slice (a resident solo job is a batch of
+    /// one). `None` = stepped launch by launch on streams.
     batch: Option<u64>,
+    /// The schedule the job was admitted on, which calibration observes.
+    schedule: Schedule,
     state: ExecState,
     /// Latest host-side checkpoint, captured at a slice boundary. Device
     /// loss rolls the job back to this; `None` (no boundary reached yet)
@@ -281,7 +286,8 @@ impl Service {
         let mut pool = LeasePool::new(&group, cfg.slots_per_device);
         pool.set_health(health.clone());
         let queue = AdmissionQueue::new(cfg.queue_capacity);
-        let predictor = CostPredictor::new(group.device(0).expect("non-empty group").profile());
+        let dev0 = group.device(0).expect("non-empty group");
+        let predictor = CostPredictor::new(dev0.profile(), dev0.link());
         let resident_threads = group
             .iter()
             .map(|d| d.profile().max_resident_threads() as usize)
@@ -676,17 +682,20 @@ impl Service {
         self.pool.n_devices() > 1 && cfg.n_particles >= self.cfg.shard_threshold_particles
     }
 
-    /// The predictor's view of `req` run with `strategy`: full iteration
-    /// budget, sharded the way admission would shard it, and priced (and
-    /// keyed) on the schedule it runs — inside a micro-batch's persistent
-    /// regions when `batched`, launch by launch on stream lanes otherwise.
-    fn shape_of(&self, req: &OptimizeRequest, strategy: UpdateStrategy, batched: bool) -> JobShape {
+    /// The predictor's view of `req` run with `strategy` on `schedule`:
+    /// full iteration budget and sharded the way admission would shard it.
+    fn shape_of(
+        &self,
+        req: &OptimizeRequest,
+        strategy: UpdateStrategy,
+        schedule: Schedule,
+    ) -> JobShape {
         let shards = if self.will_shard(&req.cfg) {
             self.pool.n_devices()
         } else {
             1
         };
-        let shape = JobShape::new(
+        JobShape::new(
             req.cfg.n_particles as u64,
             req.cfg.dim as u64,
             req.cfg.max_iter as u64,
@@ -695,11 +704,26 @@ impl Service {
         .shards(shards as u64)
         .flops_per_dim(req.objective.flops_per_dim())
         .algorithm(req.algorithm)
-        .topology(req.cfg.topology);
-        if batched {
-            shape.persistent(self.cfg.slice_iters as u64)
+        .topology(req.cfg.topology)
+        .schedule(schedule)
+    }
+
+    /// The schedule a job is stepped on: inside a micro-batch's regions
+    /// when it has `mates`; resident alone when it is single-shard and its
+    /// swarm fits the devices' resident threads, the co-residency rule
+    /// every region obeys ([`run_resident`]); launch by launch on stream
+    /// lanes otherwise.
+    fn schedule_of(&self, cfg: &PsoConfig, sharded: bool, mates: bool) -> Schedule {
+        let slice = self.cfg.slice_iters as u64;
+        if mates {
+            Schedule::Batched { slice }
+        } else if !sharded && cfg.n_particles * cfg.dim <= self.resident_threads {
+            Schedule::Resident {
+                slice,
+                checkpoint_slices: self.cfg.checkpoint_slices as u64,
+            }
         } else {
-            shape.streamed()
+            Schedule::Streamed
         }
     }
 
@@ -736,8 +760,9 @@ impl Service {
     /// as batched.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
         let batched = self.batchable_cfg(&req.cfg).is_some();
+        let schedule = self.schedule_of(&req.cfg, self.will_shard(&req.cfg), batched);
         self.predictor
-            .predict_s(&self.shape_of(req, strategy, batched))
+            .predict_s(&self.shape_of(req, strategy, schedule))
     }
 
     /// Devices the budget can draw on: every device of the group that has
@@ -874,19 +899,20 @@ impl Service {
             } else {
                 self.gather_batch(&entry)
             };
-            let lease = Rc::new(lease);
-            if mates.is_empty() {
-                self.start(entry, lease, None);
-                events += 1;
-            } else {
-                let batch = self.next_batch;
+            let schedule = self.schedule_of(&entry.payload.job.req.cfg, sharded, !mates.is_empty());
+            let batch = (schedule != Schedule::Streamed).then(|| {
                 self.next_batch += 1;
-                events += 1 + mates.len();
-                self.start(entry, Rc::clone(&lease), Some(batch));
-                for m in mates {
-                    self.start(m, Rc::clone(&lease), Some(batch));
-                }
+                self.next_batch - 1
+            });
+            events += 1 + mates.len();
+            // Each member takes its own handle to the shared lease and
+            // admission drops its own after: whichever handle goes last —
+            // a member that failed to start included — returns the lease.
+            let lease = Rc::new(lease);
+            for m in std::iter::once(entry).chain(mates) {
+                self.start(m, Rc::clone(&lease), batch, schedule);
             }
+            self.release_shared(lease);
         }
         events
     }
@@ -977,7 +1003,13 @@ impl Service {
     /// however many devices the new lease spans (shards assigned
     /// round-robin), so losing a device never strands a sharded job — the
     /// reduction is over shards, not devices.
-    fn start(&mut self, entry: QueueEntry<Pending>, lease: Rc<Lease>, batch: Option<u64>) {
+    fn start(
+        &mut self,
+        entry: QueueEntry<Pending>,
+        lease: Rc<Lease>,
+        batch: Option<u64>,
+        schedule: Schedule,
+    ) {
         let Pending { mut job, work } = entry.payload;
         self.journal.append(ServeEvent::Admit {
             job: job.id.0,
@@ -988,7 +1020,7 @@ impl Service {
             Work::Fresh => lease.devices().len(),
         };
         let view = self.pool.group_view(&lease);
-        let plan = build_plan(&job.req, n_shards, batch.is_some());
+        let plan = build_plan(&job.req, n_shards, schedule == Schedule::Streamed);
         let meter = Meter::read(&self.group);
         let run = bind(&job.req, &plan, &view);
         let state = match &work {
@@ -1023,6 +1055,7 @@ impl Service {
             view,
             lease,
             batch,
+            schedule,
             state,
             snapshot,
             slices_since_snapshot: 0,
@@ -1031,8 +1064,9 @@ impl Service {
     }
 
     /// Advance every running job by one time slice, in job-id order.
-    /// Micro-batch members advance together inside one persistent region
-    /// (one host launch per batch-slice); solo jobs step as before.
+    /// Region members (a micro-batch, or a resident solo job) advance
+    /// together inside one persistent region (one host launch per slice);
+    /// the rest step launch by launch on streams.
     fn step_running(&mut self) -> usize {
         let slice = self.cfg.slice_iters;
         let mut outcomes: Vec<(usize, Result<bool, PsoError>)> = Vec::new();
@@ -1093,15 +1127,16 @@ impl Service {
         stepped
     }
 
-    /// Advance one micro-batch by a slice: a single persistent region on
-    /// the shared device spans the whole batch-slice ([`run_resident`]; its
+    /// Advance one region group (a micro-batch, or a resident solo job as
+    /// a batch of one) by a slice: a single persistent region on the
+    /// shared device spans the whole batch-slice ([`run_resident`]; its
     /// open is the batch's one host launch, and the cost is split equally
     /// across members), and members step sequentially inside it over their
     /// own state segments and PRNG streams — bit-identical to solo
     /// execution. A member that errors ends the batch's slice early;
-    /// members not yet stepped simply run next tick (or are swept by the
-    /// next tick's re-homing if the device died). Returns
-    /// `(running-index, outcome)` per member.
+    /// members not yet stepped are not checkpointed, and simply run next
+    /// tick (or are swept by the next tick's re-homing if
+    /// the device died). Returns `(running-index, outcome)` per member.
     fn step_batch(
         &mut self,
         members: &[usize],
@@ -1119,21 +1154,21 @@ impl Service {
         let region = run_resident(&view, "batched_slice", threads, || {
             let open_share = open.since(&self.group, members.len());
             let mut out = Vec::with_capacity(members.len());
-            let mut failed = false;
             for &j in members {
-                if failed {
-                    out.push((j, Ok(false)));
-                    continue;
-                }
                 let meter = Meter::read(&self.group);
                 let run = &mut self.running[j];
                 let res =
                     bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
                 meter.charge(&self.group, &mut run.job);
-                failed = res.is_err();
+                let failed = res.is_err();
                 out.push((j, res));
+                if failed {
+                    break;
+                }
             }
             self.checkpoint_batch(members, &out);
+            let stepped = out.len();
+            out.extend(members[stepped..].iter().map(|&j| (j, Ok(false))));
             (out, open_share)
         });
         match region {
@@ -1154,12 +1189,13 @@ impl Service {
         }
     }
 
-    /// Checkpoint a micro-batch at its slice boundary, as the solo path
-    /// does, while its region is still open: every member `out` reports
-    /// as `Ok(false)` that is due is captured in one packed copy (one pack
-    /// pass and one PCIe latency per batch-slice) whose cost is split
-    /// equally, like the region open. Skipped if the device died mid-batch (the
-    /// next tick's sweep rolls every member back to its last capture).
+    /// Checkpoint a region group at its slice boundary, as the streamed
+    /// path does, while its region is still open: every member that
+    /// stepped (`out`) and reports `Ok(false)` and is due is captured in
+    /// one packed copy (one pack pass and one PCIe latency per
+    /// batch-slice) whose cost is split equally, like the region open.
+    /// Skipped if the device died mid-batch (the next tick's sweep rolls
+    /// every member back to its last capture).
     fn checkpoint_batch(&mut self, members: &[usize], out: &[(usize, Result<bool, PsoError>)]) {
         let stranded = members.iter().any(|&j| {
             self.running[j]
@@ -1203,7 +1239,7 @@ impl Service {
             plan,
             view,
             lease,
-            batch,
+            schedule,
             state,
             ..
         } = run;
@@ -1215,9 +1251,9 @@ impl Service {
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run, on
         // the schedule it ran — a batch-eligible job that found no mates
-        // stepped launch by launch, not in a batch region.
+        // ran resident alone, not in a batch region.
         if iterations > 0 && job.device_seconds > 0.0 {
-            let mut shape = self.shape_of(&job.req, job.req.strategy, batch.is_some());
+            let mut shape = self.shape_of(&job.req, job.req.strategy, schedule);
             shape.iterations = iterations as u64;
             shape.shards = plan.n_shards as u64;
             self.predictor.observe(&shape, job.device_seconds);
@@ -1300,19 +1336,19 @@ fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
 }
 
 /// The job's execution plan for `n_shards` shards. A job stepped launch
-/// by launch (solo or sharded) overlaps each iteration's
-/// prefix-independent tail work (PSO's weight generation, GFWA's spark
-/// chain) with eval → pbest → argmin on a second stream lane; every
-/// iteration closes its stream window before it returns, so co-resident
-/// jobs never share one. A micro-batch member steps inside the batch's
-/// persistent region, which has no lanes, so its plan stays unstreamed.
-fn build_plan(req: &OptimizeRequest, n_shards: usize, batched: bool) -> ExecutionPlan {
+/// by launch (sharded, or too large to be co-resident) is `streamed`: it
+/// overlaps each iteration's prefix-independent tail work (PSO's weight
+/// generation, GFWA's spark chain) with eval → pbest → argmin on a second
+/// stream lane; every iteration closes its stream window before it
+/// returns, so co-resident jobs never share one. A job stepped inside a
+/// persistent region, which has no lanes, keeps its plan unstreamed.
+fn build_plan(req: &OptimizeRequest, n_shards: usize, streamed: bool) -> ExecutionPlan {
     let reduce = BestReduce::for_shards(n_shards);
     let mut plan = ExecutionPlan::build_for(req.algorithm, req.cfg.topology, n_shards, reduce);
     if req.fused {
         plan.fuse_swarm_update(req.strategy);
     }
-    if !batched {
+    if streamed {
         plan.assign_streams();
     }
     plan

@@ -19,10 +19,15 @@ const SYNC_OVERHEAD_S: f64 = 3.0e-6;
 
 /// Modeled time of one grid-wide barrier
 /// (`cooperative_groups::grid_group::sync()`): resident threads rendezvous
-/// on-device without a host round-trip, so it is much cheaper than
-/// [`SYNC_OVERHEAD_S`]. Charged by [`Device::synchronize`] inside an open
-/// persistent region.
-const GRID_SYNC_OVERHEAD_S: f64 = 0.5e-6;
+/// on-device without a host round-trip, so it is much cheaper than a
+/// host-side device sync (3 µs). Charged by [`Device::synchronize`] inside
+/// an open persistent region.
+pub const GRID_SYNC_OVERHEAD_S: f64 = 0.5e-6;
+
+/// Modeled cost of an allocation the caching pool serves, as a fraction
+/// of the profile's `device_alloc_cost_s` (a driver round-trip): a pool
+/// lookup is a couple of host instructions.
+pub const CACHE_HIT_COST_FRACTION: f64 = 0.02;
 
 /// Host-visible tallies of one closed persistent region, returned by
 /// [`Device::end_persistent`].
@@ -159,6 +164,11 @@ impl Device {
     /// The device's hardware profile.
     pub fn profile(&self) -> GpuProfile {
         self.shared.profile.clone()
+    }
+
+    /// The device's host interconnect.
+    pub fn link(&self) -> LinkProfile {
+        self.shared.link.clone()
     }
 
     /// Select the allocation strategy (Table 4 ablation).
@@ -306,9 +316,8 @@ impl Device {
             }
             AllocOutcome::CacheHit => {
                 c.device_alloc_cache_hits = 1;
-                // A pool lookup is a couple of host instructions.
                 (
-                    self.shared.profile.device_alloc_cost_s * 0.02,
+                    self.shared.profile.device_alloc_cost_s * CACHE_HIT_COST_FRACTION,
                     AllocKind::CacheHit,
                 )
             }
@@ -600,10 +609,7 @@ impl Device {
         );
         let elems: usize = bufs.iter().map(|b| b.len()).sum();
         let f32_bytes = std::mem::size_of::<f32>() as u64;
-        self.charge_kernel(
-            &KernelDesc::elementwise("checkpoint_pack", phase, 0, f32_bytes, f32_bytes)
-                .over(elems as u64),
-        );
+        self.charge_kernel(&KernelDesc::checkpoint_pack(phase, elems as u64));
         self.charge_transfer(phase, TransferDirection::D2H, elems as u64 * f32_bytes);
         bufs.iter().map(|b| b.as_slice().to_vec()).collect()
     }

@@ -175,6 +175,14 @@ pub struct KernelDesc {
 }
 
 impl KernelDesc {
+    /// The gather pass of [`crate::Device::download_packed`]
+    /// (`checkpoint_pack`): one thread per packed `f32`, reading it from
+    /// its buffer and writing it to the staging block.
+    pub fn checkpoint_pack(phase: Phase, elems: u64) -> KernelDesc {
+        let f32_bytes = std::mem::size_of::<f32>() as u64;
+        KernelDesc::elementwise("checkpoint_pack", phase, 0, f32_bytes, f32_bytes).over(elems)
+    }
+
     /// A coalesced element-wise kernel over `elems` elements with
     /// `flops`/`read`/`write` per-element cost and one logical thread per
     /// element.

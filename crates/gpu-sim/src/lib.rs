@@ -58,7 +58,9 @@ pub mod tensor;
 pub mod tiled;
 
 pub use buffer::DeviceBuffer;
-pub use device::{Device, DeviceMetrics, PersistentStats};
+pub use device::{
+    Device, DeviceMetrics, PersistentStats, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S,
+};
 pub use error::GpuError;
 pub use fault::{FaultPlan, FaultStats};
 pub use health::{FleetHealth, HealthPolicy, HealthState};
