@@ -161,8 +161,8 @@ pub struct StageSpec {
 }
 
 /// The node of an iteration's shared prefix an update-tail stage depends
-/// on. The stream pass ([`crate::ExecutionPlan::assign_streams`]) moves a
-/// stage with no path into the prefix onto the side lane.
+/// on: the dependency edge [`crate::ExecutionPlan::build_for`] gives the
+/// stage's node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefixDep {
     /// None: only counter-based draws and its `after` stages.

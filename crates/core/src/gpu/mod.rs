@@ -27,9 +27,8 @@ pub use kernels::UpdateStrategy;
 /// ```
 ///
 /// Every run builds an [`ExecutionPlan`] — the declarative per-iteration
-/// kernel graph — and hands it to the plan executor; resilience, kernel
-/// fusion and stream overlap are all plan-level concerns (see the
-/// [`crate::plan`] module).
+/// kernel graph — and hands it to the plan executor; resilience and kernel
+/// fusion are plan-level concerns (see the [`crate::plan`] module).
 pub struct GpuBackend {
     device: Device,
     strategy: UpdateStrategy,
@@ -37,7 +36,6 @@ pub struct GpuBackend {
     resilience: Option<ResilienceConfig>,
     alloc_mode: Option<AllocMode>,
     fuse: bool,
-    streams: bool,
     persistent: bool,
 }
 
@@ -62,7 +60,6 @@ impl GpuBackend {
             resilience: None,
             alloc_mode: None,
             fuse: false,
-            streams: false,
             persistent: false,
         }
     }
@@ -110,27 +107,15 @@ impl GpuBackend {
         self
     }
 
-    /// Enable simulated stream overlap: the stream-assignment pass
-    /// ([`ExecutionPlan::assign_streams`]) schedules the update-tail work
-    /// that needs nothing from the iteration's prefix (PSO's weight
-    /// generation, GFWA's spark chain) on a second stream so its modeled
-    /// time overlaps the eval→reduce chain. Trajectories and per-phase
-    /// accounting are unchanged; only total modeled time shrinks.
-    pub fn streams(mut self, on: bool) -> Self {
-        self.streams = on;
-        self
-    }
-
     /// Enable persistent-kernel execution: after init, the whole run is
     /// dispatched as one slice inside a single device-resident region, so
     /// it costs one host launch and each synchronisation is a grid-wide
     /// barrier instead of a host round-trip. The plan is the same either
     /// way; residency only changes how it is dispatched. Trajectories are
     /// bitwise-identical; only launch accounting and modeled time change.
-    /// Silently falls back to per-launch execution when the swarm does not
-    /// fit co-resident on the device (`n_particles × dim >
-    /// max_resident_threads`) or when stream overlap is enabled (overlap
-    /// is a host-side launch model).
+    /// A swarm larger than the device keeps co-resident runs grid-stride:
+    /// the region holds `max_resident_threads` threads, each covering
+    /// several elements of every pass.
     pub fn persistent(mut self, on: bool) -> Self {
         self.persistent = on;
         self
@@ -163,19 +148,7 @@ impl GpuBackend {
         if self.fuse {
             plan.fuse_swarm_update(self.strategy);
         }
-        if self.streams {
-            plan.assign_streams();
-        }
         plan
-    }
-
-    /// Whether a run of `cfg` is dispatched inside one persistent region:
-    /// persistence on, no stream lanes, and the whole swarm co-resident on
-    /// the device (see `DESIGN.md` §12).
-    fn resident(&self, cfg: &PsoConfig) -> bool {
-        let fits =
-            (cfg.n_particles * cfg.dim) as u64 <= self.device.profile().max_resident_threads();
-        self.persistent && !self.streams && fits
     }
 }
 
@@ -208,7 +181,7 @@ impl PsoBackend for GpuBackend {
             resilience: self.resilience.as_ref(),
             group: &DeviceGroup::from_devices(vec![self.device.clone()]),
         }
-        .execute(self.resident(cfg))
+        .execute(self.persistent)
     }
 }
 
@@ -360,35 +333,39 @@ mod tests {
     }
 
     #[test]
-    fn persistent_falls_back_when_ineligible() {
-        // Kernel launches of one run and whether it matches `reference`.
-        let launches = |b: GpuBackend, c: &PsoConfig, reference: &RunResult| {
-            let r = b.run(c, &Sphere).unwrap();
-            assert_eq!(r.best_position, reference.best_position);
-            b.profile().total_counters().kernel_launches
-        };
-        // 2048 × 128 threads exceed the V100's resident capacity, and
-        // stream overlap is a host-side launch model: both run launch by
-        // launch, as if persistence were off.
-        let big = cfg(2048, 128, 5);
-        let small = cfg(48, 6, 5);
-        for (on, off, c) in [
-            (GpuBackend::new().persistent(true), GpuBackend::new(), &big),
-            (
-                GpuBackend::new().persistent(true).streams(true),
-                GpuBackend::new().streams(true),
-                &small,
-            ),
-        ] {
-            let reference = off.run(c, &Sphere).unwrap();
-            let per_launch = off.profile().total_counters().kernel_launches;
-            assert!(per_launch > 2);
-            assert_eq!(launches(on, c, &reference), per_launch);
-        }
+    fn persistent_runs_grid_stride_above_the_resident_threads() {
+        // 2048 × 128 elements exceed the V100's 163 840 resident threads:
+        // the region holds that many threads, each striding over the rest,
+        // so the run is still its init plus one region, bit-identical, with
+        // every counter but the launch count byte-equal.
+        let c = cfg(2048, 128, 5);
+        let split_backend = GpuBackend::new();
+        let split = split_backend.run(&c, &Sphere).unwrap();
+        let persist_backend = GpuBackend::new().persistent(true);
+        let persist = persist_backend.run(&c, &Sphere).unwrap();
+        assert_eq!(split.best_value, persist.best_value);
+        assert_eq!(split.best_position, persist.best_position);
+        let log = persist_backend.profile();
+        let pc = log.total_counters();
+        assert_eq!(pc.kernel_launches, 2);
+        let region = log
+            .kernels
+            .iter()
+            .find(|k| k.launches == 1 && k.name == "persistent_run");
+        let max = persist_backend.device().profile().max_resident_threads();
+        assert_eq!(region.map(|k| k.threads), Some(max));
+        let mut expect = split_backend.profile().total_counters();
+        expect.kernel_launches = pc.kernel_launches;
+        assert_eq!(pc, expect);
+
         // Fusion composes with residency: init plus one region.
+        let small = cfg(48, 6, 5);
         let fused = GpuBackend::new().fused(true);
         let reference = fused.run(&small, &Sphere).unwrap();
-        assert_eq!(launches(fused.persistent(true), &small, &reference), 2);
+        let fused = fused.persistent(true);
+        let r = fused.run(&small, &Sphere).unwrap();
+        assert_eq!(r.best_position, reference.best_position);
+        assert_eq!(fused.profile().total_counters().kernel_launches, 2);
     }
 
     #[test]
@@ -441,21 +418,5 @@ mod tests {
             assert_eq!(clean.best_position, faulted.best_position);
             assert!(faulted.phase_seconds(gpu_sim::Phase::Recovery) > 0.0);
         }
-    }
-
-    #[test]
-    fn streams_hide_time_without_changing_results() {
-        let c = cfg(256, 32, 30);
-        let off = GpuBackend::new().run(&c, &Sphere).unwrap();
-        let on = GpuBackend::new().streams(true).run(&c, &Sphere).unwrap();
-        assert_eq!(off.best_value, on.best_value);
-        assert_eq!(off.best_position, on.best_position);
-        assert!(on.timeline.overlapped_seconds() > 0.0);
-        assert!(
-            on.elapsed_seconds() < off.elapsed_seconds(),
-            "overlap should shrink modeled time: on {} vs off {}",
-            on.elapsed_seconds(),
-            off.elapsed_seconds()
-        );
     }
 }

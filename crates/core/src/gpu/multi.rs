@@ -18,7 +18,7 @@
 //! Both strategies lower onto the same [`ExecutionPlan`] the single-GPU
 //! backend uses, with a [`BestReduce::Exchange`] reduction node standing in
 //! for the local adopt; the plan executor (see [`crate::plan`]) owns the
-//! run loop, resilience and stream scheduling.
+//! run loop and resilience.
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
@@ -51,7 +51,6 @@ pub struct MultiGpuBackend {
     resilience: Option<ResilienceConfig>,
     alloc_mode: Option<AllocMode>,
     fuse: bool,
-    streams: bool,
 }
 
 impl MultiGpuBackend {
@@ -69,7 +68,6 @@ impl MultiGpuBackend {
             resilience: None,
             alloc_mode: None,
             fuse: false,
-            streams: false,
         }
     }
 
@@ -102,13 +100,6 @@ impl MultiGpuBackend {
         self
     }
 
-    /// Enable simulated stream overlap on every device (see
-    /// [`ExecutionPlan::assign_streams`]).
-    pub fn streams(mut self, on: bool) -> Self {
-        self.streams = on;
-        self
-    }
-
     /// The backing device group.
     pub fn group(&self) -> &DeviceGroup {
         &self.group
@@ -134,9 +125,6 @@ impl MultiGpuBackend {
             ExecutionPlan::build(cfg, self.group.len(), BestReduce::Exchange { sync_every });
         if self.fuse {
             plan.fuse_swarm_update(self.update);
-        }
-        if self.streams {
-            plan.assign_streams();
         }
         plan
     }
@@ -253,20 +241,5 @@ mod tests {
             .unwrap();
         assert_eq!(plain.best_value, fused.best_value);
         assert_eq!(plain.best_position, fused.best_position);
-    }
-
-    #[test]
-    fn streamed_multi_hides_time_without_changing_results() {
-        let c = cfg(512, 32, 20);
-        let off = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-            .run(&c, &Sphere)
-            .unwrap();
-        let on = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-            .streams(true)
-            .run(&c, &Sphere)
-            .unwrap();
-        assert_eq!(off.best_value, on.best_value);
-        assert_eq!(off.best_position, on.best_position);
-        assert!(on.elapsed_seconds() < off.elapsed_seconds());
     }
 }

@@ -7,10 +7,9 @@
 //! loop bodies encoding it: plain and resilient, single- and multi-GPU.
 //! This module factors the dataflow out as data. [`ExecutionPlan::build`]
 //! turns a [`PsoConfig`] plus a shard count into a list of [`PlanNode`]s
-//! (kernel invocations with phase, shard and dependency edges), optimisation
-//! passes rewrite the graph ([`ExecutionPlan::fuse_swarm_update`],
-//! [`ExecutionPlan::assign_streams`]), and the crate-private `PlanRun`
-//! executor walks the node list once per iteration. It runs the shared
+//! (kernel invocations with phase, shard and dependency edges), the fusion
+//! pass rewrites the graph ([`ExecutionPlan::fuse_swarm_update`]), and the
+//! crate-private `PlanRun` executor walks the node list once per iteration. It runs the shared
 //! prefix (eval, pbest, argmin, reduce/adopt, topology gathers) itself and
 //! hands every update-tail op to the plan's algorithm
 //! ([`crate::algo::SwarmAlgorithm::execute`]). Every op goes through one
@@ -27,12 +26,13 @@
 //! one), and every execution state advances through one loop,
 //! `PlanRun::step_slice`. Residency is a dispatch decision, not a plan
 //! rewrite: the plan describes one iteration's schedule, and a slice runs
-//! either launch by launch or inside one device-resident region opened by
-//! the crate-private `run_resident`, the one place a persistent region
-//! opens and closes. Its two callers are a persistent single-GPU run
+//! either launch by launch or inside device-resident regions opened by the
+//! crate-private `run_resident`, the one place persistent regions open and
+//! close: one per device of the group, each grid-stride over the elements
+//! homed there. Its two callers are a persistent single-GPU run
 //! ([`crate::GpuBackend::persistent`], the whole run as one slice) and the
-//! serving layer, one slice at a time over a micro-batch's members or a
-//! resident solo job.
+//! serving layer, one slice at a time over a micro-batch's members, a solo
+//! job or a sharded one.
 //!
 //! Rows are split across shards in one place: the crate-private
 //! `partition(n, k)` gives shard `i` a contiguous block, with the
@@ -46,24 +46,16 @@
 //!
 //! * **Node order is execution order.** Nodes are constructed in exactly the
 //!   sequence the legacy loops issued their kernels, and the executor never
-//!   reorders. Dependency edges exist for the rewrite passes (fusion
-//!   locality, stream scheduling), not for a scheduler — so `gbest`
+//!   reorders. Dependency edges exist for the fusion pass, not for a
+//!   scheduler — so `gbest`
 //!   trajectories are bit-identical to the seed's. Launch schedules are
 //!   not: best tracking takes one launch per decision (`pbest_update`
 //!   carries its row copies; the argmin is single-pass and, on one shard,
 //!   adopts the winner), so the seed's separate copy and reduction-pass
 //!   launches are gone while every flop and byte is still charged.
-//! * **Passes are opt-in.** A freshly built plan executes the default
-//!   schedule; fusion and streams only change anything when a backend
-//!   explicitly enables them.
-//!
-//! With [`ExecutionPlan::assign_streams`], update-tail nodes with no
-//! dependency path into the shared prefix run on a second simulated stream
-//! lane (see `gpu_sim::stream`) and overlap the eval→reduce chain, each
-//! with a recorded [`Event`] ordering it before the lane-0 node that
-//! consumes it. Which stages qualify is each algorithm's declaration
-//! ([`crate::StageSpec::prefix`]); DESIGN.md §10 tabulates them. The
-//! `ablation_overlap` bench bin measures the hidden time.
+//! * **Fusion is opt-in.** A freshly built plan executes the default
+//!   schedule; fusion only changes anything when a backend or request
+//!   explicitly enables it.
 //!
 //! # Example
 //!
@@ -100,7 +92,7 @@ use crate::result::RunResult;
 use crate::topology::{Migration, Topology};
 use fastpso_functions::Objective;
 use gpu_sim::reduce::MinResult;
-use gpu_sim::{Device, DeviceGroup, Event, KernelDesc, Phase, Timeline};
+use gpu_sim::{Device, DeviceGroup, KernelDesc, Phase, Timeline};
 
 /// One kernel-level operation of a FastPSO iteration (paper §3.1's steps,
 /// at launch granularity).
@@ -127,8 +119,8 @@ pub enum PlanOp {
         /// Neighbourhood half-width.
         k: usize,
     },
-    /// End-of-iteration device synchronisation; with streams enabled this
-    /// is also the join point where lanes merge back into the timeline.
+    /// End-of-iteration device synchronisation (a grid-wide barrier inside
+    /// a persistent region).
     DeviceSync,
     /// One stage of the plan's algorithm's update tail: its name, deps,
     /// fusion role and launches come from the algorithm
@@ -192,15 +184,9 @@ pub struct PlanNode {
     /// Timeline phase the op's launches are charged to (informational; the
     /// kernels themselves carry their phase).
     pub phase: Phase,
-    /// Indices of nodes this one consumes data from. Used by the rewrite
-    /// passes; the executor runs nodes in list order regardless.
+    /// Indices of nodes this one consumes data from. Used by the fusion
+    /// pass; the executor runs nodes in list order regardless.
     pub deps: Vec<usize>,
-    /// Simulated stream lane the op is issued on (0 = default stream;
-    /// meaningful only when the plan has streams enabled).
-    pub stream: u32,
-    /// Nodes whose recorded [`Event`] this op waits on before issuing
-    /// (cross-lane ordering; populated by the stream pass).
-    pub wait: Vec<usize>,
 }
 
 /// How step (iii) combines per-shard bests.
@@ -246,12 +232,16 @@ pub struct ExecutionPlan {
     /// shard's eval → pbest → argmin, the reduce and the optional ring or
     /// island gathers; the rest are the algorithm's update tails.
     prefix_len: usize,
-    /// Whether the stream pass ran (nodes carry lane assignments and the
-    /// executor opens stream windows).
-    pub streams_enabled: bool,
 }
 
-/// Append a node on the default stream and return its index.
+/// Bytes each shard publishes per best exchange: its local best value and
+/// position row, `d + 1` floats. The executor's [`DeviceGroup::exchange`]
+/// charges it and the cost predictor prices it.
+pub(crate) fn best_exchange_bytes(d: u64) -> u64 {
+    (d + 1) * std::mem::size_of::<f32>() as u64
+}
+
+/// Append a node and return its index.
 pub(crate) fn push(
     nodes: &mut Vec<PlanNode>,
     op: PlanOp,
@@ -264,8 +254,6 @@ pub(crate) fn push(
         shard,
         phase,
         deps,
-        stream: 0,
-        wait: Vec::new(),
     });
     nodes.len() - 1
 }
@@ -356,7 +344,6 @@ impl ExecutionPlan {
             n_shards,
             reduce,
             prefix_len,
-            streams_enabled: false,
         }
     }
 
@@ -410,38 +397,9 @@ impl ExecutionPlan {
             }
             node.deps.sort_unstable();
             node.deps.dedup();
-            for w in node.wait.iter_mut() {
-                *w = new_idx[redirect[*w]];
-            }
         }
         self.nodes = kept;
         true
-    }
-
-    /// Rewrite pass: schedule update-tail work that does not need the
-    /// iteration's prefix onto a second simulated stream lane. Lanes follow
-    /// the dependency edges alone, never op names: a tail node goes on
-    /// lane 1 when it depends on nothing in the shared prefix, directly or
-    /// through another node, and every other node stays on lane 0. Each
-    /// lane-0 node that depends on a lane-1 node gains a `wait` edge on it,
-    /// mirroring `cudaStreamWaitEvent`. Island migration rewrites particle
-    /// rows in the prefix, so a stage that reads rows
-    /// ([`PrefixDep::Rows`]) stays on lane 0 behind `Migrate`.
-    pub fn assign_streams(&mut self) {
-        self.streams_enabled = true;
-        let mut pinned = vec![false; self.nodes.len()];
-        for i in 0..self.nodes.len() {
-            pinned[i] = i < self.prefix_len || self.nodes[i].deps.iter().any(|&d| pinned[d]);
-            let node = &mut self.nodes[i];
-            node.stream = u32::from(!pinned[i]);
-            if pinned[i] {
-                for &d in &node.deps {
-                    if !pinned[d] && !node.wait.contains(&d) {
-                        node.wait.push(d);
-                    }
-                }
-            }
-        }
     }
 
     /// The nodes the executor walks once per iteration, in order. Every
@@ -460,28 +418,14 @@ impl ExecutionPlan {
     }
 
     /// The launches one iteration of `shard`'s update tail issues over a
-    /// shard of `shape`, in order, each with its node's stream lane: the
-    /// descriptors the stages' kernels launch
-    /// ([`crate::SwarmAlgorithm::launches`]), so pricing them prices what
-    /// runs.
-    pub fn tail_launches(&self, shard: usize, shape: &TailShape<'_>) -> Vec<(u32, KernelDesc)> {
+    /// shard of `shape`, in order: the descriptors the stages' kernels
+    /// launch ([`crate::SwarmAlgorithm::launches`]), so pricing them prices
+    /// what runs.
+    pub fn tail_launches(&self, shard: usize, shape: &TailShape<'_>) -> Vec<KernelDesc> {
         let mut out = Vec::new();
         for node in &self.nodes[self.prefix_len..] {
             if let (PlanOp::Stage(stage), true) = (node.op, node.shard == shard) {
-                let launches = algorithm_impl(stage.algorithm()).launches(stage, shape);
-                out.extend(launches.into_iter().map(|d| (node.stream, d)));
-            }
-        }
-        out
-    }
-
-    /// Which nodes some later node waits on (their events must be
-    /// recorded when streams are enabled).
-    fn event_sources(&self) -> Vec<bool> {
-        let mut out = vec![false; self.nodes.len()];
-        for node in &self.nodes {
-            for &w in &node.wait {
-                out[w] = true;
+                out.extend(algorithm_impl(stage.algorithm()).launches(stage, shape));
             }
         }
         out
@@ -571,28 +515,6 @@ impl<'a> PlanRun<'a> {
         Ok(self.group.device(home)?)
     }
 
-    /// Stream hook at node entry: bind the node's lane and wait on its
-    /// cross-lane events. No-op unless the plan has streams enabled.
-    fn enter(&self, dev: &Device, node: &PlanNode, events: &[Option<Event>]) {
-        if !self.plan.streams_enabled {
-            return;
-        }
-        dev.bind_stream(node.stream);
-        for &w in &node.wait {
-            if let Some(ev) = &events[w] {
-                dev.wait_event(ev);
-            }
-        }
-    }
-
-    /// Stream hook at node exit: record an event if a later node waits on
-    /// this one.
-    fn record(&self, dev: &Device, idx: usize, needs: &[bool], events: &mut [Option<Event>]) {
-        if self.plan.streams_enabled && needs[idx] {
-            events[idx] = Some(dev.record_event());
-        }
-    }
-
     /// Walk the plan's nodes once, in order, every op under the run's
     /// [`PlanRun::guard`]: plain ops get bounded in-place retry, and the
     /// algorithm's update tail ([`crate::algo::SwarmAlgorithm::execute`])
@@ -604,9 +526,6 @@ impl<'a> PlanRun<'a> {
         let d = cfg.dim;
         let res = self.guard();
         let alg = algorithm_impl(plan.algorithm);
-        let needs_event = plan.event_sources();
-        let nodes = plan.iteration_nodes();
-        let mut events: Vec<Option<Event>> = vec![None; nodes.len()];
         let OptState {
             shards,
             homes,
@@ -628,12 +547,11 @@ impl<'a> PlanRun<'a> {
             .collect();
         let mut improved = false;
 
-        for (idx, node) in nodes.iter().enumerate() {
+        for node in plan.iteration_nodes() {
             let s = node.shard;
             match node.op {
                 PlanOp::Eval => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     retry_op(dev, &res.retry, || eval_shard(dev, shard, self.obj))?;
                     if res.quarantine_nonfinite {
@@ -642,13 +560,11 @@ impl<'a> PlanRun<'a> {
                 }
                 PlanOp::PBest => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     retry_op(dev, &res.retry, || pbest_update(dev, shard))?;
                 }
                 PlanOp::Argmin => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &mut shards[s];
                     match plan.reduce {
                         // One shard holds the whole swarm: its argmin's
@@ -678,7 +594,8 @@ impl<'a> PlanRun<'a> {
                                 // Every device publishes its local best
                                 // (value + position row); the winner is
                                 // broadcast and adopted where it improves.
-                                self.group.exchange(Phase::GBest, (d as u64 + 1) * 4);
+                                self.group
+                                    .exchange(Phase::GBest, best_exchange_bytes(d as u64));
                                 let (mut win_dev, mut win) = (0usize, locals[0]);
                                 for (i, &r) in locals.iter().enumerate().skip(1) {
                                     if r.value < win.value
@@ -754,7 +671,6 @@ impl<'a> PlanRun<'a> {
                 }
                 PlanOp::RingLbest { k } => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
                     lbest = Some(retry_op(dev, &res.retry, || ring_lbest(dev, shard, k))?);
                 }
@@ -764,7 +680,6 @@ impl<'a> PlanRun<'a> {
                     // while the schedule stays configurable.
                     if (t + 1).is_multiple_of(migration.every_k) {
                         let dev = self.device(homes[s])?;
-                        self.enter(dev, node, &events);
                         let shard = &mut shards[s];
                         let seed = cfg.seed;
                         // A pure function of the pre-migration state and
@@ -777,7 +692,6 @@ impl<'a> PlanRun<'a> {
                 }
                 PlanOp::EliteSelect { islands } => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     let shard = &shards[s];
                     lbest = Some(retry_op(dev, &res.retry, || {
                         island_attractors(dev, shard, islands)
@@ -786,13 +700,9 @@ impl<'a> PlanRun<'a> {
                 PlanOp::DeviceSync => {
                     let dev = self.device(homes[s])?;
                     dev.synchronize(Phase::SwarmUpdate);
-                    if plan.streams_enabled {
-                        dev.join_streams();
-                    }
                 }
                 PlanOp::Stage(stage) if stage.algorithm() == plan.algorithm => {
                     let dev = self.device(homes[s])?;
-                    self.enter(dev, node, &events);
                     alg.execute(
                         stage,
                         UpdateCtx {
@@ -808,7 +718,6 @@ impl<'a> PlanRun<'a> {
                             guard: res,
                         },
                     )?;
-                    self.record(dev, idx, &needs_event, &mut events);
                 }
                 // Another engine's stage: nothing the plan's algorithm
                 // emits.
@@ -889,9 +798,7 @@ impl<'a> PlanRun<'a> {
             ex.done = true;
             return Ok(true);
         }
-        let outcome = self.run_iteration(&mut ex.st, ex.t);
-        self.join_streams();
-        match outcome {
+        match self.run_iteration(&mut ex.st, ex.t) {
             Ok(improved) => {
                 ex.iterations_run = ex.t + 1;
                 if let Some(h) = ex.history.as_mut() {
@@ -968,21 +875,6 @@ impl<'a> PlanRun<'a> {
                     h.truncate(ex.t);
                 }
                 Ok(false)
-            }
-        }
-    }
-
-    /// Close the stream window of every device this run steps on. An
-    /// iteration closes its windows at its `DeviceSync` nodes; one that
-    /// fails before reaching them would leave a window open, and the
-    /// device's next charge — a retry, a checkpoint restore, another job's
-    /// kernel — would queue on a stale lane frontier in the past. Called
-    /// after every iteration, the way [`run_resident`] closes its region; a
-    /// no-op on devices with no open window.
-    fn join_streams(&self) {
-        if self.plan.streams_enabled {
-            for dev in self.group.iter() {
-                dev.join_streams();
             }
         }
     }
@@ -1091,15 +983,14 @@ impl<'a> PlanRun<'a> {
     /// This is [`PlanRun::init_state`] + one [`PlanRun::step_slice`] that
     /// runs to the end; the serving layer (`fastpso::serve`) drives the same
     /// three-phase API a slice at a time to interleave many jobs. When
-    /// `resident`, that one slice runs inside a single [`run_resident`] region
-    /// on the group's device, so the run costs one host launch after its
-    /// init.
+    /// `resident`, that one slice runs inside [`run_resident`] regions, so
+    /// the run costs one host launch per device after its init.
     pub fn execute(self, resident: bool) -> Result<RunResult, PsoError> {
         self.group.reset_timelines();
         let mut ex = self.init_state()?;
         if resident {
-            let threads = (self.cfg.n_particles * self.cfg.dim) as u64;
-            run_resident(self.group, "persistent_run", threads, || {
+            let elements = elements_per_device(self.group.len(), [&ex]);
+            run_resident(self.group, "persistent_run", &elements, || {
                 self.step_slice(&mut ex, usize::MAX)
             })??;
         } else {
@@ -1109,32 +1000,67 @@ impl<'a> PlanRun<'a> {
     }
 }
 
-/// Run `slice` inside one device-resident region: the one place a
-/// persistent region opens and closes. The region lives on `group`'s first
-/// device, which must hold every execution state the slice steps, and its
-/// grid keeps `threads` threads co-resident: one per element of each
-/// state's swarm, since the widest per-iteration kernel is one thread per
-/// element. Opening it is one host launch; inside it every kernel is a
-/// device-resident pass with no launch overhead of its own, and each
-/// synchronisation is a grid-wide barrier. The co-residency rule is the
-/// device's: more than its `max_resident_threads` fails to open, so
-/// callers fall back or bound their batches by that cap first. The region
-/// closes on every path `slice` returns by, errors included, so a failed
-/// slice never leaves it open. Two dispatchers call this: a persistent
-/// single-GPU run ([`PlanRun::execute`]), with one state for the whole
-/// run, and the serving layer, with a micro-batch's members (or a
-/// resident solo job, a batch of one) for one slice.
+/// Run `slice` inside device-resident regions: the one place persistent
+/// regions open and close. One region opens on every device of `group`
+/// that holds elements (`elements[i]` for device `i`, see
+/// [`elements_per_device`]), the way a cooperative multi-device launch
+/// spans its devices. Each grid is resource-aware, as the paper's thread
+/// creation is: at most the device's `max_resident_threads` threads, each
+/// striding over `elements / threads` elements of the widest
+/// one-thread-per-element pass. Opening a region is one host launch;
+/// inside it every kernel is a device-resident pass with no launch
+/// overhead of its own, and each synchronisation is a grid-wide barrier.
+/// A device that fails to open closes the regions already opened and its
+/// error is returned; every region also closes on every path `slice`
+/// returns by, errors included, so a failed slice never leaves one open.
+/// Two dispatchers call this: a persistent single-GPU run
+/// ([`PlanRun::execute`]), with one state for the whole run, and the
+/// serving layer, with a micro-batch's members (or a solo or sharded job,
+/// a batch of one) for one slice.
 pub(crate) fn run_resident<T>(
     group: &DeviceGroup,
     name: &'static str,
-    threads: u64,
+    elements: &[u64],
     slice: impl FnOnce() -> T,
 ) -> Result<T, PsoError> {
-    let dev = group.device(0)?;
-    dev.begin_persistent(name, Phase::SwarmUpdate, threads)?;
+    let close = |opened: &[&Device]| {
+        for dev in opened {
+            dev.end_persistent();
+        }
+    };
+    let mut opened: Vec<&Device> = Vec::with_capacity(elements.len());
+    for (i, &elems) in elements.iter().enumerate().filter(|(_, &e)| e > 0) {
+        let open = group.device(i).and_then(|dev| {
+            let threads = elems.min(dev.profile().max_resident_threads());
+            dev.begin_persistent(name, Phase::SwarmUpdate, threads)?;
+            Ok(dev)
+        });
+        match open {
+            Ok(dev) => opened.push(dev),
+            Err(e) => {
+                close(&opened);
+                return Err(e.into());
+            }
+        }
+    }
     let out = slice();
-    dev.end_persistent();
+    close(&opened);
     Ok(out)
+}
+
+/// Elements (`rows × d`) each device of an `n_devices` group holds across
+/// `states`: the per-device sizes [`run_resident`] grids its regions for.
+pub(crate) fn elements_per_device<'s>(
+    n_devices: usize,
+    states: impl IntoIterator<Item = &'s ExecState>,
+) -> Vec<u64> {
+    let mut out = vec![0u64; n_devices];
+    for ex in states {
+        for (shard, &home) in ex.st.shards.iter().zip(&ex.st.homes) {
+            out[home] += (shard.rows * shard.d) as u64;
+        }
+    }
+    out
 }
 
 /// The owned, resumable state of one plan execution: shards, bound
@@ -1181,12 +1107,12 @@ impl ExecState {
         )
     }
 
-    /// Snapshot several live executions whose shards all live on one
-    /// device in a single packed device→host copy
-    /// ([`ShardCheckpoint::capture_many`]), one [`SuspendedJob`] each, in
-    /// order. The serving layer captures a micro-batch's members this way
-    /// at a slice boundary. Each snapshot equals [`ExecState::snapshot`]
-    /// of the same state.
+    /// Snapshot several live executions in one packed device→host copy per
+    /// device their shards live on ([`ShardCheckpoint::capture_many`]), one
+    /// [`SuspendedJob`] each, in order. The serving layer captures a
+    /// region's members (a micro-batch, or a solo or sharded job) this way
+    /// at a slice boundary. Each snapshot equals [`ExecState::snapshot`] of
+    /// the same state.
     pub(crate) fn snapshot_many(states: &[&ExecState]) -> Vec<SuspendedJob> {
         let shards: Vec<&Shard> = states.iter().flat_map(|ex| &ex.st.shards).collect();
         let mut cps = ShardCheckpoint::capture_many(&shards).into_iter();
@@ -1254,7 +1180,7 @@ impl SuspendedJob {
 /// Report with the group's concurrent-elapsed semantics: a timeline whose
 /// per-phase values are scaled so the total equals the max-over-devices
 /// wall clock. Overlap credit is scaled alongside the phases, so the scaled
-/// total still equals the wall clock when streams hid time.
+/// total still equals the wall clock when a device hid time.
 fn scaled_group_timeline(group: &DeviceGroup) -> Timeline {
     let merged = group.merged_timeline();
     let wall = group.elapsed_seconds();
@@ -1490,7 +1416,6 @@ mod tests {
                 (PlanOp::DeviceSync, 0),
             ]
         );
-        assert!(!plan.streams_enabled);
     }
 
     #[test]
@@ -1689,90 +1614,29 @@ mod tests {
     }
 
     #[test]
-    fn stream_pass_hoists_weights_and_adds_wait_edges() {
-        let mut plan = ExecutionPlan::build(&cfg(), 1, BestReduce::Local);
-        plan.fuse_swarm_update(UpdateStrategy::GlobalMem);
-        plan.assign_streams();
-        assert!(plan.streams_enabled);
-        let gen = plan
-            .nodes
-            .iter()
-            .position(|n| n.op == pso("gen_weights"))
-            .unwrap();
-        assert_eq!(plan.nodes[gen].stream, 1);
-        let fused = plan
-            .nodes
-            .iter()
-            .position(|n| n.op == pso("fused_swarm_update"))
-            .unwrap();
-        assert_eq!(plan.nodes[fused].wait, vec![gen]);
-        // Everything else stays on the default stream.
-        for (i, node) in plan.nodes.iter().enumerate() {
-            if i != gen {
-                assert_eq!(node.stream, 0, "{:?}", node.op);
-            }
-        }
-    }
-
-    #[test]
-    fn stream_pass_moves_the_gfwa_spark_chain_unless_migration_pins_it() {
-        let lanes = |plan: &ExecutionPlan| -> Vec<(PlanOp, u32, Vec<usize>)> {
-            plan.nodes
-                .iter()
-                .map(|n| (n.op, n.stream, n.wait.clone()))
+    fn resident_regions_open_on_every_device_holding_elements_and_clamp_to_residency() {
+        let group = DeviceGroup::v100s(3);
+        let max = group.device(0).unwrap().profile().max_resident_threads();
+        let regions = |group: &DeviceGroup| -> Vec<Vec<u64>> {
+            (group.iter())
+                .map(|d| (d.profiler().kernels.iter()).map(|k| k.threads).collect())
                 .collect()
         };
-        let mut plan =
-            ExecutionPlan::build_for(Algorithm::Gfwa, cfg().topology, 1, BestReduce::Local);
-        plan.assign_streams();
-        assert_eq!(
-            lanes(&plan),
-            vec![
-                (PlanOp::Eval, 0, vec![]),
-                (PlanOp::PBest, 0, vec![]),
-                (PlanOp::Argmin, 0, vec![]),
-                (PlanOp::ReduceAdopt, 0, vec![]),
-                (gfwa("explosion"), 1, vec![]),
-                (gfwa("guiding_spark"), 1, vec![]),
-                (gfwa("selection"), 0, vec![5]),
-                (PlanOp::DeviceSync, 0, vec![]),
-            ]
-        );
+        let open = run_resident(&group, "r", &[64, 0, 2 * max], || {
+            group.iter().map(Device::in_persistent).collect::<Vec<_>>()
+        });
+        assert_eq!(open.unwrap(), vec![true, false, true]);
+        assert!(group.iter().all(|d| !d.in_persistent()));
+        assert_eq!(regions(&group), vec![vec![64], vec![], vec![max]]);
 
-        // Migration rewrites the firework rows the explosion reads, so the
-        // whole tail stays behind it on lane 0, while PSO's weights (which
-        // read no rows) keep their lane.
-        let c = PsoConfig::builder(32, 8)
-            .topology(Topology::Islands {
-                islands: 4,
-                migration: RING_MIGRATION,
-            })
-            .build()
-            .unwrap();
-        let mut gfwa_plan =
-            ExecutionPlan::build_for(Algorithm::Gfwa, c.topology, 1, BestReduce::Local);
-        gfwa_plan.assign_streams();
-        let explosion = gfwa_plan
-            .nodes
-            .iter()
-            .position(|n| n.op == gfwa("explosion"))
-            .unwrap();
-        assert!(
-            matches!(gfwa_plan.nodes[explosion].deps[..], [m] if matches!(gfwa_plan.nodes[m].op, PlanOp::Migrate { .. }))
-        );
-        assert!(gfwa_plan
-            .nodes
-            .iter()
-            .all(|n| n.stream == 0 && n.wait.is_empty()));
-        let mut pso_plan =
-            ExecutionPlan::build_for(Algorithm::Pso, c.topology, 1, BestReduce::Local);
-        pso_plan.assign_streams();
-        let on_side: Vec<PlanOp> = pso_plan
-            .nodes
-            .iter()
-            .filter(|n| n.stream == 1)
-            .map(|n| n.op)
-            .collect();
-        assert_eq!(on_side, vec![pso("gen_weights")]);
+        // A device that cannot open closes the regions already opened and
+        // never runs the slice.
+        let group = DeviceGroup::v100s(2);
+        let lost = group.device(1).unwrap();
+        lost.set_fault_plan(gpu_sim::FaultPlan::new().with_device_loss_at_launch(1));
+        assert!(lost.begin_launch().is_err() && lost.is_lost());
+        let res: Result<(), _> = run_resident(&group, "r", &[8, 8], || panic!("slice ran"));
+        assert!(matches!(res, Err(e) if e.lost_device() == Some(1)));
+        assert!(group.iter().all(|d| !d.in_persistent()));
     }
 }

@@ -16,12 +16,12 @@
 //!    the tail executes on every rung: the for-loop rung is latency-bound,
 //!    the tiled and tensor-core rungs pay their staged traffic, the
 //!    low-complexity rung draws `d`-fold fewer numbers. The base is
-//!    priced on the shape's [`Schedule`]: launch by launch, on stream
-//!    lanes, in a micro-batch's regions, or resident alone in one region
-//!    per slice — the last with the init, allocation, barrier, checkpoint
-//!    and download charges a solo region exposes. The base is pure
-//!    arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it is
-//!    exactly reproducible.
+//!    priced on the shape's [`Schedule`]: launch by launch, in a
+//!    micro-batch's regions, or resident alone in one region per slice and
+//!    device — the last with the init, allocation, barrier, best-exchange,
+//!    checkpoint and download charges a solo region exposes. The base is
+//!    pure arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it
+//!    is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
 //!    omits data-dependent costs (the pbest and gbest adoption copies,
 //!    allocator history) and, outside the resident schedule, the
@@ -51,7 +51,7 @@
 use crate::algo::{algorithm_impl, Algorithm, TailShape};
 use crate::gpu::kernels::{init_swarm_desc, Shard};
 use crate::gpu::UpdateStrategy;
-use crate::plan::{partition, BestReduce, ExecutionPlan, PlanOp};
+use crate::plan::{best_exchange_bytes, partition, BestReduce, ExecutionPlan, PlanOp};
 use crate::topology::Topology;
 use gpu_sim::{KernelDesc, Phase, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S};
 use perf_model::{gpu_kernel_time, transfer_time, GpuKernelWork, GpuProfile, LinkProfile};
@@ -62,15 +62,9 @@ use std::collections::BTreeMap;
 /// name two at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Launch by launch on one stream, as a dedicated unstreamed run.
+    /// Launch by launch, as a dedicated [`crate::GpuBackend`] run.
     #[default]
     Launches,
-    /// Launch by launch on stream lanes, as the serving layer steps sharded
-    /// jobs and jobs too large to be co-resident: the tail nodes
-    /// [`crate::ExecutionPlan::assign_streams`] puts on the side lane
-    /// overlap each shard's lane-0 prefix. Calibrates under the same key
-    /// as [`Schedule::Launches`].
-    Streamed,
     /// Inside a micro-batch's persistent regions, `slice` iterations per
     /// region (0 = the whole run in one): every launch overhead collapses
     /// into one region launch per slice and shard. Calibrates under a
@@ -79,10 +73,11 @@ pub enum Schedule {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
     },
-    /// A solo job inside one persistent region per slice: the
-    /// [`Schedule::Batched`] price plus the charges a region no longer
-    /// hides behind launch overhead (see [`CostPredictor::base_s`]).
-    /// Calibrates under a `+resident` key.
+    /// A solo job inside one persistent region per slice and leased
+    /// device, as the serving layer steps every job that found no batch
+    /// mates, sharded ones included: the [`Schedule::Batched`] price plus
+    /// the charges a region no longer hides behind launch overhead (see
+    /// [`CostPredictor::base_s`]). Calibrates under a `+resident` key.
     Resident {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
@@ -98,7 +93,7 @@ impl Schedule {
     fn region_slice(self) -> Option<u64> {
         match self {
             Schedule::Batched { slice } | Schedule::Resident { slice, .. } => Some(slice),
-            Schedule::Launches | Schedule::Streamed => None,
+            Schedule::Launches => None,
         }
     }
 }
@@ -191,7 +186,7 @@ impl JobShape {
         match self.schedule {
             Schedule::Batched { .. } => key.push_str("+persistent"),
             Schedule::Resident { .. } => key.push_str("+resident"),
-            Schedule::Launches | Schedule::Streamed => {}
+            Schedule::Launches => {}
         }
         if self.islands() > 1 {
             key.push_str("+islands");
@@ -305,15 +300,11 @@ impl CostPredictor {
     /// summed over shards. Deterministic arithmetic; no calibration applied.
     ///
     /// The schedule is the plan the service would run for the shape
-    /// ([`ExecutionPlan::build_for`], plus [`ExecutionPlan::assign_streams`]
-    /// under [`Schedule::Streamed`]); each shard's tail is priced from the
+    /// ([`ExecutionPlan::build_for`]); each shard's tail is priced from the
     /// launch descriptors its stages' kernels launch
     /// ([`ExecutionPlan::tail_launches`]). The prefix, the island gather and
     /// migration, and the region launch-overhead saving are priced by
-    /// this predictor's own arithmetic. A streamed shape prices per shard
-    /// and iteration the longer of the lane-0 prefix (plus the island
-    /// launches) and the side lane (the tail nodes on lane 1), plus the
-    /// dependent tail.
+    /// this predictor's own arithmetic.
     ///
     /// A [`Schedule::Resident`] shape starts from the [`Schedule::Batched`]
     /// price and adds, per shard, what a solo region no longer hides behind
@@ -327,6 +318,10 @@ impl CostPredictor {
     ///   ([`CACHE_HIT_COST_FRACTION`]);
     /// - one grid barrier ([`GRID_SYNC_OVERHEAD_S`]) per device-sync node
     ///   and iteration;
+    /// - on a sharded shape, one D2H of the shard's local best per
+    ///   iteration, `(d + 1)` floats, the byte count the executor's best
+    ///   exchange charges (the adoption uploads are data-dependent and left
+    ///   to calibration);
     /// - one checkpoint per due slice boundary: an in-region
     ///   [`KernelDesc::checkpoint_pack`] pass plus one D2H of
     ///   [`Shard::checkpoint_elems`] floats;
@@ -337,17 +332,11 @@ impl CostPredictor {
         let islands = shape.islands();
         let n_shards = shape.shards.max(1) as usize;
         let reduce = BestReduce::for_shards(n_shards);
-        let mut plan = ExecutionPlan::build_for(shape.algo, shape.topology, n_shards, reduce);
-        let streamed = shape.schedule == Schedule::Streamed;
-        if streamed {
-            plan.assign_streams();
-        }
+        let plan = ExecutionPlan::build_for(shape.algo, shape.topology, n_shards, reduce);
         let time = |w: &GpuKernelWork| gpu_kernel_time(gpu, w);
         let mut per_iter = 0.0;
-        // Per shard: the lane-0 prefix and the side lane, in seconds.
-        let mut lanes = Vec::new();
-        // Launches of one iteration, summed over the shards holding rows.
-        let mut launches = 0u64;
+        // Shards holding rows, and their launches of one iteration.
+        let (mut active_shards, mut launches) = (0u64, 0u64);
         // What a solo region adds per shard (resident shapes only).
         let mut residency = 0.0;
         // Row-partition like the plan: leading shards take the extra.
@@ -364,14 +353,13 @@ impl CostPredictor {
                 flops_per_dim,
                 strategy,
             };
-            let tail: Vec<(u32, f64)> = (plan.tail_launches(s, &tail_shape).iter())
-                .map(|(lane, desc)| (*lane, time(&desc.work())))
-                .collect();
+            let tail = plan.tail_launches(s, &tail_shape);
             let prefix = shared_prefix(rows, d, flops_per_dim);
             let prefix_s: f64 = prefix.iter().map(time).sum();
-            per_iter += tail.iter().fold(prefix_s, |acc, (_, t)| acc + t);
-            let side = tail.iter().filter(|(lane, _)| *lane == 1);
-            lanes.push((prefix_s, side.map(|(_, t)| t).sum::<f64>()));
+            per_iter += tail
+                .iter()
+                .fold(prefix_s, |acc, desc| acc + time(&desc.work()));
+            active_shards += 1;
             launches += (prefix.len() + tail.len()) as u64;
             if let Schedule::Resident {
                 slice,
@@ -384,11 +372,8 @@ impl CostPredictor {
                 residency += self.residency_s(shape, &tail_shape, syncs, slice, checkpoint_slices);
             }
         }
-        let active_shards = lanes.len() as u64;
         let mut total = per_iter * shape.iterations as f64;
         let mut island_launches = 0u64;
-        let (mut gather, mut migrate) = (0.0, 0.0);
-        let migs = shape.migration_launches();
         if islands > 1 {
             // Islands are single-shard (the serving layer rejects sharded
             // local topologies): one attractor-gather launch per iteration
@@ -398,11 +383,12 @@ impl CostPredictor {
             // counts are absorbed by the `+islands` calibration key).
             let rows = shape.particles.max(1);
             let window = rows.div_ceil(islands);
-            gather = gpu_kernel_time(
+            let migs = shape.migration_launches();
+            let gather = gpu_kernel_time(
                 gpu,
                 &GpuKernelWork::elementwise(rows, window * rows, window * 4 * rows, 8 * rows),
             );
-            migrate = gpu_kernel_time(
+            let migrate = gpu_kernel_time(
                 gpu,
                 &GpuKernelWork::elementwise(
                     rows,
@@ -423,14 +409,6 @@ impl CostPredictor {
             let region = overhead * (slices(shape.iterations, slice) * active_shards) as f64;
             total = (total - saved + region).max(0.0);
             total += residency;
-        } else if streamed {
-            // Each iteration hides the shorter of its two lanes; a
-            // migrating iteration's prefix is one launch longer.
-            let plain = shape.iterations.saturating_sub(migs) as f64;
-            for (prefix, side) in lanes {
-                let prefix = prefix + gather;
-                total -= plain * prefix.min(side) + migs as f64 * (prefix + migrate).min(side);
-            }
         }
         total
     }
@@ -438,8 +416,9 @@ impl CostPredictor {
     /// The charges one shard of a [`Schedule::Resident`] shape pays that
     /// the [`Schedule::Batched`] price leaves to calibration: its init
     /// launches and allocations, the weight buffers each iteration
-    /// requests, `syncs` grid barriers per iteration, the slice-boundary
-    /// checkpoints and the result download (see [`CostPredictor::base_s`]).
+    /// requests, `syncs` grid barriers per iteration, a sharded shape's
+    /// best exchange, the slice-boundary checkpoints and the result
+    /// download (see [`CostPredictor::base_s`]).
     fn residency_s(
         &self,
         shape: &JobShape,
@@ -459,6 +438,11 @@ impl CostPredictor {
             * (buffers as f64
                 + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION);
         let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S;
+        let exchange = if shape.shards > 1 {
+            iters as f64 * transfer_time(&self.link, best_exchange_bytes(d))
+        } else {
+            0.0
+        };
         let captures = match checkpoint_slices {
             0 => 0,
             c => (slices(iters, slice) - 1) / c,
@@ -470,8 +454,9 @@ impl CostPredictor {
         let f32_bytes = std::mem::size_of::<f32>() as u64;
         let capture = pack + transfer_time(&self.link, elems * f32_bytes);
         let download = transfer_time(&self.link, d * f32_bytes);
-        init + allocs + barriers + captures as f64 * capture + download
+        init + allocs + barriers + exchange + captures as f64 * capture + download
     }
+
     /// The calibrated multiplier currently applied to estimates under
     /// calibration key `key` (1.0 with no observations).
     pub fn coefficient(&self, key: &str) -> f64 {
@@ -668,28 +653,52 @@ mod tests {
         }
     }
 
-    /// Running resident is the cheaper schedule for every co-resident
-    /// shape, so the scheduler's "resident when it fits" rule picks what a
-    /// price comparison would: 40 iterations, 8 per slice, a capture at
-    /// every boundary, against the streamed price, which carries no
-    /// captures at all. 2560×64 is exactly a V100's 163 840 resident
-    /// threads.
+    /// Running resident is the cheaper schedule for every shape the
+    /// service steps, so serving every job resident picks what a price
+    /// comparison would: 40 iterations, 8 per slice, a capture at every
+    /// boundary and, when sharded, a best exchange every iteration, against
+    /// the per-launch price, which carries neither. 2560×64 is exactly a
+    /// V100's 163 840 resident threads; 4096×64 is above it and runs
+    /// grid-stride.
     #[test]
-    fn resident_prices_below_streamed_for_every_co_resident_shape() {
+    fn resident_prices_below_launches_for_every_shape() {
         let p = CostPredictor::v100();
         for algo in Algorithm::ALL {
             for strategy in UpdateStrategy::ALL {
-                for (n, d) in [(64, 8), (2560, 64)] {
-                    let shape = JobShape::new(n, d, 40, strategy).algorithm(algo);
-                    let res = p.base_s(&shape.clone().schedule(resident(8, 1)));
-                    let streamed = p.base_s(&shape.schedule(Schedule::Streamed));
-                    assert!(
-                        res < streamed,
-                        "{algo}/{strategy} {n}x{d}: resident {res:e} vs streamed {streamed:e}"
-                    );
+                for (n, d) in [(64, 8), (2560, 64), (4096, 64)] {
+                    for shards in [1, 2, 3] {
+                        let shape = JobShape::new(n, d, 40, strategy)
+                            .algorithm(algo)
+                            .shards(shards);
+                        let res = p.base_s(&shape.clone().schedule(resident(8, 1)));
+                        let launches = p.base_s(&shape);
+                        assert!(
+                            res < launches,
+                            "{algo}/{strategy} {n}x{d}/{shards}: resident {res:e} vs \
+                             launches {launches:e}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn sharded_resident_shapes_add_one_best_exchange_per_shard_and_iteration() {
+        let p = CostPredictor::v100();
+        // What residency adds to `shape` over its batched price.
+        let added = |shape: JobShape| {
+            p.base_s(&shape.clone().schedule(resident(8, 0)))
+                - p.base_s(&shape.schedule(batched(8)))
+        };
+        let solo = JobShape::new(64, 8, 40, UpdateStrategy::GlobalMem);
+        let sharded = JobShape::new(128, 8, 40, UpdateStrategy::GlobalMem).shards(2);
+        // Each of the two 64-row shards adds what the 64-row solo job adds,
+        // plus one exchange of its local best per iteration.
+        let exchange = transfer_time(&p.link, best_exchange_bytes(8));
+        let per_shard = added(sharded) / 2.0;
+        assert!((per_shard - added(solo) - 40.0 * exchange).abs() < 1e-15);
+        assert_eq!(best_exchange_bytes(8), 36);
     }
 
     #[test]

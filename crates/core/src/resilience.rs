@@ -282,42 +282,44 @@ impl ShardCheckpoint {
             .expect("one checkpoint per shard")
     }
 
-    /// Snapshot several shards that live on one device in a single packed
-    /// device→host copy ([`Device::download_packed`]): one gather pass and
-    /// one transfer for all of them, charged to [`Phase::Recovery`].
-    /// Returns one checkpoint per shard, in order.
-    ///
-    /// # Panics
-    ///
-    /// If the shards live on different devices.
+    /// Snapshot several shards in one packed device→host copy per device
+    /// they live on ([`Device::download_packed`]): one gather pass and one
+    /// transfer for all of a device's shards, charged to
+    /// [`Phase::Recovery`] on that device. Returns one checkpoint per
+    /// shard, in order, each equal to [`ShardCheckpoint::capture`] of it.
     pub fn capture_many(shards: &[&Shard]) -> Vec<Self> {
-        let Some(first) = shards.first() else {
-            return Vec::new();
-        };
-        let bufs: Vec<&DeviceBuffer<f32>> =
-            shards.iter().flat_map(|s| s.checkpoint_buffers()).collect();
-        let mut host = first
-            .pos
-            .device()
-            .download_packed(Phase::Recovery, &bufs)
-            .into_iter();
-        let mut next = || host.next().expect("one host vector per packed buffer");
-        shards
-            .iter()
-            .map(|s| ShardCheckpoint {
-                row0: s.row0,
-                rows: s.rows,
-                d: s.d,
-                pos: next(),
-                vel: next(),
-                errors: next(),
-                pbest_err: next(),
-                pbest_pos: next(),
-                gbest_pos: next(),
-                gbest_err: s.gbest_err,
-                extra: s.extra.as_ref().map(|_| next()),
-            })
-            .collect()
+        let mut out: Vec<Option<Self>> = vec![None; shards.len()];
+        for i in 0..shards.len() {
+            if out[i].is_some() {
+                continue;
+            }
+            let dev = shards[i].pos.device();
+            let here: Vec<usize> = (i..shards.len())
+                .filter(|&j| shards[j].pos.is_on(&dev))
+                .collect();
+            let bufs: Vec<&DeviceBuffer<f32>> = (here.iter())
+                .flat_map(|&j| shards[j].checkpoint_buffers())
+                .collect();
+            let mut host = dev.download_packed(Phase::Recovery, &bufs).into_iter();
+            let mut next = || host.next().expect("one host vector per packed buffer");
+            for j in here {
+                let s = shards[j];
+                out[j] = Some(ShardCheckpoint {
+                    row0: s.row0,
+                    rows: s.rows,
+                    d: s.d,
+                    pos: next(),
+                    vel: next(),
+                    errors: next(),
+                    pbest_err: next(),
+                    pbest_pos: next(),
+                    gbest_pos: next(),
+                    gbest_err: s.gbest_err,
+                    extra: s.extra.as_ref().map(|_| next()),
+                });
+            }
+        }
+        out.into_iter().flatten().collect()
     }
 
     /// Write the snapshot back into `shard` (host→device transfers charged
@@ -605,23 +607,35 @@ mod tests {
     }
 
     #[test]
-    fn capture_many_matches_per_shard_capture_in_one_transfer() {
-        let dev = Device::v100();
-        let cfg = PsoConfig::builder(8, 4)
+    fn capture_many_matches_per_shard_capture_in_one_transfer_per_device() {
+        let group = gpu_sim::DeviceGroup::v100s(2);
+        let (d0, d1) = (group.device(0).unwrap(), group.device(1).unwrap());
+        let cfg = PsoConfig::builder(16, 4)
             .max_iter(4)
             .seed(3)
             .build()
             .unwrap();
-        let mut a = Shard::alloc(&dev, 0, 8, 4).unwrap();
-        init_shard(&dev, &mut a, &cfg, Sphere.domain()).unwrap();
-        let mut b = Shard::alloc(&dev, 8, 4, 4).unwrap();
-        init_shard(&dev, &mut b, &cfg, Sphere.domain()).unwrap();
-        crate::gpu::kernels::init_gfwa_amplitudes(&dev, &mut b, Sphere.domain()).unwrap();
-        let solo = vec![ShardCheckpoint::capture(&a), ShardCheckpoint::capture(&b)];
-        let before = dev.counters().transfers;
-        let many = ShardCheckpoint::capture_many(&[&a, &b]);
+        // Shards on devices 0, 1, 0, 1, interleaved as a sharded job's are
+        // after it resumed round-robin; one carries GFWA's extra state.
+        let mut shards = Vec::new();
+        for (i, (row0, rows)) in [(0, 4), (4, 4), (8, 5), (13, 3)].into_iter().enumerate() {
+            let dev = if i % 2 == 0 { d0 } else { d1 };
+            let mut s = Shard::alloc(dev, row0, rows, 4).unwrap();
+            init_shard(dev, &mut s, &cfg, Sphere.domain()).unwrap();
+            shards.push(s);
+        }
+        crate::gpu::kernels::init_gfwa_amplitudes(d1, &mut shards[3], Sphere.domain()).unwrap();
+        let solo: Vec<ShardCheckpoint> = shards.iter().map(ShardCheckpoint::capture).collect();
+        let transfers = || [d0, d1].map(|d| d.counters().transfers);
+        let before = transfers();
+        let many = ShardCheckpoint::capture_many(&shards.iter().collect::<Vec<_>>());
         assert_eq!(many, solo);
-        assert_eq!(dev.counters().transfers - before, 1, "one packed copy");
+        let after = transfers();
+        assert_eq!(
+            [after[0] - before[0], after[1] - before[1]],
+            [1, 1],
+            "one packed copy per device"
+        );
         assert!(ShardCheckpoint::capture_many(&[]).is_empty());
     }
 

@@ -16,12 +16,15 @@
 //!   (several co-resident jobs per device), large jobs (at least
 //!   [`ServeConfig::shard_threshold_particles`] particles) shard across
 //!   every device with an exchange reduction each iteration;
-//! * **residency** — every single-shard job whose swarm fits its device
-//!   (`n·d ≤ max_resident_threads`) steps each slice inside one
-//!   persistent region: one host launch per slice instead of one per
-//!   kernel, with its slice checkpoint packed inside the region. Sharded
-//!   jobs and jobs too large to be co-resident step launch by launch and
-//!   overlap their prefix-independent tail work on a second stream;
+//! * **residency** — every job steps each slice inside one persistent
+//!   region per leased device: one host launch per device and slice
+//!   instead of one per kernel, with its slice checkpoint packed inside
+//!   the regions (one copy per device). Each region is grid-stride, the
+//!   paper's resource-aware thread creation: at most the device's
+//!   resident threads, each covering `n·d / threads` elements, so a swarm
+//!   too large to be co-resident still runs resident. A sharded job's
+//!   per-iteration best exchange runs inside its regions, the way a
+//!   cooperative multi-device launch synchronises its grids;
 //! * **preemption** — a queued high-priority job may suspend a running
 //!   lower-priority one: its shards are checkpointed to host memory, the
 //!   device memory is freed, and it later resumes **bit-identically**
@@ -45,12 +48,11 @@
 //! * **cross-job micro-batching** — with [`ServeConfig::batching`] set,
 //!   admission gathers compatible small jobs (same [`CompatKey`]: algorithm
 //!   × update strategy × dimension class × topology; within the
-//!   [`BatchPolicy`] bounds and the device's resident-thread capacity)
-//!   under **one** device lease, and every tick advances the batch inside
+//!   [`BatchPolicy`] bounds) under **one** device lease, and every tick advances the batch inside
 //!   a single persistent
 //!   device region: one host launch per batch-slice over the concatenated
-//!   Σ(n·d) state segments, instead of one region per job. A resident job
-//!   that found no mates is a micro-batch of one.
+//!   Σ(n·d) state segments, instead of one region per job. A job that
+//!   found no mates is a micro-batch of one.
 //!   Per-job results are bit-identical to solo runs (each member keeps its
 //!   own state segment, counter-based PRNG stream and best-reduce
 //!   segment), and checkpoint/preempt/re-home/journal semantics are
@@ -553,7 +555,7 @@ mod tests {
         // ladder must move, and the cheaper rung genuinely finishes in time.
         svc.submit(mk().strategy(UpdateStrategy::ForLoop)).unwrap();
         svc.run_until_idle();
-        assert_eq!(svc.predictor().observations("forloop"), 1);
+        assert_eq!(svc.predictor().observations("forloop+resident"), 1);
         let (_, expensive) = svc
             .admission_plan(&mk().strategy(UpdateStrategy::ForLoop).deadline_s(1e3))
             .unwrap();

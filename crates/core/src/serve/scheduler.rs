@@ -10,7 +10,8 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
 use crate::plan::{
-    check_shardable, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
+    check_shardable, elements_per_device, run_resident, BestReduce, ExecState, ExecutionPlan,
+    PlanRun, SuspendedJob,
 };
 use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
@@ -71,21 +72,18 @@ pub struct ServeConfig {
     /// Cross-job micro-batching policy. When set, each admission gathers
     /// compatible small queued jobs (same [`CompatKey`]: algorithm ×
     /// strategy × dim-class × topology; single-shard; global or islands
-    /// topology; within the policy's element bound and the devices'
-    /// resident-thread capacity) under **one** device lease, and every
-    /// tick advances the batch inside a single persistent device region —
-    /// one host launch per batch-slice instead of one per slice per job.
-    /// Per-job results stay bit-identical to solo execution; checkpoint,
-    /// preempt, re-home and journal semantics are unchanged at slice
-    /// boundaries. Batching or not, every single-shard job whose swarm
-    /// fits the device (`n·d ≤ max_resident_threads`) steps resident: a
-    /// job that found no mates is a micro-batch of one. Only sharded jobs
-    /// and jobs too large to be co-resident step launch by launch, and
-    /// they overlap their prefix-independent tail work (PSO's weight
-    /// generation, GFWA's spark chain) on a second stream. The cost
-    /// predictor prices and calibrates each job on the schedule it runs:
+    /// topology; within the policy's element bound) under **one** device
+    /// lease, and every tick advances the batch inside a single persistent
+    /// device region — one host launch per batch-slice instead of one per
+    /// slice per job. Per-job results stay bit-identical to solo
+    /// execution; checkpoint, preempt, re-home and journal semantics are
+    /// unchanged at slice boundaries. Batching or not, every job steps
+    /// resident: a job that found no mates is a micro-batch of one, with
+    /// one region per slice on each device it leases, grid-stride when its
+    /// swarm outgrows the device's resident threads. The cost predictor
+    /// prices and calibrates each job on the schedule it runs:
     /// `+persistent` in a batch with mates, `+resident` alone in its
-    /// region. `None` (the default) disables batching.
+    /// regions. `None` (the default) disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -227,9 +225,9 @@ struct Running {
     /// returns to the pool when the *last* member releases it.
     lease: Rc<Lease>,
     /// Region membership: jobs with the same id advance together inside
-    /// one persistent region per slice (a resident solo job is a batch of
-    /// one). `None` = stepped launch by launch on streams.
-    batch: Option<u64>,
+    /// one persistent region per slice and leased device (a job that found
+    /// no mates is a batch of one).
+    batch: u64,
     /// The schedule the job was admitted on, which calibration observes.
     schedule: Schedule,
     state: ExecState,
@@ -262,10 +260,6 @@ pub struct Service {
     records: Vec<JobRecord>,
     next_id: u64,
     next_batch: u64,
-    /// The fewest threads any device of the group keeps co-resident: a
-    /// micro-batch's persistent region holds one per element, so no batch
-    /// grows past it.
-    resident_threads: usize,
     predictor: CostPredictor,
     goodput_s: f64,
     rejected_infeasible: u64,
@@ -288,11 +282,6 @@ impl Service {
         let queue = AdmissionQueue::new(cfg.queue_capacity);
         let dev0 = group.device(0).expect("non-empty group");
         let predictor = CostPredictor::new(dev0.profile(), dev0.link());
-        let resident_threads = group
-            .iter()
-            .map(|d| d.profile().max_resident_threads() as usize)
-            .min()
-            .unwrap_or(0);
         Service {
             group,
             pool,
@@ -305,7 +294,6 @@ impl Service {
             records: Vec::new(),
             next_id: 0,
             next_batch: 0,
-            resident_threads,
             predictor,
             goodput_s: 0.0,
             rejected_infeasible: 0,
@@ -709,21 +697,18 @@ impl Service {
     }
 
     /// The schedule a job is stepped on: inside a micro-batch's regions
-    /// when it has `mates`; resident alone when it is single-shard and its
-    /// swarm fits the devices' resident threads, the co-residency rule
-    /// every region obeys ([`run_resident`]); launch by launch on stream
-    /// lanes otherwise.
-    fn schedule_of(&self, cfg: &PsoConfig, sharded: bool, mates: bool) -> Schedule {
+    /// when it has `mates`, resident alone in its own otherwise. Every
+    /// region is grid-stride over the elements homed on its device
+    /// ([`run_resident`]), so neither swarm size nor shard count matters.
+    fn schedule_of(&self, mates: bool) -> Schedule {
         let slice = self.cfg.slice_iters as u64;
         if mates {
             Schedule::Batched { slice }
-        } else if !sharded && cfg.n_particles * cfg.dim <= self.resident_threads {
+        } else {
             Schedule::Resident {
                 slice,
                 checkpoint_slices: self.cfg.checkpoint_slices as u64,
             }
-        } else {
-            Schedule::Streamed
         }
     }
 
@@ -733,12 +718,8 @@ impl Service {
     /// migrate/gather nodes act on the job's own state segment, and the
     /// topology is part of the compat key, so islands jobs only fuse with
     /// identically-configured peers); ring jobs never fuse across jobs.
-    /// The returned policy's element bound is capped at the devices'
-    /// resident-thread capacity, the co-residency rule every persistent
-    /// region obeys ([`run_resident`]).
     fn batchable_cfg(&self, cfg: &PsoConfig) -> Option<BatchPolicy> {
-        let mut policy = self.cfg.batching?;
-        policy.max_elems = policy.max_elems.min(self.resident_threads);
+        let policy = self.cfg.batching?;
         let fits = cfg.n_particles * cfg.dim <= policy.max_elems;
         let topo_ok = matches!(cfg.topology, Topology::Global | Topology::Islands { .. });
         (!self.will_shard(cfg) && topo_ok && fits).then_some(policy)
@@ -759,8 +740,7 @@ impl Service {
     /// know whether a batch-eligible job will find mates, so it prices one
     /// as batched.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
-        let batched = self.batchable_cfg(&req.cfg).is_some();
-        let schedule = self.schedule_of(&req.cfg, self.will_shard(&req.cfg), batched);
+        let schedule = self.schedule_of(self.batchable_cfg(&req.cfg).is_some());
         self.predictor
             .predict_s(&self.shape_of(req, strategy, schedule))
     }
@@ -899,11 +879,9 @@ impl Service {
             } else {
                 self.gather_batch(&entry)
             };
-            let schedule = self.schedule_of(&entry.payload.job.req.cfg, sharded, !mates.is_empty());
-            let batch = (schedule != Schedule::Streamed).then(|| {
-                self.next_batch += 1;
-                self.next_batch - 1
-            });
+            let schedule = self.schedule_of(!mates.is_empty());
+            let batch = self.next_batch;
+            self.next_batch += 1;
             events += 1 + mates.len();
             // Each member takes its own handle to the shared lease and
             // admission drops its own after: whichever handle goes last —
@@ -1007,7 +985,7 @@ impl Service {
         &mut self,
         entry: QueueEntry<Pending>,
         lease: Rc<Lease>,
-        batch: Option<u64>,
+        batch: u64,
         schedule: Schedule,
     ) {
         let Pending { mut job, work } = entry.payload;
@@ -1020,7 +998,7 @@ impl Service {
             Work::Fresh => lease.devices().len(),
         };
         let view = self.pool.group_view(&lease);
-        let plan = build_plan(&job.req, n_shards, schedule == Schedule::Streamed);
+        let plan = build_plan(&job.req, n_shards);
         let meter = Meter::read(&self.group);
         let run = bind(&job.req, &plan, &view);
         let state = match &work {
@@ -1063,10 +1041,10 @@ impl Service {
         self.running.sort_by_key(|r| r.job.id);
     }
 
-    /// Advance every running job by one time slice, in job-id order.
-    /// Region members (a micro-batch, or a resident solo job) advance
-    /// together inside one persistent region (one host launch per slice);
-    /// the rest step launch by launch on streams.
+    /// Advance every running job by one time slice, in job-id order. The
+    /// members of each batch (a micro-batch, or a job that found no mates)
+    /// advance together inside one persistent region per leased device
+    /// (one host launch per device and slice).
     fn step_running(&mut self) -> usize {
         let slice = self.cfg.slice_iters;
         let mut outcomes: Vec<(usize, Result<bool, PsoError>)> = Vec::new();
@@ -1075,29 +1053,14 @@ impl Service {
             if visited[i] {
                 continue;
             }
-            if let Some(b) = self.running[i].batch {
-                let members: Vec<usize> = (i..self.running.len())
-                    .filter(|&j| self.running[j].batch == Some(b))
-                    .collect();
-                for &j in &members {
-                    visited[j] = true;
-                }
-                outcomes.extend(self.step_batch(&members, slice));
-                continue;
+            let b = self.running[i].batch;
+            let members: Vec<usize> = (i..self.running.len())
+                .filter(|&j| self.running[j].batch == b)
+                .collect();
+            for &j in &members {
+                visited[j] = true;
             }
-            visited[i] = true;
-            let meter = Meter::read(&self.group);
-            let run = &mut self.running[i];
-            let res = bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
-            if matches!(res, Ok(false)) && self.cfg.checkpoint_slices > 0 {
-                run.slices_since_snapshot += 1;
-                if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
-                    run.snapshot = Some(run.state.snapshot());
-                    run.slices_since_snapshot = 0;
-                }
-            }
-            meter.charge(&self.group, &mut run.job);
-            outcomes.push((i, res));
+            outcomes.extend(self.step_batch(&members, slice));
         }
         let stepped = outcomes.len();
         outcomes.sort_by_key(|&(i, _)| i);
@@ -1127,13 +1090,14 @@ impl Service {
         stepped
     }
 
-    /// Advance one region group (a micro-batch, or a resident solo job as
-    /// a batch of one) by a slice: a single persistent region on the
-    /// shared device spans the whole batch-slice ([`run_resident`]; its
-    /// open is the batch's one host launch, and the cost is split equally
-    /// across members), and members step sequentially inside it over their
-    /// own state segments and PRNG streams — bit-identical to solo
-    /// execution. A member that errors ends the batch's slice early;
+    /// Advance one region group (a micro-batch, or a solo or sharded job
+    /// as a batch of one) by a slice: one persistent region on each leased
+    /// device spans the whole batch-slice ([`run_resident`]; its opens are
+    /// the batch's host launches, and their cost is split equally across
+    /// members), and members step sequentially inside them over their own
+    /// state segments and PRNG streams — bit-identical to solo execution.
+    /// A sharded job's best exchange runs inside its regions, as a
+    /// cooperative multi-device launch would synchronise its grids. A member that errors ends the batch's slice early;
     /// members not yet stepped are not checkpointed, and simply run next
     /// tick (or are swept by the next tick's re-homing if
     /// the device died). Returns `(running-index, outcome)` per member.
@@ -1143,15 +1107,10 @@ impl Service {
         slice: usize,
     ) -> Vec<(usize, Result<bool, PsoError>)> {
         let view = self.running[members[0]].view.clone();
-        let threads: u64 = members
-            .iter()
-            .map(|&j| {
-                let c = &self.running[j].job.req.cfg;
-                (c.n_particles * c.dim) as u64
-            })
-            .sum();
+        let states = members.iter().map(|&j| &self.running[j].state);
+        let elements = elements_per_device(view.len(), states);
         let open = Meter::read(&self.group);
-        let region = run_resident(&view, "batched_slice", threads, || {
+        let region = run_resident(&view, "batched_slice", &elements, || {
             let open_share = open.since(&self.group, members.len());
             let mut out = Vec::with_capacity(members.len());
             for &j in members {
@@ -1189,11 +1148,11 @@ impl Service {
         }
     }
 
-    /// Checkpoint a region group at its slice boundary, as the streamed
-    /// path does, while its region is still open: every member that
-    /// stepped (`out`) and reports `Ok(false)` and is due is captured in
-    /// one packed copy (one pack pass and one PCIe latency per
-    /// batch-slice) whose cost is split equally, like the region open.
+    /// Checkpoint a region group at its slice boundary while its regions
+    /// are still open: every member that stepped (`out`) and reports
+    /// `Ok(false)` and is due is captured in one packed copy per device
+    /// (one pack pass and one PCIe latency per device and batch-slice)
+    /// whose cost is split equally, like the region opens.
     /// Skipped if the device died mid-batch (the next tick's sweep rolls
     /// every member back to its last capture).
     fn checkpoint_batch(&mut self, members: &[usize], out: &[(usize, Result<bool, PsoError>)]) {
@@ -1335,21 +1294,12 @@ fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
     (key, req.cfg.n_particles * req.cfg.dim)
 }
 
-/// The job's execution plan for `n_shards` shards. A job stepped launch
-/// by launch (sharded, or too large to be co-resident) is `streamed`: it
-/// overlaps each iteration's prefix-independent tail work (PSO's weight
-/// generation, GFWA's spark chain) with eval → pbest → argmin on a second
-/// stream lane; every iteration closes its stream window before it
-/// returns, so co-resident jobs never share one. A job stepped inside a
-/// persistent region, which has no lanes, keeps its plan unstreamed.
-fn build_plan(req: &OptimizeRequest, n_shards: usize, streamed: bool) -> ExecutionPlan {
+/// The job's execution plan for `n_shards` shards.
+fn build_plan(req: &OptimizeRequest, n_shards: usize) -> ExecutionPlan {
     let reduce = BestReduce::for_shards(n_shards);
     let mut plan = ExecutionPlan::build_for(req.algorithm, req.cfg.topology, n_shards, reduce);
     if req.fused {
         plan.fuse_swarm_update(req.strategy);
-    }
-    if streamed {
-        plan.assign_streams();
     }
     plan
 }

@@ -102,7 +102,7 @@ impl<T: Send + Sync + 'static> DeviceBuffer<T> {
     }
 
     /// Whether this buffer lives on `dev`.
-    pub(crate) fn is_on(&self, dev: &crate::Device) -> bool {
+    pub fn is_on(&self, dev: &crate::Device) -> bool {
         Arc::ptr_eq(&self.shared, &dev.shared)
     }
 

@@ -31,7 +31,6 @@ use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::Objective;
 use fastpso_suite::gpu_sim::{AllocMode, Device, FaultPlan, Phase};
 use fastpso_suite::perf_model::{gpu_kernel_time, GpuProfile};
-use std::sync::OnceLock;
 
 const ALL_STRATEGIES: [UpdateStrategy; 4] = [
     UpdateStrategy::GlobalMem,
@@ -384,12 +383,11 @@ impl Totals {
     }
 }
 
-/// The executed update tail of one streamed run over `devices`: the
-/// records charged to the tail's phases (`Init` holds PSO's weight
-/// generations, `SwarmUpdate` the rest of every engine's tail), and the
-/// subset queued on the side lane (stream 1).
-fn executed_tail(devices: &[&Device]) -> (Totals, Totals) {
-    let (mut tail, mut side) = (Totals::default(), Totals::default());
+/// The executed update tail of one run over `devices`: the records
+/// charged to the tail's phases (`Init` holds PSO's weight generations,
+/// `SwarmUpdate` the rest of every engine's tail).
+fn executed_tail(devices: &[&Device]) -> Totals {
+    let mut tail = Totals::default();
     for dev in devices {
         for k in dev.profiler().kernels {
             let bytes = k.dram_read_bytes + k.dram_write_bytes;
@@ -397,42 +395,33 @@ fn executed_tail(devices: &[&Device]) -> (Totals, Totals) {
             if matches!(k.phase, Phase::Init | Phase::SwarmUpdate) {
                 tail.add(k.launches, flops, bytes, k.duration_s);
             }
-            if k.stream == 1 {
-                side.add(k.launches, flops, bytes, k.duration_s);
-            }
         }
     }
-    (tail, side)
+    tail
 }
 
 /// The priced update tail of one iteration of `plan`: every shard's
-/// [`ExecutionPlan::tail_launches`] (`rows` rows each), and the subset on
-/// lane 1 — what `CostPredictor::base_s` prices.
-fn priced_tail(plan: &ExecutionPlan, shape: TailShape<'_>) -> (Totals, Totals) {
-    let (mut tail, mut side) = (Totals::default(), Totals::default());
+/// [`ExecutionPlan::tail_launches`] (`rows` rows each) — what
+/// `CostPredictor::base_s` prices.
+fn priced_tail(plan: &ExecutionPlan, shape: TailShape<'_>) -> Totals {
+    let mut tail = Totals::default();
     for shard in 0..plan.n_shards {
-        for (lane, desc) in plan.tail_launches(shard, &shape) {
+        for desc in plan.tail_launches(shard, &shape) {
             let w = desc.work();
             let t = gpu_kernel_time(shape.gpu, &w);
             let bytes = w.dram_read_bytes + w.dram_write_bytes;
             tail.add(1, w.flops + w.tensor_flops, bytes, t);
-            if lane == 1 {
-                side.add(1, w.flops + w.tensor_flops, bytes, t);
-            }
         }
     }
-    (tail, side)
+    tail
 }
 
 /// One swept case of the update-tail comparison: the executed tail of
-/// three streamed iterations (whole, and on the side lane alone), three
-/// times the priced tail (likewise), and whether the case must queue work
-/// on the side lane at all.
+/// three iterations and three times the priced tail.
 struct TailCase {
     label: String,
-    executed: (Totals, Totals),
-    priced: (Totals, Totals),
-    expect_side: bool,
+    executed: Totals,
+    priced: Totals,
 }
 
 /// Every rung (PSO's five strategies, SSO, GFWA) at 64×8 and 2500×77 (not
@@ -440,98 +429,83 @@ struct TailCase {
 /// capacity), over Sphere and Rastrigin (2 and 10 flops per dimension,
 /// which GFWA's spark evaluations are priced from), under the
 /// global, ring and island topologies on one device, and PSO on two
-/// devices (tile-matrix sharding, global topology only): a streamed
-/// 6-iteration run minus a 3-iteration run leaves three iterations of
-/// tail, set against three times the priced tail. Island migration fires
-/// every other iteration (it is priced in the prefix) and pins GFWA's
-/// explosion to lane 0. The sweep runs once and is shared by the tests
-/// that read it.
-fn tail_cases() -> &'static [TailCase] {
-    static CASES: OnceLock<Vec<TailCase>> = OnceLock::new();
-    CASES.get_or_init(|| {
-        let islands = Topology::Islands {
-            islands: 4,
-            migration: Migration {
-                kind: MigrationKind::Ring,
-                every_k: 2,
-                elites: 1,
-            },
+/// devices (tile-matrix sharding, global topology only): a 6-iteration
+/// run minus a 3-iteration run leaves three iterations of tail, set
+/// against three times the priced tail. Island migration fires every other
+/// iteration (it is priced in the prefix).
+fn tail_cases() -> Vec<TailCase> {
+    let islands = Topology::Islands {
+        islands: 4,
+        migration: Migration {
+            kind: MigrationKind::Ring,
+            every_k: 2,
+            elites: 1,
+        },
+    };
+    let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
+        .iter()
+        .map(|&s| (Algorithm::Pso, s))
+        .collect();
+    rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
+    rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
+    let objectives: [&dyn Objective; 2] = [&Sphere, &Rastrigin];
+    let gpu = GpuProfile::tesla_v100();
+    let mut cases = Vec::new();
+    for (n, d) in [(64usize, 8usize), (2500, 77)] {
+        let cfg = |iters, topology| {
+            PsoConfig::builder(n, d)
+                .max_iter(iters)
+                .seed(42)
+                .topology(topology)
+                .build()
+                .unwrap()
         };
-        let mut rungs: Vec<(Algorithm, UpdateStrategy)> = UpdateStrategy::ALL
-            .iter()
-            .map(|&s| (Algorithm::Pso, s))
-            .collect();
-        rungs.push((Algorithm::Sso, UpdateStrategy::GlobalMem));
-        rungs.push((Algorithm::Gfwa, UpdateStrategy::GlobalMem));
-        let objectives: [&dyn Objective; 2] = [&Sphere, &Rastrigin];
-        let gpu = GpuProfile::tesla_v100();
-        let mut cases = Vec::new();
-        for (n, d) in [(64usize, 8usize), (2500, 77)] {
-            let cfg = |iters, topology| {
-                PsoConfig::builder(n, d)
-                    .max_iter(iters)
-                    .seed(42)
-                    .topology(topology)
-                    .build()
-                    .unwrap()
+        for obj in objectives {
+            let shape = |rows, strategy| TailShape {
+                gpu: &gpu,
+                rows,
+                d: d as u64,
+                flops_per_dim: obj.flops_per_dim(),
+                strategy,
             };
-            for obj in objectives {
-                let shape = |rows, strategy| TailShape {
-                    gpu: &gpu,
-                    rows,
-                    d: d as u64,
-                    flops_per_dim: obj.flops_per_dim(),
-                    strategy,
-                };
-                for &(algo, strategy) in &rungs {
-                    let rung = format!("{algo}/{strategy} {} {n}x{d}", obj.name());
-                    for topology in [Topology::Global, Topology::Ring { k: 2 }, islands] {
-                        let b = GpuBackend::new()
-                            .algorithm(algo)
-                            .strategy(strategy)
-                            .streams(true);
-                        let run = |iters| {
-                            b.run(&cfg(iters, topology), obj).unwrap();
-                            executed_tail(&[b.device()])
-                        };
-                        let (lo, hi) = (run(3), run(6));
-                        let plan = b.plan(&cfg(6, topology));
-                        let (tail, side) = priced_tail(&plan, shape(n as u64, strategy));
-                        cases.push(TailCase {
-                            label: format!("{rung} {topology} 1 shard"),
-                            executed: (hi.0.minus(lo.0), hi.1.minus(lo.1)),
-                            priced: (triple(tail), triple(side)),
-                            expect_side: match algo {
-                                Algorithm::Sso => false,
-                                Algorithm::Gfwa => topology != islands,
-                                Algorithm::Pso => true,
-                            },
-                        });
-                    }
-                    if algo != Algorithm::Pso {
-                        continue;
-                    }
-                    let b = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-                        .update_strategy(strategy)
-                        .streams(true);
+            for &(algo, strategy) in &rungs {
+                let rung = format!("{algo}/{strategy} {} {n}x{d}", obj.name());
+                for topology in [Topology::Global, Topology::Ring { k: 2 }, islands] {
+                    let b = GpuBackend::new().algorithm(algo).strategy(strategy);
                     let run = |iters| {
-                        b.run(&cfg(iters, Topology::Global), obj).unwrap();
-                        executed_tail(&b.group().iter().collect::<Vec<_>>())
+                        b.run(&cfg(iters, topology), obj).unwrap();
+                        executed_tail(&[b.device()])
                     };
                     let (lo, hi) = (run(3), run(6));
-                    let plan = b.plan(&cfg(6, Topology::Global));
-                    let (tail, side) = priced_tail(&plan, shape(n as u64 / 2, strategy));
+                    let plan = b.plan(&cfg(6, topology));
+                    let tail = priced_tail(&plan, shape(n as u64, strategy));
                     cases.push(TailCase {
-                        label: format!("{rung} 2 shards"),
-                        executed: (hi.0.minus(lo.0), hi.1.minus(lo.1)),
-                        priced: (triple(tail), triple(side)),
-                        expect_side: true,
+                        label: format!("{rung} {topology} 1 shard"),
+                        executed: hi.minus(lo),
+                        priced: triple(tail),
                     });
                 }
+                if algo != Algorithm::Pso {
+                    continue;
+                }
+                let b =
+                    MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix).update_strategy(strategy);
+                let run = |iters| {
+                    b.run(&cfg(iters, Topology::Global), obj).unwrap();
+                    executed_tail(&b.group().iter().collect::<Vec<_>>())
+                };
+                let (lo, hi) = (run(3), run(6));
+                let plan = b.plan(&cfg(6, Topology::Global));
+                let tail = priced_tail(&plan, shape(n as u64 / 2, strategy));
+                cases.push(TailCase {
+                    label: format!("{rung} 2 shards"),
+                    executed: hi.minus(lo),
+                    priced: triple(tail),
+                });
             }
         }
-        cases
-    })
+    }
+    cases
 }
 
 /// The update tail admission prices is the tail the executor runs, launch
@@ -540,20 +514,7 @@ fn tail_cases() -> &'static [TailCase] {
 #[test]
 fn predicted_tail_matches_the_executed_tail() {
     for case in tail_cases() {
-        case.executed.0.assert_matches(case.priced.0, &case.label);
-    }
-}
-
-/// The side lane (stream 1) admission prices is the side lane the executor
-/// runs, on every case of [`tail_cases`]: present exactly where the case
-/// expects it (never for SSO, not for GFWA under islands), and equal to
-/// the executed lane-1 records as the whole tail is.
-#[test]
-fn priced_side_lane_matches_the_executed_side_lane() {
-    for case in tail_cases() {
-        let label = format!("{} side lane", case.label);
-        assert_eq!(case.priced.1.launches > 0, case.expect_side, "{label}");
-        case.executed.1.assert_matches(case.priced.1, &label);
+        case.executed.assert_matches(case.priced, &case.label);
     }
 }
 

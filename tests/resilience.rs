@@ -332,17 +332,15 @@ fn plain_runs_never_retry() {
     }
 }
 
-/// A streamed iteration that fails still closes its stream window. A
-/// transient fault at any launch of iteration 0 of a streamed run (weight
-/// generation on lane 1, the rest on lane 0) fails a plain run, and the
-/// next kernel charged on the device queues on the default stream at the
-/// timeline front — not on a lane frontier left behind in the past. A
+/// An iteration that fails leaves nothing queued behind it. A transient
+/// fault at any launch of iteration 0 of a PSO run fails a plain run, and
+/// the next kernel charged on the device starts at the timeline front. A
 /// resilient run retries the same faults in place: the trajectory is
 /// bit-identical to the fault-free run and the profiler still reconstructs
 /// the timeline's totals.
 #[test]
 fn a_faulted_streamed_iteration_closes_its_stream_window() {
-    faulted_streamed_iteration_sweep(
+    faulted_iteration_sweep(
         Algorithm::Pso,
         "init_swarm",
         &[
@@ -354,13 +352,12 @@ fn a_faulted_streamed_iteration_closes_its_stream_window() {
     );
 }
 
-/// The same sweep over one streamed GFWA iteration, whose spark chain
-/// (explosion and guiding spark) runs on lane 1 and selection on lane 0
-/// behind it: a fault at any of its launches, on either lane, closes the
-/// window, and a resilient run replays bit-identically.
+/// The same sweep over one GFWA iteration: a fault at any launch of its
+/// spark chain or selection leaves nothing queued behind it, and a
+/// resilient run replays bit-identically.
 #[test]
 fn a_faulted_streamed_gfwa_iteration_closes_its_stream_window() {
-    faulted_streamed_iteration_sweep(
+    faulted_iteration_sweep(
         Algorithm::Gfwa,
         "init_gfwa_amplitudes",
         &[
@@ -374,14 +371,14 @@ fn a_faulted_streamed_gfwa_iteration_closes_its_stream_window() {
 }
 
 /// Inject one transient launch fault at every launch ordinal of iteration
-/// 0 of a streamed `algo` run — from the launch after the run's last init
+/// 0 of an `algo` run — from the launch after the run's last init
 /// kernel `last_init` up to the next launch of iteration 0's first kernel,
 /// which must include every kernel in `names` — and check the plain and
 /// resilient outcomes described above.
-fn faulted_streamed_iteration_sweep(algo: Algorithm, last_init: &str, names: &[&str]) {
+fn faulted_iteration_sweep(algo: Algorithm, last_init: &str, names: &[&str]) {
     let c = cfg(64, 8, 6);
-    let streamed = || GpuBackend::new().algorithm(algo).streams(true);
-    let probe_backend = streamed();
+    let backend = || GpuBackend::new().algorithm(algo);
+    let probe_backend = backend();
     let clean = probe_backend.run(&c, &Rastrigin).unwrap();
     let kernels = probe_backend.profile().kernels;
     let first = 1 + kernels
@@ -399,15 +396,11 @@ fn faulted_streamed_iteration_sweep(algo: Algorithm, last_init: &str, names: &[&
             "{algo}: {name} runs in iteration 0"
         );
     }
-    assert!(
-        iteration0.iter().any(|k| k.stream == 1),
-        "{algo}: iteration 0 uses the side lane"
-    );
     let mut ordinals: Vec<u64> = iteration0.iter().map(|k| k.ordinal).collect();
     ordinals.dedup();
 
     for ord in ordinals {
-        let plain = streamed();
+        let plain = backend();
         let dev = plain.device();
         dev.set_fault_plan(FaultPlan::new().with_transient_launch(ord));
         let err = plain.run(&c, &Rastrigin).unwrap_err();
@@ -416,13 +409,12 @@ fn faulted_streamed_iteration_sweep(algo: Algorithm, last_init: &str, names: &[&
         dev.charge_kernel(&KernelDesc::simple("probe", Phase::Other, 1, 4, 4, 1024));
         let log = dev.profiler();
         let probe = log.kernels.last().expect("probe recorded");
-        assert_eq!(probe.stream, 0, "{algo} launch ordinal {ord}: probe lane");
         assert_eq!(
             probe.start_s, front,
             "{algo} launch ordinal {ord}: probe start"
         );
 
-        let resilient = streamed().resilient(ResilienceConfig::default());
+        let resilient = backend().resilient(ResilienceConfig::default());
         resilient
             .device()
             .set_fault_plan(FaultPlan::new().with_transient_launch(ord));
