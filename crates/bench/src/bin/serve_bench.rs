@@ -29,15 +29,14 @@
 //! With `--small-jobs`, runs the cross-job micro-batching comparison: a
 //! trace of 64 tiny jobs (at most 64 particles each) on a 2-device group,
 //! replayed once with batching off and once with `ServeConfig::batching`
-//! set. With batching off every job still runs resident, one region per
-//! slice per job; fusing compatible jobs into one region per batch-slice
-//! (one host launch per batch instead of one per job) and sharing its
-//! checkpoint copy cuts launches and lifts modeled throughput. The binary
-//! asserts at least 3x fewer launches and at least a 1.3x gain, verifies
-//! per-job results are bit-identical between the
-//! modes, pins them against `results/serve_batch_fingerprints.golden.txt`
-//! (regenerate with `UPDATE_GOLDEN=1`), and writes
-//! `results/serve_batch.csv`.
+//! set. Batched or not, every tick opens one region per device and every
+//! job leased there steps inside it, with one checkpoint copy per device;
+//! batching only gathers compatible jobs under one lease. The binary
+//! asserts at most one region per device per tick in both modes and
+//! batched throughput no lower than unbatched, verifies per-job results
+//! are bit-identical between the modes, pins them against
+//! `results/serve_batch_fingerprints.golden.txt` (regenerate with
+//! `UPDATE_GOLDEN=1`), and writes `results/serve_batch.csv`.
 //!
 //! Usage: `cargo run --release -p fastpso-bench --bin serve_bench
 //! [--overload | --small-jobs] [--topology <spec>]`
@@ -368,7 +367,15 @@ fn run_small_trace(batching: Option<BatchPolicy>) -> SmallOutcome {
             .expect("the small-jobs trace fits the admission queue")
         })
         .collect();
-    svc.run_until_idle();
+    // Batched or not, every job on a device steps inside that device's one
+    // region per tick; batching only decides which jobs share a device.
+    let ticks = svc.run_until_idle();
+    for log in svc.group().iter().map(|dev| dev.profiler()) {
+        assert!(log.is_complete(), "the profiler evicted records");
+        let regions = log.kernels.iter().filter(|k| k.name == "batched_slice");
+        let regions = regions.count();
+        assert!(regions <= ticks, "{regions} regions in {ticks} ticks");
+    }
     let fingerprints = ids
         .iter()
         .map(|&id| {
@@ -439,17 +446,9 @@ fn run_small_jobs() {
     }
     t.emit("serve_batch");
 
-    // The baseline already runs every job resident, one region per slice
-    // per job; batching shares each region and its checkpoint copy.
     assert!(
-        batched.launches * 3 <= unbatched.launches,
-        "batch-slices must collapse launches: {} vs {}",
-        batched.launches,
-        unbatched.launches
-    );
-    assert!(
-        gain >= 1.3,
-        "expected >= 1.3x modeled throughput from micro-batching, got {gain:.2}x"
+        gain >= 1.0,
+        "micro-batching lowered modeled throughput: {gain:.2}x"
     );
     println!(
         "micro-batching lifted modeled throughput {gain:.1}x \

@@ -31,8 +31,8 @@
 //! close: one per device of the group, each grid-stride over the elements
 //! homed there. Its two callers are a persistent single-GPU run
 //! ([`crate::GpuBackend::persistent`], the whole run as one slice) and the
-//! serving layer, one slice at a time over a micro-batch's members, a solo
-//! job or a sharded one.
+//! serving layer, once per tick over its group, every running job stepping
+//! one slice inside.
 //!
 //! Rows are split across shards in one place: the crate-private
 //! `partition(n, k)` gives shard `i` a contiguous block, with the
@@ -989,7 +989,7 @@ impl<'a> PlanRun<'a> {
         self.group.reset_timelines();
         let mut ex = self.init_state()?;
         if resident {
-            let elements = elements_per_device(self.group.len(), [&ex]);
+            let elements = ex.elements_per_device(self.group.len());
             run_resident(self.group, "persistent_run", &elements, || {
                 self.step_slice(&mut ex, usize::MAX)
             })??;
@@ -1003,8 +1003,8 @@ impl<'a> PlanRun<'a> {
 /// Run `slice` inside device-resident regions: the one place persistent
 /// regions open and close. One region opens on every device of `group`
 /// that holds elements (`elements[i]` for device `i`, see
-/// [`elements_per_device`]), the way a cooperative multi-device launch
-/// spans its devices. Each grid is resource-aware, as the paper's thread
+/// [`ExecState::elements_per_device`]), the way a cooperative
+/// multi-device launch spans its devices. Each grid is resource-aware, as the paper's thread
 /// creation is: at most the device's `max_resident_threads` threads, each
 /// striding over `elements / threads` elements of the widest
 /// one-thread-per-element pass. Opening a region is one host launch;
@@ -1015,8 +1015,8 @@ impl<'a> PlanRun<'a> {
 /// returns by, errors included, so a failed slice never leaves one open.
 /// Two dispatchers call this: a persistent single-GPU run
 /// ([`PlanRun::execute`]), with one state for the whole run, and the
-/// serving layer, with a micro-batch's members (or a solo or sharded job,
-/// a batch of one) for one slice.
+/// serving layer, once per tick over its whole group, with every running
+/// job's slice inside.
 pub(crate) fn run_resident<T>(
     group: &DeviceGroup,
     name: &'static str,
@@ -1048,21 +1048,6 @@ pub(crate) fn run_resident<T>(
     Ok(out)
 }
 
-/// Elements (`rows × d`) each device of an `n_devices` group holds across
-/// `states`: the per-device sizes [`run_resident`] grids its regions for.
-pub(crate) fn elements_per_device<'s>(
-    n_devices: usize,
-    states: impl IntoIterator<Item = &'s ExecState>,
-) -> Vec<u64> {
-    let mut out = vec![0u64; n_devices];
-    for ex in states {
-        for (shard, &home) in ex.st.shards.iter().zip(&ex.st.homes) {
-            out[home] += (shard.rows * shard.d) as u64;
-        }
-    }
-    out
-}
-
 /// The owned, resumable state of one plan execution: shards, bound
 /// schedule, iteration cursor, replay checkpoint and history. It holds no
 /// borrows, so a scheduler can park it in a job table between time slices
@@ -1085,6 +1070,17 @@ impl ExecState {
     /// Iterations completed so far.
     pub(crate) fn iterations_run(&self) -> usize {
         self.iterations_run
+    }
+
+    /// Elements (`rows × d`) the state holds on each device of an
+    /// `n_devices` group: the per-device sizes [`run_resident`] grids its
+    /// regions for.
+    pub(crate) fn elements_per_device(&self, n_devices: usize) -> Vec<u64> {
+        let mut out = vec![0u64; n_devices];
+        for (shard, &home) in self.st.shards.iter().zip(&self.st.homes) {
+            out[home] += (shard.rows * shard.d) as u64;
+        }
+        out
     }
 
     /// Capture a [`SuspendedJob`] snapshot of this execution without

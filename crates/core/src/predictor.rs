@@ -17,14 +17,15 @@
 //!    the tiled and tensor-core rungs pay their staged traffic, the
 //!    low-complexity rung draws `d`-fold fewer numbers. The base is
 //!    priced on the shape's [`Schedule`]: launch by launch, in a
-//!    micro-batch's regions, or resident alone in one region per slice and
-//!    device — the last with the init, allocation, barrier, best-exchange,
-//!    checkpoint and download charges a solo region exposes. The base is
+//!    micro-batch's regions, or resident in one region per slice and device
+//!    shared with its other jobs — the last with the init, allocation,
+//!    barrier, best-exchange, checkpoint and download charges that exposes.
+//!    The base is
 //!    pure arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it
 //!    is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
-//!    omits data-dependent costs (the pbest and gbest adoption copies,
-//!    allocator history) and, outside the resident schedule, the
+//!    omits data-dependent costs (the pbest and gbest adoption copies)
+//!    and, outside the resident schedule, allocator history and the
 //!    scheduler-dependent ones (checkpoint captures, the result
 //!    download), so observed
 //!    [`JobRecord`](perf_model::JobRecord)s close the loop: each completed
@@ -60,7 +61,7 @@ use std::collections::BTreeMap;
 /// The dispatch a [`JobShape`] is priced on: how the serving layer steps
 /// the job's iterations. Each variant is one schedule, so a shape cannot
 /// name two at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Schedule {
     /// Launch by launch, as a dedicated [`crate::GpuBackend`] run.
     #[default]
@@ -73,17 +74,25 @@ pub enum Schedule {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
     },
-    /// A solo job inside one persistent region per slice and leased
-    /// device, as the serving layer steps every job that found no batch
-    /// mates, sharded ones included: the [`Schedule::Batched`] price plus
-    /// the charges a region no longer hides behind launch overhead (see
-    /// [`CostPredictor::base_s`]). Calibrates under a `+resident` key.
+    /// A job inside one persistent region per slice and leased device,
+    /// shared with that device's other jobs, as the serving layer steps
+    /// every job without batch mates, sharded ones included: the
+    /// [`Schedule::Batched`] price plus the charges a region no longer hides
+    /// behind launch overhead (see [`CostPredictor::base_s`]). Calibrates
+    /// under `+resident`, `+resident+sharded` when sharded.
     Resident {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
         /// Slice boundaries per checkpoint capture (the serving layer's
         /// `checkpoint_slices`; 0 = none).
         checkpoint_slices: u64,
+        /// Jobs expected to share each region and checkpoint copy, which
+        /// split its open and its PCIe latency (1 = a lone job).
+        sharers: u64,
+        /// Share of the init buffers the device's allocator pool serves at
+        /// the pool-hit price (0 = a cold pool: every one a fresh
+        /// allocation).
+        pooled: f64,
     },
 }
 
@@ -175,7 +184,8 @@ impl JobShape {
     /// The calibration key: batched and resident shapes calibrate apart
     /// from per-launch ones and from each other, since the
     /// scheduler-dependent costs they absorb (batch sharing, allocator
-    /// history) differ; island
+    /// history) differ, and sharded resident shapes apart from solo ones,
+    /// since they also absorb their data-dependent adoption uploads; island
     /// schedules interleave gather/migrate launches with the shared prefix,
     /// so they calibrate apart too; every algorithm but the default
     /// calibrates under an `{algo}:`-prefixed key so its observed ratios
@@ -185,6 +195,7 @@ impl JobShape {
         let mut key = self.strategy.to_string();
         match self.schedule {
             Schedule::Batched { .. } => key.push_str("+persistent"),
+            Schedule::Resident { .. } if self.shards > 1 => key.push_str("+resident+sharded"),
             Schedule::Resident { .. } => key.push_str("+resident"),
             Schedule::Launches => {}
         }
@@ -313,7 +324,8 @@ impl CostPredictor {
     /// - the init launches (`init_swarm`, and the algorithm's
     ///   [`crate::SwarmAlgorithm::init_extra_launch`]) at full launch price;
     /// - the shard's [`Shard::BUFFERS`] allocations (plus the extra state's)
-    ///   at the driver price, and each iteration's
+    ///   at the fresh-allocation price, the `pooled` share of them at the
+    ///   pool-hit price, and each iteration's
     ///   [`crate::SwarmAlgorithm::iteration_allocs`] at the pool-hit price
     ///   ([`CACHE_HIT_COST_FRACTION`]);
     /// - one grid barrier ([`GRID_SYNC_OVERHEAD_S`]) per device-sync node
@@ -325,7 +337,9 @@ impl CostPredictor {
     /// - one checkpoint per due slice boundary: an in-region
     ///   [`KernelDesc::checkpoint_pack`] pass plus one D2H of
     ///   [`Shard::checkpoint_elems`] floats;
-    /// - the result download.
+    /// - the result download;
+    /// - less the shares of its region opens and capture latencies that
+    ///   the region's other `sharers` pay.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -361,15 +375,11 @@ impl CostPredictor {
                 .fold(prefix_s, |acc, desc| acc + time(&desc.work()));
             active_shards += 1;
             launches += (prefix.len() + tail.len()) as u64;
-            if let Schedule::Resident {
-                slice,
-                checkpoint_slices,
-            } = shape.schedule
-            {
+            if let Schedule::Resident { .. } = shape.schedule {
                 let syncs = (plan.nodes.iter())
                     .filter(|n| n.shard == s && n.op == PlanOp::DeviceSync)
                     .count() as u64;
-                residency += self.residency_s(shape, &tail_shape, syncs, slice, checkpoint_slices);
+                residency += self.residency_s(shape, &tail_shape, syncs);
             }
         }
         let mut total = per_iter * shape.iterations as f64;
@@ -419,24 +429,26 @@ impl CostPredictor {
     /// requests, `syncs` grid barriers per iteration, a sharded shape's
     /// best exchange, the slice-boundary checkpoints and the result
     /// download (see [`CostPredictor::base_s`]).
-    fn residency_s(
-        &self,
-        shape: &JobShape,
-        tail: &TailShape<'_>,
-        syncs: u64,
-        slice: u64,
-        checkpoint_slices: u64,
-    ) -> f64 {
+    fn residency_s(&self, shape: &JobShape, tail: &TailShape<'_>, syncs: u64) -> f64 {
+        let Schedule::Resident {
+            slice,
+            checkpoint_slices,
+            sharers,
+            pooled,
+        } = shape.schedule
+        else {
+            return 0.0;
+        };
         let gpu = &self.gpu;
         let (rows, d, iters) = (tail.rows, tail.d, shape.iterations);
         let alg = algorithm_impl(shape.algo);
         let time = |desc: &KernelDesc| gpu_kernel_time(gpu, &desc.work());
         let extra = alg.init_extra_launch(tail);
         let init = time(&init_swarm_desc(gpu, rows * d)) + extra.as_ref().map_or(0.0, time);
-        let buffers = Shard::BUFFERS + u64::from(extra.is_some());
+        let buffers = (Shard::BUFFERS + u64::from(extra.is_some())) as f64;
+        let buffers = buffers * (1.0 - pooled) + buffers * pooled * CACHE_HIT_COST_FRACTION;
         let allocs = gpu.device_alloc_cost_s
-            * (buffers as f64
-                + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION);
+            * (buffers + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION);
         let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S;
         let exchange = if shape.shards > 1 {
             iters as f64 * transfer_time(&self.link, best_exchange_bytes(d))
@@ -452,9 +464,13 @@ impl CostPredictor {
             - gpu.kernel_launch_overhead_s)
             .max(0.0);
         let f32_bytes = std::mem::size_of::<f32>() as u64;
-        let capture = pack + transfer_time(&self.link, elems * f32_bytes);
+        // The share of each open and capture latency other jobs pay.
+        let shared = 1.0 - 1.0 / sharers.max(1) as f64;
+        let capture =
+            pack + transfer_time(&self.link, elems * f32_bytes) - self.link.latency_s * shared;
         let download = transfer_time(&self.link, d * f32_bytes);
-        init + allocs + barriers + exchange + captures as f64 * capture + download
+        let opens = slices(iters, slice) as f64 * gpu.kernel_launch_overhead_s * shared;
+        init + allocs + barriers + exchange + captures as f64 * capture + download - opens
     }
 
     /// The calibrated multiplier currently applied to estimates under
@@ -626,6 +642,8 @@ mod tests {
         Schedule::Resident {
             slice,
             checkpoint_slices,
+            sharers: 1,
+            pooled: 0.0,
         }
     }
 

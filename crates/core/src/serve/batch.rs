@@ -1,14 +1,13 @@
-//! Cross-job micro-batching: fusing compatible small jobs into one
-//! batched device dispatch.
+//! Cross-job micro-batching: placing compatible small jobs under one
+//! device lease.
 //!
 //! Serving many tiny swarms (tens of particles each) on a big device is
-//! launch-bound: every job pays the full per-kernel launch overhead for
-//! kernels that finish in nanoseconds of modeled compute. The batching
-//! subsystem lets the scheduler gather **compatible** small queued jobs
-//! and advance them together inside a single persistent device region per
-//! time slice — one host launch per batch-slice instead of
-//! `launches-per-iteration × slice_iters` per *job* — over the
-//! concatenation of the members' `n·d` state segments.
+//! launch-bound: kernels finish in nanoseconds of modeled compute. Every
+//! job on a device already steps inside that device's one persistent
+//! region per tick, so the batching subsystem is a placement rule: the
+//! scheduler gathers **compatible** small queued jobs under one lease, so
+//! they share one device — its region, its packed checkpoint copy — over
+//! the concatenation of the members' `n·d` state segments.
 //!
 //! Two jobs are compatible when they agree on the *compat key*: the
 //! swarm algorithm crossed with the swarm-update strategy and the

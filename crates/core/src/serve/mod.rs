@@ -16,15 +16,18 @@
 //!   (several co-resident jobs per device), large jobs (at least
 //!   [`ServeConfig::shard_threshold_particles`] particles) shard across
 //!   every device with an exchange reduction each iteration;
-//! * **residency** — every job steps each slice inside one persistent
-//!   region per leased device: one host launch per device and slice
-//!   instead of one per kernel, with its slice checkpoint packed inside
-//!   the regions (one copy per device). Each region is grid-stride, the
-//!   paper's resource-aware thread creation: at most the device's
-//!   resident threads, each covering `n·d / threads` elements, so a swarm
-//!   too large to be co-resident still runs resident. A sharded job's
-//!   per-iteration best exchange runs inside its regions, the way a
-//!   cooperative multi-device launch synchronises its grids;
+//! * **residency** — each tick opens one persistent region per device, and
+//!   every running job leased there steps its slice inside it: one host
+//!   launch per device and tick instead of one per kernel, with every due
+//!   slice checkpoint packed inside the regions (one copy per device). Each
+//!   device's open and copy are billed in equal shares to its jobs. Each
+//!   region is grid-stride, the paper's resource-aware thread creation: at
+//!   most the device's resident threads, each covering `Σ n·d / threads`
+//!   elements of the jobs homed there, so jobs too large to be co-resident
+//!   still run resident. A sharded job's per-iteration best exchange runs
+//!   inside its devices' regions, the way a cooperative multi-device
+//!   launch synchronises its grids. A job's error ends the slice only on
+//!   the devices it leases;
 //! * **preemption** — a queued high-priority job may suspend a running
 //!   lower-priority one: its shards are checkpointed to host memory, the
 //!   device memory is freed, and it later resumes **bit-identically**
@@ -48,15 +51,11 @@
 //! * **cross-job micro-batching** — with [`ServeConfig::batching`] set,
 //!   admission gathers compatible small jobs (same [`CompatKey`]: algorithm
 //!   × update strategy × dimension class × topology; within the
-//!   [`BatchPolicy`] bounds) under **one** device lease, and every tick advances the batch inside
-//!   a single persistent
-//!   device region: one host launch per batch-slice over the concatenated
-//!   Σ(n·d) state segments, instead of one region per job. A job that
-//!   found no mates is a micro-batch of one.
-//!   Per-job results are bit-identical to solo runs (each member keeps its
-//!   own state segment, counter-based PRNG stream and best-reduce
-//!   segment), and checkpoint/preempt/re-home/journal semantics are
-//!   unchanged at slice boundaries;
+//!   [`BatchPolicy`] bounds) under **one** device lease, so they share
+//!   one device and its region. Per-job results are bit-identical to solo
+//!   runs (each member keeps its own state segment, counter-based PRNG
+//!   stream and best-reduce segment), and checkpoint/preempt/re-home/
+//!   journal semantics are unchanged at slice boundaries;
 //! * **tenant accounting** — every terminal job emits a
 //!   [`perf_model::JobRecord`]; [`Service::tenant_rollups`] reduces them
 //!   to per-tenant p50/p95 latency, shed counts and device-seconds.
@@ -393,10 +392,10 @@ mod tests {
             assert_eq!(a.best_position, b.best_position);
         }
         // Alone or batched, every job steps resident after its one init
-        // launch: four regions (30 iterations, 8 per slice) per job alone,
-        // four for the whole batch.
-        assert_eq!(solo_launches, 4 * (1 + 4), "one region per slice per job");
-        assert_eq!(batch_launches, 4 + 4, "one region per batch-slice");
+        // launch, and all four share the device's one region per tick
+        // (30 iterations, 8 per slice: four ticks).
+        assert_eq!(solo_launches, 4 + 4, "one region per tick");
+        assert_eq!(batch_launches, 4 + 4, "one region per tick");
     }
 
     #[test]

@@ -10,15 +10,14 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
 use crate::plan::{
-    check_shardable, elements_per_device, run_resident, BestReduce, ExecState, ExecutionPlan,
-    PlanRun, SuspendedJob,
+    check_shardable, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
 };
 use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
 use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
 use gpu_sim::{DeviceGroup, FleetHealth, HealthPolicy, Phase};
-use perf_model::{JobOutcome, JobRecord, TenantSummary};
+use perf_model::{JobOutcome, JobRecord, TenantSummary, Timeline};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -69,21 +68,18 @@ pub struct ServeConfig {
     /// larger values admit more conservatively). Only read when
     /// [`ServeConfig::predictive_admission`] is on.
     pub admission_headroom: f64,
-    /// Cross-job micro-batching policy. When set, each admission gathers
-    /// compatible small queued jobs (same [`CompatKey`]: algorithm ×
-    /// strategy × dim-class × topology; single-shard; global or islands
-    /// topology; within the policy's element bound) under **one** device
-    /// lease, and every tick advances the batch inside a single persistent
-    /// device region — one host launch per batch-slice instead of one per
-    /// slice per job. Per-job results stay bit-identical to solo
-    /// execution; checkpoint, preempt, re-home and journal semantics are
-    /// unchanged at slice boundaries. Batching or not, every job steps
-    /// resident: a job that found no mates is a micro-batch of one, with
-    /// one region per slice on each device it leases, grid-stride when its
-    /// swarm outgrows the device's resident threads. The cost predictor
-    /// prices and calibrates each job on the schedule it runs:
-    /// `+persistent` in a batch with mates, `+resident` alone in its
-    /// regions. `None` (the default) disables batching.
+    /// Cross-job micro-batching policy: a placement rule. When set, each
+    /// admission gathers compatible small queued jobs (same [`CompatKey`]:
+    /// algorithm × strategy × dim-class × topology; single-shard; global or
+    /// islands topology; within the policy's element bound) under **one**
+    /// device lease. Batching or not, every job steps resident: each tick
+    /// opens one region per device and every job leased there steps its
+    /// slice inside it, so batching only decides which jobs share a device.
+    /// Per-job results stay bit-identical to solo execution; checkpoint,
+    /// preempt, re-home and journal semantics are unchanged at slice
+    /// boundaries. The cost predictor prices and calibrates each job on the
+    /// schedule it was admitted on: `+persistent` in a batch with mates,
+    /// `+resident` otherwise. `None` (the default) disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -123,25 +119,50 @@ struct Job {
     queue_depth_at_submit: usize,
     /// First admission; kept across preemption and re-homing.
     started_s: Option<f64>,
-    device_seconds: f64,
+    /// Device-seconds billed on each device of the service's group.
+    device_s: Vec<f64>,
     recovery_s: f64,
     rehomes: u64,
     /// Device-seconds the predictor quoted at admission (0 when predictive
     /// admission is off). The reservation the job holds against the
     /// admission budget is `predicted_s·headroom − device_seconds`.
     predicted_s: f64,
+    /// Region opens and checkpoint copies billed to the job, and the sum
+    /// of its `1/n` share of each.
+    shares: [f64; 2],
+    /// Share of the buffers its last init allocated that the pool served.
+    pooled: f64,
 }
 
 impl Job {
-    /// Add the seconds of `m` (a [`Meter::since`] delta) to the ledger.
-    fn bill(&mut self, m: Meter) {
-        self.device_seconds += m.total;
-        self.recovery_s += m.recovery;
+    /// Bill a `1/n` share of `spent` (`[total, recovery]` seconds, a
+    /// [`Meter::since`] entry) on device `d`, a region open or checkpoint
+    /// copy that `n` jobs shared.
+    fn bill(&mut self, d: usize, spent: [f64; 2], n: usize) {
+        let n = n as f64;
+        self.device_s[d] += spent[0] / n;
+        self.recovery_s += spent[1] / n;
+        self.shares = [self.shares[0] + 1.0, self.shares[1] + 1.0 / n];
+    }
+
+    /// Jobs that shared the job's region opens and checkpoint copies: the
+    /// harmonic mean over its bills, rounded, so that pricing the job with
+    /// it charges the shares it paid (1 = alone, or never billed).
+    fn billed_sharers(&self) -> u64 {
+        let [bills, share] = self.shares;
+        (bills / share.max(f64::MIN_POSITIVE)).round().max(1.0) as u64
+    }
+
+    /// Device-seconds billed so far, over every device.
+    fn device_seconds(&self) -> f64 {
+        self.device_s.iter().sum()
     }
 
     /// The job's terminal record. A job that never started reports `now`
     /// as its start.
     fn record(self, outcome: JobOutcome, iterations: usize, now: f64) -> JobRecord {
+        let device_seconds = self.device_seconds();
+        let sharers = self.billed_sharers();
         JobRecord {
             tenant: self.req.tenant,
             job: self.id.0,
@@ -150,44 +171,39 @@ impl Job {
             finished_s: now,
             outcome,
             iterations,
-            device_seconds: self.device_seconds,
+            device_seconds,
             queue_depth_at_submit: self.queue_depth_at_submit,
             rehomes: self.rehomes,
             recovery_secs: self.recovery_s,
+            sharers,
+            pooled: self.pooled,
         }
     }
 }
 
-/// A reading of the shared group's merged timeline. Every device-second
-/// the scheduler attributes to a job is the difference of two readings.
-#[derive(Clone, Copy)]
-struct Meter {
-    total: f64,
-    recovery: f64,
-}
+/// A reading of the shared group's timelines, `[total, recovery]` seconds
+/// per device. Every device-second the scheduler attributes to a job is
+/// the difference of two readings.
+struct Meter(Vec<[f64; 2]>);
 
 impl Meter {
     fn read(group: &DeviceGroup) -> Meter {
-        let tl = group.merged_timeline();
-        Meter {
-            total: tl.total_seconds(),
-            recovery: tl.seconds(Phase::Recovery),
-        }
+        let reading = |tl: Timeline| [tl.total_seconds(), tl.seconds(Phase::Recovery)];
+        Meter(group.iter().map(|dev| reading(dev.timeline())).collect())
     }
 
-    /// The seconds charged since this reading, split equally `n` ways.
-    fn since(self, group: &DeviceGroup, n: usize) -> Meter {
-        let now = Meter::read(group);
-        let n = n as f64;
-        Meter {
-            total: (now.total - self.total) / n,
-            recovery: (now.recovery - self.recovery) / n,
-        }
+    /// The seconds charged on each device since this reading.
+    fn since(&self, group: &DeviceGroup) -> Vec<[f64; 2]> {
+        let now = Meter::read(group).0.into_iter().zip(&self.0);
+        now.map(|(n, t)| [n[0] - t[0], n[1] - t[1]]).collect()
     }
 
     /// Charge everything since this reading to `job`.
-    fn charge(self, group: &DeviceGroup, job: &mut Job) {
-        job.bill(self.since(group, 1));
+    fn charge(&self, group: &DeviceGroup, job: &mut Job) {
+        for (d, [total, recovery]) in self.since(group).into_iter().enumerate() {
+            job.device_s[d] += total;
+            job.recovery_s += recovery;
+        }
     }
 }
 
@@ -221,21 +237,35 @@ struct Running {
     job: Job,
     plan: ExecutionPlan,
     view: DeviceGroup,
-    /// The device lease. Micro-batch members share one lease (`Rc`): it
+    /// The device lease; the view's device `k` is the group's
+    /// `lease.devices()[k]`. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
     lease: Rc<Lease>,
-    /// Region membership: jobs with the same id advance together inside
-    /// one persistent region per slice and leased device (a job that found
-    /// no mates is a batch of one).
-    batch: u64,
-    /// The schedule the job was admitted on, which calibration observes.
-    schedule: Schedule,
+    /// Whether the job was admitted into a micro-batch with mates, which
+    /// calibration observes on the batched schedule.
+    mates: bool,
     state: ExecState,
     /// Latest host-side checkpoint, captured at a slice boundary. Device
     /// loss rolls the job back to this; `None` (no boundary reached yet)
     /// restarts it fresh — both replay bit-identically.
     snapshot: Option<SuspendedJob>,
     slices_since_snapshot: usize,
+}
+
+impl Running {
+    /// Elements the job holds on each device of an `n`-device group; none
+    /// when it leases a `lost` device, since it will not step.
+    fn homed(&self, n: usize, lost: &[bool]) -> Vec<u64> {
+        let mut out = vec![0; n];
+        if self.lease.devices().iter().any(|&d| lost[d]) {
+            return out;
+        }
+        let view = self.state.elements_per_device(self.view.len());
+        for (&d, e) in self.lease.devices().iter().zip(view) {
+            out[d] += e;
+        }
+        out
+    }
 }
 
 /// A finished job: terminal status plus the result when it completed.
@@ -258,8 +288,9 @@ pub struct Service {
     running: Vec<Running>,
     finished: BTreeMap<JobId, Finished>,
     records: Vec<JobRecord>,
+    /// Device-seconds billed to finished jobs, per device.
+    billed: Vec<f64>,
     next_id: u64,
-    next_batch: u64,
     predictor: CostPredictor,
     goodput_s: f64,
     rejected_infeasible: u64,
@@ -283,6 +314,7 @@ impl Service {
         let dev0 = group.device(0).expect("non-empty group");
         let predictor = CostPredictor::new(dev0.profile(), dev0.link());
         Service {
+            billed: vec![0.0; group.len()],
             group,
             pool,
             cfg,
@@ -293,7 +325,6 @@ impl Service {
             finished: BTreeMap::new(),
             records: Vec::new(),
             next_id: 0,
-            next_batch: 0,
             predictor,
             goodput_s: 0.0,
             rejected_infeasible: 0,
@@ -457,10 +488,12 @@ impl Service {
             deadline_abs: req.deadline_s.map(|d| now + d),
             queue_depth_at_submit: self.queue.len(),
             started_s: None,
-            device_seconds: 0.0,
+            device_s: vec![0.0; self.group.len()],
             recovery_s: 0.0,
             rehomes: 0,
             predicted_s,
+            shares: [0.0; 2],
+            pooled: 0.0,
             req,
         };
         let entry = Pending {
@@ -530,6 +563,13 @@ impl Service {
     /// finalization order.
     pub fn records(&self) -> &[JobRecord] {
         &self.records
+    }
+
+    /// Device-seconds billed to finished jobs on each device of the group.
+    /// Every second a device spends is billed to a job on it, so once every
+    /// job is terminal each entry equals that device's timeline total.
+    pub fn billed_seconds(&self) -> &[f64] {
+        &self.billed
     }
 
     /// Per-tenant latency/outcome rollup of every finished job.
@@ -696,20 +736,38 @@ impl Service {
         .schedule(schedule)
     }
 
-    /// The schedule a job is stepped on: inside a micro-batch's regions
-    /// when it has `mates`, resident alone in its own otherwise. Every
-    /// region is grid-stride over the elements homed on its device
-    /// ([`run_resident`]), so neither swarm size nor shard count matters.
-    fn schedule_of(&self, mates: bool) -> Schedule {
+    /// The schedule a job is priced on: a micro-batch member's when it has
+    /// `mates`, resident otherwise, sharing each region with `sharers`
+    /// jobs and drawing the `pooled` share of its init buffers from the
+    /// allocator pool. Every region is grid-stride over the elements homed
+    /// on its device ([`run_resident`]), so neither swarm size nor shard
+    /// count matters.
+    fn schedule_of(&self, mates: bool, sharers: u64, pooled: f64) -> Schedule {
         let slice = self.cfg.slice_iters as u64;
         if mates {
-            Schedule::Batched { slice }
-        } else {
-            Schedule::Resident {
-                slice,
-                checkpoint_slices: self.cfg.checkpoint_slices as u64,
-            }
+            return Schedule::Batched { slice };
         }
+        Schedule::Resident {
+            slice,
+            checkpoint_slices: self.cfg.checkpoint_slices as u64,
+            sharers,
+            pooled,
+        }
+    }
+
+    /// Jobs a job submitted now is expected to share each region with,
+    /// itself included, from the load admission can see: the running and
+    /// queued jobs per healthy device, plus this one, but no fewer than
+    /// the last completed job was billed alongside (a job submitted into a
+    /// just-drained service shares its devices with the jobs submitted
+    /// after it, as that one did), at most a device's slots.
+    fn expected_sharers(&self) -> u64 {
+        let load = self.running.len() + self.queue.len();
+        let last = (self.records.iter().rev())
+            .find(|r| r.outcome == JobOutcome::Completed)
+            .map_or(1, |r| r.sharers as usize);
+        let per_device = (load / self.healthy_devices().max(1) + 1).max(last);
+        per_device.clamp(1, self.cfg.slots_per_device.max(1)) as u64
     }
 
     /// The batching policy, if `cfg` is eligible to join a micro-batch:
@@ -738,9 +796,13 @@ impl Service {
 
     /// The predicted cost of `req` run with `strategy`. Admission cannot
     /// know whether a batch-eligible job will find mates, so it prices one
-    /// as batched.
+    /// as batched, nor which buffers the pool will hold when it starts, so
+    /// it prices the init from a warm pool, as a service's recycled
+    /// buffers mostly serve it; calibration observes the share each init
+    /// drew.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
-        let schedule = self.schedule_of(self.batchable_cfg(&req.cfg).is_some());
+        let mates = self.batchable_cfg(&req.cfg).is_some();
+        let schedule = self.schedule_of(mates, self.expected_sharers(), 1.0);
         self.predictor
             .predict_s(&self.shape_of(req, strategy, schedule))
     }
@@ -758,7 +820,7 @@ impl Service {
     /// (`predicted·headroom − consumed`, floored at zero).
     fn reserved_backlog_s(&self) -> f64 {
         let h = self.cfg.admission_headroom;
-        let remaining = |j: &Job| (j.predicted_s * h - j.device_seconds).max(0.0);
+        let remaining = |j: &Job| (j.predicted_s * h - j.device_seconds()).max(0.0);
         let queued: f64 = self.queue.iter().map(|e| remaining(&e.payload.job)).sum();
         let running: f64 = self.running.iter().map(|r| remaining(&r.job)).sum();
         queued + running
@@ -879,16 +941,14 @@ impl Service {
             } else {
                 self.gather_batch(&entry)
             };
-            let schedule = self.schedule_of(!mates.is_empty());
-            let batch = self.next_batch;
-            self.next_batch += 1;
+            let batched = !mates.is_empty();
             events += 1 + mates.len();
             // Each member takes its own handle to the shared lease and
             // admission drops its own after: whichever handle goes last —
             // a member that failed to start included — returns the lease.
             let lease = Rc::new(lease);
             for m in std::iter::once(entry).chain(mates) {
-                self.start(m, Rc::clone(&lease), batch, schedule);
+                self.start(m, Rc::clone(&lease), batched);
             }
             self.release_shared(lease);
         }
@@ -981,13 +1041,7 @@ impl Service {
     /// however many devices the new lease spans (shards assigned
     /// round-robin), so losing a device never strands a sharded job — the
     /// reduction is over shards, not devices.
-    fn start(
-        &mut self,
-        entry: QueueEntry<Pending>,
-        lease: Rc<Lease>,
-        batch: u64,
-        schedule: Schedule,
-    ) {
+    fn start(&mut self, entry: QueueEntry<Pending>, lease: Rc<Lease>, mates: bool) {
         let Pending { mut job, work } = entry.payload;
         self.journal.append(ServeEvent::Admit {
             job: job.id.0,
@@ -1000,11 +1054,16 @@ impl Service {
         let view = self.pool.group_view(&lease);
         let plan = build_plan(&job.req, n_shards);
         let meter = Meter::read(&self.group);
+        let before = self.group.merged_counters();
         let run = bind(&job.req, &plan, &view);
         let state = match &work {
             Work::Fresh => run.init_state(),
             Work::Suspended(s) => run.resume(s.clone()),
         };
+        let after = self.group.merged_counters();
+        let hits = after.device_alloc_cache_hits - before.device_alloc_cache_hits;
+        let allocs = after.device_allocs - before.device_allocs + hits;
+        job.pooled = hits as f64 / allocs.max(1) as f64;
         let Ok(state) = state else {
             let lease_devices: Vec<usize> = lease.devices().to_vec();
             self.release_shared(lease);
@@ -1032,8 +1091,7 @@ impl Service {
             plan,
             view,
             lease,
-            batch,
-            schedule,
+            mates,
             state,
             snapshot,
             slices_since_snapshot: 0,
@@ -1041,39 +1099,65 @@ impl Service {
         self.running.sort_by_key(|r| r.job.id);
     }
 
-    /// Advance every running job by one time slice, in job-id order. The
-    /// members of each batch (a micro-batch, or a job that found no mates)
-    /// advance together inside one persistent region per leased device
-    /// (one host launch per device and slice).
+    /// Advance every running job by one time slice, in job-id order, inside
+    /// one persistent region per device ([`run_resident`] over the group,
+    /// each grid sized by the elements the jobs home there), a sharded
+    /// job's best exchange included. Each device's open is billed in equal
+    /// shares to the jobs on it. A job that errors ends the slice on its
+    /// leased devices only: later jobs leasing any of them are not stepped
+    /// this tick, nor are jobs on a lost device, which gets no region (the
+    /// next tick's sweep re-homes them). Returns the number of jobs stepped.
     fn step_running(&mut self) -> usize {
         let slice = self.cfg.slice_iters;
-        let mut outcomes: Vec<(usize, Result<bool, PsoError>)> = Vec::new();
-        let mut visited = vec![false; self.running.len()];
-        for i in 0..self.running.len() {
-            if visited[i] {
-                continue;
+        let group = self.group.clone();
+        let mut blocked: Vec<bool> = (0..group.len()).map(|d| self.device_lost(d)).collect();
+        let homed: Vec<Vec<u64>> = (self.running.iter())
+            .map(|r| r.homed(group.len(), &blocked))
+            .collect();
+        let elements: Vec<u64> = (0..group.len())
+            .map(|d| homed.iter().map(|h| h[d]).sum())
+            .collect();
+        let all: Vec<usize> = (0..self.running.len()).collect();
+        let open = Meter::read(&group);
+        let region = run_resident(&group, "batched_slice", &elements, || {
+            self.bill_shares(&open, &all, &homed);
+            let mut out = Vec::with_capacity(all.len());
+            for run in self.running.iter_mut() {
+                if run.lease.devices().iter().any(|&d| blocked[d]) {
+                    out.push(None);
+                    continue;
+                }
+                let meter = Meter::read(&group);
+                let res =
+                    bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
+                meter.charge(&group, &mut run.job);
+                if res.is_err() {
+                    run.lease.devices().iter().for_each(|&d| blocked[d] = true);
+                }
+                out.push(Some(res));
             }
-            let b = self.running[i].batch;
-            let members: Vec<usize> = (i..self.running.len())
-                .filter(|&j| self.running[j].batch == b)
-                .collect();
-            for &j in &members {
-                visited[j] = true;
-            }
-            outcomes.extend(self.step_batch(&members, slice));
-        }
-        let stepped = outcomes.len();
-        outcomes.sort_by_key(|&(i, _)| i);
+            self.checkpoint_batch(&out, &homed);
+            out
+        });
+        // Only a lost device fails to open, and lost devices get no region;
+        // should one fail anyway, every job that would have stepped gets
+        // the error, so it is re-homed or failed rather than left idle.
+        let outcomes = region.unwrap_or_else(|e| {
+            self.bill_shares(&open, &all, &homed);
+            let err = |h: &Vec<u64>| h.iter().any(|&elems| elems > 0).then(|| Err(e.clone()));
+            homed.iter().map(err).collect()
+        });
+        let stepped = outcomes.iter().flatten().count();
         // Finalize in reverse index order so removals don't shift.
-        for (i, res) in outcomes.into_iter().rev() {
+        for (i, res) in outcomes.into_iter().enumerate().rev() {
             match res {
-                Ok(false) => {}
-                Ok(true) => {
+                None | Some(Ok(false)) => {}
+                Some(Ok(true)) => {
                     let run = self.running.remove(i);
                     let now = self.now();
                     self.finalize_completed(run, now);
                 }
-                Err(_) => {
+                Some(Err(_)) => {
                     let run = self.running.remove(i);
                     let stranded = run.lease.devices().iter().any(|&d| self.device_lost(d));
                     if stranded {
@@ -1090,92 +1174,37 @@ impl Service {
         stepped
     }
 
-    /// Advance one region group (a micro-batch, or a solo or sharded job
-    /// as a batch of one) by a slice: one persistent region on each leased
-    /// device spans the whole batch-slice ([`run_resident`]; its opens are
-    /// the batch's host launches, and their cost is split equally across
-    /// members), and members step sequentially inside them over their own
-    /// state segments and PRNG streams — bit-identical to solo execution.
-    /// A sharded job's best exchange runs inside its regions, as a
-    /// cooperative multi-device launch would synchronise its grids. A member that errors ends the batch's slice early;
-    /// members not yet stepped are not checkpointed, and simply run next
-    /// tick (or are swept by the next tick's re-homing if
-    /// the device died). Returns `(running-index, outcome)` per member.
-    fn step_batch(
-        &mut self,
-        members: &[usize],
-        slice: usize,
-    ) -> Vec<(usize, Result<bool, PsoError>)> {
-        let view = self.running[members[0]].view.clone();
-        let states = members.iter().map(|&j| &self.running[j].state);
-        let elements = elements_per_device(view.len(), states);
-        let open = Meter::read(&self.group);
-        let region = run_resident(&view, "batched_slice", &elements, || {
-            let open_share = open.since(&self.group, members.len());
-            let mut out = Vec::with_capacity(members.len());
-            for &j in members {
-                let meter = Meter::read(&self.group);
-                let run = &mut self.running[j];
-                let res =
-                    bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
-                meter.charge(&self.group, &mut run.job);
-                let failed = res.is_err();
-                out.push((j, res));
-                if failed {
-                    break;
-                }
-            }
-            self.checkpoint_batch(members, &out);
-            let stepped = out.len();
-            out.extend(members[stepped..].iter().map(|&j| (j, Ok(false))));
-            (out, open_share)
-        });
-        match region {
-            Ok((out, open_share)) => {
-                for &j in members {
-                    self.running[j].job.bill(open_share);
-                }
-                out
-            }
-            Err(e) => {
-                // The region never opened: charge the attempt to the first
-                // member and surface the error there; the rest are
-                // untouched.
-                open.charge(&self.group, &mut self.running[members[0]].job);
-                let rest = members[1..].iter().map(|&j| (j, Ok(false)));
-                std::iter::once((members[0], Err(e))).chain(rest).collect()
+    /// Bill each device's seconds since `meter` in equal shares to the
+    /// running jobs among `jobs` that hold elements on it (`homed`).
+    fn bill_shares(&mut self, meter: &Meter, jobs: &[usize], homed: &[Vec<u64>]) {
+        for (d, spent) in meter.since(&self.group).into_iter().enumerate() {
+            let on: Vec<usize> = jobs.iter().copied().filter(|&j| homed[j][d] > 0).collect();
+            for &j in &on {
+                self.running[j].job.bill(d, spent, on.len());
             }
         }
     }
 
-    /// Checkpoint a region group at its slice boundary while its regions
-    /// are still open: every member that stepped (`out`) and reports
-    /// `Ok(false)` and is due is captured in one packed copy per device
-    /// (one pack pass and one PCIe latency per device and batch-slice)
-    /// whose cost is split equally, like the region opens.
-    /// Skipped if the device died mid-batch (the next tick's sweep rolls
-    /// every member back to its last capture).
-    fn checkpoint_batch(&mut self, members: &[usize], out: &[(usize, Result<bool, PsoError>)]) {
-        let stranded = members.iter().any(|&j| {
-            self.running[j]
-                .lease
-                .devices()
-                .iter()
-                .any(|&d| self.device_lost(d))
-        });
-        if self.cfg.checkpoint_slices == 0 || stranded {
+    /// Checkpoint the tick's jobs at their slice boundary while the regions
+    /// are still open: every job that stepped (`out`), reports `Ok(false)`
+    /// and is due is captured in one packed copy per device, each device's
+    /// copy billed in equal shares to the due jobs on it. A job on a lost
+    /// device is not captured: the next sweep rolls it back to its last.
+    fn checkpoint_batch(&mut self, out: &[Option<Result<bool, PsoError>>], homed: &[Vec<u64>]) {
+        if self.cfg.checkpoint_slices == 0 {
             return;
         }
         let mut due = Vec::new();
-        for (j, res) in out {
-            if !matches!(res, Ok(false)) {
+        for (j, res) in out.iter().enumerate() {
+            let devices = self.running[j].lease.devices();
+            if !matches!(res, Some(Ok(false))) || devices.iter().any(|&d| self.device_lost(d)) {
                 continue;
             }
-            let run = &mut self.running[*j];
+            let run = &mut self.running[j];
             run.slices_since_snapshot += 1;
             if run.slices_since_snapshot >= self.cfg.checkpoint_slices {
                 run.slices_since_snapshot = 0;
-                due.push(*j);
+                due.push(j);
             }
         }
         if due.is_empty() {
@@ -1184,11 +1213,9 @@ impl Service {
         let meter = Meter::read(&self.group);
         let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
         let snaps = ExecState::snapshot_many(&states);
-        let share = meter.since(&self.group, due.len());
+        self.bill_shares(&meter, &due, homed);
         for (&j, snap) in due.iter().zip(snaps) {
-            let run = &mut self.running[j];
-            run.snapshot = Some(snap);
-            run.job.bill(share);
+            self.running[j].snapshot = Some(snap);
         }
     }
 
@@ -1198,7 +1225,7 @@ impl Service {
             plan,
             view,
             lease,
-            schedule,
+            mates,
             state,
             ..
         } = run;
@@ -1210,15 +1237,18 @@ impl Service {
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run, on
         // the schedule it ran — a batch-eligible job that found no mates
-        // ran resident alone, not in a batch region.
-        if iterations > 0 && job.device_seconds > 0.0 {
+        // ran resident, not in a batch region, sharing its regions with the
+        // jobs it was billed alongside rather than those admission guessed.
+        let device_s = job.device_seconds();
+        if iterations > 0 && device_s > 0.0 {
+            let schedule = self.schedule_of(mates, job.billed_sharers(), job.pooled);
             let mut shape = self.shape_of(&job.req, job.req.strategy, schedule);
             shape.iterations = iterations as u64;
             shape.shards = plan.n_shards as u64;
-            self.predictor.observe(&shape, job.device_seconds);
+            self.predictor.observe(&shape, device_s);
         }
         if job.deadline_abs.is_none_or(|d| now <= d) {
-            self.goodput_s += job.device_seconds;
+            self.goodput_s += device_s;
         }
         self.release_shared(lease);
         self.close(job, JobOutcome::Completed, iterations, now, Some(result));
@@ -1252,6 +1282,9 @@ impl Service {
         result: Option<RunResult>,
     ) {
         let id = job.id;
+        for (b, s) in self.billed.iter_mut().zip(&job.device_s) {
+            *b += s;
+        }
         self.journal.append(outcome_event(id, outcome));
         self.records.push(job.record(outcome, iterations, now));
         let status = status_of(outcome);

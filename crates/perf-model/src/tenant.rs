@@ -16,11 +16,11 @@
 //!     JobRecord { tenant: "acme".into(), job: 0, submitted_s: 0.0, started_s: 0.0,
 //!                 finished_s: 2.0, outcome: JobOutcome::Completed, iterations: 100,
 //!                 device_seconds: 2.0, queue_depth_at_submit: 0,
-//!                 rehomes: 0, recovery_secs: 0.0 },
+//!                 rehomes: 0, recovery_secs: 0.0, sharers: 1, pooled: 0.0 },
 //!     JobRecord { tenant: "acme".into(), job: 1, submitted_s: 0.0, started_s: 2.0,
 //!                 finished_s: 6.0, outcome: JobOutcome::Completed, iterations: 100,
 //!                 device_seconds: 4.0, queue_depth_at_submit: 1,
-//!                 rehomes: 1, recovery_secs: 0.5 },
+//!                 rehomes: 1, recovery_secs: 0.5, sharers: 1, pooled: 0.0 },
 //! ];
 //! let rollup = TenantSummary::rollup(&records);
 //! assert_eq!(rollup.len(), 1);
@@ -73,6 +73,13 @@ pub struct JobRecord {
     /// restores, fault retries) charged while this job was advancing. A
     /// subset of `device_seconds`.
     pub recovery_secs: f64,
+    /// Jobs that shared the job's device-resident regions and checkpoint
+    /// copies, as billed: the harmonic mean over its shared bills, rounded
+    /// (1 = it ran alone, or never stepped).
+    pub sharers: u64,
+    /// Share of the device buffers the job's last init allocated that the
+    /// allocator pool served instead of a fresh allocation.
+    pub pooled: f64,
 }
 
 impl JobRecord {
@@ -178,6 +185,8 @@ mod tests {
             queue_depth_at_submit: 0,
             rehomes: 0,
             recovery_secs: 0.0,
+            sharers: 1,
+            pooled: 0.0,
         }
     }
 

@@ -864,7 +864,9 @@ fn calibrated_predictor_matches_observed_costs_within_pinned_tolerances() {
     svc.run_until_idle();
 
     // Worst relative error per calibration rung, final calibrated
-    // predictor vs each job's observed device-seconds.
+    // predictor vs each job's observed device-seconds, on the schedule it
+    // ran: resident, sharing its regions with the jobs it was billed
+    // alongside (`JobRecord::sharers`).
     let mut max_err: std::collections::BTreeMap<String, f64> = Default::default();
     for (id, cfg, strategy, obj, algo) in &jobs {
         let rec = svc
@@ -884,6 +886,8 @@ fn calibrated_predictor_matches_observed_costs_within_pinned_tolerances() {
         .schedule(Schedule::Resident {
             slice: 10,
             checkpoint_slices: 1,
+            sharers: rec.sharers,
+            pooled: rec.pooled,
         });
         let err = svc.predictor().relative_error(&shape, rec.device_seconds);
         let slot = max_err.entry(shape.calibration_key()).or_insert(0.0);
@@ -1048,6 +1052,8 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
                     let schedule = Schedule::Resident {
                         slice,
                         checkpoint_slices,
+                        sharers: 1,
+                        pooled: 0.0,
                     };
                     row(&mut out, algo, strategy, shards, mode, schedule);
                 }
@@ -1077,31 +1083,33 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
 /// predictive admission converts every shed into an up-front rejection and
 /// at least doubles deadline-met goodput.
 ///
-/// The deadline is a fixed multiple of one burst job's solo modeled
-/// seconds, so the overload ratio — and the pinned outcome — does not
-/// drift when the engine models every job faster or slower. The solo
-/// reference runs the schedule the service runs a solo job with: resident,
-/// inside a persistent region.
+/// The deadline is a fixed multiple of one full wave of burst jobs (one
+/// per slot of the group) as the service serves it, measured here, so the
+/// overload ratio — and the pinned outcome — does not drift when the
+/// engine models every job, or every shared region, faster or slower. The
+/// multiple, 0.6 of a wave, is the deadline the previous anchor (3.8 solo
+/// resident runs) gave before co-resident jobs shared their regions.
 #[test]
 fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
-    use fastpso::{GpuBackend, PsoBackend};
-    let solo_s = GpuBackend::new()
-        .persistent(true)
-        .run(&cfg(64, 8, 80, 4100), &Sphere)
-        .unwrap()
-        .elapsed_seconds();
-    let deadline_s = 3.8 * solo_s;
+    let serve = |predictive: bool| {
+        let cfg = ServeConfig {
+            slots_per_device: 4,
+            slice_iters: 10,
+            predictive_admission: predictive,
+            admission_headroom: 1.2,
+            ..ServeConfig::default()
+        };
+        Service::new(DeviceGroup::v100s(2), cfg)
+    };
+    let burst = |i: u64| OptimizeRequest::new("burst", Arc::new(Sphere), cfg(64, 8, 80, 4100 + i));
+    let mut wave = serve(false);
+    for i in 0..8 {
+        wave.submit(burst(i)).unwrap();
+    }
+    wave.run_until_idle();
+    let deadline_s = 0.6 * wave.now();
     let overload_run = |predictive: bool| {
-        let mut svc = Service::new(
-            DeviceGroup::v100s(2),
-            ServeConfig {
-                slots_per_device: 4,
-                slice_iters: 10,
-                predictive_admission: predictive,
-                admission_headroom: 1.2,
-                ..ServeConfig::default()
-            },
-        );
+        let mut svc = serve(predictive);
         // Calibration warmup, then a burst of identical tight deadlines.
         for i in 0..4u64 {
             svc.submit(OptimizeRequest::new(
@@ -1116,9 +1124,7 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
         let mut ids = Vec::new();
         let mut rejected = 0u64;
         for i in 0..12u64 {
-            let req = OptimizeRequest::new("burst", Arc::new(Sphere), cfg(64, 8, 80, 4100 + i))
-                .deadline_s(deadline_s);
-            match svc.submit(req) {
+            match svc.submit(burst(i).deadline_s(deadline_s)) {
                 Ok(id) => ids.push(id),
                 Err(ServeError::Infeasible { .. }) => rejected += 1,
                 Err(e) => panic!("unexpected submit error: {e}"),
@@ -1159,23 +1165,19 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
 
 // ---- one dispatch ------------------------------------------------------------
 
-/// Every job the service runs steps resident, whatever its schedule: one
-/// trace covers a solo PSO job per update strategy, an island job, SSO,
-/// GFWA, an island GFWA job, a batched block, a job sharded over both
-/// devices and an over-resident single-device job. Every launch is an init
-/// launch or a region open: each job (or batch) opens one region per
-/// leased device per slice, the sharded job's best exchange included. No
-/// time is hidden on stream lanes, every result is bit-identical to the
-/// job's dedicated run, and the job records account for every
-/// device-second.
-#[test]
-fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
+/// The mixed serving trace: a service on `group` (four slots per device,
+/// 4-iteration slices, sharding from 96 particles, batches of up to four
+/// 256-element jobs) and its jobs, each with its dedicated reference run.
+/// The jobs are a solo PSO job per update strategy, an island job, SSO,
+/// GFWA, an island GFWA job, a job sharded over two devices, an
+/// over-resident single-device job and a batched block of four.
+fn mixed_trace(group: DeviceGroup) -> (Service, Vec<(OptimizeRequest, RunResult)>) {
     use fastpso::{
         Algorithm, GpuBackend, Migration, MigrationKind, MultiGpuBackend, MultiGpuStrategy,
         PsoBackend, Topology,
     };
-    let mut svc = Service::new(
-        DeviceGroup::v100s(2),
+    let svc = Service::new(
+        group,
         ServeConfig {
             slots_per_device: 4,
             slice_iters: 4,
@@ -1187,7 +1189,6 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
             ..ServeConfig::default()
         },
     );
-    // (request, dedicated reference run)
     let mut jobs: Vec<(OptimizeRequest, RunResult)> = Vec::new();
     let solo = |i: u64| cfg(48, 8, 14, 8000 + i);
     for (i, strategy) in UpdateStrategy::ALL.into_iter().enumerate() {
@@ -1240,7 +1241,7 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
         want,
     ));
     // Below the shard threshold, above the V100's 163 840 resident
-    // threads: one device, one grid-stride region per slice.
+    // threads: its device's regions run grid-stride.
     let wide = cfg(80, 2100, 14, 8035);
     let want = GpuBackend::new().run(&wide, &Sphere).unwrap();
     jobs.push((OptimizeRequest::new("wide", Arc::new(Sphere), wide), want));
@@ -1249,11 +1250,26 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
         let want = GpuBackend::new().run(&c, &Sphere).unwrap();
         jobs.push((OptimizeRequest::new("batched", Arc::new(Sphere), c), want));
     }
+    (svc, jobs)
+}
+
+/// Every job the service runs steps resident, whatever its schedule: one
+/// trace covers a solo PSO job per update strategy, an island job, SSO,
+/// GFWA, an island GFWA job, a batched block, a job sharded over both
+/// devices and an over-resident single-device job. Every launch is an init
+/// launch or a region open, and each tick opens one region per device that
+/// every job leased there steps in, the sharded job's best exchange
+/// included. No time is hidden on stream lanes, every result is
+/// bit-identical to the job's dedicated run, and the job records account
+/// for every device-second.
+#[test]
+fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
+    let (mut svc, jobs) = mixed_trace(DeviceGroup::v100s(2));
     let ids: Vec<JobId> = jobs
         .iter()
         .map(|(req, _)| svc.submit(req.clone()).unwrap())
         .collect();
-    svc.run_until_idle();
+    let ticks = svc.run_until_idle();
 
     for (id, (req, want)) in ids.iter().zip(&jobs) {
         let got = svc.result(*id).unwrap();
@@ -1287,10 +1303,9 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
         in_region,
         2 * 14 * (UpdateStrategy::ALL.len() + 1 + 4 + 2 + 1)
     );
-    // Four slices of 4 iterations each: one region per slice for the nine
-    // solo single-device jobs, the batch and the over-resident job, and
-    // one per device for the sharded job.
-    assert_eq!(regions, 4 * (UpdateStrategy::ALL.len() + 1 + 3 + 1 + 1 + 2));
+    // One region per device and tick, shared by every job leased there.
+    assert!(regions <= 2 * ticks, "{regions} regions in {ticks} ticks");
+    assert_eq!(regions, 16);
     // One `init_swarm` per shard (sixteen), plus the two GFWA jobs'
     // amplitudes.
     assert_eq!(inits, 16 + 2);
@@ -1307,6 +1322,140 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
         (records - total).abs() <= 1e-12 * total,
         "records sum to {records:e}s, devices to {total:e}s"
     );
+}
+
+/// Persistent regions and in-region passes each device has recorded.
+fn regions_and_passes(svc: &Service) -> Vec<(usize, usize)> {
+    let count = |dev: &gpu_sim::Device| {
+        let log = dev.profiler();
+        assert!(log.is_complete(), "profiler evicted records");
+        let regions = (log.kernels.iter())
+            .filter(|k| k.name == "batched_slice")
+            .count();
+        let passes = log.kernels.iter().filter(|k| k.launches == 0).count();
+        (regions, passes)
+    };
+    svc.group().iter().map(count).collect()
+}
+
+/// Each tick opens one persistent region per live device, and every job
+/// leased there steps its slice inside it. The mixed trace runs with
+/// device 1 lost mid-run, at the init launch of a job admitted to it right
+/// after another, so the device dies between the tick's re-homing sweep
+/// and its regions with that other job on it. Each tick opens at most one region on a device:
+/// exactly one on every device where a job stepped, none on the lost
+/// device, and the other device steps as usual. Every job completes
+/// bit-identical to its dedicated run, and the device-seconds billed on
+/// each device sum to that device's timeline.
+#[test]
+fn one_region_per_live_device_per_tick_bills_each_device_exactly() {
+    // A fault-free run of the trace gives the launch ordinal of the second
+    // swarm init on device 1 after its first region.
+    let (mut probe, jobs) = mixed_trace(DeviceGroup::v100s(2));
+    for (req, _) in &jobs {
+        probe.submit(req.clone()).unwrap();
+    }
+    probe.run_until_idle();
+    let log = probe.group().device(1).unwrap().profiler();
+    let kernels = log.kernels.iter();
+    let later = kernels.skip_while(|k| k.name != "batched_slice");
+    let mut inits = later.filter(|k| k.name == "init_swarm");
+    let loss = inits.nth(1).unwrap().ordinal;
+    let group = DeviceGroup::v100s(2);
+    group.set_fault_plans(vec![
+        FaultPlan::new(),
+        FaultPlan::new().with_device_loss_at_launch(loss),
+    ]);
+    let (mut svc, jobs) = mixed_trace(group);
+    let ids: Vec<JobId> = jobs
+        .iter()
+        .map(|(req, _)| svc.submit(req.clone()).unwrap())
+        .collect();
+    let mut ticks = 0;
+    while svc.queue_depth() + svc.n_running() > 0 {
+        let before = regions_and_passes(&svc);
+        assert!(svc.tick() > 0, "tick {ticks} made no progress");
+        let lost = svc.group().device(1).unwrap().is_lost();
+        let after = regions_and_passes(&svc);
+        for (d, (after, before)) in after.iter().zip(&before).enumerate() {
+            let opened = after.0 - before.0;
+            let stepped = after.1 > before.1;
+            assert!(opened <= 1, "tick {ticks}: {opened} regions on device {d}");
+            assert_eq!(opened == 1, stepped, "tick {ticks}, device {d}");
+            assert!(
+                !(d == 1 && lost && stepped),
+                "tick {ticks}: device 1 stepped"
+            );
+        }
+        ticks += 1;
+    }
+    assert!(
+        svc.group().device(1).unwrap().is_lost(),
+        "the loss never fired"
+    );
+    assert!(
+        svc.records().iter().any(|r| r.rehomes > 0),
+        "nothing re-homed"
+    );
+    for (id, (req, want)) in ids.iter().zip(&jobs) {
+        let got = svc.result(*id).unwrap();
+        assert_eq!(got.history, want.history, "{}", req.tenant);
+        CounterAsserts::assert_bit_identical_gbest(got, want);
+    }
+    for (d, &billed) in svc.billed_seconds().iter().enumerate() {
+        let device = svc.group().device(d).unwrap().timeline().total_seconds();
+        assert!(
+            (billed - device).abs() <= 1e-12 * device,
+            "device {d}: billed {billed:e}s, timeline {device:e}s"
+        );
+    }
+}
+
+/// A job's error ends the tick's slice only on the devices it leases. Two
+/// jobs on two V100s, a transient launch fault in the first job's first
+/// region on device 0: that job fails, while the job on device 1 steps and
+/// is checkpointed in the same tick and completes bit-identical to its
+/// dedicated run.
+#[test]
+fn a_fault_on_one_device_neither_stops_nor_uncheckpoints_another() {
+    use fastpso::{GpuBackend, PsoBackend};
+    let group = DeviceGroup::v100s(2);
+    // Ordinal 1 is the job's init launch; 3 is inside its first region.
+    group.set_fault_plans(vec![
+        FaultPlan::new().with_transient_launch(3),
+        FaultPlan::new(),
+    ]);
+    let mut svc = Service::new(
+        group,
+        ServeConfig {
+            slice_iters: 4,
+            ..ServeConfig::default()
+        },
+    );
+    let ids: Vec<JobId> = (0..2)
+        .map(|i| {
+            svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), small_cfg(i)))
+                .unwrap()
+        })
+        .collect();
+    let packs = |svc: &Service, d: usize| {
+        let log = svc.group().device(d).unwrap().profiler();
+        let packs = log.kernels.iter().filter(|k| k.name == "checkpoint_pack");
+        packs.count()
+    };
+    let before = (regions_and_passes(&svc), packs(&svc, 1));
+    svc.tick();
+    assert_eq!(svc.status(ids[0]).unwrap(), JobStatus::Failed);
+    assert_eq!(svc.status(ids[1]).unwrap(), JobStatus::Running);
+    let after = regions_and_passes(&svc);
+    assert!(
+        after[1].1 > before.0[1].1,
+        "the job on device 1 did not step"
+    );
+    assert_eq!(packs(&svc, 1), before.1 + 1, "device 1 took no checkpoint");
+    svc.run_until_idle();
+    let want = GpuBackend::new().run(&small_cfg(1), &Sphere).unwrap();
+    CounterAsserts::assert_bit_identical_gbest(svc.result(ids[1]).unwrap(), &want);
 }
 
 /// With no observations, the predictor prices a job on the schedule the
@@ -1345,6 +1494,8 @@ fn cold_start_prediction_prices_streamed_jobs_within_eight_percent() {
     let resident = Schedule::Resident {
         slice: defaults.slice_iters as u64,
         checkpoint_slices: defaults.checkpoint_slices as u64,
+        sharers: 1,
+        pooled: 0.0,
     };
     for (i, (algo, strategy, pinned)) in PINNED.into_iter().enumerate() {
         let obj: Arc<dyn Objective> = match algo {
@@ -2052,6 +2203,84 @@ fn a_lone_batchable_job_calibrates_the_schedule_it_ran() {
         batched > 0.9 && batched < 1.1,
         "batched block priced off its schedule: {batched}"
     );
+}
+
+/// Calibration observes each job on the sharing it was billed and the
+/// pool hits its init drew, not on admission's guesses. Four identical
+/// jobs submitted into an idle single-V100 service are guessed to share
+/// their regions with one to four jobs, yet all four step together; a
+/// fifth, run alone afterwards, finds every buffer it allocates parked in
+/// the pool. Each record reports the sharing and pool share it was
+/// billed, and the calibrated predictor prices every job on them within
+/// 3% of what it was billed.
+#[test]
+fn a_job_calibrates_on_the_sharing_and_pool_it_was_billed() {
+    let mut svc = Service::new(
+        DeviceGroup::v100s(1),
+        ServeConfig {
+            slots_per_device: 4,
+            ..ServeConfig::default()
+        },
+    );
+    let job = |seed| OptimizeRequest::new("calib", Arc::new(Sphere), cfg(64, 8, 40, seed));
+    for seed in 7200..7204 {
+        svc.submit(job(seed)).unwrap();
+    }
+    svc.run_until_idle();
+    svc.submit(job(7204)).unwrap();
+    svc.run_until_idle();
+    let billed: Vec<(u64, f64)> = svc
+        .records()
+        .iter()
+        .map(|r| (r.sharers, r.pooled))
+        .collect();
+    assert_eq!(
+        billed,
+        [(4, 0.0), (4, 0.0), (4, 0.0), (4, 0.0), (1, 1.0)],
+        "(sharers, pooled) per job"
+    );
+    let defaults = ServeConfig::default();
+    assert_eq!(svc.predictor().observations("global+resident"), 5);
+    for r in svc.records() {
+        let shape = fastpso::JobShape::new(64, 8, r.iterations as u64, UpdateStrategy::GlobalMem)
+            .schedule(Schedule::Resident {
+                slice: defaults.slice_iters as u64,
+                checkpoint_slices: defaults.checkpoint_slices as u64,
+                sharers: r.sharers,
+                pooled: r.pooled,
+            });
+        let err = svc.predictor().relative_error(&shape, r.device_seconds);
+        assert!(
+            err < 0.03,
+            "job {} priced off its schedule: {err:.4}",
+            r.job
+        );
+    }
+}
+
+/// A region that fails to open fails the jobs that would have stepped in
+/// it rather than idling them: with a region already open on the only
+/// device, the tick's region open errors, every running job fails, and
+/// the service drains instead of stalling with jobs still running.
+#[test]
+fn a_region_that_fails_to_open_fails_the_jobs_it_would_have_stepped() {
+    let group = DeviceGroup::v100s(1);
+    let dev = group.device(0).unwrap().clone();
+    let mut svc = Service::new(group, ServeConfig::default());
+    let ids: Vec<JobId> = (0..2)
+        .map(|i| {
+            let req = OptimizeRequest::new("t", Arc::new(Sphere), cfg(32, 4, 20, 7300 + i));
+            svc.submit(req).unwrap()
+        })
+        .collect();
+    dev.begin_persistent("foreign", gpu_sim::Phase::SwarmUpdate, 1)
+        .unwrap();
+    svc.run_until_idle();
+    dev.end_persistent();
+    assert_eq!(svc.n_running(), 0, "jobs left running");
+    for id in ids {
+        assert_eq!(svc.status(id).unwrap(), JobStatus::Failed);
+    }
 }
 
 proptest! {
