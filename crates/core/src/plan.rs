@@ -1016,7 +1016,9 @@ impl<'a> PlanRun<'a> {
 /// Two dispatchers call this: a persistent single-GPU run
 /// ([`PlanRun::execute`]), with one state for the whole run, and the
 /// serving layer, once per tick over its whole group, with every running
-/// job's slice inside.
+/// job's slice inside on its own stream lane of each device it leases;
+/// `slice` joins those lanes before it returns, so a region's wall time
+/// is its longest lane (see `gpu_sim::stream`).
 pub(crate) fn run_resident<T>(
     group: &DeviceGroup,
     name: &'static str,

@@ -66,20 +66,26 @@ pub enum Schedule {
     /// Launch by launch, as a dedicated [`crate::GpuBackend`] run.
     #[default]
     Launches,
-    /// Inside a micro-batch's persistent regions, `slice` iterations per
-    /// region (0 = the whole run in one): every launch overhead collapses
-    /// into one region launch per slice and shard. Calibrates under a
-    /// `+persistent` key, which absorbs what the batch shares.
+    /// The bare region price: `slice` iterations per region (0 = the
+    /// whole run in one), every launch overhead collapsed into one region
+    /// launch per slice and shard, and nothing a served job pays around
+    /// its passes. Calibrates under a `+persistent` key. The serving layer
+    /// no longer dispatches on it: once co-resident lanes hid most of a
+    /// batch member's pass time, the charges this price leaves to
+    /// calibration (inits, checkpoints, the download, unshared opens)
+    /// became most of its cost, so batch members are priced as
+    /// [`Schedule::Resident`] with `mates`.
     Batched {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
     },
     /// A job inside one persistent region per slice and leased device,
     /// shared with that device's other jobs, as the serving layer steps
-    /// every job without batch mates, sharded ones included: the
+    /// every job, batch members and sharded ones included: the
     /// [`Schedule::Batched`] price plus the charges a region no longer hides
     /// behind launch overhead (see [`CostPredictor::base_s`]). Calibrates
-    /// under `+resident`, `+resident+sharded` when sharded.
+    /// under `+resident`, `+resident+sharded` when sharded, `+persistent`
+    /// for a batch member.
     Resident {
         /// Iterations per region (the serving layer's `slice_iters`).
         slice: u64,
@@ -87,12 +93,25 @@ pub enum Schedule {
         /// `checkpoint_slices`; 0 = none).
         checkpoint_slices: u64,
         /// Jobs expected to share each region and checkpoint copy, which
-        /// split its open and its PCIe latency (1 = a lone job).
-        sharers: u64,
+        /// split its open and its PCIe latency (1 = a lone job; a job
+        /// billed alongside a varying number reports their harmonic mean).
+        sharers: f64,
         /// Share of the init buffers the device's allocator pool serves at
         /// the pool-hit price (0 = a cold pool: every one a fresh
         /// allocation).
         pooled: f64,
+        /// Share of its in-region seconds the job is billed, the rest
+        /// hidden by co-resident jobs' stream lanes (1 = a lone job).
+        lane_share: f64,
+        /// Allocations inside its regions the device's pool cannot serve,
+        /// each at the driver's price rather than a pool hit (0 = a warm
+        /// pool).
+        region_misses: u64,
+        /// Whether the job was admitted into a micro-batch with mates. A
+        /// batch member is priced like any other resident job but
+        /// calibrates under `+persistent`, apart from jobs that got their
+        /// lease alone, since batch composition is what that rung absorbs.
+        mates: bool,
     },
 }
 
@@ -103,6 +122,15 @@ impl Schedule {
         match self {
             Schedule::Batched { slice } | Schedule::Resident { slice, .. } => Some(slice),
             Schedule::Launches => None,
+        }
+    }
+
+    /// The share of its in-region seconds a job on this schedule is billed
+    /// (1 unless resident).
+    fn lane_share(self) -> f64 {
+        match self {
+            Schedule::Resident { lane_share, .. } => lane_share,
+            Schedule::Batched { .. } | Schedule::Launches => 1.0,
         }
     }
 }
@@ -194,7 +222,9 @@ impl JobShape {
     pub fn calibration_key(&self) -> String {
         let mut key = self.strategy.to_string();
         match self.schedule {
-            Schedule::Batched { .. } => key.push_str("+persistent"),
+            Schedule::Batched { .. } | Schedule::Resident { mates: true, .. } => {
+                key.push_str("+persistent")
+            }
             Schedule::Resident { .. } if self.shards > 1 => key.push_str("+resident+sharded"),
             Schedule::Resident { .. } => key.push_str("+resident"),
             Schedule::Launches => {}
@@ -339,7 +369,16 @@ impl CostPredictor {
     ///   [`Shard::checkpoint_elems`] floats;
     /// - the result download;
     /// - less the shares of its region opens and capture latencies that
-    ///   the region's other `sharers` pay.
+    ///   the region's other `sharers` pay;
+    /// - the driver's price, less the pool hit, of each of its
+    ///   `region_misses`.
+    ///
+    /// On either region schedule, the seconds the job spends on its stream
+    /// lanes — its in-region passes and, when resident, each iteration's
+    /// allocations, barriers and best exchange — are billed at the
+    /// schedule's `lane_share`; the region opens and everything the job
+    /// charges outside its lanes (inits, init allocations, checkpoints,
+    /// the download) are not.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -415,10 +454,24 @@ impl CostPredictor {
             // baked into every priced launch collapse into one region
             // launch per slice per shard.
             let overhead = gpu.kernel_launch_overhead_s;
+            // The passes step on the job's stream lanes, billed at its lane
+            // share; the region opens are not on a lane.
             let saved = overhead * (launches * shape.iterations + island_launches) as f64;
             let region = overhead * (slices(shape.iterations, slice) * active_shards) as f64;
-            total = (total - saved + region).max(0.0);
+            let passes = (total - saved) * shape.schedule.lane_share();
+            total = (passes + region).max(0.0);
             total += residency;
+        }
+        if let Schedule::Resident {
+            region_misses,
+            lane_share,
+            ..
+        } = shape.schedule
+        {
+            // Each miss pays the driver instead of the pool hit every
+            // in-region allocation is priced at, on the job's lanes.
+            let miss = gpu.device_alloc_cost_s * (1.0 - CACHE_HIT_COST_FRACTION);
+            total += region_misses as f64 * miss * lane_share;
         }
         total
     }
@@ -435,6 +488,8 @@ impl CostPredictor {
             checkpoint_slices,
             sharers,
             pooled,
+            lane_share,
+            ..
         } = shape.schedule
         else {
             return 0.0;
@@ -447,11 +502,16 @@ impl CostPredictor {
         let init = time(&init_swarm_desc(gpu, rows * d)) + extra.as_ref().map_or(0.0, time);
         let buffers = (Shard::BUFFERS + u64::from(extra.is_some())) as f64;
         let buffers = buffers * (1.0 - pooled) + buffers * pooled * CACHE_HIT_COST_FRACTION;
+        // Per-iteration allocations, barriers and best exchanges queue on
+        // the job's lanes, billed at its lane share; the init's do not.
         let allocs = gpu.device_alloc_cost_s
-            * (buffers + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION);
-        let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S;
+            * (buffers
+                + (iters * alg.iteration_allocs(tail)) as f64
+                    * CACHE_HIT_COST_FRACTION
+                    * lane_share);
+        let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S * lane_share;
         let exchange = if shape.shards > 1 {
-            iters as f64 * transfer_time(&self.link, best_exchange_bytes(d))
+            iters as f64 * transfer_time(&self.link, best_exchange_bytes(d)) * lane_share
         } else {
             0.0
         };
@@ -465,7 +525,7 @@ impl CostPredictor {
             .max(0.0);
         let f32_bytes = std::mem::size_of::<f32>() as u64;
         // The share of each open and capture latency other jobs pay.
-        let shared = 1.0 - 1.0 / sharers.max(1) as f64;
+        let shared = 1.0 - 1.0 / sharers.max(1.0);
         let capture =
             pack + transfer_time(&self.link, elems * f32_bytes) - self.link.latency_s * shared;
         let download = transfer_time(&self.link, d * f32_bytes);
@@ -639,11 +699,35 @@ mod tests {
     }
 
     fn resident(slice: u64, checkpoint_slices: u64) -> Schedule {
+        lanes(slice, checkpoint_slices, 1.0)
+    }
+
+    /// A lone resident job billed `lane_share` of its lane seconds.
+    fn lanes(slice: u64, checkpoint_slices: u64, lane_share: f64) -> Schedule {
         Schedule::Resident {
             slice,
             checkpoint_slices,
-            sharers: 1,
+            sharers: 1.0,
             pooled: 0.0,
+            lane_share,
+            region_misses: 0,
+            mates: false,
+        }
+    }
+
+    #[test]
+    fn the_lane_share_bills_only_in_region_seconds() {
+        let p = CostPredictor::v100();
+        for shards in [1, 3] {
+            let shape = JobShape::new(96, 8, 80, UpdateStrategy::GlobalMem).shards(shards);
+            let at = |lane_share| p.base_s(&shape.clone().schedule(lanes(8, 1, lane_share)));
+            // Affine in the share: what stays outside the lanes (inits,
+            // init allocations, region opens, captures, the download) is
+            // billed in full at any share.
+            let (none, half, full) = (at(0.0), at(0.5), at(1.0));
+            assert!(none > 0.0 && none < half && half < full);
+            assert!(((full - half) - (half - none)).abs() < 1e-15 * full);
+            assert_eq!(full, p.base_s(&shape.clone().schedule(resident(8, 1))));
         }
     }
 

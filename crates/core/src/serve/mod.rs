@@ -17,10 +17,13 @@
 //!   [`ServeConfig::shard_threshold_particles`] particles) shard across
 //!   every device with an exchange reduction each iteration;
 //! * **residency** — each tick opens one persistent region per device, and
-//!   every running job leased there steps its slice inside it: one host
-//!   launch per device and tick instead of one per kernel, with every due
-//!   slice checkpoint packed inside the regions (one copy per device). Each
-//!   device's open and copy are billed in equal shares to its jobs. Each
+//!   every running job leased there steps its slice inside it, on its own
+//!   stream lane, side by side with the others: one host launch per
+//!   device and tick instead of one per kernel, with every due slice
+//!   checkpoint packed inside the regions (one copy per device) once the
+//!   lanes join. Each device's open and copy are billed in equal shares to
+//!   its jobs, and the time its lanes hid to the jobs on them in
+//!   proportion to their lane seconds. Each
 //!   region is grid-stride, the paper's resource-aware thread creation: at
 //!   most the device's resident threads, each covering `Σ n·d / threads`
 //!   elements of the jobs homed there, so jobs too large to be co-resident
@@ -40,7 +43,9 @@
 //!   [`ServeConfig::predictive_admission`] on, a calibrated
 //!   [`crate::CostPredictor`] prices every deadline job at submit
 //!   time; a job that cannot finish in the device-seconds left before its
-//!   deadline is first downgraded along the
+//!   deadline, or whose device's wave — the jobs already accepted there
+//!   and itself, priced like it — would outrun it, is first downgraded
+//!   along the
 //!   [`crate::SwarmAlgorithm::cheaper_strategy`] ladder and, if no rung fits,
 //!   rejected up front with [`ServeError::Infeasible`] — the caller learns
 //!   immediately instead of watching the job shed later, and accepted

@@ -179,7 +179,9 @@ pub enum ServeError {
     /// Predictive admission rejected the job up front: even after walking
     /// the strategy downgrade ladder to its cheapest rung, the job's
     /// predicted device-seconds exceed the capacity left before its
-    /// deadline. Nothing was enqueued or journaled. **Permanent** for this
+    /// deadline, or the wave its devices would run while it is there
+    /// outlasts the deadline itself (then `predicted_s` may fit
+    /// `budget_s`). Nothing was enqueued or journaled. **Permanent** for this
     /// request against the current backlog — unlike a deadline *shed*, the
     /// caller finds out at submit time, before any device time is spent.
     Infeasible {

@@ -56,12 +56,14 @@ pub struct ServeConfig {
     /// placement consults (see [`FleetHealth`]).
     pub health: HealthPolicy,
     /// Reject deadline jobs at submit time when the cost predictor says
-    /// they cannot finish in the device-seconds left before their deadline
-    /// ([`ServeError::Infeasible`]), after first trying to downgrade the
-    /// request to a cheaper update strategy that still fits — walking the
-    /// per-algorithm ladder ([`crate::SwarmAlgorithm::cheaper_strategy`]). Off
-    /// by default: the blind scheduler accepts everything and sheds at the
-    /// deadline instead.
+    /// they cannot finish in the device-seconds left before their deadline,
+    /// or their devices' wave cannot finish in the deadline itself
+    /// ([`ServeError::Infeasible`]), after first
+    /// trying to downgrade the request to a cheaper update strategy that
+    /// still fits — walking the per-algorithm ladder
+    /// ([`crate::SwarmAlgorithm::cheaper_strategy`]). Off by default: the
+    /// blind scheduler accepts everything and sheds at the deadline
+    /// instead.
     pub predictive_admission: bool,
     /// Multiplier applied to predictions when checking feasibility and
     /// reserving capacity (`1.0` = trust the calibrated predictor exactly;
@@ -77,9 +79,10 @@ pub struct ServeConfig {
     /// slice inside it, so batching only decides which jobs share a device.
     /// Per-job results stay bit-identical to solo execution; checkpoint,
     /// preempt, re-home and journal semantics are unchanged at slice
-    /// boundaries. The cost predictor prices and calibrates each job on the
-    /// schedule it was admitted on: `+persistent` in a batch with mates,
-    /// `+resident` otherwise. `None` (the default) disables batching.
+    /// boundaries. The cost predictor prices every job resident and
+    /// calibrates it on the rung it was admitted on: `+persistent` in a
+    /// batch with mates, `+resident` otherwise. `None` (the default)
+    /// disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -132,6 +135,11 @@ struct Job {
     shares: [f64; 2],
     /// Share of the buffers its last init allocated that the pool served.
     pooled: f64,
+    /// Seconds the job queued on its stream lanes, and what it was billed
+    /// for them after its devices' overlap credits.
+    lane_s: [f64; 2],
+    /// Allocations inside its regions that the pool could not serve.
+    region_misses: u64,
 }
 
 impl Job {
@@ -146,11 +154,22 @@ impl Job {
     }
 
     /// Jobs that shared the job's region opens and checkpoint copies: the
-    /// harmonic mean over its bills, rounded, so that pricing the job with
-    /// it charges the shares it paid (1 = alone, or never billed).
-    fn billed_sharers(&self) -> u64 {
+    /// harmonic mean over its bills, so that pricing the job with it
+    /// charges the shares it paid (1 = alone, or never billed).
+    fn billed_sharers(&self) -> f64 {
         let [bills, share] = self.shares;
-        (bills / share.max(f64::MIN_POSITIVE)).round().max(1.0) as u64
+        (bills / share.max(f64::MIN_POSITIVE)).max(1.0)
+    }
+
+    /// The share of its lane seconds the job was billed (1 = no overlap,
+    /// or it never stepped).
+    fn lane_share(&self) -> f64 {
+        let [queued, billed] = self.lane_s;
+        if queued > 0.0 {
+            billed / queued
+        } else {
+            1.0
+        }
     }
 
     /// Device-seconds billed so far, over every device.
@@ -163,6 +182,7 @@ impl Job {
     fn record(self, outcome: JobOutcome, iterations: usize, now: f64) -> JobRecord {
         let device_seconds = self.device_seconds();
         let sharers = self.billed_sharers();
+        let lane_share = self.lane_share();
         JobRecord {
             tenant: self.req.tenant,
             job: self.id.0,
@@ -177,33 +197,55 @@ impl Job {
             recovery_secs: self.recovery_s,
             sharers,
             pooled: self.pooled,
+            lane_share,
+            region_misses: self.region_misses,
         }
     }
 }
 
-/// A reading of the shared group's timelines, `[total, recovery]` seconds
-/// per device. Every device-second the scheduler attributes to a job is
-/// the difference of two readings.
-struct Meter(Vec<[f64; 2]>);
+/// A reading of the shared group's timelines: `[total, recovery]` seconds
+/// per device, and the driver allocations (pool misses) of the whole
+/// group. Every device-second the scheduler attributes to a job is the
+/// difference of two readings.
+struct Meter {
+    seconds: Vec<[f64; 2]>,
+    misses: u64,
+}
 
 impl Meter {
     fn read(group: &DeviceGroup) -> Meter {
-        let reading = |tl: Timeline| [tl.total_seconds(), tl.seconds(Phase::Recovery)];
-        Meter(group.iter().map(|dev| reading(dev.timeline())).collect())
+        let mut misses = 0;
+        let mut reading = |tl: Timeline| {
+            misses += tl.total_counters().device_allocs;
+            [tl.total_seconds(), tl.seconds(Phase::Recovery)]
+        };
+        let seconds = group.iter().map(|dev| reading(dev.timeline())).collect();
+        Meter { seconds, misses }
+    }
+
+    /// What the group charged since this reading.
+    fn elapsed(&self, group: &DeviceGroup) -> Meter {
+        let now = Meter::read(group);
+        let seconds = (now.seconds.iter().zip(&self.seconds))
+            .map(|(n, t)| [n[0] - t[0], n[1] - t[1]])
+            .collect();
+        let misses = now.misses - self.misses;
+        Meter { seconds, misses }
     }
 
     /// The seconds charged on each device since this reading.
     fn since(&self, group: &DeviceGroup) -> Vec<[f64; 2]> {
-        let now = Meter::read(group).0.into_iter().zip(&self.0);
-        now.map(|(n, t)| [n[0] - t[0], n[1] - t[1]]).collect()
+        self.elapsed(group).seconds
     }
 
-    /// Charge everything since this reading to `job`.
-    fn charge(&self, group: &DeviceGroup, job: &mut Job) {
-        for (d, [total, recovery]) in self.since(group).into_iter().enumerate() {
+    /// Charge everything since this reading to `job`, and return it.
+    fn charge(&self, group: &DeviceGroup, job: &mut Job) -> Meter {
+        let spent = self.elapsed(group);
+        for (d, [total, recovery]) in spent.seconds.iter().enumerate() {
             job.device_s[d] += total;
             job.recovery_s += recovery;
         }
+        spent
     }
 }
 
@@ -494,6 +536,8 @@ impl Service {
             predicted_s,
             shares: [0.0; 2],
             pooled: 0.0,
+            lane_s: [0.0; 2],
+            region_misses: 0,
             req,
         };
         let entry = Pending {
@@ -587,7 +631,16 @@ impl Service {
     /// right now, without mutating anything: the update strategy the job
     /// would run with (possibly downgraded along
     /// [`crate::SwarmAlgorithm::cheaper_strategy`]) and its predicted device-seconds
-    /// at that strategy, or [`ServeError::Infeasible`] if no rung fits.
+    /// at that strategy, or [`ServeError::Infeasible`] if no rung fits. A
+    /// rung fits when its predicted cost, with
+    /// [`ServeConfig::admission_headroom`], fits the device-seconds left
+    /// before the deadline, and its latency floor fits the deadline
+    /// itself. The floor is the wave its device runs while it is there:
+    /// the jobs already accepted on it and this one, each priced like
+    /// it. It is not padded by the
+    /// headroom, which covers the predictor's error in the capacity each
+    /// job reserves: padding the floor as well turns away jobs that a
+    /// lightly loaded device serves in time (DESIGN.md §11).
     ///
     /// With [`ServeConfig::predictive_admission`] off, or for a request
     /// without a deadline, this never rejects or downgrades — it returns
@@ -599,7 +652,7 @@ impl Service {
         if !self.cfg.predictive_admission {
             return Ok((req.strategy, 0.0));
         }
-        let predicted = self.predict_request(req, req.strategy);
+        let (predicted, latency) = self.predict_request(req, req.strategy);
         let Some(deadline) = req.deadline_s else {
             // No deadline: always admissible, but the job still reserves
             // its predicted cost so deadline jobs behind it see the load.
@@ -609,15 +662,15 @@ impl Service {
         let budget = self.healthy_devices() as f64 * deadline;
         let available = (budget - self.reserved_backlog_s()).max(0.0);
         let mut strategy = req.strategy;
-        let mut predicted = predicted;
+        let (mut predicted, mut latency) = (predicted, latency);
         loop {
-            if predicted * h <= available {
+            if predicted * h <= available && latency <= deadline {
                 return Ok((strategy, predicted));
             }
             match algorithm_impl(req.algorithm).cheaper_strategy(strategy) {
                 Some(next) => {
                     strategy = next;
-                    predicted = self.predict_request(req, strategy);
+                    (predicted, latency) = self.predict_request(req, strategy);
                 }
                 None => {
                     return Err(ServeError::Infeasible {
@@ -736,38 +789,67 @@ impl Service {
         .schedule(schedule)
     }
 
-    /// The schedule a job is priced on: a micro-batch member's when it has
-    /// `mates`, resident otherwise, sharing each region with `sharers`
-    /// jobs and drawing the `pooled` share of its init buffers from the
-    /// allocator pool. Every region is grid-stride over the elements homed
-    /// on its device ([`run_resident`]), so neither swarm size nor shard
-    /// count matters.
-    fn schedule_of(&self, mates: bool, sharers: u64, pooled: f64) -> Schedule {
-        let slice = self.cfg.slice_iters as u64;
-        if mates {
-            return Schedule::Batched { slice };
-        }
+    /// The schedule a job is priced on: resident, sharing each region with
+    /// `sharers` jobs, drawing the `pooled` share of its init buffers from
+    /// the allocator pool, billed `lane_share` of its lane seconds, paying
+    /// the driver for `region_misses` allocations inside its regions, and
+    /// calibrated on the micro-batch rung when it has `mates`. Every
+    /// region is grid-stride over the elements homed on its device
+    /// ([`run_resident`]), so neither swarm size nor shard count matters.
+    fn schedule_of(
+        &self,
+        mates: bool,
+        sharers: f64,
+        pooled: f64,
+        lane_share: f64,
+        region_misses: u64,
+    ) -> Schedule {
         Schedule::Resident {
-            slice,
+            slice: self.cfg.slice_iters as u64,
             checkpoint_slices: self.cfg.checkpoint_slices as u64,
             sharers,
             pooled,
+            lane_share,
+            region_misses,
+            mates,
         }
     }
 
     /// Jobs a job submitted now is expected to share each region with,
-    /// itself included, from the load admission can see: the running and
-    /// queued jobs per healthy device, plus this one, but no fewer than
+    /// itself included: [`Service::committed_sharers`], but no fewer than
     /// the last completed job was billed alongside (a job submitted into a
     /// just-drained service shares its devices with the jobs submitted
     /// after it, as that one did), at most a device's slots.
     fn expected_sharers(&self) -> u64 {
+        let last = self
+            .last_completed()
+            .map_or(1, |r| r.sharers.round() as u64);
+        let slots = self.cfg.slots_per_device.max(1) as u64;
+        self.committed_sharers().max(last).min(slots)
+    }
+
+    /// Jobs the device a job submitted now lands on holds, itself
+    /// included, counting only work already accepted: the running and
+    /// queued jobs per healthy device, plus this one, at most a device's
+    /// slots.
+    fn committed_sharers(&self) -> u64 {
         let load = self.running.len() + self.queue.len();
-        let last = (self.records.iter().rev())
-            .find(|r| r.outcome == JobOutcome::Completed)
-            .map_or(1, |r| r.sharers as usize);
-        let per_device = (load / self.healthy_devices().max(1) + 1).max(last);
+        let per_device = load / self.healthy_devices().max(1) + 1;
         per_device.clamp(1, self.cfg.slots_per_device.max(1)) as u64
+    }
+
+    /// The share of its lane seconds a job expected to share its devices
+    /// with `sharers` jobs is billed: `1/sharers`, as if they all ran fully
+    /// side by side, but no less than the last completed job was billed
+    /// (unequal lanes hide less: the device waits for the longest).
+    fn expected_lane_share(&self, sharers: u64) -> f64 {
+        let last = self.last_completed().map_or(0.0, |r| r.lane_share);
+        (1.0 / sharers as f64).max(last)
+    }
+
+    /// The record of the job that completed last.
+    fn last_completed(&self) -> Option<&JobRecord> {
+        (self.records.iter().rev()).find(|r| r.outcome == JobOutcome::Completed)
     }
 
     /// The batching policy, if `cfg` is eligible to join a micro-batch:
@@ -794,17 +876,32 @@ impl Service {
         self.batchable_cfg(&e.payload.job.req.cfg)
     }
 
-    /// The predicted cost of `req` run with `strategy`. Admission cannot
-    /// know whether a batch-eligible job will find mates, so it prices one
-    /// as batched, nor which buffers the pool will hold when it starts, so
-    /// it prices the init from a warm pool, as a service's recycled
-    /// buffers mostly serve it; calibration observes the share each init
-    /// drew.
-    fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> f64 {
+    /// The predicted cost of `req` run with `strategy`, and its latency
+    /// floor: the wall time of the wave its devices run while it is there.
+    /// A device's timeline is what its jobs are billed, so with the
+    /// [`Service::committed_sharers`] jobs it holds priced like this one,
+    /// each device runs that many times the job's bill there (its price
+    /// over its shards). One job alone is billed its whole lane time, its
+    /// opens and its copies, so the floor of a lone job is its wall time
+    /// alone. Admission cannot know whether a batch-eligible job will find
+    /// mates, so it prices one on the batch rung, nor which buffers the
+    /// pool will hold when it starts, so it prices the init from a warm
+    /// pool, as a service's recycled buffers mostly serve it, nor how much
+    /// of its lane time its devices' other lanes will hide
+    /// ([`Service::expected_lane_share`]); calibration observes what each
+    /// job was billed.
+    fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> (f64, f64) {
         let mates = self.batchable_cfg(&req.cfg).is_some();
-        let schedule = self.schedule_of(mates, self.expected_sharers(), 1.0);
-        self.predictor
-            .predict_s(&self.shape_of(req, strategy, schedule))
+        let price = |sharers: u64| {
+            let lane_share = self.expected_lane_share(sharers);
+            let schedule = self.schedule_of(mates, sharers as f64, 1.0, lane_share, 0);
+            let shape = self.shape_of(req, strategy, schedule);
+            (self.predictor.predict_s(&shape), shape.shards as f64)
+        };
+        let (predicted, _) = price(self.expected_sharers());
+        let held = self.committed_sharers();
+        let (bill, shards) = price(held);
+        (predicted, held as f64 * bill / shards)
     }
 
     /// Devices the budget can draw on: every device of the group that has
@@ -1099,43 +1196,67 @@ impl Service {
         self.running.sort_by_key(|r| r.job.id);
     }
 
-    /// Advance every running job by one time slice, in job-id order, inside
-    /// one persistent region per device ([`run_resident`] over the group,
-    /// each grid sized by the elements the jobs home there), a sharded
-    /// job's best exchange included. Each device's open is billed in equal
-    /// shares to the jobs on it. A job that errors ends the slice on its
-    /// leased devices only: later jobs leasing any of them are not stepped
-    /// this tick, nor are jobs on a lost device, which gets no region (the
-    /// next tick's sweep re-homes them). Returns the number of jobs stepped.
+    /// Advance every running job by one time slice inside one persistent
+    /// region per device ([`run_resident`] over the group, each grid sized
+    /// by the elements the jobs home there), a sharded job's best exchange
+    /// included. Every job steps on its own stream lane on each device it
+    /// leases, numbered by its position among the jobs leasing that device,
+    /// so co-resident jobs run side by side; the lanes join before the
+    /// tick's checkpoint. Each device's open is billed in equal shares to
+    /// the jobs on it, and its overlap credit to the jobs on its lanes in
+    /// proportion to their lane seconds. A job that errors ends the slice
+    /// on its leased devices only: later jobs leasing any of them are not
+    /// stepped this tick, nor are jobs on a lost device, which gets no
+    /// region (the next tick's sweep re-homes them). Returns the number of
+    /// jobs stepped.
     fn step_running(&mut self) -> usize {
         let slice = self.cfg.slice_iters;
         let group = self.group.clone();
-        let mut blocked: Vec<bool> = (0..group.len()).map(|d| self.device_lost(d)).collect();
+        let n = group.len();
+        let mut blocked: Vec<bool> = (0..n).map(|d| self.device_lost(d)).collect();
         let homed: Vec<Vec<u64>> = (self.running.iter())
-            .map(|r| r.homed(group.len(), &blocked))
+            .map(|r| r.homed(n, &blocked))
             .collect();
-        let elements: Vec<u64> = (0..group.len())
-            .map(|d| homed.iter().map(|h| h[d]).sum())
-            .collect();
+        let elements: Vec<u64> = (0..n).map(|d| homed.iter().map(|h| h[d]).sum()).collect();
         let all: Vec<usize> = (0..self.running.len()).collect();
         let open = Meter::read(&group);
         let region = run_resident(&group, "batched_slice", &elements, || {
             self.bill_shares(&open, &all, &homed);
+            let mut next_lane = vec![0u32; n];
+            // Seconds each job queued on its lane of each device.
+            let mut queued = vec![vec![0.0; n]; all.len()];
             let mut out = Vec::with_capacity(all.len());
-            for run in self.running.iter_mut() {
-                if run.lease.devices().iter().any(|&d| blocked[d]) {
+            for (run, queued) in self.running.iter_mut().zip(&mut queued) {
+                let devices = run.lease.devices();
+                for &d in devices {
+                    let dev = group.device(d).expect("a leased device is in the group");
+                    dev.bind_stream(next_lane[d]);
+                    next_lane[d] += 1;
+                }
+                if devices.iter().any(|&d| blocked[d]) {
                     out.push(None);
                     continue;
                 }
                 let meter = Meter::read(&group);
                 let res =
                     bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
-                meter.charge(&group, &mut run.job);
+                let spent = meter.charge(&group, &mut run.job);
+                run.job.region_misses += spent.misses;
+                for (d, [total, _]) in spent.seconds.into_iter().enumerate() {
+                    queued[d] = total;
+                    run.job.lane_s[0] += total;
+                    run.job.lane_s[1] += total;
+                }
                 if res.is_err() {
-                    run.lease.devices().iter().for_each(|&d| blocked[d] = true);
+                    devices.iter().for_each(|&d| blocked[d] = true);
                 }
                 out.push(Some(res));
             }
+            let joined = Meter::read(&group);
+            for dev in group.iter() {
+                dev.join_streams();
+            }
+            self.bill_overlap(&joined, &queued);
             self.checkpoint_batch(&out, &homed);
             out
         });
@@ -1172,6 +1293,23 @@ impl Service {
             }
         }
         stepped
+    }
+
+    /// Bill each device's overlap credit since `meter`, read before its
+    /// lanes joined, to the running jobs in proportion to the seconds each
+    /// queued on its lane there (`queued[j][d]`).
+    fn bill_overlap(&mut self, meter: &Meter, queued: &[Vec<f64>]) {
+        for (d, [credit, _]) in meter.since(&self.group).into_iter().enumerate() {
+            let lanes: f64 = queued.iter().map(|q| q[d]).sum();
+            if credit == 0.0 || lanes <= 0.0 {
+                continue;
+            }
+            for (run, q) in self.running.iter_mut().zip(queued) {
+                let billed = credit * q[d] / lanes;
+                run.job.device_s[d] += billed;
+                run.job.lane_s[1] += billed;
+            }
+        }
     }
 
     /// Bill each device's seconds since `meter` in equal shares to the
@@ -1237,11 +1375,18 @@ impl Service {
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run, on
         // the schedule it ran — a batch-eligible job that found no mates
-        // ran resident, not in a batch region, sharing its regions with the
-        // jobs it was billed alongside rather than those admission guessed.
+        // calibrates apart from batch members — sharing its regions and
+        // its devices' lanes with the jobs it was billed alongside, and
+        // drawing on the pool as it did, rather than as admission guessed.
         let device_s = job.device_seconds();
         if iterations > 0 && device_s > 0.0 {
-            let schedule = self.schedule_of(mates, job.billed_sharers(), job.pooled);
+            let schedule = self.schedule_of(
+                mates,
+                job.billed_sharers(),
+                job.pooled,
+                job.lane_share(),
+                job.region_misses,
+            );
             let mut shape = self.shape_of(&job.req, job.req.strategy, schedule);
             shape.iterations = iterations as u64;
             shape.shards = plan.n_shards as u64;

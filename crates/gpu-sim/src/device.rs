@@ -6,7 +6,7 @@ use crate::error::GpuError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::launch::{AllocMode, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
 use crate::profiler::Profiler;
-use crate::stream::{Event, StreamWindow};
+use crate::stream::{Event, Pass, StreamWindow};
 use crate::sync::Mutex;
 use perf_model::{
     gpu_kernel_time, transfer_time, AllocKind, AllocRecord, Counters, GpuKernelWork, GpuProfile,
@@ -80,22 +80,31 @@ pub(crate) struct DeviceState {
 }
 
 impl DeviceState {
-    /// Modeled start time and stream lane for a charge of `dur` seconds.
-    /// With a stream window open the op queues on the bound lane, starting
-    /// at the lane's frontier (so intervals on different lanes overlap);
-    /// otherwise it starts at the serial timeline front on lane 0.
-    fn queue_charge(&mut self, dur: f64) -> (f64, u32) {
+    /// Modeled start time and stream lane for a charge of `dur` seconds,
+    /// a kernel `pass` or another op. With a stream window open the op
+    /// queues on the bound lane, starting at the lane's frontier (so
+    /// intervals on different lanes overlap); otherwise it starts at the
+    /// serial timeline front on lane 0.
+    fn queue_charge(&mut self, dur: f64, pass: Option<Pass>) -> (f64, u32) {
         if self.stream.open {
-            let lane = self.stream.current;
-            let frontier = self.stream.frontier.entry(lane).or_insert(0.0);
-            let start = self.stream.base_s + *frontier;
-            *frontier += dur;
-            self.stream.serial_s += dur;
+            let (lane, offset) = self.stream.queue(dur, pass);
             self.timeline.charge_lane(lane, dur);
-            (start, lane)
+            (self.stream.base_s + offset, lane)
         } else {
             (self.timeline.total_seconds(), 0)
         }
+    }
+}
+
+/// Modeled seconds of one kernel pass of `work` on `gpu`: its
+/// [`gpu_kernel_time`], less the launch overhead when it runs `in_region`
+/// (a device-resident pass of an open persistent region).
+pub(crate) fn pass_seconds(gpu: &GpuProfile, work: &GpuKernelWork, in_region: bool) -> f64 {
+    let t = gpu_kernel_time(gpu, work);
+    if in_region {
+        (t - gpu.kernel_launch_overhead_s).max(0.0)
+    } else {
+        t
     }
 }
 
@@ -328,10 +337,13 @@ impl Device {
         } else {
             Phase::Other
         };
+        // Stream-ordered, like `cudaMallocAsync`: inside a window the
+        // allocation queues on the bound lane.
+        let (start_s, _) = st.queue_charge(seconds, None);
         let record = AllocRecord {
             device: self.shared.index,
             phase,
-            start_s: st.timeline.total_seconds(),
+            start_s,
             duration_s: seconds,
             bytes: bytes as u64,
             kind,
@@ -384,16 +396,14 @@ impl Device {
         // no host launch, so the per-launch overhead and the launch count
         // move to the region record (charged at `begin_persistent`). All
         // compute/memory counters are unchanged.
-        let in_region = st.persistent.is_some();
-        let t = if in_region {
-            let r = st.persistent.as_mut().expect("region checked open");
-            r.inner_passes += 1;
-            (gpu_kernel_time(&self.shared.profile, &work)
-                - self.shared.profile.kernel_launch_overhead_s)
-                .max(0.0)
-        } else {
-            gpu_kernel_time(&self.shared.profile, &work)
+        let in_region = match st.persistent.as_mut() {
+            Some(r) => {
+                r.inner_passes += 1;
+                true
+            }
+            None => false,
         };
+        let t = pass_seconds(&self.shared.profile, &work, in_region);
         let mut c = Counters::new();
         c.flops = work.flops;
         c.tensor_flops = work.tensor_flops;
@@ -421,7 +431,7 @@ impl Device {
         } else {
             desc.phase
         };
-        let (start_s, stream) = st.queue_charge(t);
+        let (start_s, stream) = st.queue_charge(t, Some((work, in_region)));
         let record = KernelRecord {
             name: desc.name,
             device: self.shared.index,
@@ -501,7 +511,7 @@ impl Device {
         } else {
             phase
         };
-        let (start_s, stream) = st.queue_charge(t);
+        let (start_s, stream) = st.queue_charge(t, None);
         let record = KernelRecord {
             name,
             device: self.shared.index,
@@ -573,7 +583,7 @@ impl Device {
             // Downloads have no gate and carry no ordinal.
             TransferDirection::D2H => (phase, 0),
         };
-        let (start_s, stream) = st.queue_charge(t);
+        let (start_s, stream) = st.queue_charge(t, None);
         let record = TransferRecord {
             device: self.shared.index,
             phase,
@@ -642,7 +652,8 @@ impl Device {
     /// Model a `cudaDeviceSynchronize`, charged to `phase`. Inside an open
     /// persistent region this is a grid-wide barrier instead: the resident
     /// grid rendezvouses on-device at `GRID_SYNC_OVERHEAD_S` without a
-    /// host round-trip.
+    /// host round-trip. Inside a stream window it queues on the bound lane,
+    /// so a job's barriers wait only for that job's passes.
     pub fn synchronize(&self, phase: Phase) {
         let mut st = self.shared.state.lock();
         let t = match st.persistent.as_mut() {
@@ -652,6 +663,7 @@ impl Device {
             }
             None => SYNC_OVERHEAD_S,
         };
+        st.queue_charge(t, None);
         st.timeline.charge(phase, t, Counters::new());
     }
 
@@ -697,16 +709,17 @@ impl Device {
     }
 
     /// Close the stream window: compute the lane time hidden by concurrent
-    /// execution (queued serial seconds minus the longest lane frontier),
-    /// credit it to the timeline as overlap and return it. The analogue of
-    /// the device-wide sync point where all streams converge. No-op (0.0)
-    /// when no window is open.
+    /// execution (queued serial seconds minus the window's wall time, its
+    /// longest lane floored by the work-conserving bound — see
+    /// [`crate::stream`]), credit it to the timeline as overlap and return
+    /// it. The analogue of the device-wide sync point where all streams
+    /// converge. No-op (0.0) when no window is open.
     pub fn join_streams(&self) -> f64 {
         let mut st = self.shared.state.lock();
         if !st.stream.open {
             return 0.0;
         }
-        let credit = st.stream.overlap_s();
+        let credit = st.stream.overlap_s(&self.shared.profile);
         st.timeline.credit_overlap(credit);
         st.stream = StreamWindow::default();
         credit

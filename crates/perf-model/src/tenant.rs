@@ -16,11 +16,13 @@
 //!     JobRecord { tenant: "acme".into(), job: 0, submitted_s: 0.0, started_s: 0.0,
 //!                 finished_s: 2.0, outcome: JobOutcome::Completed, iterations: 100,
 //!                 device_seconds: 2.0, queue_depth_at_submit: 0,
-//!                 rehomes: 0, recovery_secs: 0.0, sharers: 1, pooled: 0.0 },
+//!                 rehomes: 0, recovery_secs: 0.0, sharers: 1.0, pooled: 0.0,
+//!                 lane_share: 1.0, region_misses: 0 },
 //!     JobRecord { tenant: "acme".into(), job: 1, submitted_s: 0.0, started_s: 2.0,
 //!                 finished_s: 6.0, outcome: JobOutcome::Completed, iterations: 100,
 //!                 device_seconds: 4.0, queue_depth_at_submit: 1,
-//!                 rehomes: 1, recovery_secs: 0.5, sharers: 1, pooled: 0.0 },
+//!                 rehomes: 1, recovery_secs: 0.5, sharers: 1.0, pooled: 0.0,
+//!                 lane_share: 1.0, region_misses: 0 },
 //! ];
 //! let rollup = TenantSummary::rollup(&records);
 //! assert_eq!(rollup.len(), 1);
@@ -74,12 +76,19 @@ pub struct JobRecord {
     /// subset of `device_seconds`.
     pub recovery_secs: f64,
     /// Jobs that shared the job's device-resident regions and checkpoint
-    /// copies, as billed: the harmonic mean over its shared bills, rounded
-    /// (1 = it ran alone, or never stepped).
-    pub sharers: u64,
+    /// copies, as billed: the harmonic mean over its shared bills (1 = it
+    /// ran alone, or never stepped).
+    pub sharers: f64,
     /// Share of the device buffers the job's last init allocated that the
     /// allocator pool served instead of a fresh allocation.
     pub pooled: f64,
+    /// Share of the seconds the job queued on its stream lanes that it was
+    /// billed, after its devices credited the time co-resident lanes hid
+    /// (1 = nothing hidden, or it never stepped).
+    pub lane_share: f64,
+    /// Allocations the job made inside its device-resident regions that
+    /// the allocator pool could not serve (each a driver allocation).
+    pub region_misses: u64,
 }
 
 impl JobRecord {
@@ -185,8 +194,10 @@ mod tests {
             queue_depth_at_submit: 0,
             rehomes: 0,
             recovery_secs: 0.0,
-            sharers: 1,
+            sharers: 1.0,
             pooled: 0.0,
+            lane_share: 1.0,
+            region_misses: 0,
         }
     }
 
