@@ -31,7 +31,7 @@
 //! replayed once with batching off and once with `ServeConfig::batching`
 //! set. Batched or not, every tick opens one region per device and every
 //! job leased there steps inside it, with one checkpoint copy per device;
-//! batching only gathers compatible jobs under one lease. The binary
+//! batching only gathers small jobs under one lease. The binary
 //! asserts at most one region per device per tick in both modes and
 //! batched throughput no lower than unbatched, verifies per-job results
 //! are bit-identical between the modes, pins them against
@@ -321,8 +321,9 @@ const SMALL_DEVICES: usize = 2;
 const BATCH_GOLDEN: &str = "results/serve_batch_fingerprints.golden.txt";
 
 fn small_cfg(i: u64) -> PsoConfig {
-    // Tiny launch-bound swarms: 16–64 particles, 5–8 dims (one dim-class,
-    // so batches of eight actually form).
+    // Tiny launch-bound swarms: 16–64 particles, 5–8 dims, so eight of
+    // them stay far inside the default batch's 16 384 elements and
+    // batches of eight actually form.
     let n = 16 + 16 * (i as usize % 4);
     let d = 5 + (i as usize % 4);
     PsoConfig::builder(n, d)

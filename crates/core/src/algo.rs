@@ -47,8 +47,8 @@ use std::str::FromStr;
 
 /// Which swarm-intelligence algorithm a plan runs. This is the serializable
 /// key every layer shares: the plan builder, the backend registry
-/// (`fastpso-sso`, `fastpso-gfwa`), the serve scheduler's admission ladder,
-/// the micro-batching compat key and the cost predictor's calibration key.
+/// (`fastpso-sso`, `fastpso-gfwa`), the serve scheduler's admission ladder
+/// and the cost predictor's calibration key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
     /// Particle Swarm Optimization — the paper's FastPSO (the default).

@@ -16,11 +16,10 @@
 //!    the tail executes on every rung: the for-loop rung is latency-bound,
 //!    the tiled and tensor-core rungs pay their staged traffic, the
 //!    low-complexity rung draws `d`-fold fewer numbers. The base is
-//!    priced on the shape's [`Schedule`]: launch by launch, in a
-//!    micro-batch's regions, or resident in one region per slice and device
-//!    shared with its other jobs — the last with the init, allocation,
-//!    barrier, best-exchange, checkpoint and download charges that exposes.
-//!    The base is
+//!    priced on the shape's [`Schedule`]: launch by launch, or resident in
+//!    one region per slice and device shared with its other jobs — the
+//!    latter with the init, allocation, barrier, best-exchange, checkpoint
+//!    and download charges that exposes. The base is
 //!    pure arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it
 //!    is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
@@ -66,28 +65,16 @@ pub enum Schedule {
     /// Launch by launch, as a dedicated [`crate::GpuBackend`] run.
     #[default]
     Launches,
-    /// The bare region price: `slice` iterations per region (0 = the
-    /// whole run in one), every launch overhead collapsed into one region
-    /// launch per slice and shard, and nothing a served job pays around
-    /// its passes. Calibrates under a `+persistent` key. The serving layer
-    /// no longer dispatches on it: once co-resident lanes hid most of a
-    /// batch member's pass time, the charges this price leaves to
-    /// calibration (inits, checkpoints, the download, unshared opens)
-    /// became most of its cost, so batch members are priced as
-    /// [`Schedule::Resident`] with `mates`.
-    Batched {
-        /// Iterations per region (the serving layer's `slice_iters`).
-        slice: u64,
-    },
     /// A job inside one persistent region per slice and leased device,
     /// shared with that device's other jobs, as the serving layer steps
-    /// every job, batch members and sharded ones included: the
-    /// [`Schedule::Batched`] price plus the charges a region no longer hides
-    /// behind launch overhead (see [`CostPredictor::base_s`]). Calibrates
-    /// under `+resident`, `+resident+sharded` when sharded, `+persistent`
-    /// for a batch member.
+    /// every job, batch members and sharded ones included: every launch
+    /// overhead collapsed into one region launch per slice and shard, plus
+    /// the charges a region no longer hides behind launch overhead (see
+    /// [`CostPredictor::base_s`]). Calibrates under `+resident`, or
+    /// `+resident+sharded` when sharded.
     Resident {
-        /// Iterations per region (the serving layer's `slice_iters`).
+        /// Iterations per region (the serving layer's `slice_iters`; 0 =
+        /// the whole run in one).
         slice: u64,
         /// Slice boundaries per checkpoint capture (the serving layer's
         /// `checkpoint_slices`; 0 = none).
@@ -107,32 +94,7 @@ pub enum Schedule {
         /// each at the driver's price rather than a pool hit (0 = a warm
         /// pool).
         region_misses: u64,
-        /// Whether the job was admitted into a micro-batch with mates. A
-        /// batch member is priced like any other resident job but
-        /// calibrates under `+persistent`, apart from jobs that got their
-        /// lease alone, since batch composition is what that rung absorbs.
-        mates: bool,
     },
-}
-
-impl Schedule {
-    /// Iterations per region of a region schedule; `None` when the job
-    /// steps launch by launch.
-    fn region_slice(self) -> Option<u64> {
-        match self {
-            Schedule::Batched { slice } | Schedule::Resident { slice, .. } => Some(slice),
-            Schedule::Launches => None,
-        }
-    }
-
-    /// The share of its in-region seconds a job on this schedule is billed
-    /// (1 unless resident).
-    fn lane_share(self) -> f64 {
-        match self {
-            Schedule::Resident { lane_share, .. } => lane_share,
-            Schedule::Batched { .. } | Schedule::Launches => 1.0,
-        }
-    }
 }
 
 /// The admission-relevant shape of one optimization job: everything the
@@ -209,10 +171,9 @@ impl JobShape {
         self
     }
 
-    /// The calibration key: batched and resident shapes calibrate apart
-    /// from per-launch ones and from each other, since the
-    /// scheduler-dependent costs they absorb (batch sharing, allocator
-    /// history) differ, and sharded resident shapes apart from solo ones,
+    /// The calibration key: resident shapes calibrate apart from per-launch
+    /// ones, since they absorb scheduler-dependent costs (allocator
+    /// history), and sharded resident shapes apart from solo ones,
     /// since they also absorb their data-dependent adoption uploads; island
     /// schedules interleave gather/migrate launches with the shared prefix,
     /// so they calibrate apart too; every algorithm but the default
@@ -222,9 +183,6 @@ impl JobShape {
     pub fn calibration_key(&self) -> String {
         let mut key = self.strategy.to_string();
         match self.schedule {
-            Schedule::Batched { .. } | Schedule::Resident { mates: true, .. } => {
-                key.push_str("+persistent")
-            }
             Schedule::Resident { .. } if self.shards > 1 => key.push_str("+resident+sharded"),
             Schedule::Resident { .. } => key.push_str("+resident"),
             Schedule::Launches => {}
@@ -347,10 +305,11 @@ impl CostPredictor {
     /// migration, and the region launch-overhead saving are priced by
     /// this predictor's own arithmetic.
     ///
-    /// A [`Schedule::Resident`] shape starts from the [`Schedule::Batched`]
-    /// price and adds, per shard, what a solo region no longer hides behind
-    /// launch overhead, each charge priced from the descriptor, function or
-    /// constant that charges it:
+    /// A [`Schedule::Resident`] shape collapses the per-kernel launch
+    /// overheads baked into every priced launch into one region launch per
+    /// slice and shard, and adds, per shard, what a solo region no longer
+    /// hides behind launch overhead, each charge priced from the
+    /// descriptor, function or constant that charges it:
     /// - the init launches (`init_swarm`, and the algorithm's
     ///   [`crate::SwarmAlgorithm::init_extra_launch`]) at full launch price;
     /// - the shard's [`Shard::BUFFERS`] allocations (plus the extra state's)
@@ -373,12 +332,11 @@ impl CostPredictor {
     /// - the driver's price, less the pool hit, of each of its
     ///   `region_misses`.
     ///
-    /// On either region schedule, the seconds the job spends on its stream
-    /// lanes — its in-region passes and, when resident, each iteration's
-    /// allocations, barriers and best exchange — are billed at the
-    /// schedule's `lane_share`; the region opens and everything the job
-    /// charges outside its lanes (inits, init allocations, checkpoints,
-    /// the download) are not.
+    /// The seconds a resident job spends on its stream lanes — its
+    /// in-region passes and each iteration's allocations, barriers and best
+    /// exchange — are billed at the schedule's `lane_share`; the region
+    /// opens and everything the job charges outside its lanes (inits, init
+    /// allocations, checkpoints, the download) are not.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -449,7 +407,13 @@ impl CostPredictor {
             total += gather * shape.iterations as f64 + migrate * migs as f64;
             island_launches = shape.iterations + migs;
         }
-        if let Some(slice) = shape.schedule.region_slice() {
+        if let Schedule::Resident {
+            slice,
+            lane_share,
+            region_misses,
+            ..
+        } = shape.schedule
+        {
             // Device-resident execution: the per-kernel launch overheads
             // baked into every priced launch collapse into one region
             // launch per slice per shard.
@@ -458,16 +422,9 @@ impl CostPredictor {
             // share; the region opens are not on a lane.
             let saved = overhead * (launches * shape.iterations + island_launches) as f64;
             let region = overhead * (slices(shape.iterations, slice) * active_shards) as f64;
-            let passes = (total - saved) * shape.schedule.lane_share();
+            let passes = (total - saved) * lane_share;
             total = (passes + region).max(0.0);
             total += residency;
-        }
-        if let Schedule::Resident {
-            region_misses,
-            lane_share,
-            ..
-        } = shape.schedule
-        {
             // Each miss pays the driver instead of the pool hit every
             // in-region allocation is priced at, on the job's lanes.
             let miss = gpu.device_alloc_cost_s * (1.0 - CACHE_HIT_COST_FRACTION);
@@ -476,12 +433,11 @@ impl CostPredictor {
         total
     }
 
-    /// The charges one shard of a [`Schedule::Resident`] shape pays that
-    /// the [`Schedule::Batched`] price leaves to calibration: its init
-    /// launches and allocations, the weight buffers each iteration
-    /// requests, `syncs` grid barriers per iteration, a sharded shape's
-    /// best exchange, the slice-boundary checkpoints and the result
-    /// download (see [`CostPredictor::base_s`]).
+    /// The charges one shard of a [`Schedule::Resident`] shape pays beyond
+    /// its passes and region opens: its init launches and allocations, the
+    /// weight buffers each iteration requests, `syncs` grid barriers per
+    /// iteration, a sharded shape's best exchange, the slice-boundary
+    /// checkpoints and the result download (see [`CostPredictor::base_s`]).
     fn residency_s(&self, shape: &JobShape, tail: &TailShape<'_>, syncs: u64) -> f64 {
         let Schedule::Resident {
             slice,
@@ -533,7 +489,7 @@ impl CostPredictor {
         init + allocs + barriers + exchange + captures as f64 * capture + download - opens
     }
 
-    /// The calibrated multiplier currently applied to estimates under
+    /// The calibrated multiplier currently applied to predictions under
     /// calibration key `key` (1.0 with no observations).
     pub fn coefficient(&self, key: &str) -> f64 {
         self.calib
@@ -578,8 +534,37 @@ mod tests {
     use super::*;
     use crate::topology::{Migration, MigrationKind};
 
-    fn batched(slice: u64) -> Schedule {
-        Schedule::Batched { slice }
+    /// What `shape` pays on its resident schedule beyond its passes and
+    /// region opens: [`CostPredictor::residency_s`] summed over its shards.
+    fn residency(p: &CostPredictor, shape: &JobShape) -> f64 {
+        let n = shape.shards as usize;
+        let plan =
+            ExecutionPlan::build_for(shape.algo, shape.topology, n, BestReduce::for_shards(n));
+        let shard = |(s, (_, rows)): (usize, (usize, usize))| {
+            let syncs = (plan.nodes.iter())
+                .filter(|node| node.shard == s && node.op == PlanOp::DeviceSync)
+                .count() as u64;
+            let tail = TailShape {
+                gpu: &p.gpu,
+                rows: rows as u64,
+                d: shape.dim,
+                flops_per_dim: shape.flops_per_dim,
+                strategy: shape.strategy,
+            };
+            p.residency_s(shape, &tail, syncs)
+        };
+        partition(shape.particles as usize, n)
+            .into_iter()
+            .enumerate()
+            .map(shard)
+            .sum()
+    }
+
+    /// The launch overheads a one-region run of `shape` saves against its
+    /// per-launch price, its residency charges aside.
+    fn region_savings(p: &CostPredictor, shape: &JobShape) -> f64 {
+        let whole = shape.clone().schedule(resident(0, 0));
+        p.base_s(shape) - p.base_s(&whole) + residency(p, &whole)
     }
 
     fn islands(islands: usize, every_k: usize) -> Topology {
@@ -665,35 +650,36 @@ mod tests {
     }
 
     #[test]
-    fn persistent_shapes_price_one_launch_per_slice() {
+    fn resident_shapes_price_one_launch_per_slice() {
         let p = CostPredictor::v100();
         let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
-        let sliced = solo.clone().schedule(batched(8)); // ceil(80/8) = 10 slices
-        let whole = solo.clone().schedule(batched(0)); // one region for the run
+        let sliced = solo.clone().schedule(resident(8, 0)); // ceil(80/8) = 10 slices
+        let whole = solo.clone().schedule(resident(0, 0)); // one region for the run
         let base = p.base_s(&solo);
         let t_sliced = p.base_s(&sliced);
         let t_whole = p.base_s(&whole);
         assert!(t_whole < t_sliced && t_sliced < base);
-        // Savings are launch-overhead arithmetic: solo pays 7·iters
-        // launches, sliced pays ceil(iters/slice), whole pays 1. The
-        // implied per-launch overhead must agree between the two rungs.
-        let per_launch_a = (base - t_sliced) / (7.0 * 80.0 - 10.0);
-        let per_launch_b = (base - t_whole) / (7.0 * 80.0 - 1.0);
+        // Residency charges aside, savings are launch-overhead arithmetic:
+        // solo pays 7·iters launches, sliced pays ceil(iters/slice), whole
+        // pays 1. The implied per-launch overhead must agree between the
+        // two.
+        let per_launch_a = (base - t_sliced + residency(&p, &sliced)) / (7.0 * 80.0 - 10.0);
+        let per_launch_b = region_savings(&p, &solo) / (7.0 * 80.0 - 1.0);
         assert!((per_launch_a - per_launch_b).abs() < 1e-15);
         assert!(per_launch_a > 0.0);
     }
 
     #[test]
-    fn persistent_calibration_is_keyed_separately() {
+    fn resident_calibration_is_keyed_separately() {
         let mut p = CostPredictor::v100();
-        let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).schedule(batched(8));
+        let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).schedule(resident(8, 1));
         let base = p.base_s(&shape);
         p.observe(&shape, base * 2.0);
-        assert_eq!(p.observations("global+persistent"), 1);
+        assert_eq!(p.observations("global+resident"), 1);
         assert_eq!(p.observations("global"), 0);
         assert_eq!(p.coefficient("global"), 1.0);
         assert!((p.predict_s(&shape) - base * 2.0).abs() < 1e-12);
-        // The per-launch rung is untouched by persistent observations.
+        // The per-launch rung is untouched by resident observations.
         let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
         assert!((p.predict_s(&solo) - p.base_s(&solo)).abs() < 1e-15);
     }
@@ -711,7 +697,6 @@ mod tests {
             pooled: 0.0,
             lane_share,
             region_misses: 0,
-            mates: false,
         }
     }
 
@@ -736,11 +721,11 @@ mod tests {
         let p = CostPredictor::v100();
         for algo in Algorithm::ALL {
             let shape = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
-            let batched = p.base_s(&shape.clone().schedule(batched(8)));
             let uncaptured = p.base_s(&shape.clone().schedule(resident(8, 0)));
             let every = p.base_s(&shape.clone().schedule(resident(8, 1)));
             let every_other = p.base_s(&shape.clone().schedule(resident(8, 2)));
-            assert!(batched < uncaptured, "{algo}: the init and syncs are free");
+            let charges = residency(&p, &shape.clone().schedule(resident(8, 0)));
+            assert!(charges > 0.0, "{algo}: the init and syncs are free");
             // Ten slices: nine boundaries with a job still running.
             let capture = (every - uncaptured) / 9.0;
             assert!(capture > p.link.latency_s, "{algo}: {capture}");
@@ -788,11 +773,8 @@ mod tests {
     #[test]
     fn sharded_resident_shapes_add_one_best_exchange_per_shard_and_iteration() {
         let p = CostPredictor::v100();
-        // What residency adds to `shape` over its batched price.
-        let added = |shape: JobShape| {
-            p.base_s(&shape.clone().schedule(resident(8, 0)))
-                - p.base_s(&shape.schedule(batched(8)))
-        };
+        // What residency adds to `shape` over its passes and opens.
+        let added = |shape: JobShape| residency(&p, &shape.schedule(resident(8, 0)));
         let solo = JobShape::new(64, 8, 40, UpdateStrategy::GlobalMem);
         let sharded = JobShape::new(128, 8, 40, UpdateStrategy::GlobalMem).shards(2);
         // Each of the two 64-row shards adds what the 64-row solo job adds,
@@ -826,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_savings_use_per_algorithm_launch_counts() {
+    fn resident_savings_use_per_algorithm_launch_counts() {
         let p = CostPredictor::v100();
         for (algo, launches) in [
             (Algorithm::Pso, 7.0),
@@ -834,15 +816,12 @@ mod tests {
             (Algorithm::Gfwa, 8.0),
         ] {
             let solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).algorithm(algo);
-            let whole = solo.clone().schedule(batched(0));
-            let saved = p.base_s(&solo) - p.base_s(&whole);
-            let per_launch = saved / (launches * 80.0 - 1.0);
-            assert!(per_launch > 0.0, "{algo}: persistent must save time");
+            let per_launch = region_savings(&p, &solo) / (launches * 80.0 - 1.0);
+            assert!(per_launch > 0.0, "{algo}: residency must save launches");
             // All three must imply the same per-launch overhead once
             // divided by their own launch count.
             let pso_solo = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
-            let pso_saved = p.base_s(&pso_solo) - p.base_s(&pso_solo.clone().schedule(batched(0)));
-            let pso_per_launch = pso_saved / (7.0 * 80.0 - 1.0);
+            let pso_per_launch = region_savings(&p, &pso_solo) / (7.0 * 80.0 - 1.0);
             assert!(
                 (per_launch - pso_per_launch).abs() < 1e-15,
                 "{algo}: per-launch overhead must match the device constant"
@@ -855,17 +834,17 @@ mod tests {
         let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
         assert_eq!(pso.calibration_key(), "global");
         assert_eq!(
-            pso.clone().schedule(batched(4)).calibration_key(),
-            "global+persistent"
+            pso.clone().schedule(resident(4, 1)).calibration_key(),
+            "global+resident"
         );
         let sso = pso.clone().algorithm(Algorithm::Sso);
         assert_eq!(sso.calibration_key(), "sso:global");
         assert_eq!(
             pso.clone()
                 .algorithm(Algorithm::Gfwa)
-                .schedule(batched(4))
+                .schedule(resident(4, 1))
                 .calibration_key(),
-            "gfwa:global+persistent"
+            "gfwa:global+resident"
         );
     }
 
@@ -887,8 +866,8 @@ mod tests {
         assert_eq!(one.calibration_key(), "global");
         assert_eq!(isl.calibration_key(), "global+islands");
         assert_eq!(
-            isl.clone().schedule(batched(4)).calibration_key(),
-            "global+persistent+islands"
+            isl.clone().schedule(resident(4, 1)).calibration_key(),
+            "global+resident+islands"
         );
         assert_eq!(
             isl.clone().algorithm(Algorithm::Sso).calibration_key(),
@@ -910,17 +889,14 @@ mod tests {
     }
 
     #[test]
-    fn persistent_island_shapes_collapse_their_extra_launches_too() {
+    fn resident_island_shapes_collapse_their_extra_launches_too() {
         let p = CostPredictor::v100();
         let isl = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem).topology(islands(4, 10));
-        let whole = isl.clone().schedule(batched(0));
         // 7 PSO launches + 1 gather per iteration + 8 migrations, minus
         // the single region launch.
-        let saved = p.base_s(&isl) - p.base_s(&whole);
-        let per_launch = saved / ((7.0 + 1.0) * 80.0 + 8.0 - 1.0);
+        let per_launch = region_savings(&p, &isl) / ((7.0 + 1.0) * 80.0 + 8.0 - 1.0);
         let pso = JobShape::new(64, 8, 80, UpdateStrategy::GlobalMem);
-        let pso_per_launch =
-            (p.base_s(&pso) - p.base_s(&pso.clone().schedule(batched(0)))) / (7.0 * 80.0 - 1.0);
+        let pso_per_launch = region_savings(&p, &pso) / (7.0 * 80.0 - 1.0);
         assert!(
             (per_launch - pso_per_launch).abs() < 1e-15,
             "island launches must collapse at the same device constant"

@@ -53,14 +53,16 @@
 //!   predicted cost ([`Service::admission_plan`] exposes the dry-run
 //!   decision; every completion feeds the predictor one calibration
 //!   observation);
-//! * **cross-job micro-batching** — with [`ServeConfig::batching`] set,
-//!   admission gathers compatible small jobs (same [`CompatKey`]: algorithm
-//!   × update strategy × dimension class × topology; within the
-//!   [`BatchPolicy`] bounds) under **one** device lease, so they share
-//!   one device and its region. Per-job results are bit-identical to solo
-//!   runs (each member keeps its own state segment, counter-based PRNG
-//!   stream and best-reduce segment), and checkpoint/preempt/re-home/
-//!   journal semantics are unchanged at slice boundaries;
+//! * **cross-job micro-batching** — a placement rule: with
+//!   [`ServeConfig::batching`] set, admission gathers small single-shard
+//!   jobs in admission order, within the [`BatchPolicy`] bounds, under
+//!   **one** device lease, so they share one device and its region. Each
+//!   member steps its own plan on its own stream lane, so any mix of
+//!   algorithms, strategies, dimensions and topologies may share a lease.
+//!   Per-job results are bit-identical to solo runs (each member keeps its
+//!   own state segment, counter-based PRNG stream and best-reduce
+//!   segment), and checkpoint/preempt/re-home/journal semantics are
+//!   unchanged at slice boundaries;
 //! * **tenant accounting** — every terminal job emits a
 //!   [`perf_model::JobRecord`]; [`Service::tenant_rollups`] reduces them
 //!   to per-tenant p50/p95 latency, shed counts and device-seconds.
@@ -122,16 +124,14 @@
 //! assert!(rollup[0].p95_latency_s >= rollup[0].p50_latency_s);
 //! ```
 
-mod batch;
 mod journal;
 mod queue;
 mod request;
 mod scheduler;
 
-pub use batch::{BatchFormer, BatchPolicy, CompatKey};
 pub use journal::{ServeEvent, ServeJournal};
 pub use request::{JobId, JobStatus, OptimizeRequest, Priority, ServeError};
-pub use scheduler::{ServeConfig, Service};
+pub use scheduler::{BatchPolicy, ServeConfig, Service};
 
 #[cfg(test)]
 mod tests {
@@ -403,31 +403,54 @@ mod tests {
         assert_eq!(batch_launches, 4 + 4, "one region per tick");
     }
 
+    /// Jobs of different strategies share one lease, unless the policy's
+    /// job bound, which counts the admitted head, leaves no room.
     #[test]
-    fn incompatible_jobs_do_not_batch() {
+    fn mixed_strategies_share_one_lease() {
         use crate::gpu::UpdateStrategy;
-        let mut svc = Service::new(
+        let alone = BatchPolicy {
+            max_jobs: 1,
+            ..BatchPolicy::default()
+        };
+        for (policy, leases) in [(BatchPolicy::default(), 1), (alone, 2)] {
+            let mut svc = Service::new(
+                DeviceGroup::v100s(1),
+                ServeConfig {
+                    batching: Some(policy),
+                    ..ServeConfig::default()
+                },
+            );
+            svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), small(1)))
+                .unwrap();
+            svc.submit(
+                OptimizeRequest::new("t", Arc::new(Sphere), small(2))
+                    .strategy(UpdateStrategy::SharedMem),
+            )
+            .unwrap();
+            svc.tick();
+            assert_eq!(
+                (svc.n_running(), svc.occupancy().0),
+                (2, leases),
+                "{policy}"
+            );
+            svc.run_until_idle();
+            assert_eq!(svc.tenant_rollups()[0].completed, 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch bounds must be positive, got jobs=0,elems=16384")]
+    fn zero_batch_bounds_are_rejected() {
+        Service::new(
             DeviceGroup::v100s(1),
             ServeConfig {
-                batching: Some(BatchPolicy::default()),
+                batching: Some(BatchPolicy {
+                    max_jobs: 0,
+                    ..BatchPolicy::default()
+                }),
                 ..ServeConfig::default()
             },
         );
-        svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), small(1)))
-            .unwrap();
-        svc.submit(
-            OptimizeRequest::new("t", Arc::new(Sphere), small(2))
-                .strategy(UpdateStrategy::SharedMem),
-        )
-        .unwrap();
-        svc.tick();
-        assert_eq!(
-            svc.occupancy().0,
-            2,
-            "different strategies take separate leases"
-        );
-        svc.run_until_idle();
-        assert_eq!(svc.tenant_rollups()[0].completed, 2);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The service itself: admission, placement, time-slicing, preemption,
 //! deadline shedding, device-loss re-homing and per-tenant accounting.
 
-use super::batch::{BatchFormer, BatchPolicy, CompatKey};
 use super::journal::{ServeEvent, ServeJournal};
 use super::queue::{AdmissionQueue, QueueEntry};
 use super::request::{JobId, JobStatus, OptimizeRequest, Priority, ServeError};
@@ -14,11 +13,11 @@ use crate::plan::{
 };
 use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
-use crate::topology::Topology;
 use gpu_sim::lease::{Lease, LeasePool};
 use gpu_sim::{DeviceGroup, FleetHealth, HealthPolicy, Phase};
 use perf_model::{JobOutcome, JobRecord, TenantSummary, Timeline};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 /// Scheduler knobs. The defaults favour strict backpressure: a full queue
@@ -71,18 +70,16 @@ pub struct ServeConfig {
     /// [`ServeConfig::predictive_admission`] is on.
     pub admission_headroom: f64,
     /// Cross-job micro-batching policy: a placement rule. When set, each
-    /// admission gathers compatible small queued jobs (same [`CompatKey`]:
-    /// algorithm × strategy × dim-class × topology; single-shard; global or
-    /// islands topology; within the policy's element bound) under **one**
-    /// device lease. Batching or not, every job steps resident: each tick
-    /// opens one region per device and every job leased there steps its
-    /// slice inside it, so batching only decides which jobs share a device.
-    /// Per-job results stay bit-identical to solo execution; checkpoint,
-    /// preempt, re-home and journal semantics are unchanged at slice
-    /// boundaries. The cost predictor prices every job resident and
-    /// calibrates it on the rung it was admitted on: `+persistent` in a
-    /// batch with mates, `+resident` otherwise. `None` (the default)
-    /// disables batching.
+    /// admission gathers small single-shard queued jobs, in admission
+    /// order and within the policy's bounds, under **one** device lease.
+    /// Every job steps its own plan on its own stream lane inside its
+    /// device's one region per tick, batched or not, so any mix of
+    /// algorithms, strategies, dimensions and topologies may share a
+    /// lease: batching only decides which jobs share a device. Per-job
+    /// results stay bit-identical to solo execution; checkpoint, preempt,
+    /// re-home and journal semantics are unchanged at slice boundaries,
+    /// and the cost predictor prices and calibrates a batch member like
+    /// any other resident job. `None` (the default) disables batching.
     pub batching: Option<BatchPolicy>,
 }
 
@@ -101,6 +98,33 @@ impl Default for ServeConfig {
             admission_headroom: 1.0,
             batching: None,
         }
+    }
+}
+
+/// Bounds on one micro-batch ([`ServeConfig::batching`]). Both must be
+/// positive ([`Service::new`] panics otherwise).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Most jobs under one lease, the admitted head included.
+    pub max_jobs: usize,
+    /// Cap on the batch's summed state matrix, in elements (Σ over members
+    /// of `n_particles × dim`). Also the per-job eligibility bound: a job
+    /// bigger than this never batches.
+    pub max_elems: usize,
+}
+
+impl Default for BatchPolicy {
+    fn default() -> Self {
+        BatchPolicy {
+            max_jobs: 8,
+            max_elems: 16384,
+        }
+    }
+}
+
+impl fmt::Display for BatchPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "jobs={},elems={}", self.max_jobs, self.max_elems)
     }
 }
 
@@ -283,9 +307,6 @@ struct Running {
     /// `lease.devices()[k]`. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
     lease: Rc<Lease>,
-    /// Whether the job was admitted into a micro-batch with mates, which
-    /// calibration observes on the batched schedule.
-    mates: bool,
     state: ExecState,
     /// Latest host-side checkpoint, captured at a slice boundary. Device
     /// loss rolls the job back to this; `None` (no boundary reached yet)
@@ -345,6 +366,12 @@ impl Service {
     pub fn new(group: DeviceGroup, cfg: ServeConfig) -> Self {
         assert!(!group.is_empty(), "a service needs at least one device");
         assert!(cfg.slice_iters > 0, "slice_iters must be positive");
+        if let Some(b) = cfg.batching {
+            assert!(
+                b.max_jobs > 0 && b.max_elems > 0,
+                "batch bounds must be positive, got {b}"
+            );
+        }
         assert!(
             cfg.admission_headroom.is_finite() && cfg.admission_headroom > 0.0,
             "admission_headroom must be positive and finite"
@@ -791,14 +818,13 @@ impl Service {
 
     /// The schedule a job is priced on: resident, sharing each region with
     /// `sharers` jobs, drawing the `pooled` share of its init buffers from
-    /// the allocator pool, billed `lane_share` of its lane seconds, paying
-    /// the driver for `region_misses` allocations inside its regions, and
-    /// calibrated on the micro-batch rung when it has `mates`. Every
-    /// region is grid-stride over the elements homed on its device
-    /// ([`run_resident`]), so neither swarm size nor shard count matters.
+    /// the allocator pool, billed `lane_share` of its lane seconds, and
+    /// paying the driver for `region_misses` allocations inside its
+    /// regions. Every region is grid-stride over the elements homed on its
+    /// device ([`run_resident`]), so neither swarm size, shard count nor
+    /// batch membership matters.
     fn schedule_of(
         &self,
-        mates: bool,
         sharers: f64,
         pooled: f64,
         lane_share: f64,
@@ -811,7 +837,6 @@ impl Service {
             pooled,
             lane_share,
             region_misses,
-            mates,
         }
     }
 
@@ -852,28 +877,15 @@ impl Service {
         (self.records.iter().rev()).find(|r| r.outcome == JobOutcome::Completed)
     }
 
-    /// The batching policy, if `cfg` is eligible to join a micro-batch:
-    /// batching on, single-shard, a batchable topology, and small enough to
-    /// fit a batch on its own. Global and islands jobs batch (island
-    /// migrate/gather nodes act on the job's own state segment, and the
-    /// topology is part of the compat key, so islands jobs only fuse with
-    /// identically-configured peers); ring jobs never fuse across jobs.
-    fn batchable_cfg(&self, cfg: &PsoConfig) -> Option<BatchPolicy> {
-        let policy = self.cfg.batching?;
-        let fits = cfg.n_particles * cfg.dim <= policy.max_elems;
-        let topo_ok = matches!(cfg.topology, Topology::Global | Topology::Islands { .. });
-        (!self.will_shard(cfg) && topo_ok && fits).then_some(policy)
-    }
-
-    /// [`Service::batchable_cfg`] for a queue entry: suspended multi-shard
-    /// work keeps its geometry and can never batch.
-    fn batchable_entry(&self, e: &QueueEntry<Pending>) -> Option<BatchPolicy> {
-        if let Work::Suspended(s) = &e.payload.work {
-            if s.n_shards() > 1 {
-                return None;
-            }
-        }
-        self.batchable_cfg(&e.payload.job.req.cfg)
+    /// The elements `e` adds to a micro-batch under `policy`, if it may
+    /// join one: single-shard (suspended multi-shard work keeps its
+    /// geometry) and no bigger than a whole batch.
+    fn batch_elems(&self, e: &QueueEntry<Pending>, policy: BatchPolicy) -> Option<usize> {
+        let cfg = &e.payload.job.req.cfg;
+        let elems = cfg.n_particles * cfg.dim;
+        let resharded = matches!(&e.payload.work, Work::Suspended(s) if s.n_shards() > 1);
+        let single = !self.will_shard(cfg) && !resharded;
+        (single && elems <= policy.max_elems).then_some(elems)
     }
 
     /// The predicted cost of `req` run with `strategy`, and its latency
@@ -883,18 +895,16 @@ impl Service {
     /// each device runs that many times the job's bill there (its price
     /// over its shards). One job alone is billed its whole lane time, its
     /// opens and its copies, so the floor of a lone job is its wall time
-    /// alone. Admission cannot know whether a batch-eligible job will find
-    /// mates, so it prices one on the batch rung, nor which buffers the
-    /// pool will hold when it starts, so it prices the init from a warm
-    /// pool, as a service's recycled buffers mostly serve it, nor how much
-    /// of its lane time its devices' other lanes will hide
+    /// alone. Admission cannot know which buffers the pool will hold when
+    /// the job starts, so it prices the init from a warm pool, as a
+    /// service's recycled buffers mostly serve it, nor how much of its lane
+    /// time its devices' other lanes will hide
     /// ([`Service::expected_lane_share`]); calibration observes what each
     /// job was billed.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> (f64, f64) {
-        let mates = self.batchable_cfg(&req.cfg).is_some();
         let price = |sharers: u64| {
             let lane_share = self.expected_lane_share(sharers);
-            let schedule = self.schedule_of(mates, sharers as f64, 1.0, lane_share, 0);
+            let schedule = self.schedule_of(sharers as f64, 1.0, lane_share, 0);
             let shape = self.shape_of(req, strategy, schedule);
             (self.predictor.predict_s(&shape), shape.shards as f64)
         };
@@ -1033,52 +1043,48 @@ impl Service {
                 break;
             };
             let entry = self.queue.pop_next().expect("peeked entry");
-            let mates = if sharded {
-                Vec::new()
-            } else {
-                self.gather_batch(&entry)
-            };
-            let batched = !mates.is_empty();
-            events += 1 + mates.len();
+            let others = self.gather_batch(&entry);
+            events += 1 + others.len();
             // Each member takes its own handle to the shared lease and
             // admission drops its own after: whichever handle goes last —
             // a member that failed to start included — returns the lease.
             let lease = Rc::new(lease);
-            for m in std::iter::once(entry).chain(mates) {
-                self.start(m, Rc::clone(&lease), batched);
+            for m in std::iter::once(entry).chain(others) {
+                self.start(m, Rc::clone(&lease));
             }
             self.release_shared(lease);
         }
         events
     }
 
-    /// Gather queued jobs that can join `head`'s micro-batch, in admission
-    /// order (priority, then id — compatible jobs may overtake incompatible
-    /// ones of equal priority, the usual batching trade). Returns the extra
-    /// members; empty when batching is off or nothing fits.
+    /// Gather queued jobs that can join `head`'s micro-batch: eligible
+    /// ones in admission order (priority, then id — an eligible job may
+    /// overtake an ineligible one of equal priority, the usual batching
+    /// trade), each taken while the batch, `head` included, stays within
+    /// the policy's bounds. Returns the extra members; empty when batching
+    /// is off or nothing fits.
     fn gather_batch(&mut self, head: &QueueEntry<Pending>) -> Vec<QueueEntry<Pending>> {
-        let Some(policy) = self.batchable_entry(head) else {
+        let Some(policy) = self.cfg.batching else {
             return Vec::new();
         };
-        let mut former = BatchFormer::new(policy);
-        let (key, elems) = batch_key(&head.payload.job.req);
-        let accepted = former.offer(key, elems);
-        debug_assert!(accepted, "an eligible head always fits an empty batch");
+        let Some(mut elems) = self.batch_elems(head, policy) else {
+            return Vec::new();
+        };
         let mut order: Vec<(Priority, JobId)> =
             self.queue.iter().map(|e| (e.priority, e.id)).collect();
         order.sort_by_key(|&(p, id)| (std::cmp::Reverse(p), id));
         let mut picked = Vec::new();
         for (_, id) in order {
-            if former.jobs() == policy.max_jobs {
+            if 1 + picked.len() == policy.max_jobs {
                 break;
             }
             let e = self.queue.get(id).expect("listed entry");
-            if self.batchable_entry(e).is_none() {
-                continue;
-            }
-            let (key, elems) = batch_key(&e.payload.job.req);
-            if former.offer(key, elems) {
-                picked.push(id);
+            match self.batch_elems(e, policy) {
+                Some(n) if elems + n <= policy.max_elems => {
+                    elems += n;
+                    picked.push(id);
+                }
+                _ => {}
             }
         }
         picked
@@ -1138,7 +1144,7 @@ impl Service {
     /// however many devices the new lease spans (shards assigned
     /// round-robin), so losing a device never strands a sharded job — the
     /// reduction is over shards, not devices.
-    fn start(&mut self, entry: QueueEntry<Pending>, lease: Rc<Lease>, mates: bool) {
+    fn start(&mut self, entry: QueueEntry<Pending>, lease: Rc<Lease>) {
         let Pending { mut job, work } = entry.payload;
         self.journal.append(ServeEvent::Admit {
             job: job.id.0,
@@ -1188,7 +1194,6 @@ impl Service {
             plan,
             view,
             lease,
-            mates,
             state,
             snapshot,
             slices_since_snapshot: 0,
@@ -1363,7 +1368,6 @@ impl Service {
             plan,
             view,
             lease,
-            mates,
             state,
             ..
         } = run;
@@ -1374,14 +1378,12 @@ impl Service {
         meter.charge(&self.group, &mut job);
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run, on
-        // the schedule it ran — a batch-eligible job that found no mates
-        // calibrates apart from batch members — sharing its regions and
-        // its devices' lanes with the jobs it was billed alongside, and
-        // drawing on the pool as it did, rather than as admission guessed.
+        // the schedule it ran, sharing its regions and its devices' lanes
+        // with the jobs it was billed alongside, and drawing on the pool
+        // as it did, rather than as admission guessed.
         let device_s = job.device_seconds();
         if iterations > 0 && device_s > 0.0 {
             let schedule = self.schedule_of(
-                mates,
                 job.billed_sharers(),
                 job.pooled,
                 job.lane_share(),
@@ -1464,12 +1466,6 @@ fn outcome_event(id: JobId, outcome: JobOutcome) -> ServeEvent {
         JobOutcome::Cancelled => ServeEvent::Cancel { job: id.0 },
         JobOutcome::Failed => ServeEvent::Fail { job: id.0 },
     }
-}
-
-/// The micro-batch compatibility key of `req` and its element count.
-fn batch_key(req: &OptimizeRequest) -> (CompatKey, usize) {
-    let key = CompatKey::new(req.algorithm, req.strategy, req.cfg.dim, req.cfg.topology);
-    (key, req.cfg.n_particles * req.cfg.dim)
 }
 
 /// The job's execution plan for `n_shards` shards.

@@ -317,21 +317,6 @@ proptest! {
         prop_assert!(err.contains("pso, sso, gfwa"), "{err}");
     }
 
-    /// `Display` → `FromStr` round-trips every positive `BatchPolicy`,
-    /// and zero bounds never parse.
-    #[test]
-    fn batch_policy_display_fromstr_round_trips(
-        jobs in 1usize..10_000,
-        elems in 1usize..10_000_000,
-    ) {
-        use fastpso_suite::fastpso::serve::BatchPolicy;
-        let p = BatchPolicy { max_jobs: jobs, max_elems: elems };
-        prop_assert_eq!(p.to_string().parse::<BatchPolicy>().unwrap(), p);
-        prop_assert!(format!("jobs=0,elems={elems}").parse::<BatchPolicy>().is_err());
-        prop_assert!(format!("jobs={jobs},elems=0").parse::<BatchPolicy>().is_err());
-        prop_assert!(format!("jobs={jobs}").parse::<BatchPolicy>().is_err());
-    }
-
     /// Strings outside the alias table never parse.
     #[test]
     fn update_strategy_rejects_unknown_names(

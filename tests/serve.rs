@@ -891,7 +891,6 @@ fn calibrated_predictor_matches_observed_costs_within_pinned_tolerances() {
             pooled: rec.pooled,
             lane_share: rec.lane_share,
             region_misses: rec.region_misses,
-            mates: false,
         });
         let err = svc.predictor().relative_error(&shape, rec.device_seconds);
         let slot = max_err.entry(shape.calibration_key()).or_insert(0.0);
@@ -994,10 +993,11 @@ const PREDICTOR_BASE_GOLDEN: &str = concat!(
 
 /// The uncalibrated analytic base, pinned to the last bit: one line per
 /// shape over algorithm × strategy × shards × execution mode (per-launch,
-/// persistent, resident) × topology × size, each ending in the shape's calibration key and `base_s` as hex
-/// bits (regenerate with `UPDATE_GOLDEN=1 cargo test --test serve
-/// predictor_base`). The tolerance goldens above only bound calibrated
-/// error; this one catches any change to the modeled schedule itself.
+/// resident) × topology × size, each ending in the shape's calibration
+/// key and `base_s` as hex bits (regenerate with
+/// `UPDATE_GOLDEN=1 cargo test --test serve predictor_base`). The
+/// tolerance goldens above only bound calibrated error; this one catches
+/// any change to the modeled schedule itself.
 #[test]
 fn predictor_base_is_bit_identical_to_the_pinned_grid() {
     use fastpso::{Algorithm, Migration, MigrationKind, Topology};
@@ -1035,13 +1035,14 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
     for algo in Algorithm::ALL {
         for strategy in UpdateStrategy::ALL {
             for shards in [1u64, 3] {
-                for (mode, schedule) in [
-                    ("per-launch", Schedule::Launches),
-                    ("persistent:0", Schedule::Batched { slice: 0 }),
-                    ("persistent:7", Schedule::Batched { slice: 7 }),
-                ] {
-                    row(&mut out, algo, strategy, shards, mode, schedule);
-                }
+                row(
+                    &mut out,
+                    algo,
+                    strategy,
+                    shards,
+                    "per-launch",
+                    Schedule::Launches,
+                );
             }
         }
     }
@@ -1060,7 +1061,6 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
                         pooled: 0.0,
                         lane_share: 1.0,
                         region_misses: 0,
-                        mates: false,
                     };
                     row(&mut out, algo, strategy, shards, mode, schedule);
                 }
@@ -1074,7 +1074,7 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
     let golden = std::fs::read_to_string(PREDICTOR_BASE_GOLDEN).expect(
         "predictor base golden missing; regenerate with UPDATE_GOLDEN=1 cargo test --test serve",
     );
-    assert_eq!(golden.lines().count(), 901, "header + 900 shapes");
+    assert_eq!(golden.lines().count(), 541, "header + 540 shapes");
     for (want, got) in golden.lines().zip(out.lines()) {
         assert_eq!(
             got, want,
@@ -1585,7 +1585,6 @@ fn cold_start_prediction_prices_streamed_jobs_within_eight_percent() {
         pooled: 0.0,
         lane_share: 1.0,
         region_misses: 0,
-        mates: false,
     };
     for (i, (algo, strategy, pinned)) in PINNED.into_iter().enumerate() {
         let obj: Arc<dyn Objective> = match algo {
@@ -1665,7 +1664,7 @@ fn cold_start_prediction_prices_streamed_jobs_within_eight_percent() {
 
 // ---- cross-job micro-batching ---------------------------------------------
 
-/// Small always-batchable job configs: one dim-class (6 → class 8) and
+/// Small always-batchable job configs (at most 168 elements each) with
 /// distinct particle counts, so every job's kernel records are
 /// identifiable in a merged manifest by thread count.
 fn small_cfg(i: u64) -> PsoConfig {
@@ -2067,7 +2066,12 @@ fn job_records_account_for_every_device_second_with_packed_checkpoints() {
             );
         }
     }
-    for batching in [None, Some(BatchPolicy::default())] {
+    // Low jobs too big to pair and High arrivals that pair.
+    let pairs = BatchPolicy {
+        max_jobs: 8,
+        max_elems: 300,
+    };
+    for batching in [None, Some(pairs)] {
         for loss in [1, 40, 400] {
             lifecycle_accounting(batching, loss);
         }
@@ -2104,14 +2108,15 @@ fn lifecycle_accounting(batching: Option<BatchPolicy>, loss: u64) {
             OptimizeRequest::new("t", Arc::new(Rastrigin), cfg(n, d, 40, 7000 + i)).priority(p);
         svc.submit(req).unwrap()
     };
-    // Six dimension classes, so even with batching on the Low jobs take
-    // all six slots and the later arrivals must preempt.
+    // Low jobs of 256 elements and more, so under a 300-element batch
+    // bound they never pair: they take all six slots and the later
+    // arrivals must preempt.
     for i in 0..6 {
         submit(
             &mut svc,
             i,
             16 + 4 * (i as usize % 3),
-            2 << i,
+            16 << i,
             Priority::Low,
         );
     }
@@ -2170,16 +2175,16 @@ fn lifecycle_accounting(batching: Option<BatchPolicy>, loss: u64) {
     assert_eq!(count(JobOutcome::Cancelled), 2, "{label}");
 }
 
-/// Path of the pinned batched/persistent calibration tolerance table.
+/// Path of the pinned micro-batch calibration tolerance table.
 const BATCHED_TOLERANCE_GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/results/predictor_tolerance_batched.golden.txt"
 );
 
-/// With batching on, batchable shapes predict and observe under the
-/// `<strategy>+persistent` calibration rung (one launch per batch-slice,
-/// not one per kernel). After replaying a per-strategy block trace of
-/// small batched jobs, the calibrated predictor agrees with every job's
+/// With batching on, batch members predict and observe under the
+/// `<strategy>+resident` calibration rung, like every other job on their
+/// device. After replaying a per-strategy block trace of small batched
+/// jobs, the calibrated predictor agrees with every job's
 /// observed device-seconds to within the tolerances pinned in
 /// `results/predictor_tolerance_batched.golden.txt`, checked and
 /// regenerated like the unbatched table ([`check_tolerance_golden`]).
@@ -2237,31 +2242,27 @@ fn batched_calibration_matches_observed_costs_within_pinned_tolerances() {
             pooled: rec.pooled,
             lane_share: rec.lane_share,
             region_misses: rec.region_misses,
-            mates: true,
         });
         let err = svc.predictor().relative_error(&shape, rec.device_seconds);
-        let slot = max_err
-            .entry(format!("{strategy}+persistent"))
-            .or_insert(0.0);
+        let slot = max_err.entry(shape.calibration_key()).or_insert(0.0);
         *slot = slot.max(err);
     }
     for strategy in UpdateStrategy::ALL {
         assert!(
             svc.predictor()
-                .observations(&format!("{strategy}+persistent"))
+                .observations(&format!("{strategy}+resident"))
                 > 0,
-            "{strategy} never calibrated on its persistent rung"
+            "{strategy} never calibrated on its resident rung"
         );
     }
 
     check_tolerance_golden(BATCHED_TOLERANCE_GOLDEN, &max_err);
 }
 
-/// A batch-eligible job that finds no mates runs resident alone, a
-/// micro-batch of one, and calibration observes it on that schedule: under
-/// its `+resident` key, priced with the charges a solo region exposes, not
-/// under the `+persistent` rung a batch with mates shares. A block that
-/// does batch then observes under `+persistent` alone.
+/// A batch-eligible job that gets its lease alone and a block that
+/// batches calibrate on one rung: every job runs resident, priced with the
+/// charges its regions expose, so all five observe under `+resident` and
+/// its coefficient stays near 1.
 #[test]
 fn a_lone_batchable_job_calibrates_the_schedule_it_ran() {
     let mut svc = Service::new(
@@ -2274,32 +2275,17 @@ fn a_lone_batchable_job_calibrates_the_schedule_it_ran() {
     let job = |seed| OptimizeRequest::new("calib", Arc::new(Sphere), cfg(32, 6, 40, seed));
     svc.submit(job(7100)).unwrap();
     svc.run_until_idle();
-    let p = svc.predictor();
-    assert_eq!(
-        p.observations("global+persistent"),
-        0,
-        "the lone job shared no region"
-    );
-    assert_eq!(p.observations("global"), 0, "the lone job ran resident");
-    assert_eq!(p.observations("global+resident"), 1);
-    let lone = p.coefficient("global+resident");
-    assert!(
-        lone > 0.95 && lone < 1.05,
-        "lone job priced off its schedule: {lone}"
-    );
-
     for seed in 7101..7105 {
         svc.submit(job(seed)).unwrap();
     }
     svc.run_until_idle();
     let p = svc.predictor();
-    assert_eq!(p.observations("global+persistent"), 4, "the block batched");
-    assert_eq!(p.observations("global+resident"), 1);
-    assert_eq!(p.coefficient("global+resident"), lone);
-    let batched = p.coefficient("global+persistent");
+    assert_eq!(p.observations("global"), 0, "every job ran resident");
+    assert_eq!(p.observations("global+resident"), 5);
+    let coefficient = p.coefficient("global+resident");
     assert!(
-        batched > 0.9 && batched < 1.1,
-        "batched block priced off its schedule: {batched}"
+        coefficient > 0.95 && coefficient < 1.05,
+        "jobs priced off their schedule: {coefficient}"
     );
 }
 
@@ -2359,7 +2345,6 @@ fn a_job_calibrates_on_the_sharing_and_pool_it_was_billed() {
                 pooled: r.pooled,
                 lane_share,
                 region_misses: r.region_misses,
-                mates: false,
             },
         )
     };
@@ -2409,30 +2394,44 @@ fn a_region_that_fails_to_open_fails_the_jobs_it_would_have_stepped() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random batch compositions: jobs fused into one micro-batch finish
-    /// with gbest bytes identical to dedicated solo runs, and the batched
-    /// launch manifest carries exactly the same per-job kernel work
-    /// (names × thread counts) as the solo runs, minus only the
-    /// `batched_slice` region records and the `checkpoint_pack` passes of
-    /// the slice checkpoints (solo runs take none) — batching changes
-    /// *when* passes dispatch, never *what* they compute.
+    /// Random batch compositions: each member draws its own algorithm,
+    /// update strategy, dimension and topology, and one lease still holds
+    /// the whole mix. Every member finishes with gbest bytes identical to
+    /// its dedicated solo run, and the batched launch manifest carries
+    /// exactly the same per-job kernel work (names × thread counts) as the
+    /// solo runs, minus only the `batched_slice` region records and the
+    /// `checkpoint_pack` passes of the slice checkpoints (solo runs take
+    /// none) — batching changes *where* jobs run, never *what* they
+    /// compute.
     #[test]
     fn batched_jobs_match_solo_bitwise_for_random_compositions(
-        n_jobs in 2usize..7,
-        d in 5usize..9,
+        // Each member's draw packs algorithm (3) × strategy (5) ×
+        // dimension 5..9 (4) × topology (3).
+        members in prop::collection::vec(0usize..180, 2..7),
         iters_base in 3usize..8,
         seed in 0u64..1_000,
     ) {
-        use fastpso::{GpuBackend, PsoBackend};
+        use fastpso::{Algorithm, GpuBackend, PsoBackend, Topology};
+        let n_jobs = members.len();
         // Distinct particle counts per job keep per-job kernel records
         // identifiable by thread count in the merged manifest.
-        let configs: Vec<PsoConfig> = (0..n_jobs)
-            .map(|i| cfg(8 + 4 * i, d, 5 * (iters_base + i % 3), 8_000 + seed * 10 + i as u64))
+        let jobs: Vec<(PsoConfig, Algorithm, UpdateStrategy)> = members
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                let d = 5 + m / 15 % 4;
+                let mut c =
+                    cfg(8 + 4 * i, d, 5 * (iters_base + i % 3), 8_000 + seed * 10 + i as u64);
+                c.topology = ["global", "ring_lbest:1", "islands:2:ring:3:1"][m / 60]
+                    .parse::<Topology>()
+                    .unwrap();
+                (c, Algorithm::ALL[m % 3], UpdateStrategy::ALL[m / 3 % 5])
+            })
             .collect();
         let mut expected = Vec::new();
         let mut solo_work: Vec<(String, u64)> = Vec::new();
-        for c in &configs {
-            let b = GpuBackend::new();
+        for (c, algo, strategy) in &jobs {
+            let b = GpuBackend::new().algorithm(*algo).strategy(*strategy);
             expected.push(b.run(c, &Sphere).unwrap());
             solo_work.extend(b.profile().kernels.iter().map(|k| (k.name.to_string(), k.threads)));
         }
@@ -2446,13 +2445,21 @@ proptest! {
                 ..ServeConfig::default()
             },
         );
-        let ids: Vec<JobId> = configs
+        let ids: Vec<JobId> = jobs
             .iter()
-            .map(|c| {
-                svc.submit(OptimizeRequest::new("t", Arc::new(Sphere), c.clone()))
-                    .unwrap()
+            .map(|(c, algo, strategy)| {
+                let req = OptimizeRequest::new("t", Arc::new(Sphere), c.clone())
+                    .algorithm(*algo)
+                    .strategy(*strategy);
+                svc.submit(req).unwrap()
             })
             .collect();
+        svc.tick();
+        prop_assert_eq!(
+            (svc.n_running(), svc.occupancy().0),
+            (n_jobs, 1),
+            "one lease holds the whole mix"
+        );
         svc.run_until_idle();
         for (id, want) in ids.iter().zip(&expected) {
             let got = svc.result(*id).unwrap();
