@@ -10,13 +10,10 @@
 //!
 //! `--function list` and `--backend list` enumerate the options.
 
-use fastpso::{
-    GpuBackend, MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, ResilienceConfig,
-    Topology,
-};
+use fastpso::{GpuBackend, PsoBackend, PsoConfig, ResilienceConfig, Topology};
 use fastpso_bench::backend_by_name;
 use fastpso_functions::Builtin;
-use gpu_sim::FaultPlan;
+use gpu_sim::{DeviceGroup, FaultPlan};
 use perf_model::Phase;
 
 #[derive(Debug)]
@@ -82,7 +79,7 @@ OPTIONS
     --ring <k>               ring topology with k neighbours per side
     --target <v>             stop when gbest reaches v
     --patience <t>           stop after t non-improving iterations
-    --devices <n>            run on n simulated GPUs (tile-matrix, fastpso only)
+    --devices <n>            shard over n simulated GPUs (tile matrix, fastpso only)
     --resilient              enable retry/checkpoint recovery (fastpso only)
     --faults <n>             inject n seeded transient launch faults (fastpso only)
     --history <file>         write per-iteration gbest CSV
@@ -211,36 +208,27 @@ fn main() {
         }
     };
 
-    if (args.resilient || args.faults > 0) && args.backend != "fastpso" {
-        eprintln!("error: --resilient/--faults require --backend fastpso");
+    let fastpso = args.backend == "fastpso";
+    if !fastpso && (args.devices > 1 || args.resilient || args.faults > 0) {
+        eprintln!("error: --devices/--resilient/--faults require --backend fastpso");
         std::process::exit(2);
     }
-    // Faults land on launch ordinals spread over the whole run (~8
-    // launches per iteration per device).
-    let fault_plan = |n: usize| FaultPlan::seeded(args.seed, n, (args.iters as u64 * 8).max(64));
+    if args.devices == 0 {
+        eprintln!("error: --devices must be at least 1");
+        std::process::exit(2);
+    }
 
-    let backend: Box<dyn PsoBackend> = if args.devices > 1 {
-        if args.backend != "fastpso" {
-            eprintln!("error: --devices requires --backend fastpso");
-            std::process::exit(2);
-        }
-        let mut b = MultiGpuBackend::new(args.devices, MultiGpuStrategy::TileMatrix);
+    let backend: Box<dyn PsoBackend> = if fastpso {
+        let mut b = GpuBackend::with_group(DeviceGroup::v100s(args.devices));
         if args.resilient {
             b = b.resilient(ResilienceConfig::default());
         }
         if args.faults > 0 {
-            let mut plans = vec![FaultPlan::new(); args.devices];
-            plans[0] = fault_plan(args.faults);
-            b.group().set_fault_plans(plans);
-        }
-        Box::new(b)
-    } else if args.resilient || args.faults > 0 {
-        let mut b = GpuBackend::new();
-        if args.resilient {
-            b = b.resilient(ResilienceConfig::default());
-        }
-        if args.faults > 0 {
-            b.device().set_fault_plan(fault_plan(args.faults));
+            // Faults land on the first device's launch ordinals, spread
+            // over the whole run (~8 launches per iteration).
+            let horizon = (args.iters as u64 * 8).max(64);
+            b.device()
+                .set_fault_plan(FaultPlan::seeded(args.seed, args.faults, horizon));
         }
         Box::new(b)
     } else {

@@ -47,7 +47,7 @@
 //! library's [`Topology`] `FromStr` grammar: `global` (default),
 //! `ring_lbest:<k>`, or `islands:<m>:<ring|star|random>:<every_k>:<elites>`
 //! — e.g. `--topology islands:4:ring:5:2` serves a trace of island-model
-//! jobs, exercising island-aware admission pricing and batching keys.
+//! jobs, exercising island-aware admission pricing and batch placement.
 //!
 //! The default trace writes `results/serve_bench.csv` and
 //! `results/serve_bench_tenants.csv`; a non-global `--topology` writes

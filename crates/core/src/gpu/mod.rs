@@ -1,13 +1,32 @@
-//! The GPU backend — the paper's FastPSO proper.
+//! The GPU backend — the paper's FastPSO proper, on one device or a group.
+//!
+//! [`GpuBackend`] runs on a [`DeviceGroup`] with one shard per device; a
+//! single-GPU run is a group of one. A group covers the two multi-GPU
+//! decompositions the paper sketches (§3.5, "Supporting multiple GPUs"),
+//! told apart only by [`GpuBackend::sync_every`]:
+//!
+//! * **Tile matrix** (`sync_every(1)`, the default) — the element-wise
+//!   update is sharded across devices, but a single swarm best is reduced
+//!   every iteration, so the trajectory is **bit-identical** to the
+//!   single-GPU run (the tests rely on this).
+//! * **Particle splitting** (`sync_every(k)`, `k > 1`) — each device's
+//!   sub-swarm keeps its *own* local-global best, and the bests are
+//!   exchanged every `k` iterations (asynchronously in the paper).
+//!   Trajectories differ from the single-GPU run because attraction is
+//!   local between exchanges. `sync_every(0)` never exchanges.
+//!
+//! Both lower onto the same [`ExecutionPlan`] as a one-device run, with a
+//! [`BestReduce::Exchange`] node standing in for the local adopt. Modeled
+//! wall-clock for a group is the per-device maximum — devices run
+//! concurrently — plus the charged exchange traffic.
 
 pub mod kernels;
-pub mod multi;
 
 use crate::algo::Algorithm;
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
-use crate::plan::{BestReduce, ExecutionPlan, PlanRun};
+use crate::plan::{check_shardable, BestReduce, ExecutionPlan, PlanRun};
 use crate::resilience::ResilienceConfig;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
@@ -15,28 +34,34 @@ use gpu_sim::{AllocMode, Device, DeviceGroup};
 
 pub use kernels::UpdateStrategy;
 
-/// FastPSO on one (simulated) GPU.
+/// FastPSO on one (simulated) GPU or a group of them.
 ///
 /// Construction is builder-style:
 ///
 /// ```
 /// use fastpso::{GpuBackend, UpdateStrategy};
+/// use gpu_sim::DeviceGroup;
 ///
 /// let backend = GpuBackend::new().strategy(UpdateStrategy::SharedMem);
 /// assert_eq!(backend.update_strategy(), UpdateStrategy::SharedMem);
+///
+/// // Particle splitting over four V100s, exchanging bests every 10 iterations.
+/// let split = GpuBackend::with_group(DeviceGroup::v100s(4)).sync_every(10);
+/// assert_eq!(split.group().len(), 4);
 /// ```
 ///
 /// Every run builds an [`ExecutionPlan`] — the declarative per-iteration
 /// kernel graph — and hands it to the plan executor; resilience and kernel
 /// fusion are plan-level concerns (see the [`crate::plan`] module).
 pub struct GpuBackend {
-    device: Device,
+    group: DeviceGroup,
     strategy: UpdateStrategy,
     algorithm: Algorithm,
     resilience: Option<ResilienceConfig>,
     alloc_mode: Option<AllocMode>,
     fuse: bool,
     persistent: bool,
+    sync_every: usize,
 }
 
 impl Default for GpuBackend {
@@ -51,16 +76,24 @@ impl GpuBackend {
         Self::with_device(Device::v100())
     }
 
-    /// FastPSO on an explicit device.
+    /// FastPSO on an explicit device (a group of one).
     pub fn with_device(device: Device) -> Self {
+        Self::with_group(DeviceGroup::from_devices(vec![device]))
+    }
+
+    /// FastPSO on a device group, one shard per device (paper §3.5). The
+    /// swarm best is exchanged every iteration unless
+    /// [`GpuBackend::sync_every`] says otherwise.
+    pub fn with_group(group: DeviceGroup) -> Self {
         GpuBackend {
-            device,
+            group,
             strategy: UpdateStrategy::GlobalMem,
             algorithm: Algorithm::Pso,
             resilience: None,
             alloc_mode: None,
             fuse: false,
             persistent: false,
+            sync_every: 1,
         }
     }
 
@@ -84,15 +117,16 @@ impl GpuBackend {
     }
 
     /// Enable the resilient execution layer: bounded retry, periodic
-    /// checkpointing with restore-and-replay, NaN/Inf quarantine and the
-    /// strategy degradation chain (see the `resilience` module).
+    /// checkpointing with restore-and-replay, NaN/Inf quarantine, the
+    /// strategy degradation chain and, on a group, re-homing a lost
+    /// device's shard onto a survivor (see the `resilience` module).
     pub fn resilient(mut self, r: ResilienceConfig) -> Self {
         self.resilience = Some(r);
         self
     }
 
-    /// Select the device allocation mode (Table 4's ablation). Applied to
-    /// the device at the start of every run.
+    /// Select the allocation mode (Table 4's ablation). Applied to every
+    /// device of the group at the start of every run.
     pub fn alloc_mode(mut self, mode: AllocMode) -> Self {
         self.alloc_mode = Some(mode);
         self
@@ -108,31 +142,54 @@ impl GpuBackend {
     }
 
     /// Enable persistent-kernel execution: after init, the whole run is
-    /// dispatched as one slice inside a single device-resident region, so
-    /// it costs one host launch and each synchronisation is a grid-wide
-    /// barrier instead of a host round-trip. The plan is the same either
-    /// way; residency only changes how it is dispatched. Trajectories are
-    /// bitwise-identical; only launch accounting and modeled time change.
-    /// A swarm larger than the device keeps co-resident runs grid-stride:
-    /// the region holds `max_resident_threads` threads, each covering
-    /// several elements of every pass.
+    /// dispatched as one slice inside one device-resident region per
+    /// device, so it costs one host launch per device and each
+    /// synchronisation is a grid-wide barrier instead of a host round-trip.
+    /// The plan is the same either way; residency only changes how it is
+    /// dispatched. Trajectories are bitwise-identical; only launch
+    /// accounting and modeled time change. A swarm larger than the device
+    /// keeps co-resident runs grid-stride: the region holds
+    /// `max_resident_threads` threads, each covering several elements of
+    /// every pass.
     pub fn persistent(mut self, on: bool) -> Self {
         self.persistent = on;
         self
     }
 
-    /// The backing device (for timeline/metrics inspection).
+    /// Exchange the swarm best between a group's shards every `k`
+    /// iterations: 1 (the default) is the tile-matrix decomposition,
+    /// `k > 1` particle splitting, and 0 never exchanges. A group of one
+    /// adopts its best locally every iteration and ignores this.
+    pub fn sync_every(mut self, k: usize) -> Self {
+        self.sync_every = k;
+        self
+    }
+
+    /// The first device of the group (for timeline/metrics inspection; the
+    /// only one of a single-GPU backend).
+    ///
+    /// # Panics
+    ///
+    /// If the group is empty.
     pub fn device(&self) -> &Device {
-        &self.device
+        self.group
+            .device(0)
+            .expect("GpuBackend on an empty device group")
+    }
+
+    /// The backing device group.
+    pub fn group(&self) -> &DeviceGroup {
+        &self.group
     }
 
     /// Profiler snapshot of the most recent run: one record per kernel
-    /// launch, allocation and transfer ([`GpuBackend::run`] resets the
-    /// timeline and profiler together at entry, so the snapshot covers
-    /// exactly the last run). Export with [`gpu_sim::gpu_summary`] or
+    /// launch, allocation and transfer on every device of the group, each
+    /// keeping its device index ([`GpuBackend::run`] resets the timelines
+    /// and profilers together at entry, so the snapshot covers exactly the
+    /// last run). Export with [`gpu_sim::gpu_summary`] or
     /// [`gpu_sim::chrome_trace_json`].
     pub fn profile(&self) -> gpu_sim::ProfilerLog {
-        self.device.profiler()
+        self.group.merged_profiler()
     }
 
     /// The configured update strategy.
@@ -141,10 +198,20 @@ impl GpuBackend {
     }
 
     /// The per-iteration kernel graph this backend executes for `cfg` —
-    /// built the same way [`GpuBackend::run`] builds it, with the configured
+    /// built the same way [`GpuBackend::run`] builds it: one shard per
+    /// device, a local adopt on one device and an exchange every
+    /// [`GpuBackend::sync_every`] iterations on more, with the configured
     /// rewrite passes applied.
     pub fn plan(&self, cfg: &PsoConfig) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg.topology, 1, BestReduce::Local);
+        let shards = self.group.len();
+        let reduce = if shards > 1 {
+            BestReduce::Exchange {
+                sync_every: self.sync_every,
+            }
+        } else {
+            BestReduce::Local
+        };
+        let mut plan = ExecutionPlan::build_for(self.algorithm, cfg.topology, shards, reduce);
         if self.fuse {
             plan.fuse_swarm_update(self.strategy);
         }
@@ -169,8 +236,17 @@ impl PsoBackend for GpuBackend {
     }
 
     fn run(&self, cfg: &PsoConfig, obj: &dyn Objective) -> Result<RunResult, PsoError> {
+        let shards = self.group.len();
+        if shards == 0 {
+            return Err(PsoError::InvalidConfig("empty device group".into()));
+        }
+        if shards > 1 {
+            check_shardable(cfg, shards).map_err(PsoError::InvalidConfig)?;
+        }
         if let Some(mode) = self.alloc_mode {
-            self.device.set_alloc_mode(mode);
+            for dev in self.group.iter() {
+                dev.set_alloc_mode(mode);
+            }
         }
         let plan = self.plan(cfg);
         PlanRun {
@@ -179,7 +255,7 @@ impl PsoBackend for GpuBackend {
             obj,
             strategy: self.strategy,
             resilience: self.resilience.as_ref(),
-            group: &DeviceGroup::from_devices(vec![self.device.clone()]),
+            group: &self.group,
         }
         .execute(self.persistent)
     }
@@ -189,7 +265,7 @@ impl PsoBackend for GpuBackend {
 mod tests {
     use super::*;
     use crate::seq::SeqBackend;
-    use fastpso_functions::builtins::{Griewank, Sphere};
+    use fastpso_functions::builtins::{Griewank, Rastrigin, Sphere};
 
     fn cfg(n: usize, d: usize, iters: usize) -> PsoConfig {
         PsoConfig::builder(n, d)
@@ -197,6 +273,10 @@ mod tests {
             .seed(21)
             .build()
             .unwrap()
+    }
+
+    fn on(devices: usize) -> GpuBackend {
+        GpuBackend::with_group(DeviceGroup::v100s(devices))
     }
 
     #[test]
@@ -417,6 +497,67 @@ mod tests {
             assert_eq!(clean.best_value, faulted.best_value, "{algo}");
             assert_eq!(clean.best_position, faulted.best_position);
             assert!(faulted.phase_seconds(gpu_sim::Phase::Recovery) > 0.0);
+        }
+    }
+
+    #[test]
+    fn tile_matrix_matches_single_gpu_bitwise() {
+        let c = cfg(48, 6, 50);
+        let single = GpuBackend::new().run(&c, &Sphere).unwrap();
+        for devices in [2, 3, 5] {
+            let multi = on(devices).run(&c, &Sphere).unwrap();
+            assert_eq!(single.best_value, multi.best_value, "devices={devices}");
+            assert_eq!(single.best_position, multi.best_position);
+        }
+    }
+
+    #[test]
+    fn particle_split_still_converges() {
+        let c = cfg(64, 6, 120);
+        let r = on(4).sync_every(10).run(&c, &Sphere).unwrap();
+        assert!(r.best_value < 1.0, "best = {}", r.best_value);
+    }
+
+    #[test]
+    fn particle_split_differs_from_tile_matrix() {
+        let c = cfg(64, 6, 60);
+        let a = on(4).sync_every(25).run(&c, &Rastrigin).unwrap();
+        let b = on(4).run(&c, &Rastrigin).unwrap();
+        assert_ne!(a.best_position, b.best_position);
+    }
+
+    #[test]
+    fn four_devices_beat_one_only_on_large_swarms() {
+        // Sharding pays one best exchange per iteration and a launch
+        // schedule per device: at 4096×64 one V100's local adopt still
+        // wins, and by 16384×64 the split element-wise work dominates.
+        let ratio = |n: usize| {
+            let c = cfg(n, 64, 10);
+            let t1 = GpuBackend::new()
+                .run(&c, &Sphere)
+                .unwrap()
+                .elapsed_seconds();
+            let t4 = on(4).run(&c, &Sphere).unwrap().elapsed_seconds();
+            t1 / t4
+        };
+        let small = ratio(4096);
+        assert!(
+            small < 1.0,
+            "one device should win at 4096x64: t1/t4 = {small}"
+        );
+        let large = ratio(16384);
+        assert!(
+            large > 1.1,
+            "four devices should win at 16384x64: t1/t4 = {large}"
+        );
+    }
+
+    #[test]
+    fn rejects_more_devices_than_particles_and_an_empty_group() {
+        let c = cfg(2, 4, 5);
+        for backend in [on(4), on(0)] {
+            let err = backend.run(&c, &Sphere).unwrap_err();
+            assert!(matches!(err, PsoError::InvalidConfig(_)), "{err}");
         }
     }
 }

@@ -13,8 +13,10 @@
 //!   element-wise operations on `n × d` matrices, one GPU thread per matrix
 //!   element (grid-strided under resource-aware launch), with selectable
 //!   [`UpdateStrategy`]: plain global memory, shared-memory tiling, or
-//!   tensor-core fragments (Figure 6's comparison axes). Multi-GPU
-//!   execution is available through [`MultiGpuBackend`].
+//!   tensor-core fragments (Figure 6's comparison axes). The same backend
+//!   runs on a [`gpu_sim::DeviceGroup`] with one shard per device
+//!   ([`GpuBackend::with_group`]), covering the paper's tile-matrix and
+//!   particle-splitting decompositions ([`GpuBackend::sync_every`]).
 //!
 //! All backends draw randomness from the same counter-based Philox streams,
 //! so the sequential, parallel and GPU global-memory backends produce
@@ -63,7 +65,6 @@ pub use algo::{algorithm_impl, Algorithm, PrefixDep, Stage, StageSpec, SwarmAlgo
 pub use backend::PsoBackend;
 pub use config::{AttractorSemantics, PsoConfig, PsoConfigBuilder, VelocityBound};
 pub use error::PsoError;
-pub use gpu::multi::{MultiGpuBackend, MultiGpuStrategy};
 pub use gpu::{GpuBackend, UpdateStrategy};
 pub use par::ParBackend;
 pub use plan::{BestReduce, ExecutionPlan, PlanNode, PlanOp};

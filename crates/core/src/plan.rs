@@ -29,7 +29,7 @@
 //! either launch by launch or inside device-resident regions opened by the
 //! crate-private `run_resident`, the one place persistent regions open and
 //! close: one per device of the group, each grid-stride over the elements
-//! homed there. Its two callers are a persistent single-GPU run
+//! homed there. Its two callers are a persistent GPU run
 //! ([`crate::GpuBackend::persistent`], the whole run as one slice) and the
 //! serving layer, once per tick over its group, every running job stepping
 //! one slice inside.
@@ -37,8 +37,8 @@
 //! Rows are split across shards in one place: the crate-private
 //! `partition(n, k)` gives shard `i` a contiguous block, with the
 //! remainder spread over the leading shards. `PlanRun::init_state` applies
-//! it over the plan's `n_shards`, so the single-GPU backend, the multi-GPU
-//! backend (paper §3.5) and the serving layer share one split, and a
+//! it over the plan's `n_shards`, so a GPU run on one device or a group
+//! (paper §3.5) and the serving layer share one split, and a
 //! suspended job's checkpoints keep the geometry it produced.
 //!
 //! Two invariants keep the refactor honest, and the `plan` integration test
@@ -113,8 +113,8 @@ pub enum PlanOp {
     /// already adopted, so this node only records whether the best
     /// improved and launches nothing.
     ReduceAdopt,
-    /// Ring-topology neighbourhood bests (single-shard plans only; the
-    /// multi-GPU backends reject ring configs).
+    /// Ring-topology neighbourhood bests (single-shard plans only; sharded
+    /// runs reject ring configs).
     RingLbest {
         /// Neighbourhood half-width.
         k: usize,
@@ -470,8 +470,9 @@ pub(crate) fn check_shardable(cfg: &PsoConfig, n_devices: usize) -> Result<(), S
     Ok(())
 }
 
-/// A bound plan execution: the plan plus everything one run needs. Both GPU
-/// backends build one of these in `run` and call [`PlanRun::execute`].
+/// A bound plan execution: the plan plus everything one run needs.
+/// [`crate::GpuBackend`] builds one in `run` and calls [`PlanRun::execute`];
+/// the serving layer builds one per job and steps it a slice at a time.
 pub(crate) struct PlanRun<'a> {
     pub plan: &'a ExecutionPlan,
     pub cfg: &'a PsoConfig,
@@ -1013,8 +1014,8 @@ impl<'a> PlanRun<'a> {
 /// A device that fails to open closes the regions already opened and its
 /// error is returned; every region also closes on every path `slice`
 /// returns by, errors included, so a failed slice never leaves one open.
-/// Two dispatchers call this: a persistent single-GPU run
-/// ([`PlanRun::execute`]), with one state for the whole run, and the
+/// Two dispatchers call this: a persistent GPU run ([`PlanRun::execute`]),
+/// with one state for the whole run, and the
 /// serving layer, once per tick over its whole group, with every running
 /// job's slice inside on its own stream lane of each device it leases;
 /// `slice` joins those lanes before it returns, so a region's wall time

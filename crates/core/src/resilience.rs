@@ -21,8 +21,9 @@
 //!    update walks the algorithm's fault ladder
 //!    ([`SwarmAlgorithm::fallback_strategy`]; for PSO `TensorCore →
 //!    SharedMem → GlobalMem → ForLoop`). A lost device is re-homed rather
-//!    than retried: multi-GPU particle splitting moves its sub-swarm onto
-//!    a survivor (see `gpu::multi`), and the serve layer resumes the
+//!    than retried: a run on a device group moves the lost device's shard
+//!    onto a survivor (see [`crate::GpuBackend::with_group`]), and the
+//!    serve layer resumes the
 //!    device's jobs on another lease.
 //!
 //! All recovery overhead — backoff, checkpoint and restore transfers, the

@@ -6,7 +6,7 @@ use crate::error::GpuError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::launch::{AllocMode, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
 use crate::profiler::Profiler;
-use crate::stream::{Event, Pass, StreamWindow};
+use crate::stream::{Pass, StreamWindow};
 use crate::sync::Mutex;
 use perf_model::{
     gpu_kernel_time, transfer_time, AllocKind, AllocRecord, Counters, GpuKernelWork, GpuProfile,
@@ -28,24 +28,6 @@ pub const GRID_SYNC_OVERHEAD_S: f64 = 0.5e-6;
 /// of the profile's `device_alloc_cost_s` (a driver round-trip): a pool
 /// lookup is a couple of host instructions.
 pub const CACHE_HIT_COST_FRACTION: f64 = 0.02;
-
-/// Host-visible tallies of one closed persistent region, returned by
-/// [`Device::end_persistent`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistentStats {
-    /// Kernel passes executed device-resident inside the region (each was
-    /// recorded with zero host launches).
-    pub inner_passes: u64,
-    /// Grid-wide barriers charged inside the region.
-    pub grid_syncs: u64,
-}
-
-/// Bookkeeping of an open persistent-kernel region (see
-/// [`Device::begin_persistent`]).
-struct PersistentRegion {
-    inner_passes: u64,
-    grid_syncs: u64,
-}
 
 /// Bookkeeping for retried operations (see [`Device::mark_redundant`]).
 ///
@@ -76,7 +58,9 @@ pub(crate) struct DeviceState {
     pub profiler: Profiler,
     pub redundant: RedundantWork,
     pub stream: StreamWindow,
-    persistent: Option<PersistentRegion>,
+    /// Whether a persistent-kernel region is open (see
+    /// [`Device::begin_persistent`]).
+    persistent: bool,
 }
 
 impl DeviceState {
@@ -154,7 +138,7 @@ impl Device {
                     profiler: Profiler::default(),
                     redundant: RedundantWork::default(),
                     stream: StreamWindow::default(),
-                    persistent: None,
+                    persistent: false,
                 }),
             }),
         }
@@ -396,13 +380,7 @@ impl Device {
         // no host launch, so the per-launch overhead and the launch count
         // move to the region record (charged at `begin_persistent`). All
         // compute/memory counters are unchanged.
-        let in_region = match st.persistent.as_mut() {
-            Some(r) => {
-                r.inner_passes += 1;
-                true
-            }
-            None => false,
-        };
+        let in_region = st.persistent;
         let t = pass_seconds(&self.shared.profile, &work, in_region);
         let mut c = Counters::new();
         c.flops = work.flops;
@@ -486,7 +464,7 @@ impl Device {
         if st.fault.lost {
             return Err(GpuError::DeviceLost(self.shared.index));
         }
-        if st.persistent.is_some() {
+        if st.persistent {
             return Err(GpuError::InvalidLaunch(
                 "persistent regions cannot nest".into(),
             ));
@@ -535,31 +513,20 @@ impl Device {
         };
         st.profiler.record_kernel(record);
         st.timeline.charge(phase, t, c);
-        st.persistent = Some(PersistentRegion {
-            inner_passes: 0,
-            grid_syncs: 0,
-        });
+        st.persistent = true;
         Ok(())
     }
 
-    /// Close the open persistent region and return its tallies. Safe to
-    /// call on a lost device (the region is host-side bookkeeping) and
-    /// when no region is open (returns zeroed stats), so error-path
-    /// cleanup never needs its own error handling.
-    pub fn end_persistent(&self) -> PersistentStats {
-        let mut st = self.shared.state.lock();
-        match st.persistent.take() {
-            Some(r) => PersistentStats {
-                inner_passes: r.inner_passes,
-                grid_syncs: r.grid_syncs,
-            },
-            None => PersistentStats::default(),
-        }
+    /// Close the open persistent region. Safe to call on a lost device (the
+    /// region is host-side bookkeeping) and when no region is open (a
+    /// no-op), so error-path cleanup never needs its own error handling.
+    pub fn end_persistent(&self) {
+        self.shared.state.lock().persistent = false;
     }
 
     /// Whether a persistent region is currently open.
     pub fn in_persistent(&self) -> bool {
-        self.shared.state.lock().persistent.is_some()
+        self.shared.state.lock().persistent
     }
 
     /// Charge a host↔device transfer of `bytes` to the timeline and record
@@ -656,12 +623,10 @@ impl Device {
     /// so a job's barriers wait only for that job's passes.
     pub fn synchronize(&self, phase: Phase) {
         let mut st = self.shared.state.lock();
-        let t = match st.persistent.as_mut() {
-            Some(r) => {
-                r.grid_syncs += 1;
-                GRID_SYNC_OVERHEAD_S
-            }
-            None => SYNC_OVERHEAD_S,
+        let t = if st.persistent {
+            GRID_SYNC_OVERHEAD_S
+        } else {
+            SYNC_OVERHEAD_S
         };
         st.queue_charge(t, None);
         st.timeline.charge(phase, t, Counters::new());
@@ -680,32 +645,6 @@ impl Device {
             };
         }
         st.stream.current = id;
-    }
-
-    /// Record an [`Event`] at the currently bound lane's frontier (the
-    /// analogue of `cudaEventRecord`). With no window open the event sits
-    /// at offset zero and waiting on it is a no-op.
-    pub fn record_event(&self) -> Event {
-        let st = self.shared.state.lock();
-        let lane = st.stream.current;
-        Event {
-            stream: lane,
-            offset_s: st.stream.frontier.get(&lane).copied().unwrap_or(0.0),
-        }
-    }
-
-    /// Stall the currently bound lane until `ev`'s recorded position (the
-    /// analogue of `cudaStreamWaitEvent`). No-op outside a stream window.
-    pub fn wait_event(&self, ev: &Event) {
-        let mut st = self.shared.state.lock();
-        if !st.stream.open {
-            return;
-        }
-        let lane = st.stream.current;
-        let frontier = st.stream.frontier.entry(lane).or_insert(0.0);
-        if ev.offset_s > *frontier {
-            *frontier = ev.offset_s;
-        }
     }
 
     /// Close the stream window: compute the lane time hidden by concurrent
@@ -763,7 +702,7 @@ impl Device {
         st.timeline = Timeline::new();
         st.profiler.clear();
         st.stream = StreamWindow::default();
-        st.persistent = None;
+        st.persistent = false;
     }
 
     /// Reset timeline, profiler *and* drop all pooled memory (full device
@@ -774,7 +713,7 @@ impl Device {
         st.profiler.clear();
         st.pool.clear();
         st.stream = StreamWindow::default();
-        st.persistent = None;
+        st.persistent = false;
     }
 
     /// Bytes currently allocated on the device.
@@ -1095,9 +1034,7 @@ mod tests {
                 dev.synchronize(Phase::SwarmUpdate);
             }
             if persistent {
-                let stats = dev.end_persistent();
-                assert_eq!(stats.inner_passes, 10);
-                assert_eq!(stats.grid_syncs, 10);
+                dev.end_persistent();
             }
             (
                 dev.counters(),
@@ -1124,7 +1061,14 @@ mod tests {
         // Inner passes record zero launches; the region record carries one.
         assert_eq!(pers_log.kernels[0].name, "persistent_probe");
         assert_eq!(pers_log.kernels[0].launches, 1);
+        assert_eq!(pers_log.kernels[1..].len(), 10, "10 passes recorded");
         assert!(pers_log.kernels[1..].iter().all(|k| k.launches == 0));
+        // The timeline holds the recorded kernels plus 10 barriers: host
+        // syncs per launch, grid-wide barriers inside the region.
+        let kernel_s = |log: &ProfilerLog| log.kernels.iter().map(|k| k.duration_s).sum::<f64>();
+        let barriers_s = |t: f64, log: &ProfilerLog| t - kernel_s(log);
+        assert!((barriers_s(base_t, &base_log) - 10.0 * SYNC_OVERHEAD_S).abs() < 1e-12);
+        assert!((barriers_s(pers_t, &pers_log) - 10.0 * GRID_SYNC_OVERHEAD_S).abs() < 1e-12);
     }
 
     #[test]
@@ -1161,7 +1105,8 @@ mod tests {
         dev.end_persistent();
         assert!(!dev.in_persistent());
         // Closing with nothing open is a harmless no-op.
-        assert_eq!(dev.end_persistent(), PersistentStats::default());
+        dev.end_persistent();
+        assert!(!dev.in_persistent());
     }
 
     #[test]
@@ -1172,8 +1117,9 @@ mod tests {
         dev.set_fault_plan(FaultPlan::new().with_device_loss_at_launch(1));
         let _ = dev.begin_launch();
         assert!(dev.is_lost());
-        let stats = dev.end_persistent();
-        assert_eq!(stats.inner_passes, 0);
+        dev.end_persistent();
+        assert!(!dev.in_persistent());
+        assert_eq!(dev.profiler().kernels.len(), 1, "only the region record");
         assert!(matches!(
             dev.begin_persistent("r", Phase::Other, 64),
             Err(GpuError::DeviceLost(_))
@@ -1193,7 +1139,7 @@ mod tests {
                 dev.begin_persistent("r", Phase::Recovery, 64).unwrap();
             }
             let out = dev.download_packed(Phase::Recovery, &[&a, &b]);
-            let region = dev.end_persistent();
+            dev.end_persistent();
             assert_eq!(out, vec![vec![1.0, 2.0, 3.0], vec![4.0; 5]]);
             assert_eq!(dev.fault_stats(), gates, "no fault gate");
             let log = dev.profiler();
@@ -1211,10 +1157,10 @@ mod tests {
             let after = dev.counters();
             assert_eq!(after.transfers - before.transfers, 1);
             assert_eq!(after.d2h_bytes - before.d2h_bytes, 32);
-            (packs[0].launches, region.inner_passes)
+            packs[0].launches
         };
-        assert_eq!(run(false), (1, 0), "outside a region: one launch");
-        assert_eq!(run(true), (0, 1), "inside a region: an inner pass");
+        assert_eq!(run(false), 1, "outside a region: one launch");
+        assert_eq!(run(true), 0, "inside a region: an inner pass");
     }
 
     #[test]

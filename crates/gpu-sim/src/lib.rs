@@ -58,9 +58,7 @@ pub mod tensor;
 pub mod tiled;
 
 pub use buffer::DeviceBuffer;
-pub use device::{
-    Device, DeviceMetrics, PersistentStats, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S,
-};
+pub use device::{Device, DeviceMetrics, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S};
 pub use error::GpuError;
 pub use fault::{FaultPlan, FaultStats};
 pub use health::{FleetHealth, HealthPolicy, HealthState};
@@ -70,5 +68,4 @@ pub use perf_model::{
     chrome_trace_json, gpu_summary, AllocKind, AllocRecord, Counters, KernelRecord, KernelStats,
     MemoryPattern, Phase, ProfilerLog, Timeline, TransferDirection, TransferRecord,
 };
-pub use stream::Event;
 pub use tensor::{f16_bits_to_f32, f32_to_f16_bits, through_f16, Fragment, FRAGMENT_DIM};

@@ -4,8 +4,8 @@
 //! sub-swarm and exchanges its local-global best asynchronously) and *tile
 //! matrix* (the element-wise update is sharded across devices). A
 //! [`DeviceGroup`] provides the device collection, per-device timelines and
-//! the modeled peer-exchange cost; the strategies themselves live in the
-//! `fastpso` crate.
+//! the modeled peer-exchange cost; `fastpso::GpuBackend` runs on a group,
+//! one shard per device, with its `sync_every` choosing the strategy.
 
 use crate::device::Device;
 use crate::error::GpuError;

@@ -1,4 +1,4 @@
-//! Simulated CUDA streams and events.
+//! Simulated CUDA streams.
 //!
 //! Real FastPSO-style engines overlap independent copy/compute by queuing
 //! work on multiple `cudaStream_t`s; cuPSO (Wang et al. 2022) reports this
@@ -8,10 +8,7 @@
 //! queues on the currently bound lane, its modeled
 //! `[start_s, start_s + duration_s)` interval laid out from the lane's
 //! frontier rather than the serial timeline front. Lanes advance
-//! independently, so intervals on different lanes overlap; cross-lane
-//! ordering is expressed with [`Event`]s ([`Device::record_event`] /
-//! [`Device::wait_event`]), which mirror `cudaEventRecord` /
-//! `cudaStreamWaitEvent`.
+//! independently, so intervals on different lanes overlap.
 //!
 //! The caller is the serving layer (`fastpso::serve`): each tick it opens
 //! one persistent region per device, every job on a device steps its slice
@@ -31,8 +28,6 @@
 //!
 //! [`Device::bind_stream`]: crate::Device::bind_stream
 //! [`Device::join_streams`]: crate::Device::join_streams
-//! [`Device::record_event`]: crate::Device::record_event
-//! [`Device::wait_event`]: crate::Device::wait_event
 
 use crate::device::pass_seconds;
 use perf_model::{GpuKernelWork, GpuProfile};
@@ -54,8 +49,7 @@ pub(crate) struct StreamWindow {
     pub base_s: f64,
     /// Lane the next charge queues on.
     pub current: u32,
-    /// Completion-time offset of the last op queued on each lane (includes
-    /// stalls introduced by [`Device::wait_event`](crate::Device::wait_event)).
+    /// Completion-time offset of the last op queued on each lane.
     pub frontier: BTreeMap<u32, f64>,
     /// Sum of all op durations queued in this window (serial time).
     pub serial_s: f64,
@@ -114,21 +108,6 @@ fn launched_threads(work: &GpuKernelWork) -> u64 {
         work.threads
     } else {
         work.launched_threads.min(work.threads)
-    }
-}
-
-/// A marker in a stream's queue, capturing the lane frontier at record time.
-/// The simulated analogue of a recorded `cudaEvent_t`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
-    pub(crate) stream: u32,
-    pub(crate) offset_s: f64,
-}
-
-impl Event {
-    /// Lane the event was recorded on.
-    pub fn stream(&self) -> u32 {
-        self.stream
     }
 }
 
@@ -264,25 +243,6 @@ mod tests {
         // The barrier ran beside lane 0's pass, not after it.
         let pass = dev.profiler().kernels[1].duration_s;
         assert_eq!(credit, pass.min(GRID_SYNC_OVERHEAD_S));
-    }
-
-    #[test]
-    fn event_wait_serializes_across_lanes() {
-        let dev = Device::v100();
-        dev.bind_stream(1);
-        dev.charge_kernel(&kernel("producer", 1 << 16));
-        let ev = dev.record_event();
-        assert_eq!(ev.stream(), 1);
-        dev.bind_stream(0);
-        dev.wait_event(&ev);
-        dev.charge_kernel(&kernel("consumer", 1 << 16));
-        let credit = dev.join_streams();
-        let log = dev.profiler();
-        let p = &log.kernels[0];
-        let c = &log.kernels[1];
-        // The consumer starts exactly at the producer's event position.
-        assert!((c.start_s - (p.start_s + p.duration_s)).abs() < 1e-15);
-        assert_eq!(credit, 0.0, "fully serialized window hides nothing");
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! counter-addressed Philox streams and evaluate the same element-wise
 //! formula in the same operation order, so their trajectories must be
 //! **bit-identical** — sequential, rayon-parallel, GPU global-memory, GPU
-//! shared-memory and multi-GPU tile-matrix. The tensor-core strategy is
-//! the one documented exception (f16 operand rounding).
+//! shared-memory and multi-GPU tile-matrix, the last for every algorithm,
+//! launch by launch or persistent, fused or not. The tensor-core strategy
+//! is the one documented exception (f16 operand rounding).
 
 use fastpso_suite::fastpso::{
-    GpuBackend, MultiGpuBackend, MultiGpuStrategy, ParBackend, PsoBackend, PsoConfig, SeqBackend,
-    UpdateStrategy,
+    Algorithm, GpuBackend, ParBackend, PsoBackend, PsoConfig, SeqBackend, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Ackley, Griewank, Rastrigin, Sphere};
 use fastpso_suite::functions::Objective;
+use fastpso_suite::gpu_sim::{DeviceGroup, Phase};
 
 fn cfg(n: usize, d: usize, iters: usize, seed: u64) -> PsoConfig {
     PsoConfig::builder(n, d)
@@ -37,7 +38,7 @@ fn all_deterministic_backends_agree_bitwise() {
             ),
             (
                 "multi-tile-3",
-                Box::new(MultiGpuBackend::new(3, MultiGpuStrategy::TileMatrix)),
+                Box::new(GpuBackend::with_group(DeviceGroup::v100s(3))),
             ),
         ];
         for (name, b) in backends {
@@ -103,8 +104,51 @@ fn seed_controls_the_whole_trajectory() {
 #[test]
 fn particle_split_multi_gpu_converges_but_may_diverge_from_single() {
     let c = cfg(96, 8, 120, 5);
-    let split = MultiGpuBackend::new(4, MultiGpuStrategy::ParticleSplit { sync_every: 10 })
+    let split = GpuBackend::with_group(DeviceGroup::v100s(4))
+        .sync_every(10)
         .run(&c, &Sphere)
         .unwrap();
     assert!(split.best_value < 5.0, "split best = {}", split.best_value);
+}
+
+/// A device group takes every option a single device does: each algorithm
+/// on 2 and 3 devices, launch by launch or inside one persistent region per
+/// device, unfused or fused, lands bit-for-bit where the one-device run
+/// does (the exchange runs every iteration, so sharding is invisible to
+/// the trajectory).
+#[test]
+fn every_algorithm_shards_bit_identically_in_every_dispatch() {
+    let c = cfg(96, 8, 20, 11);
+    for algo in Algorithm::ALL {
+        let single = GpuBackend::new()
+            .algorithm(algo)
+            .run(&c, &Griewank)
+            .unwrap();
+        for devices in [2usize, 3] {
+            for persistent in [false, true] {
+                for fused in [false, true] {
+                    let cell = format!(
+                        "{algo} on {devices} devices, persistent={persistent}, fused={fused}"
+                    );
+                    let b = GpuBackend::with_group(DeviceGroup::v100s(devices))
+                        .algorithm(algo)
+                        .persistent(persistent)
+                        .fused(fused);
+                    let r = b.run(&c, &Griewank).unwrap();
+                    assert_eq!(r.best_value, single.best_value, "{cell}");
+                    assert_eq!(r.best_position, single.best_position, "{cell}");
+                    if persistent {
+                        let log = b.profile();
+                        let init = log.phase_counters(Phase::Init).kernel_launches;
+                        assert!(init > 0, "{cell}");
+                        assert_eq!(
+                            log.total_counters().kernel_launches,
+                            init + devices as u64,
+                            "{cell}: init plus one region per device"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

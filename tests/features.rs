@@ -3,10 +3,11 @@
 //! backend-equivalence guarantee.
 
 use fastpso_suite::fastpso::{
-    GpuBackend, Migration, MigrationKind, MultiGpuBackend, MultiGpuStrategy, ParBackend,
-    PsoBackend, PsoConfig, PsoError, SeqBackend, Topology, UpdateStrategy,
+    GpuBackend, Migration, MigrationKind, ParBackend, PsoBackend, PsoConfig, PsoError, SeqBackend,
+    Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
+use fastpso_suite::gpu_sim::DeviceGroup;
 
 fn islands(islands: usize, kind: MigrationKind, every_k: usize, elites: usize) -> Topology {
     Topology::Islands {
@@ -152,7 +153,7 @@ fn multi_gpu_rejects_ring_topology() {
         .topology(Topology::Ring { k: 1 })
         .build()
         .unwrap();
-    let err = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
+    let err = GpuBackend::with_group(DeviceGroup::v100s(2))
         .run(&cfg, &Sphere)
         .unwrap_err();
     assert!(matches!(err, PsoError::InvalidConfig(_)));
@@ -165,7 +166,7 @@ fn multi_gpu_rejects_island_topology() {
         .topology(islands(4, MigrationKind::Star, 5, 1))
         .build()
         .unwrap();
-    let err = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
+    let err = GpuBackend::with_group(DeviceGroup::v100s(2))
         .run(&cfg, &Sphere)
         .unwrap_err();
     assert!(matches!(err, PsoError::InvalidConfig(_)));

@@ -24,12 +24,12 @@ use fastpso_suite::fastpso::cost::RNG_FLOPS_PER_DRAW;
 use fastpso_suite::fastpso::gpu::kernels::GFWA_SPARKS_PER_FIREWORK;
 use fastpso_suite::fastpso::resilience::{retry_op, ResilienceConfig, RetryPolicy};
 use fastpso_suite::fastpso::{
-    Algorithm, CounterAsserts, ExecutionPlan, GpuBackend, Migration, MigrationKind,
-    MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, TailShape, Topology, UpdateStrategy,
+    Algorithm, CounterAsserts, ExecutionPlan, GpuBackend, Migration, MigrationKind, PsoBackend,
+    PsoConfig, TailShape, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::Objective;
-use fastpso_suite::gpu_sim::{AllocMode, Device, FaultPlan, Phase};
+use fastpso_suite::gpu_sim::{AllocMode, Device, DeviceGroup, FaultPlan, Phase};
 use fastpso_suite::perf_model::{gpu_kernel_time, GpuProfile};
 
 const ALL_STRATEGIES: [UpdateStrategy; 4] = [
@@ -488,8 +488,7 @@ fn tail_cases() -> Vec<TailCase> {
                 if algo != Algorithm::Pso {
                     continue;
                 }
-                let b =
-                    MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix).update_strategy(strategy);
+                let b = GpuBackend::with_group(DeviceGroup::v100s(2)).strategy(strategy);
                 let run = |iters| {
                     b.run(&cfg(iters, Topology::Global), obj).unwrap();
                     executed_tail(&b.group().iter().collect::<Vec<_>>())

@@ -3,12 +3,10 @@
 //! tracing exporter round-trip, the nvprof-style summary, ring-buffer
 //! truncation reporting, and multi-device merging.
 
-use fastpso_suite::fastpso::{
-    GpuBackend, MultiGpuBackend, MultiGpuStrategy, PsoBackend, PsoConfig, Topology, UpdateStrategy,
-};
+use fastpso_suite::fastpso::{GpuBackend, PsoBackend, PsoConfig, Topology, UpdateStrategy};
 use fastpso_suite::functions::builtins::Sphere;
 use fastpso_suite::gpu_sim::{
-    chrome_trace_json, gpu_summary, Device, KernelDesc, Phase, ProfilerLog,
+    chrome_trace_json, gpu_summary, Device, DeviceGroup, KernelDesc, Phase, ProfilerLog,
 };
 use fastpso_suite::perf_model::GpuProfile;
 use std::collections::BTreeSet;
@@ -229,7 +227,7 @@ fn profile_covers_exactly_the_last_run() {
 /// A multi-device run merges per-device logs with device indices intact.
 #[test]
 fn multi_device_profiles_merge_with_device_indices() {
-    let b = MultiGpuBackend::new(2, MultiGpuStrategy::ParticleSplit { sync_every: 2 });
+    let b = GpuBackend::with_group(DeviceGroup::v100s(2)).sync_every(2);
     b.run(&cfg(4), &Sphere).unwrap();
     let log = b.group().merged_profiler();
     assert!(log.is_complete());

@@ -9,12 +9,12 @@
 
 use fastpso_suite::fastpso::resilience::{ResilienceConfig, RetryPolicy, ShardCheckpoint};
 use fastpso_suite::fastpso::{
-    Algorithm, CounterAsserts, GpuBackend, Migration, MigrationKind, MultiGpuBackend,
-    MultiGpuStrategy, PsoBackend, PsoConfig, Topology, UpdateStrategy,
+    Algorithm, CounterAsserts, GpuBackend, Migration, MigrationKind, PsoBackend, PsoConfig,
+    Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{Rastrigin, Sphere};
 use fastpso_suite::functions::schema::CustomObjective;
-use fastpso_suite::gpu_sim::{Device, FaultPlan, KernelDesc, Phase};
+use fastpso_suite::gpu_sim::{Device, DeviceGroup, FaultPlan, KernelDesc, Phase};
 use fastpso_suite::perf_model::{GpuProfile, LinkProfile};
 use proptest::prelude::*;
 
@@ -105,19 +105,17 @@ fn retry_exhaustion_restores_from_checkpoint() {
     assert_eq!(backend.device().fault_stats().injected, 5);
 }
 
-/// The acceptance scenario: a 2-device ParticleSplit group with three
+/// The acceptance scenario: a 2-device particle-split group with three
 /// transient kernel failures on one device and a permanent loss of the
 /// other completes via retry + restore + rebalancing onto the survivor,
 /// with a bit-identical gbest trajectory.
 #[test]
 fn device_loss_rebalances_onto_survivor_bit_identically() {
     let c = cfg(32, 6, 24);
-    let strategy = MultiGpuStrategy::ParticleSplit { sync_every: 2 };
-    let clean = MultiGpuBackend::new(2, strategy)
-        .run(&c, &Rastrigin)
-        .unwrap();
+    let split = || GpuBackend::with_group(DeviceGroup::v100s(2)).sync_every(2);
+    let clean = split().run(&c, &Rastrigin).unwrap();
 
-    let backend = MultiGpuBackend::new(2, strategy).resilient(ResilienceConfig {
+    let backend = split().resilient(ResilienceConfig {
         checkpoint_every: 4,
         ..ResilienceConfig::default()
     });
@@ -146,8 +144,8 @@ fn device_loss_rebalances_onto_survivor_bit_identically() {
 #[test]
 fn losing_all_devices_is_fatal() {
     let c = cfg(16, 4, 20);
-    let backend = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-        .resilient(ResilienceConfig::default());
+    let backend =
+        GpuBackend::with_group(DeviceGroup::v100s(2)).resilient(ResilienceConfig::default());
     backend.group().set_fault_plans(vec![
         FaultPlan::new().with_device_loss_at_launch(10),
         FaultPlan::new().with_device_loss_at_launch(12),
@@ -216,13 +214,13 @@ fn nan_quarantine_keeps_best_finite() {
     assert_eq!(resilient.best_position, plain.best_position);
 }
 
-/// Multi-GPU ParticleSplit with injected faults still reports the modeled
+/// A 2-device group with injected faults still reports the modeled
 /// concurrent-elapsed semantics (recovery appears in the scaled breakdown).
 #[test]
 fn recovery_appears_in_multi_gpu_breakdown() {
     let c = cfg(32, 6, 16);
-    let backend = MultiGpuBackend::new(2, MultiGpuStrategy::TileMatrix)
-        .resilient(ResilienceConfig::default());
+    let backend =
+        GpuBackend::with_group(DeviceGroup::v100s(2)).resilient(ResilienceConfig::default());
     backend.group().set_fault_plans(vec![
         FaultPlan::new().with_transient_launch(7),
         FaultPlan::new(),
@@ -294,13 +292,11 @@ fn every_fault_ordinal_is_bit_transparent() {
         }
     }
 
-    let strategy = MultiGpuStrategy::ParticleSplit { sync_every: 2 };
-    let clean = MultiGpuBackend::new(2, strategy)
-        .run(&c, &Rastrigin)
-        .unwrap();
+    let split = || GpuBackend::with_group(DeviceGroup::v100s(2)).sync_every(2);
+    let clean = split().run(&c, &Rastrigin).unwrap();
     for dev in 0..2usize {
         for ord in 1..=40u64 {
-            let b = MultiGpuBackend::new(2, strategy).resilient(ResilienceConfig::default());
+            let b = split().resilient(ResilienceConfig::default());
             let mut plans = vec![FaultPlan::new(), FaultPlan::new()];
             plans[dev] = FaultPlan::new().with_transient_launch(ord);
             b.group().set_fault_plans(plans);

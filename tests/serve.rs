@@ -1233,10 +1233,7 @@ fn predictive_admission_accepts_a_sharded_job_whose_wall_time_fits() {
 /// GFWA, an island GFWA job, a job sharded over two devices, an
 /// over-resident single-device job and a batched block of four.
 fn mixed_trace(group: DeviceGroup) -> (Service, Vec<(OptimizeRequest, RunResult)>) {
-    use fastpso::{
-        Algorithm, GpuBackend, Migration, MigrationKind, MultiGpuBackend, MultiGpuStrategy,
-        PsoBackend, Topology,
-    };
+    use fastpso::{Algorithm, GpuBackend, Migration, MigrationKind, PsoBackend, Topology};
     let svc = Service::new(
         group,
         ServeConfig {
@@ -1294,7 +1291,8 @@ fn mixed_trace(group: DeviceGroup) -> (Service, Vec<(OptimizeRequest, RunResult)
         want,
     ));
     let sharded = cfg(128, 8, 14, 8030);
-    let want = MultiGpuBackend::new(2, MultiGpuStrategy::ParticleSplit { sync_every: 1 })
+    let want = GpuBackend::with_group(DeviceGroup::v100s(2))
+        .sync_every(1)
         .run(&sharded, &Griewank)
         .unwrap();
     jobs.push((
