@@ -3,11 +3,13 @@
 //! plan executor, plus a random-search floor.
 //!
 //! Per function, every engine receives the same modeled device-second
-//! budget — PSO's predicted cost at the scale's quality iteration count,
-//! priced by the calibratable cost predictor on the V100 profile — and
-//! runs for however many iterations its *own* modeled per-iteration cost
-//! affords (SSO's single-launch update buys it more iterations; GFWA's
-//! spark cloud buys it fewer). Random search receives the largest total
+//! budget: PSO's full-run price at the scale's quality iteration count on
+//! the V100 profile ([`fastpso::stats::modeled_s`]). Each engine then runs
+//! the largest iteration count whose own full-run price fits that budget
+//! ([`fastpso::stats::iters_within_budget`]), so PSO runs exactly its
+//! quality count, SSO's single-launch update buys it more iterations and
+//! GFWA's spark cloud buys it fewer. Random search
+//! ([`fastpso::stats::random_search`]) receives the largest total
 //! objective-evaluation count any engine used, a deliberately generous
 //! floor: an engine that cannot beat it is not earning its kernels.
 //!
@@ -20,42 +22,15 @@
 //! neighborhood of half-window `k`, or
 //! `islands:<m>:<ring|star|random>:<every_k>:<elites>` for an island
 //! model of `m` sub-swarms migrating `elites` rows every `every_k`
-//! iterations. Island shapes are priced with their migration launches so
-//! the equal-budget comparison stays honest.
+//! iterations. Island shapes are priced with their migration launches (a
+//! full run schedules `iterations / every_k` of them), so the equal-budget
+//! comparison stays honest.
 
-use fastpso::{
-    Algorithm, CostPredictor, GpuBackend, JobShape, PsoBackend, PsoConfig, Topology, UpdateStrategy,
-};
+use fastpso::stats::{iters_within_budget, modeled_s, random_search};
+use fastpso::{Algorithm, GpuBackend, JobShape, PsoBackend, PsoConfig, Topology, UpdateStrategy};
 use fastpso_bench::Scale;
 use fastpso_functions::builtins::{Qap, Rastrigin, Sphere};
 use fastpso_functions::Objective;
-
-/// SplitMix64, the bench-local generator behind the random-search floor.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in `[0, 1)` for (seed, index).
-fn unit(seed: u64, i: u64) -> f32 {
-    (splitmix64(seed ^ i.wrapping_mul(0xA076_1D64_78BD_642F)) >> 40) as f32 / (1u64 << 24) as f32
-}
-
-/// Best value over `evals` uniform samples of `obj`'s domain.
-fn random_search(obj: &dyn Objective, dim: usize, evals: u64, seed: u64) -> f32 {
-    let (lo, hi) = obj.domain();
-    let mut best = f32::INFINITY;
-    let mut x = vec![0.0f32; dim];
-    for e in 0..evals {
-        for (c, slot) in x.iter_mut().enumerate() {
-            *slot = lo + unit(seed, e * dim as u64 + c as u64) * (hi - lo);
-        }
-        best = best.min(obj.eval(&x));
-    }
-    best
-}
 
 /// Objective evaluations one engine iteration costs: the swarm eval plus
 /// GFWA's 8 sparks and one guiding spark per firework.
@@ -82,19 +57,15 @@ fn compare(
     seed: u64,
     topology: Topology,
 ) -> (f64, Vec<Row>) {
-    let predictor = CostPredictor::v100();
-    let per_iter = |algo: Algorithm| {
-        let shape = JobShape::new(particles as u64, dim as u64, 1, UpdateStrategy::GlobalMem)
-            .algorithm(algo)
-            .topology(topology);
-        predictor.base_s(&shape)
-    };
-    let budget_s = per_iter(Algorithm::Pso) * budget_iters as f64;
+    let (n, d) = (particles as u64, dim as u64);
+    let pso =
+        JobShape::new(n, d, budget_iters as u64, UpdateStrategy::GlobalMem).topology(topology);
+    let budget_s = modeled_s(&pso);
 
     let mut rows = Vec::new();
     let mut max_evals = 0u64;
     for algo in Algorithm::ALL {
-        let iters = ((budget_s / per_iter(algo)).floor() as usize).max(1);
+        let iters = iters_within_budget(&pso.clone().algorithm(algo), budget_s) as usize;
         let cfg = PsoConfig::builder(particles, dim)
             .max_iter(iters)
             .seed(seed)

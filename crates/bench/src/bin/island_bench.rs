@@ -1,18 +1,20 @@
 //! Island-model vs single-swarm comparison at equal modeled budget.
 //!
 //! Per multimodal objective, a single global-topology swarm runs for the
-//! scale's iteration horizon and sets the modeled device-second budget
-//! (V100 cost predictor, global-memory strategy). Each island
-//! configuration is then priced with its own extra launches — the
-//! per-iteration elite-select gather plus periodic migration kernels —
-//! and runs for however many iterations fit the *same* budget, so the
-//! comparison charges islands for their coordination overhead. Every
-//! setup runs over a fixed seed panel and reports the median best: the
-//! claim under test is that restricted information flow (independent
-//! islands with periodic elite exchange) out-searches one big
-//! fully-connected swarm on multimodal landscapes, and the binary asserts
-//! the best island configuration beats the single swarm on at least one
-//! objective.
+//! scale's iteration horizon and sets the modeled device-second budget:
+//! its full-run V100 price on the global-memory strategy
+//! ([`fastpso::stats::modeled_s`]). Each island configuration then runs the
+//! largest iteration count whose own full-run price fits the *same* budget
+//! ([`fastpso::stats::iters_within_budget`]). That price includes the
+//! per-iteration elite-select gather and the periodic migration launches,
+//! so the comparison charges islands for their coordination overhead.
+//! Every setup runs over a fixed seed panel through
+//! [`fastpso::stats::run_many`], which reports the median best and the
+//! migration rollup from the same runs. The claim under test is that
+//! restricted information flow (independent islands with periodic elite
+//! exchange) out-searches one big fully-connected swarm on multimodal
+//! landscapes, and the binary asserts the best island configuration beats
+//! the single swarm on at least one objective.
 //!
 //! The horizons here are deliberately longer than the quality presets in
 //! [`Scale`](fastpso_bench::Scale): the island advantage appears once the
@@ -28,9 +30,9 @@
 //! `results/island_compare.md`; this binary is the free-standing,
 //! scale-selectable version of the same experiment.
 
+use fastpso::stats::{iters_within_budget, modeled_s, run_many};
 use fastpso::{
-    CostPredictor, GpuBackend, JobShape, Migration, MigrationKind, PsoBackend, PsoConfig, Topology,
-    UpdateStrategy,
+    GpuBackend, JobShape, Migration, MigrationKind, PsoConfig, Topology, UpdateStrategy,
 };
 use fastpso_functions::builtins::{Qap, Rastrigin};
 use fastpso_functions::Objective;
@@ -38,6 +40,9 @@ use fastpso_functions::Objective;
 /// The seed panel every setup runs over; the reported statistic is the
 /// median best across the panel.
 const SEEDS: [u64; 5] = [42, 43, 44, 45, 46];
+
+/// The setup name of the single global-topology swarm.
+const SINGLE: &str = "single swarm (global)";
 
 /// Sub-swarm count of every island configuration.
 const ISLANDS: usize = 4;
@@ -58,35 +63,9 @@ fn island_topology(kind: MigrationKind) -> Topology {
     }
 }
 
-/// Modeled cost of `iters` iterations of topology `t` at `n`×`d`.
-fn modeled_s(predictor: &CostPredictor, n: usize, d: usize, iters: usize, t: Topology) -> f64 {
-    let shape = JobShape::new(n as u64, d as u64, iters as u64, UpdateStrategy::GlobalMem);
-    predictor.base_s(&shape.topology(t))
-}
-
-/// Largest iteration count whose modeled cost under topology `t` stays
-/// within `budget_s` (monotone in iterations, so a binary search).
-fn iters_within_budget(
-    predictor: &CostPredictor,
-    n: usize,
-    d: usize,
-    budget_s: f64,
-    t: Topology,
-) -> usize {
-    let (mut lo, mut hi) = (1usize, 1usize);
-    while modeled_s(predictor, n, d, hi, t) <= budget_s {
-        lo = hi;
-        hi *= 2;
-    }
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if modeled_s(predictor, n, d, mid, t) <= budget_s {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+/// The `n`×`d` global-memory shape of `iters` iterations under `t`.
+fn shape(n: usize, d: usize, iters: usize, t: Topology) -> JobShape {
+    JobShape::new(n as u64, d as u64, iters as u64, UpdateStrategy::GlobalMem).topology(t)
 }
 
 struct Row {
@@ -97,58 +76,42 @@ struct Row {
     best: f32,
 }
 
-/// Median best over the seed panel for one setup, plus the migration
-/// rollup (identical across seeds — the schedule, not the trajectory,
-/// decides how many rows move; reported for the operator runbook).
-fn run_setup(obj: &dyn Objective, n: usize, d: usize, iters: usize, t: Topology) -> (f32, u64) {
-    let mut migrations = 0;
-    let mut bests: Vec<f32> = SEEDS
-        .iter()
-        .map(|&seed| {
+/// Every setup at the budget of `budget_iters` single-swarm iterations:
+/// the single swarm first (the search gives it back exactly its own
+/// iterations), then one island configuration per migration kind. Each row
+/// holds the panel's median best and migration rollup (identical across
+/// seeds: the schedule, not the trajectory, decides how many rows move;
+/// reported for the operator runbook).
+fn compare(obj: &dyn Objective, n: usize, d: usize, budget_iters: usize) -> (f64, Vec<Row>) {
+    let budget_s = modeled_s(&shape(n, d, budget_iters, Topology::Global));
+    let setups = [
+        Topology::Global,
+        island_topology(MigrationKind::Ring),
+        island_topology(MigrationKind::Star),
+        island_topology(MigrationKind::Random),
+    ];
+    let rows = setups
+        .into_iter()
+        .map(|t| {
+            let iters = iters_within_budget(&shape(n, d, budget_iters, t), budget_s) as usize;
             let cfg = PsoConfig::builder(n, d)
                 .max_iter(iters)
-                .seed(seed)
                 .topology(t)
                 .build()
                 .expect("valid config");
-            let r = GpuBackend::new().run(&cfg, obj).expect("run");
-            migrations = r.migrations;
-            r.best_value as f32
+            let runs = run_many(&GpuBackend::new(), &cfg, obj, &SEEDS).expect("run");
+            Row {
+                setup: match t {
+                    Topology::Global => SINGLE.to_string(),
+                    _ => t.to_string(),
+                },
+                iters,
+                modeled_s: modeled_s(&shape(n, d, iters, t)),
+                migrations: runs.migrations[0],
+                best: runs.median() as f32,
+            }
         })
         .collect();
-    bests.sort_by(f32::total_cmp);
-    (bests[bests.len() / 2], migrations)
-}
-
-fn compare(obj: &dyn Objective, n: usize, d: usize, budget_iters: usize) -> (f64, Vec<Row>) {
-    let predictor = CostPredictor::v100();
-    let budget_s = modeled_s(&predictor, n, d, budget_iters, Topology::Global);
-
-    let mut rows = Vec::new();
-    let (best, migrations) = run_setup(obj, n, d, budget_iters, Topology::Global);
-    rows.push(Row {
-        setup: "single swarm (global)".into(),
-        iters: budget_iters,
-        modeled_s: budget_s,
-        migrations,
-        best,
-    });
-    for kind in [
-        MigrationKind::Ring,
-        MigrationKind::Star,
-        MigrationKind::Random,
-    ] {
-        let t = island_topology(kind);
-        let iters = iters_within_budget(&predictor, n, d, budget_s, t);
-        let (best, migrations) = run_setup(obj, n, d, iters, t);
-        rows.push(Row {
-            setup: t.to_string(),
-            iters,
-            modeled_s: modeled_s(&predictor, n, d, iters, t),
-            migrations,
-            best,
-        });
-    }
     (budget_s, rows)
 }
 
@@ -201,7 +164,7 @@ fn main() {
                 r.setup,
                 r.modeled_s
             );
-            if r.setup != "single swarm (global)" {
+            if r.setup != SINGLE {
                 best_island = best_island.min(r.best);
             }
             md.push_str(&format!(

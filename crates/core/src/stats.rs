@@ -1,14 +1,21 @@
-//! Multi-seed run statistics.
+//! The paper's comparison protocol: multi-seed runs and equal modeled
+//! budgets.
 //!
 //! The paper reports averages over 10 repetitions ("All experiments were
-//! repeated 10 times and the experimental data are the averages"). This
-//! module provides that protocol as a utility: run a backend under a batch
-//! of seeds and summarize solution quality and modeled time.
+//! repeated 10 times and the experimental data are the averages"):
+//! [`run_many`] runs a backend under a batch of seeds and summarizes the
+//! runs ([`MultiRunSummary`]). Comparisons beyond the paper
+//! (`algo_compare`, `island_bench`, `tests/convergence.rs`) price a
+//! reference run's full run with [`modeled_s`], give every contender the
+//! [`iters_within_budget`] of that budget, and hold each engine to the
+//! [`random_search`] floor at the evaluations it spent.
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
 use crate::error::PsoError;
+use crate::predictor::{CostPredictor, JobShape};
 use fastpso_functions::Objective;
+use fastpso_prng::splitmix64;
 
 /// Summary statistics over repeated runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +26,8 @@ pub struct MultiRunSummary {
     pub best_values: Vec<f64>,
     /// Modeled seconds of each run.
     pub elapsed: Vec<f64>,
+    /// Elite rows each run migrated (0 outside island topologies).
+    pub migrations: Vec<u64>,
 }
 
 impl MultiRunSummary {
@@ -107,19 +116,19 @@ pub fn run_many(
     if seeds.is_empty() {
         return Err(PsoError::InvalidConfig("run_many needs >= 1 seed".into()));
     }
-    let mut best_values = Vec::with_capacity(seeds.len());
-    let mut elapsed = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let mut cfg = base.clone();
-        cfg.seed = seed;
-        let r = backend.run(&cfg, obj)?;
-        best_values.push(r.best_value);
-        elapsed.push(r.elapsed_seconds());
-    }
+    let runs = seeds
+        .iter()
+        .map(|&seed| {
+            let mut cfg = base.clone();
+            cfg.seed = seed;
+            backend.run(&cfg, obj)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(MultiRunSummary {
         seeds: seeds.to_vec(),
-        best_values,
-        elapsed,
+        best_values: runs.iter().map(|r| r.best_value).collect(),
+        elapsed: runs.iter().map(|r| r.elapsed_seconds()).collect(),
+        migrations: runs.iter().map(|r| r.migrations).collect(),
     })
 }
 
@@ -128,17 +137,75 @@ pub fn paper_protocol_seeds() -> Vec<u64> {
     (1..=10).collect()
 }
 
+/// Modeled seconds of `shape`'s full run of `shape.iterations`: the
+/// uncalibrated V100 [`CostPredictor::base_s`], island migrations
+/// included. Every equal-budget comparison prices its budget and its
+/// contenders with this one function.
+pub fn modeled_s(shape: &JobShape) -> f64 {
+    CostPredictor::v100().base_s(shape)
+}
+
+/// The largest iteration count `k ≥ 1` whose full-run [`modeled_s`] fits
+/// `budget_s` (`shape.iterations` is ignored). The price grows with `k`, so
+/// the search gallops to a bracket and bisects it. It returns 1 when even
+/// one iteration is over budget, so every contender runs.
+pub fn iters_within_budget(shape: &JobShape, budget_s: f64) -> u64 {
+    assert!(budget_s.is_finite(), "budget {budget_s} is not finite");
+    let mut probe = shape.clone();
+    let mut fits = |iterations| {
+        probe.iterations = iterations;
+        modeled_s(&probe) <= budget_s
+    };
+    // `lo` fits (or is the floor 1); `hi` does not fit.
+    let (mut lo, mut hi) = (1, 1);
+    while fits(hi) {
+        lo = hi;
+        hi *= 2;
+    }
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The random-search floor: the best of `evals` points drawn uniformly
+/// from `obj`'s domain, coordinate `c` of point `e` hashed from `seed` and
+/// `e·dim + c` by [`splitmix64`].
+pub fn random_search(obj: &dyn Objective, dim: usize, evals: u64, seed: u64) -> f32 {
+    let (lo, hi) = obj.domain();
+    let mut best = f32::INFINITY;
+    let mut x = vec![0.0f32; dim];
+    for e in 0..evals {
+        for (c, slot) in x.iter_mut().enumerate() {
+            let h =
+                splitmix64(seed ^ (e * dim as u64 + c as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+            *slot = lo + (h >> 40) as f32 / (1u64 << 24) as f32 * (hi - lo);
+        }
+        best = best.min(obj.eval(&x));
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Algorithm;
+    use crate::gpu::UpdateStrategy;
     use crate::seq::SeqBackend;
-    use fastpso_functions::builtins::Sphere;
+    use crate::topology::Topology;
+    use fastpso_functions::builtins::{Qap, Sphere};
 
     fn summary() -> MultiRunSummary {
         MultiRunSummary {
             seeds: vec![1, 2, 3, 4],
             best_values: vec![1.0, 3.0, 2.0, 6.0],
             elapsed: vec![0.5, 0.5, 0.7, 0.3],
+            migrations: vec![0; 4],
         }
     }
 
@@ -159,6 +226,7 @@ mod tests {
             seeds: vec![1],
             best_values: vec![4.0],
             elapsed: vec![0.1],
+            migrations: vec![0],
         };
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.median(), 4.0);
@@ -186,6 +254,7 @@ mod tests {
             seeds: vec![],
             best_values: vec![],
             elapsed: vec![],
+            migrations: vec![],
         };
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
@@ -202,5 +271,59 @@ mod tests {
     #[test]
     fn paper_protocol_is_ten_runs() {
         assert_eq!(paper_protocol_seeds().len(), 10);
+    }
+
+    /// `algo_compare`'s 512×200 shape for `algo` under `topology`.
+    fn shape(algo: Algorithm, topology: Topology, iters: u64) -> JobShape {
+        JobShape::new(512, 200, iters, UpdateStrategy::GlobalMem)
+            .algorithm(algo)
+            .topology(topology)
+    }
+
+    #[test]
+    fn the_budget_setting_engine_gets_its_whole_budget() {
+        let pso = shape(Algorithm::Pso, Topology::Global, 400);
+        let budget = modeled_s(&pso);
+        // Dividing the budget by the one-iteration price rounds below 400.
+        let per_iter = modeled_s(&shape(Algorithm::Pso, Topology::Global, 1));
+        assert_eq!((budget / per_iter).floor(), 399.0);
+        assert_eq!(iters_within_budget(&pso, budget), 400);
+    }
+
+    #[test]
+    fn island_shapes_are_priced_with_their_migrations() {
+        let t: Topology = "islands:4:ring:5:2".parse().unwrap();
+        let budget = modeled_s(&shape(Algorithm::Pso, t, 400));
+        // One iteration schedules no migration, so a per-iteration price
+        // would state a smaller budget.
+        let per_iter = modeled_s(&shape(Algorithm::Pso, t, 1));
+        assert!(per_iter * 400.0 < budget);
+        for (algo, want) in [
+            (Algorithm::Pso, 400),
+            (Algorithm::Sso, 578),
+            (Algorithm::Gfwa, 270),
+        ] {
+            let k = iters_within_budget(&shape(algo, t, 1), budget);
+            assert_eq!(k, want, "{algo}");
+            assert!(modeled_s(&shape(algo, t, k)) <= budget, "{algo}");
+            assert!(modeled_s(&shape(algo, t, k + 1)) > budget, "{algo}");
+        }
+    }
+
+    #[test]
+    fn one_iteration_is_the_floor() {
+        let gfwa = shape(Algorithm::Gfwa, Topology::Global, 1);
+        assert_eq!(iters_within_budget(&gfwa, modeled_s(&gfwa) / 2.0), 1);
+        assert_eq!(iters_within_budget(&gfwa, 0.0), 1);
+    }
+
+    #[test]
+    fn random_search_draws_one_fixed_sequence_per_seed() {
+        let few = random_search(&Qap, 12, 10, 77);
+        let many = random_search(&Qap, 12, 500, 77);
+        // The first 10 points of the longer search are the same 10 points.
+        assert!(many <= few);
+        assert_eq!(few, random_search(&Qap, 12, 10, 77));
+        assert_ne!(few, random_search(&Qap, 12, 10, 78));
     }
 }

@@ -14,6 +14,7 @@
 //! plateaued) in tests and examples.
 
 use crate::objective::Objective;
+use fastpso_prng::splitmix64;
 use std::f32::consts::PI;
 
 /// `Σ xᵢ²` — convex bowl; the easiest sanity workload.
@@ -309,19 +310,11 @@ impl Objective for StyblinskiTang {
 /// `Σᵢⱼ flow(i,j) · dist(π(i), π(j))`.
 ///
 /// The `d × d` flow and distance matrices are derived on the fly from a
-/// fixed hash of `(matrix, i, j)` — symmetric, zero-diagonal, uniform in
+/// fixed hash ([`splitmix64`]) of `(matrix, i, j)` — symmetric, zero-diagonal, uniform in
 /// `[0, 10)` — so every dimensionality yields a deterministic instance
 /// with no stored data, and all backends see the same landscape.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Qap;
-
-/// SplitMix64 — the hash behind [`Qap`]'s synthetic flow/distance entries.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl Qap {
     /// Symmetric, zero-diagonal matrix entry in `[0, 10)`: `matrix` 0 is

@@ -17,6 +17,7 @@
 //! is permanent — after its trigger fires, every subsequent operation on the
 //! device fails with [`GpuError::DeviceLost`](crate::GpuError::DeviceLost).
 
+use fastpso_prng::SplitMix64;
 use std::collections::BTreeSet;
 
 /// When, in a device's operation stream, faults fire.
@@ -68,24 +69,17 @@ impl FaultPlan {
     }
 
     /// Draw `count` distinct transient launch-fault ordinals uniformly from
-    /// `1..=max_launch` using a splitmix64 stream over `seed`. Deterministic:
+    /// `1..=max_launch` using a [`SplitMix64`] stream over `seed`. Deterministic:
     /// the same `(seed, count, max_launch)` always yields the same plan.
     pub fn seeded(seed: u64, count: usize, max_launch: u64) -> Self {
         assert!(
             max_launch >= count as u64,
             "not enough launch slots for faults"
         );
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed);
         let mut faults = BTreeSet::new();
         while faults.len() < count {
-            faults.insert(1 + ((next() as u128 * max_launch as u128) >> 64) as u64);
+            faults.insert(1 + ((rng.next_u64() as u128 * max_launch as u128) >> 64) as u64);
         }
         FaultPlan {
             launch_faults: faults,

@@ -11,7 +11,8 @@
 //!
 //! Also provided:
 //!
-//! * [`SplitMix64`] — seed expansion (keys, stream offsets);
+//! * [`SplitMix64`] — seed expansion (keys, stream offsets), and its
+//!   mix [`splitmix64`] as a stateless hash;
 //! * [`Xoshiro256pp`] — a fast sequential generator for host-side baselines;
 //! * [`dist`] — uniform/normal mappings from raw words to floats.
 //!
@@ -37,5 +38,5 @@ pub mod xoshiro;
 
 pub use dist::{normal_from_u32_pair, uniform_f32_from_u32, uniform_in_range};
 pub use philox::Philox;
-pub use splitmix::SplitMix64;
+pub use splitmix::{splitmix64, SplitMix64};
 pub use xoshiro::Xoshiro256pp;

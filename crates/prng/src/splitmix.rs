@@ -3,6 +3,20 @@
 //! output per step; primarily used here to derive keys and sub-seeds for
 //! the other generators so user-facing seeds can be small integers.
 
+/// The golden-ratio increment SplitMix64 adds to its state per step.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output of state `z`: add the golden-ratio increment,
+/// then mix. Also a stateless 64-bit hash: QAP's synthetic matrix entries
+/// and the random-search floor both draw from it.
+#[inline]
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -18,11 +32,9 @@ impl SplitMix64 {
     /// Next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// Next `f64` in `[0, 1)`.

@@ -5,9 +5,10 @@
 //! must hold.
 
 use fastpso_suite::baselines::{GpuPsoBaseline, HGpuPsoBaseline, PySwarmsLike, ScikitOptLike};
+use fastpso_suite::fastpso::stats::{iters_within_budget, modeled_s, random_search};
 use fastpso_suite::fastpso::{
-    Algorithm, AttractorSemantics, CostPredictor, GpuBackend, JobShape, Migration, MigrationKind,
-    ParBackend, PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
+    Algorithm, AttractorSemantics, GpuBackend, JobShape, Migration, MigrationKind, ParBackend,
+    PsoBackend, PsoConfig, SeqBackend, Topology, UpdateStrategy,
 };
 use fastpso_suite::functions::builtins::{
     Easom, Griewank, Levy, Qap, Rastrigin, Rosenbrock, Sphere,
@@ -134,41 +135,6 @@ fn scalar_broadcast_semantics_run_but_explore_differently() {
     );
 }
 
-/// Best value over `evals` uniform samples of `obj`'s domain — the
-/// random-search floor the new engines must beat at equal modeled budget.
-fn random_search(obj: &dyn Objective, dim: usize, evals: u64, seed: u64) -> f32 {
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let (lo, hi) = obj.domain();
-    let mut best = f32::INFINITY;
-    let mut x = vec![0.0f32; dim];
-    for e in 0..evals {
-        for (c, slot) in x.iter_mut().enumerate() {
-            let h =
-                splitmix64(seed ^ (e * dim as u64 + c as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            *slot = lo + (h >> 40) as f32 / (1u64 << 24) as f32 * (hi - lo);
-        }
-        best = best.min(obj.eval(&x));
-    }
-    best
-}
-
-/// Iterations `algo` affords at the modeled device-second budget of a PSO
-/// run of `iters` iterations, per the V100 cost predictor — the same
-/// equal-budget accounting the `algo_compare` bench uses.
-fn budget_iters(algo: Algorithm, n: usize, d: usize, iters: usize) -> usize {
-    let p = CostPredictor::v100();
-    let per_iter = |a: Algorithm| {
-        p.base_s(&JobShape::new(n as u64, d as u64, 1, UpdateStrategy::GlobalMem).algorithm(a))
-    };
-    let budget = per_iter(Algorithm::Pso) * iters as f64;
-    ((budget / per_iter(algo)).floor() as usize).max(1)
-}
-
 #[test]
 fn sso_beats_random_search_on_qap_at_equal_modeled_budget() {
     // Discrete SSO on the permutation-encoded QAP: its index-sampling
@@ -176,12 +142,13 @@ fn sso_beats_random_search_on_qap_at_equal_modeled_budget() {
     // exactly this landscape. The modeled budget is a 64x12 PSO run of
     // 200 iterations; SSO's cheaper schedule affords it more iterations,
     // and random search gets the same evaluation count SSO used.
-    let (n, d, pso_iters) = (64, 12, 200);
-    let iters = budget_iters(Algorithm::Sso, n, d, pso_iters);
+    let pso = JobShape::new(64, 12, 200, UpdateStrategy::GlobalMem);
+    let iters = iters_within_budget(&pso.clone().algorithm(Algorithm::Sso), modeled_s(&pso));
     assert!(
-        iters > pso_iters,
+        iters > pso.iterations,
         "SSO must afford more iterations than PSO"
     );
+    let (n, d, iters) = (pso.particles as usize, pso.dim as usize, iters as usize);
     let c = PsoConfig::builder(n, d)
         .max_iter(iters)
         .seed(77)
@@ -207,9 +174,13 @@ fn gfwa_beats_random_search_on_high_dim_multimodal_at_equal_modeled_budget() {
     // GFWA on 32-D Rastrigin: the explosion cloud plus the guiding spark
     // must out-search a random sampler that receives every objective
     // evaluation GFWA spent (fireworks + 8 sparks + guide per firework).
-    let (n, d, pso_iters) = (48, 32, 300);
-    let iters = budget_iters(Algorithm::Gfwa, n, d, pso_iters);
-    assert!(iters < pso_iters, "GFWA's spark cloud must price above PSO");
+    let pso = JobShape::new(48, 32, 300, UpdateStrategy::GlobalMem);
+    let iters = iters_within_budget(&pso.clone().algorithm(Algorithm::Gfwa), modeled_s(&pso));
+    assert!(
+        iters < pso.iterations,
+        "GFWA's spark cloud must price above PSO"
+    );
+    let (n, d, iters) = (pso.particles as usize, pso.dim as usize, iters as usize);
     let c = PsoConfig::builder(n, d)
         .max_iter(iters)
         .seed(77)
@@ -228,25 +199,6 @@ fn gfwa_beats_random_search_on_high_dim_multimodal_at_equal_modeled_budget() {
         "GFWA best {} must beat random search {floor} at {evals} evals",
         r.best_value
     );
-}
-
-/// Modeled cost of `iters` iterations of topology `t` at `n`×`d` — the
-/// same V100 pricing `island_bench` uses, including the island gather and
-/// migration launches.
-fn modeled_s(n: usize, d: usize, iters: usize, t: Topology) -> f64 {
-    let shape = JobShape::new(n as u64, d as u64, iters as u64, UpdateStrategy::GlobalMem);
-    CostPredictor::v100().base_s(&shape.topology(t))
-}
-
-/// Largest iteration count whose modeled cost under topology `t` stays
-/// within the budget of a `budget_iters`-iteration global-topology run.
-fn island_iters_within_budget(n: usize, d: usize, budget_iters: usize, t: Topology) -> usize {
-    let budget = modeled_s(n, d, budget_iters, Topology::Global);
-    let mut iters = 1;
-    while modeled_s(n, d, iters + 1, t) <= budget {
-        iters += 1;
-    }
-    iters
 }
 
 /// Golden pinning the islands-vs-single-swarm quality comparison. The
@@ -294,7 +246,14 @@ fn islands_beat_the_single_swarm_at_equal_modeled_budget() {
             GpuBackend::new().run(&cfg, obj).unwrap()
         };
         let single = run(Topology::Global, budget_iters);
-        let iters = island_iters_within_budget(n, d, budget_iters, islands);
+        let global = JobShape::new(
+            n as u64,
+            d as u64,
+            budget_iters as u64,
+            UpdateStrategy::GlobalMem,
+        );
+        let iters =
+            iters_within_budget(&global.clone().topology(islands), modeled_s(&global)) as usize;
         assert!(
             iters < budget_iters,
             "{name}: island launches must price above the plain schedule"

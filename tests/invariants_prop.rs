@@ -342,3 +342,40 @@ proptest! {
         prop_assert!(s.parse::<UpdateStrategy>().is_err());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The equal-budget search (galloping, then bisection) returns exactly
+    /// what a linear scan from one iteration returns: the largest count
+    /// whose full-run price fits the budget, or 1 when none does. Budgets
+    /// are a random fraction or multiple of a PSO reference run under the
+    /// same topology, so some fall below one iteration's price.
+    #[test]
+    fn budget_search_matches_a_linear_scan(
+        // Packs algorithm (3) × topology (3) × particles 16..=64 (4) ×
+        // dimension 2..=26 (4).
+        packed in 0usize..144,
+        reference_iters in 1u64..200,
+        scale in 0.0f64..2.0,
+    ) {
+        use fastpso_suite::fastpso::stats::{iters_within_budget, modeled_s};
+        use fastpso_suite::fastpso::{Algorithm, JobShape, Topology};
+        let topology = ["global", "ring_lbest:2", "islands:4:random:5:2"][packed / 3 % 3]
+            .parse::<Topology>()
+            .unwrap();
+        let shape = |algo: Algorithm, iterations: u64| {
+            let (n, d) = (16 + 16 * (packed / 9 % 4), 2 + 8 * (packed / 36));
+            JobShape::new(n as u64, d as u64, iterations, UpdateStrategy::GlobalMem)
+                .algorithm(algo)
+                .topology(topology)
+        };
+        let budget = modeled_s(&shape(Algorithm::Pso, reference_iters)) * scale;
+        let algo = Algorithm::ALL[packed % 3];
+        let mut scan = 1;
+        while modeled_s(&shape(algo, scan + 1)) <= budget {
+            scan += 1;
+        }
+        prop_assert_eq!(iters_within_budget(&shape(algo, 1), budget), scan);
+    }
+}
