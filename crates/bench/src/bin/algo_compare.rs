@@ -119,8 +119,8 @@ fn main() {
         "# PSO vs SSO vs GFWA at equal modeled budget\n\n\
          Every engine gets the same modeled device-second budget — PSO's\n\
          predicted cost at the quality iteration count, V100 profile,\n\
-         global-memory strategy — and runs for as many iterations as its\n\
-         own modeled per-iteration cost affords. Random search gets the\n\
+         global-memory strategy — and runs the largest iteration count\n\
+         whose own modeled full-run price fits it. Random search gets the\n\
          largest objective-evaluation count any engine used.\n\n\
          Regenerate: `cargo run --release -p fastpso-bench --bin\n\
          algo_compare` (append `--smoke` for the CI-sized run,\n\

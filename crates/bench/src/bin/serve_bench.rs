@@ -124,11 +124,15 @@ const OVERLOAD_SLOTS: usize = 4;
 /// Completion deadline of every burst job, as a multiple of one served
 /// wave of burst jobs (see [`overload_deadline_s`]). The burst is three
 /// waves, and a deadline short of one wave lets no full wave finish in
-/// time, so most of it cannot. The gates hold from 0.70 to 0.80 of a wave.
+/// time, so most of it cannot. The gates hold from 0.50 to 0.95 of a wave.
 const OVERLOAD_DEADLINE_WAVES: f64 = 0.77;
 
+/// A warm-up or burst job: 1024×64, large enough that the lanes of a
+/// device's wave serialize under the work-conserving floor, so a lone job
+/// takes about half a wave and a deadline short of one wave still fits
+/// some.
 fn overload_cfg(i: u64) -> PsoConfig {
-    PsoConfig::builder(64, 8)
+    PsoConfig::builder(1024, 64)
         .max_iter(80)
         .seed(2000 + i)
         .build()
@@ -152,8 +156,8 @@ fn overload_service(predictive: bool) -> Service {
 /// The burst's deadline in modeled seconds after submission: a multiple of
 /// one full wave of burst jobs (one per slot of the group) as the service
 /// serves it. Co-resident jobs step side by side on their devices' stream
-/// lanes, so a wave takes little longer than one job alone; scaling by the
-/// served wave keeps the scenario's overload ratio — and so its outcome —
+/// lanes, and these jobs are large enough that the lanes serialize, so a
+/// lone job takes about half a wave; scaling by the served wave keeps the scenario's overload ratio — and so its outcome —
 /// independent of how fast the engine models a job and of how much of
 /// each job's time its neighbours' lanes hide.
 fn overload_deadline_s() -> f64 {

@@ -895,8 +895,10 @@ impl<'a> PlanRun<'a> {
 
     /// Assemble the [`RunResult`] from a finished (or abandoned) execution
     /// state, downloading the winning position — the run's only mandatory
-    /// device→host transfer.
-    pub(crate) fn finish_state(&self, ex: ExecState) -> RunResult {
+    /// device→host transfer. The state keeps its device buffers: the serving
+    /// layer downloads on the job's lane inside its last region and frees
+    /// them after the region closes.
+    pub(crate) fn finish_state(&self, ex: &ExecState) -> RunResult {
         let cfg = self.cfg;
         match self.plan.reduce {
             BestReduce::Local => {
@@ -910,17 +912,17 @@ impl<'a> PlanRun<'a> {
                     iterations: ex.iterations_run,
                     evaluations: (cfg.n_particles * ex.iterations_run) as u64,
                     timeline: shard.gbest_pos.device().timeline(),
-                    history: ex.history,
+                    history: ex.history.clone(),
                     migrations: ex.st.migrations,
                 }
             }
             BestReduce::Exchange { .. } => RunResult {
                 best_value: ex.st.global_best_err as f64,
-                best_position: ex.st.global_best_pos,
+                best_position: ex.st.global_best_pos.clone(),
                 iterations: ex.iterations_run,
                 evaluations: (cfg.n_particles * ex.iterations_run) as u64,
                 timeline: scaled_group_timeline(self.group),
-                history: ex.history,
+                history: ex.history.clone(),
                 migrations: ex.st.migrations,
             },
         }
@@ -997,7 +999,7 @@ impl<'a> PlanRun<'a> {
         } else {
             self.step_slice(&mut ex, usize::MAX)?;
         }
-        Ok(self.finish_state(ex))
+        Ok(self.finish_state(&ex))
     }
 }
 
@@ -1017,7 +1019,9 @@ impl<'a> PlanRun<'a> {
 /// Two dispatchers call this: a persistent GPU run ([`PlanRun::execute`]),
 /// with one state for the whole run, and the
 /// serving layer, once per tick over its whole group, with every running
-/// job's slice inside on its own stream lane of each device it leases;
+/// job's slice inside on its own stream lane of each device it leases (a
+/// job's init or resume in its first region, its result download in its
+/// last);
 /// `slice` joins those lanes before it returns, so a region's wall time
 /// is its longest lane (see `gpu_sim::stream`).
 pub(crate) fn run_resident<T>(

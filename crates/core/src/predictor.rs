@@ -19,9 +19,10 @@
 //!    priced on the shape's [`Schedule`]: launch by launch, or resident in
 //!    one region per slice and device shared with its other jobs — the
 //!    latter with the init, allocation, barrier, best-exchange, checkpoint
-//!    and download charges that exposes. The base is
-//!    pure arithmetic over the [`GpuProfile`] and [`LinkProfile`], so it
-//!    is exactly reproducible.
+//!    and download charges that exposes, the init and the download as
+//!    work on the job's stream lanes inside its first and last regions.
+//!    The base is pure arithmetic over the [`GpuProfile`] and
+//!    [`LinkProfile`], so it is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
 //!    omits data-dependent costs (the pbest and gbest adoption copies)
 //!    and, outside the resident schedule, allocator history and the
@@ -311,7 +312,8 @@ impl CostPredictor {
     /// hides behind launch overhead, each charge priced from the
     /// descriptor, function or constant that charges it:
     /// - the init launches (`init_swarm`, and the algorithm's
-    ///   [`crate::SwarmAlgorithm::init_extra_launch`]) at full launch price;
+    ///   [`crate::SwarmAlgorithm::init_extra_launch`]) as in-region passes,
+    ///   their launch overhead collapsed into the first region;
     /// - the shard's [`Shard::BUFFERS`] allocations (plus the extra state's)
     ///   at the fresh-allocation price, the `pooled` share of them at the
     ///   pool-hit price, and each iteration's
@@ -332,11 +334,12 @@ impl CostPredictor {
     /// - the driver's price, less the pool hit, of each of its
     ///   `region_misses`.
     ///
-    /// The seconds a resident job spends on its stream lanes — its
-    /// in-region passes and each iteration's allocations, barriers and best
-    /// exchange — are billed at the schedule's `lane_share`; the region
-    /// opens and everything the job charges outside its lanes (inits, init
-    /// allocations, checkpoints, the download) are not.
+    /// The seconds a resident job spends on its stream lanes — its init
+    /// passes and allocations in its first region, its in-region passes,
+    /// each iteration's allocations, barriers and best exchange, and the
+    /// result download in its last region — are billed at the schedule's
+    /// `lane_share`; the region opens and the checkpoints, which run after
+    /// the lanes join, are not.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -434,7 +437,7 @@ impl CostPredictor {
     }
 
     /// The charges one shard of a [`Schedule::Resident`] shape pays beyond
-    /// its passes and region opens: its init launches and allocations, the
+    /// its passes and region opens: its init passes and allocations, the
     /// weight buffers each iteration requests, `syncs` grid barriers per
     /// iteration, a sharded shape's best exchange, the slice-boundary
     /// checkpoints and the result download (see [`CostPredictor::base_s`]).
@@ -454,17 +457,17 @@ impl CostPredictor {
         let (rows, d, iters) = (tail.rows, tail.d, shape.iterations);
         let alg = algorithm_impl(shape.algo);
         let time = |desc: &KernelDesc| gpu_kernel_time(gpu, &desc.work());
+        // An in-region pass: no launch overhead of its own.
+        let pass = |desc: &KernelDesc| (time(desc) - gpu.kernel_launch_overhead_s).max(0.0);
         let extra = alg.init_extra_launch(tail);
-        let init = time(&init_swarm_desc(gpu, rows * d)) + extra.as_ref().map_or(0.0, time);
+        let init = pass(&init_swarm_desc(gpu, rows * d)) + extra.as_ref().map_or(0.0, pass);
         let buffers = (Shard::BUFFERS + u64::from(extra.is_some())) as f64;
         let buffers = buffers * (1.0 - pooled) + buffers * pooled * CACHE_HIT_COST_FRACTION;
-        // Per-iteration allocations, barriers and best exchanges queue on
-        // the job's lanes, billed at its lane share; the init's do not.
+        // The init's and each iteration's allocations, the barriers and the
+        // best exchanges queue on the job's lanes, billed at its lane share.
         let allocs = gpu.device_alloc_cost_s
-            * (buffers
-                + (iters * alg.iteration_allocs(tail)) as f64
-                    * CACHE_HIT_COST_FRACTION
-                    * lane_share);
+            * (buffers + (iters * alg.iteration_allocs(tail)) as f64 * CACHE_HIT_COST_FRACTION)
+            * lane_share;
         let barriers = (iters * syncs) as f64 * GRID_SYNC_OVERHEAD_S * lane_share;
         let exchange = if shape.shards > 1 {
             iters as f64 * transfer_time(&self.link, best_exchange_bytes(d)) * lane_share
@@ -476,9 +479,7 @@ impl CostPredictor {
             c => (slices(iters, slice) - 1) / c,
         };
         let elems = Shard::checkpoint_elems(rows, d, extra.is_some());
-        let pack = (time(&KernelDesc::checkpoint_pack(Phase::Recovery, elems))
-            - gpu.kernel_launch_overhead_s)
-            .max(0.0);
+        let pack = pass(&KernelDesc::checkpoint_pack(Phase::Recovery, elems));
         let f32_bytes = std::mem::size_of::<f32>() as u64;
         // The share of each open and capture latency other jobs pay.
         let shared = 1.0 - 1.0 / sharers.max(1.0);
@@ -486,7 +487,8 @@ impl CostPredictor {
             pack + transfer_time(&self.link, elems * f32_bytes) - self.link.latency_s * shared;
         let download = transfer_time(&self.link, d * f32_bytes);
         let opens = slices(iters, slice) as f64 * gpu.kernel_launch_overhead_s * shared;
-        init + allocs + barriers + exchange + captures as f64 * capture + download - opens
+        let lanes = (init + download) * lane_share + allocs + barriers + exchange;
+        lanes + captures as f64 * capture - opens
     }
 
     /// The calibrated multiplier currently applied to predictions under
@@ -706,9 +708,8 @@ mod tests {
         for shards in [1, 3] {
             let shape = JobShape::new(96, 8, 80, UpdateStrategy::GlobalMem).shards(shards);
             let at = |lane_share| p.base_s(&shape.clone().schedule(lanes(8, 1, lane_share)));
-            // Affine in the share: what stays outside the lanes (inits,
-            // init allocations, region opens, captures, the download) is
-            // billed in full at any share.
+            // Affine in the share: what stays outside the lanes (region
+            // opens and captures) is billed in full at any share.
             let (none, half, full) = (at(0.0), at(0.5), at(1.0));
             assert!(none > 0.0 && none < half && half < full);
             assert!(((full - half) - (half - none)).abs() < 1e-15 * full);

@@ -16,15 +16,18 @@
 //!   (several co-resident jobs per device), large jobs (at least
 //!   [`ServeConfig::shard_threshold_particles`] particles) shard across
 //!   every device with an exchange reduction each iteration;
-//! * **residency** — each tick opens one persistent region per device, and
-//!   every running job leased there steps its slice inside it, on its own
-//!   stream lane, side by side with the others: one host launch per
-//!   device and tick instead of one per kernel, with every due slice
-//!   checkpoint packed inside the regions (one copy per device) once the
-//!   lanes join. Each device's open and copy are billed in equal shares to
-//!   its jobs, and the time its lanes hid to the jobs on them in
-//!   proportion to their lane seconds. Each
-//!   region is grid-stride, the paper's resource-aware thread creation: at
+//! * **residency** — admission only leases; each tick opens one
+//!   persistent region per device, and every running job leased there
+//!   steps its slice inside it, on its own stream lane, side by side with
+//!   the others. A job's swarm is built on that lane inside its first
+//!   region (a fresh init, or a resume from its checkpoint), before any
+//!   job steps, and its result is downloaded on it inside its last. That
+//!   is one host launch per device and tick instead of one per kernel,
+//!   with every due slice checkpoint packed inside the regions (one copy
+//!   per device) once the lanes join. Each device's open and copy are
+//!   billed in equal shares to its jobs, and the time its lanes hid to the
+//!   jobs on them in proportion to their lane seconds. Each region is
+//!   grid-stride, the paper's resource-aware thread creation: at
 //!   most the device's resident threads, each covering `Σ n·d / threads`
 //!   elements of the jobs homed there, so jobs too large to be co-resident
 //!   still run resident. A sharded job's per-iteration best exchange runs
@@ -396,11 +399,11 @@ mod tests {
             );
             assert_eq!(a.best_position, b.best_position);
         }
-        // Alone or batched, every job steps resident after its one init
-        // launch, and all four share the device's one region per tick
-        // (30 iterations, 8 per slice: four ticks).
-        assert_eq!(solo_launches, 4 + 4, "one region per tick");
-        assert_eq!(batch_launches, 4 + 4, "one region per tick");
+        // Alone or batched, every job builds its swarm inside its first
+        // region and steps resident, and all four share the device's one
+        // region per tick (30 iterations, 8 per slice: four ticks).
+        assert_eq!(solo_launches, 4, "one region per tick");
+        assert_eq!(batch_launches, 4, "one region per tick");
     }
 
     /// Jobs of different strategies share one lease, unless the policy's

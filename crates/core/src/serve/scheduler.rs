@@ -9,7 +9,8 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
 use crate::plan::{
-    check_shardable, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun, SuspendedJob,
+    check_shardable, partition, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun,
+    SuspendedJob,
 };
 use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
@@ -157,7 +158,8 @@ struct Job {
     /// Region opens and checkpoint copies billed to the job, and the sum
     /// of its `1/n` share of each.
     shares: [f64; 2],
-    /// Share of the buffers its last init allocated that the pool served.
+    /// Share of the buffers its last init or resume allocated that the
+    /// pool served.
     pooled: f64,
     /// Seconds the job queued on its stream lanes, and what it was billed
     /// for them after its devices' overlap credits.
@@ -193,6 +195,17 @@ impl Job {
             billed / queued
         } else {
             1.0
+        }
+    }
+
+    /// Add `spent` ([`Meter::since`] entries), seconds the job queued on
+    /// its stream lanes, to its lane seconds and to `queued`, its seconds on
+    /// each device's lane this tick.
+    fn on_lanes(&mut self, spent: &[[f64; 2]], queued: &mut [f64]) {
+        for (q, [total, _]) in queued.iter_mut().zip(spent) {
+            *q += total;
+            self.lane_s[0] += total;
+            self.lane_s[1] += total;
         }
     }
 
@@ -307,29 +320,80 @@ struct Running {
     /// `lease.devices()[k]`. Micro-batch members share one lease (`Rc`): it
     /// returns to the pool when the *last* member releases it.
     lease: Rc<Lease>,
-    state: ExecState,
-    /// Latest host-side checkpoint, captured at a slice boundary. Device
-    /// loss rolls the job back to this; `None` (no boundary reached yet)
-    /// restarts it fresh — both replay bit-identically.
+    /// The job's device state: `None` from admission until its first
+    /// region builds it on the job's lanes ([`Running::materialize`]).
+    state: Option<ExecState>,
+    /// Latest host-side checkpoint, captured at a slice boundary, or the
+    /// suspended work the job was admitted with. Device loss rolls the job
+    /// back to this; `None` (no boundary reached yet) restarts it fresh —
+    /// both replay bit-identically.
     snapshot: Option<SuspendedJob>,
     slices_since_snapshot: usize,
 }
 
 impl Running {
     /// Elements the job holds on each device of an `n`-device group; none
-    /// when it leases a `lost` device, since it will not step.
+    /// when it leases a `lost` device, since it will not step. A job with
+    /// no state yet holds what its first region builds: each shard's rows
+    /// of the plan's partition, on view device `shard % len` as
+    /// [`PlanRun::resume`] homes them.
     fn homed(&self, n: usize, lost: &[bool]) -> Vec<u64> {
         let mut out = vec![0; n];
         if self.lease.devices().iter().any(|&d| lost[d]) {
             return out;
         }
-        let view = self.state.elements_per_device(self.view.len());
+        let devices = self.view.len();
+        let view = match &self.state {
+            Some(state) => state.elements_per_device(devices),
+            None => {
+                let (n, d) = (self.job.req.cfg.n_particles, self.job.req.cfg.dim);
+                let mut view = vec![0; devices];
+                for (s, (_, rows)) in partition(n, self.plan.n_shards).into_iter().enumerate() {
+                    view[s % devices] += (rows * d) as u64;
+                }
+                view
+            }
+        };
         for (&d, e) in self.lease.devices().iter().zip(view) {
             out[d] += e;
         }
         out
     }
+
+    /// Build the job's device state, on whatever lanes are bound: a resume
+    /// from its snapshot when it holds one, else a fresh init.
+    fn materialize(&self) -> Result<ExecState, PsoError> {
+        let run = bind(&self.job.req, &self.plan, &self.view);
+        match &self.snapshot {
+            Some(s) => run.resume(s.clone()),
+            None => run.init_state(),
+        }
+    }
+
+    /// Iterations completed so far: the state's, or those of the work it
+    /// was admitted with.
+    fn iterations(&self) -> usize {
+        match (&self.state, &self.snapshot) {
+            (Some(state), _) => state.iterations_run(),
+            (None, snap) => snap.as_ref().map_or(0, SuspendedJob::iterations_run),
+        }
+    }
+
+    /// Bind each device the job leases to the job's lane there.
+    fn bind_lanes(&self, group: &DeviceGroup, lanes: &[u32]) {
+        for (&d, &lane) in self.lease.devices().iter().zip(lanes) {
+            group
+                .device(d)
+                .expect("a leased device is in the group")
+                .bind_stream(lane);
+        }
+    }
 }
+
+/// What one tick's region did with a running job: `None` when it did not
+/// step, else the slice's outcome, carrying the job's result once it
+/// completes.
+type SliceOutcome = Option<Result<Option<RunResult>, PsoError>>;
 
 /// A finished job: terminal status plus the result when it completed.
 struct Finished {
@@ -1046,8 +1110,8 @@ impl Service {
             let others = self.gather_batch(&entry);
             events += 1 + others.len();
             // Each member takes its own handle to the shared lease and
-            // admission drops its own after: whichever handle goes last —
-            // a member that failed to start included — returns the lease.
+            // admission drops its own after: whichever handle goes last
+            // returns the lease.
             let lease = Rc::new(lease);
             for m in std::iter::once(entry).chain(others) {
                 self.start(m, Rc::clone(&lease));
@@ -1116,16 +1180,25 @@ impl Service {
         let Some(i) = victim else {
             return false;
         };
-        let meter = Meter::read(&self.group);
         let Running {
             mut job,
             lease,
             state,
+            snapshot,
             ..
         } = self.running.remove(i);
-        let work = Work::Suspended(state.snapshot());
-        drop(state); // every device buffer released
-        meter.charge(&self.group, &mut job);
+        // A job preempted before its first region holds no device state:
+        // it goes back with the work it was admitted with, unbilled.
+        let work = match state {
+            Some(state) => {
+                let meter = Meter::read(&self.group);
+                let work = Work::Suspended(state.snapshot());
+                drop(state); // every device buffer released
+                meter.charge(&self.group, &mut job);
+                work
+            }
+            None => snapshot.map_or(Work::Fresh, Work::Suspended),
+        };
         self.release_shared(lease);
         self.journal.append(ServeEvent::Preempt { job: job.id.0 });
         // Preempted work was already admitted once; it re-enters above the
@@ -1134,10 +1207,9 @@ impl Service {
         true
     }
 
-    /// Move a queue entry onto its lease. A device lost mid-admission
-    /// re-queues the job (another re-homing) so the next tick places it on
-    /// the devices that survive; any other start failure records the job
-    /// as failed.
+    /// Move a queue entry onto its lease. Admission only leases: the job's
+    /// device state is built on its lanes inside its first region
+    /// ([`Service::step_running`]).
     ///
     /// Fresh jobs get one shard per leased device. Suspended jobs keep
     /// their original shard geometry: a `k`-shard checkpoint resumes over
@@ -1150,51 +1222,19 @@ impl Service {
             job: job.id.0,
             devices: lease.devices().iter().map(|&d| d as u32).collect(),
         });
-        let n_shards = match &work {
-            Work::Suspended(s) => s.n_shards(),
-            Work::Fresh => lease.devices().len(),
+        let (n_shards, snapshot) = match work {
+            Work::Suspended(s) => (s.n_shards(), Some(s)),
+            Work::Fresh => (lease.devices().len(), None),
         };
         let view = self.pool.group_view(&lease);
         let plan = build_plan(&job.req, n_shards);
-        let meter = Meter::read(&self.group);
-        let before = self.group.merged_counters();
-        let run = bind(&job.req, &plan, &view);
-        let state = match &work {
-            Work::Fresh => run.init_state(),
-            Work::Suspended(s) => run.resume(s.clone()),
-        };
-        let after = self.group.merged_counters();
-        let hits = after.device_alloc_cache_hits - before.device_alloc_cache_hits;
-        let allocs = after.device_allocs - before.device_allocs + hits;
-        job.pooled = hits as f64 / allocs.max(1) as f64;
-        let Ok(state) = state else {
-            let lease_devices: Vec<usize> = lease.devices().to_vec();
-            self.release_shared(lease);
-            meter.charge(&self.group, &mut job);
-            match lease_devices.into_iter().find(|&d| self.device_lost(d)) {
-                // Admission raced a device death: put the job back with its
-                // checkpoint and let the next tick place it on the devices
-                // that survive.
-                Some(from) => self.requeue_rehomed(job, work, from),
-                None => {
-                    let now = self.now();
-                    self.finalize_pending(Pending { job, work }, JobOutcome::Failed, now);
-                }
-            }
-            return;
-        };
-        meter.charge(&self.group, &mut job);
         job.started_s = Some(job.started_s.unwrap_or_else(|| self.now()));
-        let snapshot = match work {
-            Work::Suspended(s) => Some(s),
-            Work::Fresh => None,
-        };
         self.running.push(Running {
             job,
             plan,
             view,
             lease,
-            state,
+            state: None,
             snapshot,
             slices_since_snapshot: 0,
         });
@@ -1207,13 +1247,18 @@ impl Service {
     /// included. Every job steps on its own stream lane on each device it
     /// leases, numbered by its position among the jobs leasing that device,
     /// so co-resident jobs run side by side; the lanes join before the
-    /// tick's checkpoint. Each device's open is billed in equal shares to
-    /// the jobs on it, and its overlap credit to the jobs on its lanes in
-    /// proportion to their lane seconds. A job that errors ends the slice
-    /// on its leased devices only: later jobs leasing any of them are not
-    /// stepped this tick, nor are jobs on a lost device, which gets no
-    /// region (the next tick's sweep re-homes them). Returns the number of
-    /// jobs stepped.
+    /// tick's checkpoint. Before any job steps, every job without device
+    /// state builds it on its lanes ([`Running::materialize`]: a fresh init
+    /// or a resume), in job order, so the allocator pool serves the inits
+    /// as it did at admission; a job that completes downloads its result on
+    /// its lane too, and its buffers free after the region. Each device's
+    /// open is billed in equal shares to the jobs on it, and its overlap
+    /// credit to the jobs on its lanes in proportion to their lane seconds.
+    /// A job whose init, resume or slice errors ends the slice on its
+    /// leased devices only: later jobs leasing any of them are not stepped
+    /// this tick, nor are jobs on a lost device, which gets no region (the
+    /// next tick's sweep re-homes them). Returns the number of jobs that
+    /// stepped or failed to build.
     fn step_running(&mut self) -> usize {
         let slice = self.cfg.slice_iters;
         let group = self.group.clone();
@@ -1224,38 +1269,67 @@ impl Service {
             .collect();
         let elements: Vec<u64> = (0..n).map(|d| homed.iter().map(|h| h[d]).sum()).collect();
         let all: Vec<usize> = (0..self.running.len()).collect();
+        let mut next_lane = vec![0u32; n];
+        let lanes: Vec<Vec<u32>> = (self.running.iter())
+            .map(|r| {
+                let lane = |&d: &usize| {
+                    next_lane[d] += 1;
+                    next_lane[d] - 1
+                };
+                r.lease.devices().iter().map(lane).collect()
+            })
+            .collect();
         let open = Meter::read(&group);
         let region = run_resident(&group, "batched_slice", &elements, || {
             self.bill_shares(&open, &all, &homed);
-            let mut next_lane = vec![0u32; n];
             // Seconds each job queued on its lane of each device.
             let mut queued = vec![vec![0.0; n]; all.len()];
-            let mut out = Vec::with_capacity(all.len());
-            for (run, queued) in self.running.iter_mut().zip(&mut queued) {
+            let mut out: Vec<SliceOutcome> = all.iter().map(|_| None).collect();
+            let runs = self.running.iter_mut().zip(&lanes);
+            for ((run, lanes), (queued, out)) in runs.zip(queued.iter_mut().zip(&mut out)) {
                 let devices = run.lease.devices();
-                for &d in devices {
-                    let dev = group.device(d).expect("a leased device is in the group");
-                    dev.bind_stream(next_lane[d]);
-                    next_lane[d] += 1;
-                }
-                if devices.iter().any(|&d| blocked[d]) {
-                    out.push(None);
+                if run.state.is_some() || devices.iter().any(|&d| blocked[d]) {
                     continue;
                 }
+                run.bind_lanes(&group, lanes);
                 let meter = Meter::read(&group);
-                let res =
-                    bind(&run.job.req, &run.plan, &run.view).step_slice(&mut run.state, slice);
+                let before = group.merged_counters();
+                let state = run.materialize();
+                let after = group.merged_counters();
+                let hits = after.device_alloc_cache_hits - before.device_alloc_cache_hits;
+                let allocs = after.device_allocs - before.device_allocs + hits;
+                run.job.pooled = hits as f64 / allocs.max(1) as f64;
+                let spent = meter.charge(&group, &mut run.job);
+                run.job.on_lanes(&spent.seconds, queued);
+                match state {
+                    Ok(state) => run.state = Some(state),
+                    Err(e) => {
+                        devices.iter().for_each(|&d| blocked[d] = true);
+                        *out = Some(Err(e));
+                    }
+                }
+            }
+            let runs = self.running.iter_mut().zip(&lanes);
+            for ((run, lanes), (queued, out)) in runs.zip(queued.iter_mut().zip(&mut out)) {
+                let devices = run.lease.devices();
+                if out.is_some() || devices.iter().any(|&d| blocked[d]) {
+                    continue;
+                }
+                run.bind_lanes(&group, lanes);
+                let Some(state) = run.state.as_mut() else {
+                    continue;
+                };
+                let meter = Meter::read(&group);
+                let exec = bind(&run.job.req, &run.plan, &run.view);
+                let res = exec.step_slice(state, slice);
+                let res = res.map(|done| done.then(|| exec.finish_state(state)));
                 let spent = meter.charge(&group, &mut run.job);
                 run.job.region_misses += spent.misses;
-                for (d, [total, _]) in spent.seconds.into_iter().enumerate() {
-                    queued[d] = total;
-                    run.job.lane_s[0] += total;
-                    run.job.lane_s[1] += total;
-                }
+                run.job.on_lanes(&spent.seconds, queued);
                 if res.is_err() {
                     devices.iter().for_each(|&d| blocked[d] = true);
                 }
-                out.push(Some(res));
+                *out = Some(res);
             }
             let joined = Meter::read(&group);
             for dev in group.iter() {
@@ -1268,7 +1342,7 @@ impl Service {
         // Only a lost device fails to open, and lost devices get no region;
         // should one fail anyway, every job that would have stepped gets
         // the error, so it is re-homed or failed rather than left idle.
-        let outcomes = region.unwrap_or_else(|e| {
+        let outcomes: Vec<SliceOutcome> = region.unwrap_or_else(|e| {
             self.bill_shares(&open, &all, &homed);
             let err = |h: &Vec<u64>| h.iter().any(|&elems| elems > 0).then(|| Err(e.clone()));
             homed.iter().map(err).collect()
@@ -1277,11 +1351,11 @@ impl Service {
         // Finalize in reverse index order so removals don't shift.
         for (i, res) in outcomes.into_iter().enumerate().rev() {
             match res {
-                None | Some(Ok(false)) => {}
-                Some(Ok(true)) => {
+                None | Some(Ok(None)) => {}
+                Some(Ok(Some(result))) => {
                     let run = self.running.remove(i);
                     let now = self.now();
-                    self.finalize_completed(run, now);
+                    self.finalize_completed(run, result, now);
                 }
                 Some(Err(_)) => {
                     let run = self.running.remove(i);
@@ -1329,18 +1403,18 @@ impl Service {
     }
 
     /// Checkpoint the tick's jobs at their slice boundary while the regions
-    /// are still open: every job that stepped (`out`), reports `Ok(false)`
+    /// are still open: every job that stepped (`out`), has not finished
     /// and is due is captured in one packed copy per device, each device's
     /// copy billed in equal shares to the due jobs on it. A job on a lost
     /// device is not captured: the next sweep rolls it back to its last.
-    fn checkpoint_batch(&mut self, out: &[Option<Result<bool, PsoError>>], homed: &[Vec<u64>]) {
+    fn checkpoint_batch(&mut self, out: &[SliceOutcome], homed: &[Vec<u64>]) {
         if self.cfg.checkpoint_slices == 0 {
             return;
         }
         let mut due = Vec::new();
         for (j, res) in out.iter().enumerate() {
             let devices = self.running[j].lease.devices();
-            if !matches!(res, Some(Ok(false))) || devices.iter().any(|&d| self.device_lost(d)) {
+            if !matches!(res, Some(Ok(None))) || devices.iter().any(|&d| self.device_lost(d)) {
                 continue;
             }
             let run = &mut self.running[j];
@@ -1354,7 +1428,8 @@ impl Service {
             return;
         }
         let meter = Meter::read(&self.group);
-        let states: Vec<&ExecState> = due.iter().map(|&j| &self.running[j].state).collect();
+        // A job that stepped holds its state.
+        let states: Vec<&ExecState> = due.iter().flat_map(|&j| &self.running[j].state).collect();
         let snaps = ExecState::snapshot_many(&states);
         self.bill_shares(&meter, &due, homed);
         for (&j, snap) in due.iter().zip(snaps) {
@@ -1362,20 +1437,19 @@ impl Service {
         }
     }
 
-    fn finalize_completed(&mut self, run: Running, now: f64) {
+    /// Finalize a job that completed with `result`, downloaded on its lane
+    /// inside its last region: its device buffers drop here, after the
+    /// region, so the pool sees frees in finalization order.
+    fn finalize_completed(&mut self, run: Running, result: RunResult, now: f64) {
         let Running {
-            mut job,
+            job,
             plan,
-            view,
             lease,
             state,
             ..
         } = run;
-        let iterations = state.iterations_run();
-        let meter = Meter::read(&self.group);
-        let result = bind(&job.req, &plan, &view).finish_state(state);
-        // The result download is the job's own device time.
-        meter.charge(&self.group, &mut job);
+        drop(state); // device buffers freed
+        let iterations = result.iterations;
         // Close the calibration loop: every completion is one observation
         // of (shape → device-seconds) at the iterations actually run, on
         // the schedule it ran, sharing its regions and its devices' lanes
@@ -1405,15 +1479,16 @@ impl Service {
     /// or failed): its device buffers drop here, freeing the lease's
     /// memory before the lease itself is returned.
     fn finalize_running_dropped(&mut self, run: Running, outcome: JobOutcome, now: f64) {
+        let iterations = run.iterations();
         let Running {
             job, lease, state, ..
         } = run;
-        self.close(job, outcome, state.iterations_run(), now, None);
+        self.close(job, outcome, iterations, now, None);
         drop(state); // device buffers freed
         self.release_shared(lease);
     }
 
-    /// Finalize a job that ends while queued, or that failed to start.
+    /// Finalize a job that ends while queued.
     fn finalize_pending(&mut self, pend: Pending, outcome: JobOutcome, now: f64) {
         let iterations = pend.iterations();
         self.close(pend.job, outcome, iterations, now, None);

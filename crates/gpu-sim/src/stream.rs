@@ -14,6 +14,8 @@
 //! one persistent region per device, every job on a device steps its slice
 //! on its own lane there (the lane id is the job's position among the jobs
 //! leasing the device), and the window joins before the tick's checkpoint.
+//! A job's init, or its resume from a checkpoint, queues on its lane in
+//! its first region, and its result download in its last.
 //!
 //! Phase accounting stays *serial*: every op is still charged in full to its
 //! phase, so counters and per-phase breakdowns are identical with streams on

@@ -1085,25 +1085,16 @@ fn predictor_base_is_bit_identical_to_the_pinned_grid() {
     assert_eq!(golden, out);
 }
 
-/// The overload scenario of `serve_bench --overload`, shrunk and pinned:
-/// on the same deterministic trace, blind admission sheds mid-flight while
-/// predictive admission converts every shed into an up-front rejection and
-/// at least doubles deadline-met goodput.
+/// The overload trace of `serve_bench --overload`, shrunk, with `n×d`
+/// burst and warm-up jobs of 80 iterations on two V100s of four slots:
+/// blind and then predictive admission, each reporting the burst's
+/// `(rejected, shed, completed)` counts and its deadline-met goodput.
 ///
-/// The deadline is a fixed multiple of one full wave of burst jobs (one
-/// per slot of the group) as the service serves it, measured here, so the
-/// overload ratio — and the pinned outcome — does not drift when the
-/// engine models every job, or every shared region, faster or slower. A
-/// wave's jobs step side by side on their devices' stream lanes, so one
-/// job alone takes about 0.74 of a (cold) wave and the warm wave the burst
-/// meets about 0.79. The multiple, 0.77 of a wave, is the one
-/// `serve_bench --overload` uses: no full wave finishes in time, and the
-/// wave of the three jobs the budget admits does. Admission prices each
-/// job's latency as its device's wave, so at no multiple from 0.5 to 1.1
-/// does it admit a job that then misses its deadline; the pinned counts
-/// hold from 0.75 to 0.78.
-#[test]
-fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
+/// The deadline is `multiple` of one full wave of burst jobs (one per slot
+/// of the group) as the service serves it, measured here, so the overload
+/// ratio does not drift when the engine models every job, or every shared
+/// region, faster or slower.
+fn overload_outcomes(n: usize, d: usize, multiple: f64) -> [((u64, u64, u64), f64); 2] {
     let serve = |predictive: bool| {
         let cfg = ServeConfig {
             slots_per_device: 4,
@@ -1114,13 +1105,13 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
         };
         Service::new(DeviceGroup::v100s(2), cfg)
     };
-    let burst = |i: u64| OptimizeRequest::new("burst", Arc::new(Sphere), cfg(64, 8, 80, 4100 + i));
+    let burst = |i: u64| OptimizeRequest::new("burst", Arc::new(Sphere), cfg(n, d, 80, 4100 + i));
     let mut wave = serve(false);
     for i in 0..8 {
         wave.submit(burst(i)).unwrap();
     }
     wave.run_until_idle();
-    let deadline_s = 0.77 * wave.now();
+    let deadline_s = multiple * wave.now();
     let overload_run = |predictive: bool| {
         let mut svc = serve(predictive);
         // Calibration warmup, then a burst of identical tight deadlines.
@@ -1128,7 +1119,7 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
             svc.submit(OptimizeRequest::new(
                 "warmup",
                 Arc::new(Sphere),
-                cfg(64, 8, 80, 4000 + i),
+                cfg(n, d, 80, 4000 + i),
             ))
             .unwrap();
         }
@@ -1144,36 +1135,57 @@ fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
             }
         }
         svc.run_until_idle();
-        let shed = ids
-            .iter()
-            .filter(|&&id| svc.status(id).unwrap() == JobStatus::Shed)
-            .count() as u64;
-        let completed = ids
-            .iter()
-            .filter(|&&id| svc.status(id).unwrap() == JobStatus::Completed)
-            .count() as u64;
-        (rejected, shed, completed, svc.goodput_s() - warm_goodput)
+        let count = |status: JobStatus| {
+            (ids.iter())
+                .filter(|&&id| svc.status(id).unwrap() == status)
+                .count() as u64
+        };
+        let counts = (
+            rejected,
+            count(JobStatus::Shed),
+            count(JobStatus::Completed),
+        );
+        (counts, svc.goodput_s() - warm_goodput)
     };
+    [overload_run(false), overload_run(true)]
+}
 
-    let (blind_rej, blind_shed, blind_done, blind_goodput) = overload_run(false);
-    let (pred_rej, pred_shed, pred_done, pred_goodput) = overload_run(true);
-
+/// The overload scenario of `serve_bench --overload`, shrunk and pinned:
+/// on the same deterministic trace, blind admission sheds mid-flight while
+/// predictive admission converts every shed into an up-front rejection and
+/// at least doubles deadline-met goodput.
+///
+/// The burst jobs are 1024×64, large enough that the lanes of a device's
+/// wave serialize under the work-conserving floor: one job alone takes
+/// 0.48 of a (cold) wave. The multiple, 0.77 of a wave, is the one
+/// `serve_bench --overload` uses: no full wave finishes in time, and the
+/// four jobs the budget admits do. Admission prices each job's latency as
+/// its device's wave, so at no multiple from 0.3 to 1.1 does it admit a
+/// job that then misses its deadline; the pinned counts hold from 0.72 to
+/// 0.85.
+#[test]
+fn predictive_admission_beats_blind_shedding_on_the_pinned_overload_trace() {
+    let [(blind, blind_goodput), (pred, pred_goodput)] = overload_outcomes(1024, 64, 0.77);
     // Pinned counts: the trace is deterministic, so any admission or
     // scheduling change that shifts these is a reviewable regression.
-    assert_eq!(
-        (blind_rej, blind_shed, blind_done),
-        (0, 12, 0),
-        "blind scheduler outcome drifted"
-    );
-    assert_eq!(
-        (pred_rej, pred_shed, pred_done),
-        (9, 0, 3),
-        "predictive scheduler outcome drifted"
-    );
+    assert_eq!(blind, (0, 12, 0), "blind scheduler outcome drifted");
+    assert_eq!(pred, (8, 0, 4), "predictive scheduler outcome drifted");
+    assert!(blind.1 > 0, "the burst must overload the blind scheduler");
+    assert_eq!(pred.1, 0, "predictive admission sheds nothing");
+    assert!(pred.0 > 0, "the overflow surfaces as up-front rejections");
     assert!(
         pred_goodput > 0.0 && (blind_goodput == 0.0 || pred_goodput / blind_goodput >= 2.0),
         "expected >= 2x goodput: predictive {pred_goodput:.4}s vs blind {blind_goodput:.4}s"
     );
+}
+
+/// On the same trace with 64×8 jobs, lanes hide nearly all of a wave: a
+/// lone job takes 0.98 of a whole wave, so no job fits 0.77 of one.
+/// Predictive admission rejects them up front and sheds nothing.
+#[test]
+fn predictive_admission_sheds_nothing_when_lanes_hide_the_wave() {
+    let [_, (pred, _)] = overload_outcomes(64, 8, 0.77);
+    assert_eq!(pred.1, 0, "predictive admission sheds nothing");
 }
 
 /// A sharded job's latency is its per-device wall time, not the
@@ -1315,10 +1327,11 @@ fn mixed_trace(group: DeviceGroup) -> (Service, Vec<(OptimizeRequest, RunResult)
 /// Every job the service runs steps resident, whatever its schedule: one
 /// trace covers a solo PSO job per update strategy, an island job, SSO,
 /// GFWA, an island GFWA job, a batched block, a job sharded over both
-/// devices and an over-resident single-device job. Every launch is an init
-/// launch or a region open, and each tick opens one region per device that
-/// every job leased there steps in, the sharded job's best exchange
-/// included, each job on its own stream lane. Every tick in which two or
+/// devices and an over-resident single-device job. Every launch is a
+/// region open: each job's init runs inside its first region, and each
+/// tick opens one region per device that every job leased there steps in,
+/// the sharded job's best exchange included, each job on its own stream
+/// lane. Every tick in which two or
 /// more jobs stepped on a device hides time on it, and every other tick
 /// hides none; every result is bit-identical to the job's dedicated run,
 /// and the job records account for every device-second.
@@ -1373,15 +1386,10 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
     for k in &log.kernels {
         if k.launches == 0 {
             in_region += usize::from(weights(k.name));
-        } else if k.name == "batched_slice" {
-            regions += 1;
+            inits += usize::from(k.name.starts_with("init_"));
         } else {
-            assert!(
-                k.name.starts_with("init_"),
-                "{} launched outside a region",
-                k.name
-            );
-            inits += 1;
+            assert_eq!(k.name, "batched_slice", "launched outside a region");
+            regions += 1;
         }
     }
     // Two weight launches per iteration and shard, all in regions: the
@@ -1394,8 +1402,8 @@ fn every_served_job_runs_init_plus_one_region_per_leased_device_per_slice() {
     // One region per device and tick, shared by every job leased there.
     assert!(regions <= 2 * ticks, "{regions} regions in {ticks} ticks");
     assert_eq!(regions, 16);
-    // One `init_swarm` per shard (sixteen), plus the two GFWA jobs'
-    // amplitudes.
+    // One in-region `init_swarm` per shard (sixteen), plus the two GFWA
+    // jobs' amplitudes.
     assert_eq!(inits, 16 + 2);
 
     let devices: Vec<_> = (0..2)
@@ -1424,18 +1432,19 @@ fn regions_and_passes(svc: &Service) -> Vec<(usize, usize)> {
 }
 
 /// Each tick opens one persistent region per live device, and every job
-/// leased there steps its slice inside it. The mixed trace runs with
-/// device 1 lost mid-run, at the init launch of a job admitted to it right
-/// after another, so the device dies between the tick's re-homing sweep
-/// and its regions with that other job on it. Each tick opens at most one region on a device:
-/// exactly one on every device where a job stepped, none on the lost
-/// device, and the other device steps as usual. Every job completes
+/// leased there builds its swarm and steps its slice inside it. The mixed
+/// trace runs with device 1 lost mid-run, at the in-region init pass of a
+/// job admitted to it right after another, so the device dies inside the
+/// first tick's region with that other job's swarm already built on it.
+/// Each tick opens at most one region on a device: exactly one on every
+/// device where a job ran a pass, none on device 1 after the tick it was
+/// lost in, and the other device steps as usual. Every job completes
 /// bit-identical to its dedicated run, and the device-seconds billed on
 /// each device sum to that device's timeline.
 #[test]
 fn one_region_per_live_device_per_tick_bills_each_device_exactly() {
     // A fault-free run of the trace gives the launch ordinal of the second
-    // swarm init on device 1 after its first region.
+    // swarm init on device 1, a pass inside its first region.
     let (mut probe, jobs) = mixed_trace(DeviceGroup::v100s(2));
     for (req, _) in &jobs {
         probe.submit(req.clone()).unwrap();
@@ -1456,11 +1465,14 @@ fn one_region_per_live_device_per_tick_bills_each_device_exactly() {
         .iter()
         .map(|(req, _)| svc.submit(req.clone()).unwrap())
         .collect();
-    let mut ticks = 0;
+    let (mut ticks, mut lost_in) = (0, None);
     while svc.queue_depth() + svc.n_running() > 0 {
         let before = regions_and_passes(&svc);
+        let was_lost = svc.group().device(1).unwrap().is_lost();
         assert!(svc.tick() > 0, "tick {ticks} made no progress");
-        let lost = svc.group().device(1).unwrap().is_lost();
+        if !was_lost && svc.group().device(1).unwrap().is_lost() {
+            lost_in = Some(ticks);
+        }
         let after = regions_and_passes(&svc);
         for (d, (after, before)) in after.iter().zip(&before).enumerate() {
             let opened = after.0 - before.0;
@@ -1468,15 +1480,16 @@ fn one_region_per_live_device_per_tick_bills_each_device_exactly() {
             assert!(opened <= 1, "tick {ticks}: {opened} regions on device {d}");
             assert_eq!(opened == 1, stepped, "tick {ticks}, device {d}");
             assert!(
-                !(d == 1 && lost && stepped),
-                "tick {ticks}: device 1 stepped"
+                !(d == 1 && was_lost && stepped),
+                "tick {ticks}: device 1 stepped after its loss"
             );
         }
         ticks += 1;
     }
-    assert!(
-        svc.group().device(1).unwrap().is_lost(),
-        "the loss never fired"
+    assert_eq!(
+        lost_in,
+        Some(0),
+        "the loss fires in the first tick's region"
     );
     assert!(
         svc.records().iter().any(|r| r.rehomes > 0),
@@ -1505,7 +1518,8 @@ fn one_region_per_live_device_per_tick_bills_each_device_exactly() {
 fn a_fault_on_one_device_neither_stops_nor_uncheckpoints_another() {
     use fastpso::{GpuBackend, PsoBackend};
     let group = DeviceGroup::v100s(2);
-    // Ordinal 1 is the job's init launch; 3 is inside its first region.
+    // Ordinal 1 is the region open, 2 the job's init pass inside it and 3
+    // its first iteration's first pass.
     group.set_fault_plans(vec![
         FaultPlan::new().with_transient_launch(3),
         FaultPlan::new(),
@@ -1549,7 +1563,7 @@ fn a_fault_on_one_device_neither_stops_nor_uncheckpoints_another() {
 ///
 /// - **Resident** (64×8×40 on one V100, default slice and checkpoint
 ///   cadence): the batched region price plus the charges a solo region
-///   exposes (init launches, allocations, grid barriers, the slice
+///   exposes (init passes, allocations, grid barriers, the slice
 ///   checkpoints and the result download). Pinned per PSO strategy on
 ///   Sphere, for SSO on Sphere and for GFWA on Griewank, every row within
 ///   8%. Without those charges the same jobs missed by −0.37 to −0.40
@@ -1557,7 +1571,7 @@ fn a_fault_on_one_device_neither_stops_nor_uncheckpoints_another() {
 /// - **Sharded** (a 128×8×40 Griewank job over two V100s, resident in one
 ///   region per device and slice): the same charges per shard, plus the
 ///   best exchange, one D2H of each shard's `(d+1)·4`-byte local best per
-///   iteration. Its miss (−0.085) is pinned under the ratchet rule of the
+///   iteration. Its miss (−0.087) is pinned under the ratchet rule of the
 ///   tolerance goldens; once the adoption uploads the base leaves to
 ///   calibration are taken out of the observation, the rest is within 8%
 ///   (+0.014).
@@ -1566,15 +1580,15 @@ fn cold_start_prediction_prices_streamed_jobs_within_eight_percent() {
     use fastpso::{Algorithm, CostPredictor, JobShape};
     use gpu_sim::Phase;
     const PINNED: [(Algorithm, UpdateStrategy, f64); 7] = [
-        (Algorithm::Pso, UpdateStrategy::GlobalMem, 0.0034),
-        (Algorithm::Pso, UpdateStrategy::SharedMem, 0.0040),
-        (Algorithm::Pso, UpdateStrategy::TensorCore, 0.0045),
+        (Algorithm::Pso, UpdateStrategy::GlobalMem, 0.0036),
+        (Algorithm::Pso, UpdateStrategy::SharedMem, 0.0042),
+        (Algorithm::Pso, UpdateStrategy::TensorCore, 0.0048),
         (Algorithm::Pso, UpdateStrategy::ForLoop, 0.0005),
-        (Algorithm::Pso, UpdateStrategy::LowComplexity, -0.0209),
-        (Algorithm::Sso, UpdateStrategy::GlobalMem, 0.0279),
-        (Algorithm::Gfwa, UpdateStrategy::GlobalMem, 0.0177),
+        (Algorithm::Pso, UpdateStrategy::LowComplexity, -0.0222),
+        (Algorithm::Sso, UpdateStrategy::GlobalMem, 0.0299),
+        (Algorithm::Gfwa, UpdateStrategy::GlobalMem, 0.0192),
     ];
-    const SHARDED_PINNED: f64 = -0.0852;
+    const SHARDED_PINNED: f64 = -0.0874;
     let defaults = ServeConfig::default();
     let resident = Schedule::Resident {
         slice: defaults.slice_iters as u64,
@@ -1827,7 +1841,8 @@ fn a_failed_resident_slice_leaves_no_region_open() {
 
     let group = DeviceGroup::v100s(1);
     let dev = group.device(0).unwrap().clone();
-    // Three init launches at admission, then the batch's first slice.
+    // The region open, the three members' init passes inside it, then the
+    // first member's first slice.
     dev.set_fault_plan(FaultPlan::new().with_transient_launch(10));
     let mut svc = Service::new(
         group,
@@ -1869,7 +1884,8 @@ fn a_batch_checkpoints_only_the_members_it_stepped() {
     use gpu_sim::TransferDirection;
     let group = DeviceGroup::v100s(1);
     let dev = group.device(0).unwrap().clone();
-    // Three init launches at admission, then the batch's first slice.
+    // The region open, the three members' init passes inside it, then the
+    // first member's first slice.
     dev.set_fault_plan(FaultPlan::new().with_transient_launch(10));
     let mut svc = Service::new(
         group,
@@ -1921,13 +1937,13 @@ fn a_batch_checkpoints_only_the_members_it_stepped() {
 /// job sharded over two V100s (its best exchange runs inside the regions)
 /// and a 4096×64 job on one V100, above the 163 840 threads a V100 keeps
 /// co-resident, whose region is grid-stride. Each device's launches are
-/// its shards' init launches plus one region per slice, its one lane per
-/// device hides nothing, the result is bit-identical to the job's
+/// one region per slice, its shards' inits run as passes inside the first,
+/// its one lane per device hides nothing, the result is bit-identical to the job's
 /// dedicated run, and the record accounts for every device-second.
 #[test]
 fn solo_jobs_that_fit_their_device_run_one_region_per_slice() {
     use fastpso::{Algorithm, GpuBackend, PsoBackend};
-    for (algo, init_launches) in [
+    for (algo, init_passes) in [
         (Algorithm::Pso, 1),
         (Algorithm::Sso, 1),
         (Algorithm::Gfwa, 2),
@@ -1960,9 +1976,14 @@ fn solo_jobs_that_fit_their_device_run_one_region_per_slice() {
                 assert_eq!(regions, slices, "{label}: one region per slice");
                 assert_eq!(
                     dev.counters().kernel_launches,
-                    init_launches + slices,
-                    "{label}: init launches plus one region per slice"
+                    slices,
+                    "{label}: one launch per slice, the region"
                 );
+                let inits = (dev.profiler().kernels.iter())
+                    .filter(|k| k.name.starts_with("init_"))
+                    .map(|k| k.launches)
+                    .collect::<Vec<_>>();
+                assert_eq!(inits, vec![0; init_passes], "{label}: inits are passes");
                 let tl = dev.timeline();
                 assert_eq!(
                     tl.overlapped_seconds(),
@@ -1978,6 +1999,169 @@ fn solo_jobs_that_fit_their_device_run_one_region_per_slice() {
             );
         }
     }
+}
+
+/// A served job's init and result download ride its own stream lane:
+/// four jobs (PSO twice, GFWA and SSO, each with its own dimension) share
+/// one V100, each on the lane its position among them gives it. Every
+/// `init_*` record is a pass inside the first region (no launch of its
+/// own), on its job's lane, in job order; every result download is on its
+/// job's lane too; the device's only launches are its region opens; and
+/// every result is bit-identical to the job's dedicated run.
+#[test]
+fn a_served_jobs_init_and_result_download_ride_its_lane() {
+    use fastpso::{Algorithm, GpuBackend, PsoBackend};
+    use gpu_sim::{Phase, TransferDirection};
+    let jobs = [
+        (Algorithm::Pso, 4),
+        (Algorithm::Pso, 6),
+        (Algorithm::Gfwa, 8),
+        (Algorithm::Sso, 10),
+    ];
+    let mut svc = Service::new(DeviceGroup::v100s(1), ServeConfig::default());
+    let ids: Vec<JobId> = (jobs.iter().enumerate())
+        .map(|(i, &(algo, d))| {
+            let c = cfg(16, d, 24, 9300 + i as u64);
+            let req = OptimizeRequest::new("lanes", Arc::new(Sphere), c).algorithm(algo);
+            svc.submit(req).unwrap()
+        })
+        .collect();
+    svc.run_until_idle();
+    let dev = svc.group().device(0).unwrap();
+    let log = dev.profiler();
+    assert!(log.is_complete(), "profiler evicted records");
+    let inits: Vec<(&str, u32, u64)> = (log.kernels.iter())
+        .filter(|k| k.name.starts_with("init_"))
+        .map(|k| (k.name, k.stream, k.launches))
+        .collect();
+    let mut want = Vec::new();
+    for (lane, &(algo, _)) in jobs.iter().enumerate() {
+        want.push(("init_swarm", lane as u32, 0));
+        if algo == Algorithm::Gfwa {
+            want.push(("init_gfwa_amplitudes", lane as u32, 0));
+        }
+    }
+    assert_eq!(inits, want, "inits are in-region passes on their lanes");
+    let results: Vec<(u64, u32)> = (log.transfers.iter())
+        .filter(|t| t.phase == Phase::Other && t.dir == TransferDirection::D2H)
+        .map(|t| (t.bytes, t.stream))
+        .collect();
+    for (lane, &(_, d)) in jobs.iter().enumerate() {
+        let bytes = 4 * d as u64;
+        assert_eq!(
+            (results.iter())
+                .filter(|&&r| r == (bytes, lane as u32))
+                .count(),
+            1,
+            "job {lane}'s result download is on its lane: {results:?}"
+        );
+    }
+    assert_eq!(results.len(), jobs.len());
+    let regions = (log.kernels.iter())
+        .filter(|k| k.name == "batched_slice")
+        .count() as u64;
+    assert_eq!(dev.counters().kernel_launches, regions);
+    for (i, (&id, &(algo, d))) in ids.iter().zip(&jobs).enumerate() {
+        let want = GpuBackend::new()
+            .algorithm(algo)
+            .run(&cfg(16, d, 24, 9300 + i as u64), &Sphere)
+            .unwrap();
+        CounterAsserts::assert_bit_identical_gbest(svc.result(id).unwrap(), &want);
+    }
+}
+
+/// A job preempted before its first region goes back to the queue with
+/// the work it was admitted with and no device time. On one V100 of one
+/// slot, a High job leases it and gathers a small Low job into its batch;
+/// the next High job is too big to batch, finds no lease and preempts the
+/// Low member, which has not built its swarm yet. It is queued (fresh, not
+/// suspended), and cancelling it records zero device-seconds and zero
+/// iterations.
+#[test]
+fn a_job_preempted_before_its_first_region_is_requeued_unbilled() {
+    let mut svc = Service::new(
+        DeviceGroup::v100s(1),
+        ServeConfig {
+            slots_per_device: 1,
+            batching: Some(BatchPolicy::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let submit = |svc: &mut Service, n: usize, d: usize, p: Priority| {
+        let req = OptimizeRequest::new("t", Arc::new(Sphere), cfg(n, d, 40, 9400)).priority(p);
+        svc.submit(req).unwrap()
+    };
+    let low = submit(&mut svc, 16, 4, Priority::Low);
+    let head = submit(&mut svc, 16, 4, Priority::High);
+    // 32 768 elements: above the batch bound, so it needs its own lease.
+    let big = submit(&mut svc, 512, 64, Priority::High);
+    svc.tick();
+    assert_eq!(svc.status(head).unwrap(), JobStatus::Running);
+    assert_eq!(svc.status(big).unwrap(), JobStatus::Queued);
+    assert_eq!(
+        svc.status(low).unwrap(),
+        JobStatus::Queued,
+        "preempted before its first region, the job holds no snapshot"
+    );
+    svc.cancel(low).unwrap();
+    let rec = (svc.records().iter())
+        .find(|r| r.job == low.0)
+        .expect("the cancelled job has a record");
+    assert_eq!((rec.device_seconds, rec.iterations), (0.0, 0));
+    svc.run_until_idle();
+    assert_eq!(svc.status(big).unwrap(), JobStatus::Completed);
+}
+
+/// A preempted job resumes on its own lane: on one V100 of two slots, a
+/// long job and a Low job run side by side until a High job preempts the
+/// Low one; once the High job completes, the Low job is readmitted beside
+/// the long job, on lane 1, and its checkpoint uploads (the only restore
+/// uploads of the trace) queue there, inside the region. It completes
+/// bit-identical to its dedicated run.
+#[test]
+fn a_resumed_job_restores_on_its_lane_and_stays_bit_identical() {
+    use fastpso::{GpuBackend, PsoBackend};
+    use gpu_sim::{Phase, TransferDirection};
+    let mut svc = Service::new(
+        DeviceGroup::v100s(1),
+        ServeConfig {
+            slots_per_device: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let submit = |svc: &mut Service, iters: usize, seed: u64, p: Priority| {
+        let req =
+            OptimizeRequest::new("t", Arc::new(Rastrigin), cfg(32, 6, iters, seed)).priority(p);
+        svc.submit(req).unwrap()
+    };
+    submit(&mut svc, 200, 9500, Priority::Normal);
+    let low = submit(&mut svc, 40, 9501, Priority::Low);
+    svc.tick();
+    let high = submit(&mut svc, 16, 9502, Priority::High);
+    svc.tick();
+    assert_eq!(svc.status(low).unwrap(), JobStatus::Suspended);
+    while svc.status(high).unwrap() != JobStatus::Completed {
+        svc.tick();
+    }
+    svc.tick();
+    assert_eq!(svc.status(low).unwrap(), JobStatus::Running);
+    let log = svc.group().device(0).unwrap().profiler();
+    let restores: Vec<u32> = (log.transfers.iter())
+        .filter(|t| t.phase == Phase::Recovery && t.dir == TransferDirection::H2D)
+        .map(|t| t.stream)
+        .collect();
+    assert!(!restores.is_empty(), "the job restored nothing");
+    assert!(
+        restores.iter().all(|&lane| lane == 1),
+        "restores off the job's lane: {restores:?}"
+    );
+    svc.run_until_idle();
+    let want = GpuBackend::new()
+        .run(&cfg(32, 6, 40, 9501), &Rastrigin)
+        .unwrap();
+    let got = svc.result(low).unwrap();
+    assert_eq!(got.history, want.history);
+    CounterAsserts::assert_bit_identical_gbest(got, &want);
 }
 
 /// A resident job whose device dies during its admission returns its lease:
