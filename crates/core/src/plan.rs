@@ -92,7 +92,7 @@ use crate::result::RunResult;
 use crate::topology::{Migration, Topology};
 use fastpso_functions::Objective;
 use gpu_sim::reduce::MinResult;
-use gpu_sim::{Device, DeviceGroup, KernelDesc, Phase, Timeline};
+use gpu_sim::{CopyTicket, Device, DeviceGroup, KernelDesc, Phase, Timeline};
 
 /// One kernel-level operation of a FastPSO iteration (paper §3.1's steps,
 /// at launch granularity).
@@ -1111,17 +1111,23 @@ impl ExecState {
     }
 
     /// Snapshot several live executions in one packed device→host copy per
-    /// device their shards live on ([`ShardCheckpoint::capture_many`]), one
-    /// [`SuspendedJob`] each, in order. The serving layer captures a
-    /// region's members (a micro-batch, or a solo or sharded job) this way
-    /// at a slice boundary. Each snapshot equals [`ExecState::snapshot`] of
-    /// the same state.
-    pub(crate) fn snapshot_many(states: &[&ExecState]) -> Vec<SuspendedJob> {
+    /// device their shards live on, on that device's copy lane
+    /// ([`ShardCheckpoint::capture_many`]), one [`InFlightSnapshot`] each,
+    /// in order. The serving layer captures a tick's due jobs this way at a
+    /// slice boundary. Each snapshot equals [`ExecState::snapshot`] of the
+    /// same state once its copies land.
+    pub(crate) fn snapshot_many(states: &[&ExecState]) -> Vec<InFlightSnapshot> {
         let shards: Vec<&Shard> = states.iter().flat_map(|ex| &ex.st.shards).collect();
         let mut cps = ShardCheckpoint::capture_many(&shards).into_iter();
         states
             .iter()
-            .map(|ex| ex.suspended_with(cps.by_ref().take(ex.st.shards.len()).collect()))
+            .map(|ex| {
+                let (shards, copies) = cps.by_ref().take(ex.st.shards.len()).unzip();
+                InFlightSnapshot {
+                    snapshot: ex.suspended_with(shards),
+                    copies,
+                }
+            })
             .collect()
     }
 
@@ -1142,6 +1148,21 @@ impl ExecState {
             t: self.t,
             done: self.done,
         }
+    }
+}
+
+/// A slice-boundary [`SuspendedJob`] on its way to the host: the snapshot
+/// its shards' copy-lane transfers carry, and their tickets
+/// ([`ExecState::snapshot_many`]).
+pub(crate) struct InFlightSnapshot {
+    pub(crate) snapshot: SuspendedJob,
+    copies: Vec<CopyTicket>,
+}
+
+impl InFlightSnapshot {
+    /// Whether every copy carrying the snapshot has landed on the host.
+    pub(crate) fn landed(&self) -> bool {
+        self.copies.iter().all(CopyTicket::has_landed)
     }
 }
 

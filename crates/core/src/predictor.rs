@@ -18,9 +18,10 @@
 //!    low-complexity rung draws `d`-fold fewer numbers. The base is
 //!    priced on the shape's [`Schedule`]: launch by launch, or resident in
 //!    one region per slice and device shared with its other jobs — the
-//!    latter with the init, allocation, barrier, best-exchange, checkpoint
-//!    and download charges that exposes, the init and the download as
-//!    work on the job's stream lanes inside its first and last regions.
+//!    latter with the init, allocation, barrier, best-exchange,
+//!    checkpoint-pack and download charges that exposes, the init and the
+//!    download as work on the job's stream lanes inside its first and last
+//!    regions (a checkpoint's D2H rides the device's copy lane, hidden).
 //!    The base is pure arithmetic over the [`GpuProfile`] and
 //!    [`LinkProfile`], so it is exactly reproducible.
 //! 2. **Calibration** ([`CostPredictor::observe`]) — the base deliberately
@@ -54,6 +55,7 @@ use crate::gpu::kernels::{init_swarm_desc, Shard};
 use crate::gpu::UpdateStrategy;
 use crate::plan::{best_exchange_bytes, partition, BestReduce, ExecutionPlan, PlanOp};
 use crate::topology::Topology;
+use gpu_sim::stream::{launched_threads, pass_at_occupancy};
 use gpu_sim::{KernelDesc, Phase, CACHE_HIT_COST_FRACTION, GRID_SYNC_OVERHEAD_S};
 use perf_model::{gpu_kernel_time, transfer_time, GpuKernelWork, GpuProfile, LinkProfile};
 use std::collections::BTreeMap;
@@ -80,9 +82,9 @@ pub enum Schedule {
         /// Slice boundaries per checkpoint capture (the serving layer's
         /// `checkpoint_slices`; 0 = none).
         checkpoint_slices: u64,
-        /// Jobs expected to share each region and checkpoint copy, which
-        /// split its open and its PCIe latency (1 = a lone job; a job
-        /// billed alongside a varying number reports their harmonic mean).
+        /// Jobs expected to share each region and checkpoint pack, which
+        /// split its open (1 = a lone job; a job billed alongside a
+        /// varying number reports their harmonic mean).
         sharers: f64,
         /// Share of the init buffers the device's allocator pool serves at
         /// the pool-hit price (0 = a cold pool: every one a fresh
@@ -326,11 +328,13 @@ impl CostPredictor {
     ///   exchange charges (the adoption uploads are data-dependent and left
     ///   to calibration);
     /// - one checkpoint per due slice boundary: an in-region
-    ///   [`KernelDesc::checkpoint_pack`] pass plus one D2H of
-    ///   [`Shard::checkpoint_elems`] floats;
+    ///   [`KernelDesc::checkpoint_pack`] pass of
+    ///   [`Shard::checkpoint_elems`] floats (the D2H that follows runs on
+    ///   the device's copy lane, hidden behind the next tick, so it is not
+    ///   priced);
     /// - the result download;
-    /// - less the shares of its region opens and capture latencies that
-    ///   the region's other `sharers` pay;
+    /// - less the shares of its region opens that the region's other
+    ///   `sharers` pay;
     /// - the driver's price, less the pool hit, of each of its
     ///   `region_misses`.
     ///
@@ -338,8 +342,8 @@ impl CostPredictor {
     /// passes and allocations in its first region, its in-region passes,
     /// each iteration's allocations, barriers and best exchange, and the
     /// result download in its last region — are billed at the schedule's
-    /// `lane_share`; the region opens and the checkpoints, which run after
-    /// the lanes join, are not.
+    /// `lane_share`; the region opens and the checkpoint packs, which run
+    /// after the lanes join, are not.
     pub fn base_s(&self, shape: &JobShape) -> f64 {
         let gpu = &self.gpu;
         let d = shape.dim.max(1);
@@ -440,7 +444,8 @@ impl CostPredictor {
     /// its passes and region opens: its init passes and allocations, the
     /// weight buffers each iteration requests, `syncs` grid barriers per
     /// iteration, a sharded shape's best exchange, the slice-boundary
-    /// checkpoints and the result download (see [`CostPredictor::base_s`]).
+    /// checkpoints' pack passes (their copies ride the device's copy lane,
+    /// unpriced) and the result download (see [`CostPredictor::base_s`]).
     fn residency_s(&self, shape: &JobShape, tail: &TailShape<'_>, syncs: u64) -> f64 {
         let Schedule::Resident {
             slice,
@@ -478,17 +483,66 @@ impl CostPredictor {
             0 => 0,
             c => (slices(iters, slice) - 1) / c,
         };
+        // A capture's copy rides the device's copy lane, hidden behind
+        // the next tick: only its pack pass is billed.
         let elems = Shard::checkpoint_elems(rows, d, extra.is_some());
-        let pack = pass(&KernelDesc::checkpoint_pack(Phase::Recovery, elems));
+        let capture = pass(&KernelDesc::checkpoint_pack(Phase::Recovery, elems));
         let f32_bytes = std::mem::size_of::<f32>() as u64;
-        // The share of each open and capture latency other jobs pay.
+        // The share of each region open other jobs pay.
         let shared = 1.0 - 1.0 / sharers.max(1.0);
-        let capture =
-            pack + transfer_time(&self.link, elems * f32_bytes) - self.link.latency_s * shared;
         let download = transfer_time(&self.link, d * f32_bytes);
         let opens = slices(iters, slice) as f64 * gpu.kernel_launch_overhead_s * shared;
         let lanes = (init + download) * lane_share + allocs + barriers + exchange;
         lanes + captures as f64 * capture - opens
+    }
+
+    /// The share of its lane seconds a resident job of `shape` is billed
+    /// beside `sharers - 1` co-resident jobs of the same shape, as the
+    /// work-conserving floor of their joined lanes sets it
+    /// ([`gpu_sim::stream`]): one iteration's in-region passes (the
+    /// prefix and the first shard's tail) re-priced at the lanes' total
+    /// occupancy — each lane's widest grid, summed and capped at the
+    /// device's resident threads — over their own price, and at least
+    /// `1 / sharers`, the share of lanes that run fully side by side.
+    /// Lanes of saturating jobs serialize, so their share stays near 1.
+    pub fn lane_share_floor(&self, shape: &JobShape, sharers: u64) -> f64 {
+        let gpu = &self.gpu;
+        let sharers = sharers.max(1);
+        let n_shards = shape.shards.max(1) as usize;
+        let plan = ExecutionPlan::build_for(
+            shape.algo,
+            shape.topology,
+            n_shards,
+            BestReduce::for_shards(n_shards),
+        );
+        let rows = partition(shape.particles as usize, n_shards)[0].1 as u64;
+        let d = shape.dim.max(1);
+        let tail = TailShape {
+            gpu,
+            rows,
+            d,
+            flops_per_dim: shape.flops_per_dim,
+            strategy: shape.strategy,
+        };
+        let tail = plan.tail_launches(0, &tail);
+        let passes: Vec<GpuKernelWork> = shared_prefix(rows, d, shape.flops_per_dim)
+            .into_iter()
+            .chain(tail.iter().map(KernelDesc::work))
+            .collect();
+        let widest = passes.iter().map(launched_threads).max().unwrap_or(0);
+        let occupancy = (sharers * widest).min(gpu.max_resident_threads());
+        let own: f64 = (passes.iter())
+            .map(|w| (gpu_kernel_time(gpu, w) - gpu.kernel_launch_overhead_s).max(0.0))
+            .sum();
+        let floor: f64 = (passes.iter())
+            .map(|w| pass_at_occupancy(gpu, w, occupancy, true))
+            .sum();
+        let side_by_side = 1.0 / sharers as f64;
+        if own > 0.0 {
+            (floor / own).max(side_by_side)
+        } else {
+            side_by_side
+        }
     }
 
     /// The calibrated multiplier currently applied to predictions under
@@ -702,6 +756,24 @@ mod tests {
         }
     }
 
+    /// Small jobs' lanes run fully side by side, so the floor leaves them
+    /// `1 / sharers`; three 1024×64 jobs hold more threads than a V100
+    /// keeps resident, so the floor serializes them above a third.
+    #[test]
+    fn the_lane_share_floor_binds_only_past_the_resident_threads() {
+        let p = CostPredictor::v100();
+        let small = JobShape::new(64, 8, 40, UpdateStrategy::GlobalMem);
+        for sharers in 1..=4 {
+            assert_eq!(p.lane_share_floor(&small, sharers), 1.0 / sharers as f64);
+        }
+        let wide = JobShape::new(1024, 64, 80, UpdateStrategy::GlobalMem);
+        assert_eq!(p.lane_share_floor(&wide, 1), 1.0);
+        assert_eq!(p.lane_share_floor(&wide, 2), 0.5, "131 072 threads fit");
+        let three = p.lane_share_floor(&wide, 3);
+        assert!(three > 1.0 / 3.0 && three < 0.5, "{three}");
+        assert!(p.lane_share_floor(&wide, 4) > 0.25);
+    }
+
     #[test]
     fn the_lane_share_bills_only_in_region_seconds() {
         let p = CostPredictor::v100();
@@ -709,7 +781,7 @@ mod tests {
             let shape = JobShape::new(96, 8, 80, UpdateStrategy::GlobalMem).shards(shards);
             let at = |lane_share| p.base_s(&shape.clone().schedule(lanes(8, 1, lane_share)));
             // Affine in the share: what stays outside the lanes (region
-            // opens and captures) is billed in full at any share.
+            // opens and capture packs) is billed in full at any share.
             let (none, half, full) = (at(0.0), at(0.5), at(1.0));
             assert!(none > 0.0 && none < half && half < full);
             assert!(((full - half) - (half - none)).abs() < 1e-15 * full);
@@ -727,9 +799,14 @@ mod tests {
             let every_other = p.base_s(&shape.clone().schedule(resident(8, 2)));
             let charges = residency(&p, &shape.clone().schedule(resident(8, 0)));
             assert!(charges > 0.0, "{algo}: the init and syncs are free");
-            // Ten slices: nine boundaries with a job still running.
+            // Ten slices: nine boundaries with a job still running. A
+            // capture prices its pack pass only: its copy, and the PCIe
+            // latency in it, ride the copy lane.
             let capture = (every - uncaptured) / 9.0;
-            assert!(capture > p.link.latency_s, "{algo}: {capture}");
+            assert!(
+                capture > 0.0 && capture < p.link.latency_s,
+                "{algo}: {capture}"
+            );
             assert!(((every_other - uncaptured) / 4.0 - capture).abs() < 1e-15);
             assert_eq!(
                 shape.schedule(resident(8, 1)).calibration_key(),

@@ -60,7 +60,7 @@ use crate::algo::SwarmAlgorithm;
 use crate::error::PsoError;
 use crate::gpu::kernels::{Shard, UpdateStrategy};
 use fastpso_functions::Objective;
-use gpu_sim::{Counters, Device, DeviceBuffer, KernelDesc, Phase};
+use gpu_sim::{CopyTicket, Counters, Device, DeviceBuffer, KernelDesc, Phase};
 
 /// Bounded-retry policy for transient device faults.
 ///
@@ -274,22 +274,26 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    /// Snapshot `shard` to host memory in one packed device→host copy,
-    /// charged to [`Phase::Recovery`]. Same as
-    /// [`ShardCheckpoint::capture_many`] over the one shard.
+    /// Snapshot `shard` to host memory in one packed device→host copy
+    /// ([`Device::download_packed`]), charged to [`Phase::Recovery`]; the
+    /// device's timeline waits for the copy.
     pub fn capture(shard: &Shard) -> Self {
-        Self::capture_many(&[shard])
-            .pop()
-            .expect("one checkpoint per shard")
+        let bufs: Vec<&DeviceBuffer<f32>> = shard.checkpoint_buffers().collect();
+        let host = shard.pos.device().download_packed(Phase::Recovery, &bufs);
+        Self::unpack(shard, &mut host.into_iter())
     }
 
     /// Snapshot several shards in one packed device→host copy per device
-    /// they live on ([`Device::download_packed`]): one gather pass and one
+    /// they live on, each on that device's copy lane
+    /// ([`Device::download_packed_async`]): one gather pass and one
     /// transfer for all of a device's shards, charged to
-    /// [`Phase::Recovery`] on that device. Returns one checkpoint per
-    /// shard, in order, each equal to [`ShardCheckpoint::capture`] of it.
-    pub fn capture_many(shards: &[&Shard]) -> Vec<Self> {
-        let mut out: Vec<Option<Self>> = vec![None; shards.len()];
+    /// [`Phase::Recovery`] there, while the device's timeline runs on.
+    /// Returns one checkpoint per shard, in order, each equal to
+    /// [`ShardCheckpoint::capture`] of it, with the ticket of the copy
+    /// that carries it: the checkpoint holds the shard's state only once
+    /// that copy lands.
+    pub fn capture_many(shards: &[&Shard]) -> Vec<(Self, CopyTicket)> {
+        let mut out: Vec<Option<(Self, CopyTicket)>> = vec![None; shards.len()];
         for i in 0..shards.len() {
             if out[i].is_some() {
                 continue;
@@ -301,26 +305,32 @@ impl ShardCheckpoint {
             let bufs: Vec<&DeviceBuffer<f32>> = (here.iter())
                 .flat_map(|&j| shards[j].checkpoint_buffers())
                 .collect();
-            let mut host = dev.download_packed(Phase::Recovery, &bufs).into_iter();
-            let mut next = || host.next().expect("one host vector per packed buffer");
+            let (host, ticket) = dev.download_packed_async(Phase::Recovery, &bufs);
+            let mut host = host.into_iter();
             for j in here {
-                let s = shards[j];
-                out[j] = Some(ShardCheckpoint {
-                    row0: s.row0,
-                    rows: s.rows,
-                    d: s.d,
-                    pos: next(),
-                    vel: next(),
-                    errors: next(),
-                    pbest_err: next(),
-                    pbest_pos: next(),
-                    gbest_pos: next(),
-                    gbest_err: s.gbest_err,
-                    extra: s.extra.as_ref().map(|_| next()),
-                });
+                out[j] = Some((Self::unpack(shards[j], &mut host), ticket.clone()));
             }
         }
         out.into_iter().flatten().collect()
+    }
+
+    /// The checkpoint of `s` from the next host vectors of a packed copy
+    /// of its [`Shard::checkpoint_buffers`].
+    fn unpack(s: &Shard, host: &mut impl Iterator<Item = Vec<f32>>) -> Self {
+        let mut next = || host.next().expect("one host vector per packed buffer");
+        ShardCheckpoint {
+            row0: s.row0,
+            rows: s.rows,
+            d: s.d,
+            pos: next(),
+            vel: next(),
+            errors: next(),
+            pbest_err: next(),
+            pbest_pos: next(),
+            gbest_pos: next(),
+            gbest_err: s.gbest_err,
+            extra: s.extra.as_ref().map(|_| next()),
+        }
     }
 
     /// Write the snapshot back into `shard` (host→device transfers charged
@@ -630,6 +640,7 @@ mod tests {
         let transfers = || [d0, d1].map(|d| d.counters().transfers);
         let before = transfers();
         let many = ShardCheckpoint::capture_many(&shards.iter().collect::<Vec<_>>());
+        let many: Vec<ShardCheckpoint> = many.into_iter().map(|(cp, _)| cp).collect();
         assert_eq!(many, solo);
         let after = transfers();
         assert_eq!(

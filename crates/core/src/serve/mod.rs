@@ -24,9 +24,10 @@
 //!   job steps, and its result is downloaded on it inside its last. That
 //!   is one host launch per device and tick instead of one per kernel,
 //!   with every due slice checkpoint packed inside the regions (one copy
-//!   per device) once the lanes join. Each device's open and copy are
-//!   billed in equal shares to its jobs, and the time its lanes hid to the
-//!   jobs on them in proportion to their lane seconds. Each region is
+//!   per device) once the lanes join, its D2H on the device's copy lane so
+//!   the next tick does not wait for it. Each device's open and pack pass
+//!   are billed in equal shares to its jobs, and the time its lanes hid to
+//!   the jobs on them in proportion to their lane seconds. Each region is
 //!   grid-stride, the paper's resource-aware thread creation: at
 //!   most the device's resident threads, each covering `Σ n·d / threads`
 //!   elements of the jobs homed there, so jobs too large to be co-resident
@@ -88,7 +89,8 @@
 //! * **re-homing** — running jobs checkpoint to host memory at slice
 //!   boundaries (every [`ServeConfig::checkpoint_slices`] slices). When a
 //!   leased device dies, the scheduler revokes the lease, re-queues the
-//!   job from its latest checkpoint with priority and deadline preserved,
+//!   job from its latest checkpoint whose copy landed (a copy still in
+//!   flight dies with its device) with priority and deadline preserved,
 //!   and the next admission resumes it on healthy devices —
 //!   bit-identically, because randomness is counter-addressed. Re-homing
 //!   work is charged to the `Recovery` phase and surfaces per job as

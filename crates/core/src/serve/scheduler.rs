@@ -9,8 +9,8 @@ use crate::config::PsoConfig;
 use crate::error::PsoError;
 use crate::gpu::UpdateStrategy;
 use crate::plan::{
-    check_shardable, partition, run_resident, BestReduce, ExecState, ExecutionPlan, PlanRun,
-    SuspendedJob,
+    check_shardable, partition, run_resident, BestReduce, ExecState, ExecutionPlan,
+    InFlightSnapshot, PlanRun, SuspendedJob,
 };
 use crate::predictor::{CostPredictor, JobShape, Schedule};
 use crate::result::RunResult;
@@ -323,11 +323,14 @@ struct Running {
     /// The job's device state: `None` from admission until its first
     /// region builds it on the job's lanes ([`Running::materialize`]).
     state: Option<ExecState>,
-    /// Latest host-side checkpoint, captured at a slice boundary, or the
-    /// suspended work the job was admitted with. Device loss rolls the job
-    /// back to this; `None` (no boundary reached yet) restarts it fresh —
-    /// both replay bit-identically.
+    /// Latest host-side checkpoint whose copies have landed, captured at a
+    /// slice boundary, or the suspended work the job was admitted with.
+    /// Device loss rolls the job back to this; `None` (no boundary reached
+    /// yet) restarts it fresh — both replay bit-identically.
     snapshot: Option<SuspendedJob>,
+    /// Slice-boundary captures whose copies may still be on their devices'
+    /// copy lanes, oldest first; each becomes `snapshot` once they land.
+    in_flight: Vec<InFlightSnapshot>,
     slices_since_snapshot: usize,
 }
 
@@ -376,6 +379,14 @@ impl Running {
         match (&self.state, &self.snapshot) {
             (Some(state), _) => state.iterations_run(),
             (None, snap) => snap.as_ref().map_or(0, SuspendedJob::iterations_run),
+        }
+    }
+
+    /// Make the newest capture whose copies have landed the job's
+    /// re-homing point, dropping the captures before it.
+    fn settle(&mut self) {
+        if let Some(k) = self.in_flight.iter().rposition(InFlightSnapshot::landed) {
+            self.snapshot = self.in_flight.drain(..=k).next_back().map(|c| c.snapshot);
         }
     }
 
@@ -927,13 +938,16 @@ impl Service {
         per_device.clamp(1, self.cfg.slots_per_device.max(1)) as u64
     }
 
-    /// The share of its lane seconds a job expected to share its devices
-    /// with `sharers` jobs is billed: `1/sharers`, as if they all ran fully
-    /// side by side, but no less than the last completed job was billed
-    /// (unequal lanes hide less: the device waits for the longest).
-    fn expected_lane_share(&self, sharers: u64) -> f64 {
+    /// The share of its lane seconds a job of `shape` expected to share its
+    /// devices with `sharers` jobs is billed: `1/sharers`, as if they all
+    /// ran fully side by side, or more where the work-conserving floor
+    /// serializes lanes as wide as its own
+    /// ([`CostPredictor::lane_share_floor`]), but no less than the last
+    /// completed job was billed (unequal lanes hide less: the device waits
+    /// for the longest).
+    fn expected_lane_share(&self, shape: &JobShape, sharers: u64) -> f64 {
         let last = self.last_completed().map_or(0.0, |r| r.lane_share);
-        (1.0 / sharers as f64).max(last)
+        self.predictor.lane_share_floor(shape, sharers).max(last)
     }
 
     /// The record of the job that completed last.
@@ -967,9 +981,10 @@ impl Service {
     /// job was billed.
     fn predict_request(&self, req: &OptimizeRequest, strategy: UpdateStrategy) -> (f64, f64) {
         let price = |sharers: u64| {
-            let lane_share = self.expected_lane_share(sharers);
+            let shape = self.shape_of(req, strategy, Schedule::Launches);
+            let lane_share = self.expected_lane_share(&shape, sharers);
             let schedule = self.schedule_of(sharers as f64, 1.0, lane_share, 0);
-            let shape = self.shape_of(req, strategy, schedule);
+            let shape = shape.schedule(schedule);
             (self.predictor.predict_s(&shape), shape.shards as f64)
         };
         let (predicted, _) = price(self.expected_sharers());
@@ -1050,8 +1065,11 @@ impl Service {
     }
 
     /// Revoke a stranded job's lease and re-queue it as suspended work
-    /// (from its latest checkpoint — or fresh, if none was captured yet).
-    fn rehome(&mut self, run: Running) {
+    /// (from its latest checkpoint whose copies landed — or fresh, if none
+    /// did). A capture still in flight when its device was lost went with
+    /// the device.
+    fn rehome(&mut self, mut run: Running) {
+        run.settle();
         let from = run
             .lease
             .devices()
@@ -1236,6 +1254,7 @@ impl Service {
             lease,
             state: None,
             snapshot,
+            in_flight: Vec::new(),
             slices_since_snapshot: 0,
         });
         self.running.sort_by_key(|r| r.job.id);
@@ -1404,8 +1423,11 @@ impl Service {
 
     /// Checkpoint the tick's jobs at their slice boundary while the regions
     /// are still open: every job that stepped (`out`), has not finished
-    /// and is due is captured in one packed copy per device, each device's
-    /// copy billed in equal shares to the due jobs on it. A job on a lost
+    /// and is due is captured in one packed copy per device, on the
+    /// device's copy lane, so the next tick does not wait for it. Each
+    /// device's pack pass is billed in equal shares to the due jobs on it;
+    /// the copy's seconds are hidden. A capture becomes the job's re-homing
+    /// point once its copies land ([`Running::settle`]). A job on a lost
     /// device is not captured: the next sweep rolls it back to its last.
     fn checkpoint_batch(&mut self, out: &[SliceOutcome], homed: &[Vec<u64>]) {
         if self.cfg.checkpoint_slices == 0 {
@@ -1433,7 +1455,9 @@ impl Service {
         let snaps = ExecState::snapshot_many(&states);
         self.bill_shares(&meter, &due, homed);
         for (&j, snap) in due.iter().zip(snaps) {
-            self.running[j].snapshot = Some(snap);
+            let run = &mut self.running[j];
+            run.settle();
+            run.in_flight.push(snap);
         }
     }
 

@@ -6,7 +6,7 @@ use crate::error::GpuError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::launch::{AllocMode, KernelDesc, LaunchConfig, DEFAULT_BLOCK};
 use crate::profiler::Profiler;
-use crate::stream::{Pass, StreamWindow};
+use crate::stream::{CopyTicket, Pass, StreamWindow, COPY_LANE};
 use crate::sync::Mutex;
 use perf_model::{
     gpu_kernel_time, transfer_time, AllocKind, AllocRecord, Counters, GpuKernelWork, GpuProfile,
@@ -58,6 +58,9 @@ pub(crate) struct DeviceState {
     pub profiler: Profiler,
     pub redundant: RedundantWork,
     pub stream: StreamWindow,
+    /// End of the last transfer queued on the device's copy lane (see
+    /// [`Device::download_packed_async`]).
+    pub copy_frontier_s: f64,
     /// Whether a persistent-kernel region is open (see
     /// [`Device::begin_persistent`]).
     persistent: bool,
@@ -77,6 +80,33 @@ impl DeviceState {
         } else {
             (self.timeline.total_seconds(), 0)
         }
+    }
+
+    /// Modeled time the next charge on the bound lane would start at: the
+    /// lane's frontier inside a stream window, else the timeline front.
+    fn front_s(&self) -> f64 {
+        if self.stream.open {
+            let lane = self.stream.frontier.get(&self.stream.current);
+            self.stream.base_s + lane.copied().unwrap_or(0.0)
+        } else {
+            self.timeline.total_seconds()
+        }
+    }
+
+    /// Restart modeled time at zero after a timeline reset: no window or
+    /// region open, the copy lane idle, and a lost device lost from the
+    /// start.
+    fn restart_clock(&mut self) {
+        self.stream = StreamWindow::default();
+        self.persistent = false;
+        self.copy_frontier_s = 0.0;
+        self.fault.lost_at_s = 0.0;
+    }
+
+    /// Whether a copy-lane transfer ending at `end_s` was lost with the
+    /// device: the device was lost before it ended.
+    fn copy_lost(&self, end_s: f64) -> bool {
+        self.fault.lost && self.fault.lost_at_s < end_s
     }
 }
 
@@ -138,6 +168,7 @@ impl Device {
                     profiler: Profiler::default(),
                     redundant: RedundantWork::default(),
                     stream: StreamWindow::default(),
+                    copy_frontier_s: 0.0,
                     persistent: false,
                 }),
             }),
@@ -224,6 +255,7 @@ impl Device {
         let ordinal = st.fault.launches;
         if let Some(plan) = &st.fault.plan {
             if plan.loss_at(ordinal) {
+                st.fault.lost_at_s = st.front_s();
                 st.fault.lost = true;
                 st.fault.injected += 1;
                 return Err(GpuError::DeviceLost(self.shared.index));
@@ -579,16 +611,96 @@ impl Device {
     ///
     /// If a buffer lives on another device.
     pub fn download_packed(&self, phase: Phase, bufs: &[&DeviceBuffer<f32>]) -> Vec<Vec<f32>> {
+        let bytes = self.pack(phase, bufs);
+        self.charge_transfer(phase, TransferDirection::D2H, bytes);
+        bufs.iter().map(|b| b.as_slice().to_vec()).collect()
+    }
+
+    /// [`Device::download_packed`] with the transfer on the device's copy
+    /// lane: the `checkpoint_pack` pass is charged on the compute timeline
+    /// as usual, and the D2H starts at the later of the timeline front and
+    /// the copy lane's frontier while the timeline runs on without it. The
+    /// transfer is still charged in full to `phase`, one transfer and its
+    /// bytes, and its seconds are credited as overlap, so only its wall
+    /// time is hidden (see [`crate::stream`]).
+    ///
+    /// The returned contents are the bytes the copy carries; they reach the
+    /// host when the [`CopyTicket`] lands, and not at all if the device is
+    /// lost before then. A caller that reads them joins the copy first
+    /// ([`CopyTicket::join`]).
+    ///
+    /// # Panics
+    ///
+    /// If a buffer lives on another device, or a stream window is open.
+    pub fn download_packed_async(
+        &self,
+        phase: Phase,
+        bufs: &[&DeviceBuffer<f32>],
+    ) -> (Vec<Vec<f32>>, CopyTicket) {
+        let bytes = self.pack(phase, bufs);
+        let t = transfer_time(&self.shared.link, bytes);
+        let mut c = Counters::new();
+        c.record_transfer(TransferDirection::D2H, bytes);
+        let mut st = self.shared.state.lock();
+        assert!(
+            !st.stream.open,
+            "download_packed_async: join the stream window first"
+        );
+        let front = st.timeline.total_seconds();
+        let start_s = front.max(st.copy_frontier_s);
+        st.copy_frontier_s = start_s + t;
+        st.profiler.record_transfer(TransferRecord {
+            device: self.shared.index,
+            phase,
+            start_s,
+            duration_s: t,
+            bytes,
+            dir: TransferDirection::D2H,
+            ordinal: 0,
+            stream: COPY_LANE,
+        });
+        st.timeline.charge(phase, t, c);
+        st.timeline.credit_overlap(t);
+        let ticket = CopyTicket {
+            device: self.clone(),
+            end_s: start_s + t,
+        };
+        drop(st);
+        (bufs.iter().map(|b| b.as_slice().to_vec()).collect(), ticket)
+    }
+
+    /// Charge the `checkpoint_pack` pass that gathers `bufs` into one
+    /// staging block, and return the block's bytes.
+    fn pack(&self, phase: Phase, bufs: &[&DeviceBuffer<f32>]) -> u64 {
         assert!(
             bufs.iter().all(|b| b.is_on(self)),
             "download_packed: every buffer must live on device {}",
             self.shared.index
         );
         let elems: usize = bufs.iter().map(|b| b.len()).sum();
-        let f32_bytes = std::mem::size_of::<f32>() as u64;
         self.charge_kernel(&KernelDesc::checkpoint_pack(phase, elems as u64));
-        self.charge_transfer(phase, TransferDirection::D2H, elems as u64 * f32_bytes);
-        bufs.iter().map(|b| b.as_slice().to_vec()).collect()
+        elems as u64 * std::mem::size_of::<f32>() as u64
+    }
+
+    /// Block the timeline until the copy-lane transfer ending at `end_s`
+    /// has landed; see [`CopyTicket::join`].
+    pub(crate) fn join_copy(&self, end_s: f64) -> Result<f64, GpuError> {
+        let mut st = self.shared.state.lock();
+        if st.copy_lost(end_s) {
+            return Err(GpuError::DeviceLost(self.shared.index));
+        }
+        assert!(!st.stream.open, "join_copy: join the stream window first");
+        let wait = (end_s - st.timeline.total_seconds()).max(0.0);
+        st.timeline.charge_wait(wait);
+        Ok(wait)
+    }
+
+    /// Whether the copy-lane transfer ending at `end_s` was lost with the
+    /// device, and whether it has landed by the bound lane's front.
+    pub(crate) fn copy_status(&self, end_s: f64) -> (bool, bool) {
+        let st = self.shared.state.lock();
+        let lost = st.copy_lost(end_s);
+        (lost, !lost && st.front_s() >= end_s)
     }
 
     /// Declare the next `launches`/`allocs`/`transfers` gated operations
@@ -701,8 +813,7 @@ impl Device {
         let mut st = self.shared.state.lock();
         st.timeline = Timeline::new();
         st.profiler.clear();
-        st.stream = StreamWindow::default();
-        st.persistent = false;
+        st.restart_clock();
     }
 
     /// Reset timeline, profiler *and* drop all pooled memory (full device
@@ -712,8 +823,7 @@ impl Device {
         st.timeline = Timeline::new();
         st.profiler.clear();
         st.pool.clear();
-        st.stream = StreamWindow::default();
-        st.persistent = false;
+        st.restart_clock();
     }
 
     /// Bytes currently allocated on the device.

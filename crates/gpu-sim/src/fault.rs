@@ -126,6 +126,10 @@ pub(crate) struct FaultState {
     pub transfers: u64,
     pub injected: u64,
     pub lost: bool,
+    /// Modeled time the device was lost at (meaningful once `lost`): the
+    /// start of the launch the loss fired on. A copy-lane transfer that
+    /// had not ended by then is lost with the device.
+    pub lost_at_s: f64,
 }
 
 /// Operation counts and injected-fault totals for one device, observable by

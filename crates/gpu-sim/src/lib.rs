@@ -68,4 +68,5 @@ pub use perf_model::{
     chrome_trace_json, gpu_summary, AllocKind, AllocRecord, Counters, KernelRecord, KernelStats,
     MemoryPattern, Phase, ProfilerLog, Timeline, TransferDirection, TransferRecord,
 };
+pub use stream::{CopyTicket, COPY_LANE};
 pub use tensor::{f16_bits_to_f32, f32_to_f16_bits, through_f16, Fragment, FRAGMENT_DIM};

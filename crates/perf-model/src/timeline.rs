@@ -144,6 +144,19 @@ impl Timeline {
         self.overlapped_s += seconds;
     }
 
+    /// Charge `seconds` of wall time spent waiting for work already
+    /// credited as overlap (an asynchronous copy the host joins before it
+    /// ended): the credit shrinks by the wait, so the total grows while the
+    /// per-phase breakdown keeps its serial accounting.
+    pub fn charge_wait(&mut self, seconds: f64) {
+        debug_assert!(
+            seconds >= 0.0 && seconds <= self.overlapped_s * (1.0 + 1e-12),
+            "bad wait: {seconds} against {} credited",
+            self.overlapped_s
+        );
+        self.overlapped_s = (self.overlapped_s - seconds).max(0.0);
+    }
+
     /// Seconds hidden by stream overlap so far.
     pub fn overlapped_seconds(&self) -> f64 {
         self.overlapped_s
@@ -260,6 +273,17 @@ mod tests {
         assert_eq!(t.overlapped_seconds(), 1.0);
         assert_eq!(t.lane_seconds(1), 1.0);
         assert_eq!(t.lanes(), vec![(0, 2.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn a_wait_takes_back_credit_but_not_phases() {
+        let mut t = Timeline::new();
+        t.charge_time(Phase::Recovery, 1.0);
+        t.credit_overlap(1.0);
+        t.charge_wait(0.25);
+        assert_eq!(t.seconds(Phase::Recovery), 1.0);
+        assert_eq!(t.overlapped_seconds(), 0.75);
+        assert_eq!(t.total_seconds(), 0.25);
     }
 
     #[test]
