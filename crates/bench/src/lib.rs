@@ -1,6 +1,7 @@
 //! Experiment harness regenerating every table and figure of the FastPSO
 //! paper's evaluation (§4). One module per artifact; one binary per
-//! artifact under `src/bin/`; criterion benches under `benches/`.
+//! artifact under `src/bin/`. Host wall-clock is measured by `perfbench/`,
+//! not here.
 //!
 //! Reported *elapsed times* are modeled seconds on the paper's testbed
 //! (see DESIGN.md §2); *solution qualities* (Table 2) are genuinely

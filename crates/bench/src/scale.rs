@@ -72,7 +72,7 @@ impl Scale {
         }
     }
 
-    /// Tiny scale for criterion benches and smoke tests.
+    /// Tiny scale for smoke runs and tests.
     pub fn smoke() -> Scale {
         Scale {
             n_particles: 256,

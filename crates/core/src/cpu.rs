@@ -1,9 +1,9 @@
 //! Shared CPU implementation behind `fastpso-seq` and `fastpso-omp`.
 //!
-//! Both backends run the same algorithm over the same Philox streams; the
-//! parallel variant distributes particles (and matrix rows) across a rayon
-//! pool, mirroring the paper's OpenMP port, and charges its modeled time at
-//! the testbed's core count.
+//! Both backends run the same sequential loops over the same Philox
+//! streams, so their trajectories are bit-identical. They differ only in
+//! the modeled price: the parallel variant stands for the paper's OpenMP
+//! port and charges its time at the testbed's core count.
 
 use crate::config::{AttractorSemantics, BoundSchedule, PsoConfig};
 use crate::cost::CpuCharger;
@@ -15,7 +15,6 @@ use crate::topology::{island_attractors, plan_migration, ring_neighborhood_best,
 use fastpso_functions::Objective;
 use fastpso_prng::Philox;
 use perf_model::{Phase, Timeline};
-use rayon::prelude::*;
 
 /// Cost estimate (in flop-equivalents) of one element of the fused
 /// velocity+position update — Equation 1's arithmetic plus the clamp
@@ -65,7 +64,8 @@ fn update_row(
     }
 }
 
-/// Run PSO on the CPU. `parallel` selects the rayon (OpenMP-analog) path.
+/// Run PSO on the CPU. `parallel` prices the run as the OpenMP port, at the
+/// testbed's core count.
 pub(crate) fn run_cpu(
     cfg: &PsoConfig,
     obj: &dyn Objective,
@@ -109,16 +109,8 @@ pub(crate) fn run_cpu(
     for t in 0..cfg.max_iter {
         iterations_run = t + 1;
         // Step (ii): swarm evaluation.
-        if parallel {
-            swarm
-                .errors
-                .par_iter_mut()
-                .zip_eq(swarm.pos.par_chunks_exact(d))
-                .for_each(|(e, row)| *e = obj.eval(row));
-        } else {
-            for (e, row) in swarm.errors.iter_mut().zip(swarm.pos.chunks_exact(d)) {
-                *e = obj.eval(row);
-            }
+        for (e, row) in swarm.errors.iter_mut().zip(swarm.pos.chunks_exact(d)) {
+            *e = obj.eval(row);
         }
         charger.charge(
             &mut tl,
@@ -129,39 +121,15 @@ pub(crate) fn run_cpu(
         );
 
         // Step (iii.a): pbest update.
-        let improved: u64 = if parallel {
-            swarm
-                .pbest_err
-                .par_iter_mut()
-                .zip_eq(swarm.pbest_pos.par_chunks_exact_mut(d))
-                .zip_eq(
-                    swarm
-                        .errors
-                        .par_iter()
-                        .zip_eq(swarm.pos.par_chunks_exact(d)),
-                )
-                .map(|((pb, pb_row), (&e, p_row))| {
-                    if e < *pb {
-                        *pb = e;
-                        pb_row.copy_from_slice(p_row);
-                        1
-                    } else {
-                        0
-                    }
-                })
-                .sum()
-        } else {
-            let mut improved = 0;
-            for i in 0..n {
-                if swarm.errors[i] < swarm.pbest_err[i] {
-                    swarm.pbest_err[i] = swarm.errors[i];
-                    let (src, dst) = (i * d, i * d + d);
-                    swarm.pbest_pos[src..dst].copy_from_slice(&swarm.pos[src..dst]);
-                    improved += 1;
-                }
+        let mut improved = 0u64;
+        for i in 0..n {
+            if swarm.errors[i] < swarm.pbest_err[i] {
+                swarm.pbest_err[i] = swarm.errors[i];
+                let (src, dst) = (i * d, i * d + d);
+                swarm.pbest_pos[src..dst].copy_from_slice(&swarm.pos[src..dst]);
+                improved += 1;
             }
-            improved
-        };
+        }
         charger.charge(
             &mut tl,
             Phase::PBest,
@@ -170,8 +138,8 @@ pub(crate) fn run_cpu(
             0,
         );
 
-        // Step (iii.b): gbest update — sequential argmin scan (the
-        // parallel tree reduction has identical tie semantics).
+        // Step (iii.b): gbest update — sequential argmin scan (gpu-sim's
+        // `reduce_min_index` has identical tie semantics).
         let (mut min_i, mut min_v) = (0usize, swarm.pbest_err[0]);
         for (i, &v) in swarm.pbest_err.iter().enumerate().skip(1) {
             if v < min_v {
@@ -260,61 +228,34 @@ pub(crate) fn run_cpu(
         // Step (iv): swarm update (fused Equations 1, 5 and 2). Under the
         // ring topology, the social attractor is the neighborhood best's
         // pbest row; under the star topology it is the swarm best.
-        // The pbest matrix is only *read* during the update, so taking the
-        // social row from it is race-free.
-        if parallel {
-            let gbest_pos = &swarm.gbest_pos;
-            let gbest_err = swarm.gbest_err;
-            let pbest_pos_all = &swarm.pbest_pos;
-            let lbest_idx = &lbest_idx;
-            let topology = cfg.topology;
-            swarm
-                .vel
-                .par_chunks_exact_mut(d)
-                .zip_eq(swarm.pos.par_chunks_exact_mut(d))
-                .zip_eq(swarm.pbest_err.par_iter())
-                .enumerate()
-                .for_each(|(row, ((vrow, prow), &pb_err))| {
-                    let pb_row = &pbest_pos_all[row * d..(row + 1) * d];
-                    let social_row = match topology {
-                        Topology::Global => &gbest_pos[..],
-                        Topology::Ring { .. } | Topology::Islands { .. } => {
-                            let b = lbest_idx[row];
-                            &pbest_pos_all[b * d..(b + 1) * d]
-                        }
-                    };
-                    update_row(
-                        row, vrow, prow, pb_row, pb_err, social_row, gbest_err, cfg, bound, &rng, t,
-                    );
-                });
-        } else {
-            #[allow(clippy::needless_range_loop)]
-            for row in 0..n {
-                let (s, e) = (row * d, row * d + d);
-                let social_row = match cfg.topology {
-                    Topology::Global => &swarm.gbest_pos[..],
-                    Topology::Ring { .. } | Topology::Islands { .. } => {
-                        let b = lbest_idx[row];
-                        &swarm.pbest_pos[b * d..(b + 1) * d]
-                    }
-                };
-                // Split borrows: vel and pos are distinct fields.
-                let vrow = &mut swarm.vel[s..e];
-                let prow = &mut swarm.pos[s..e];
-                update_row(
-                    row,
-                    vrow,
-                    prow,
-                    &swarm.pbest_pos[s..e],
-                    swarm.pbest_err[row],
-                    social_row,
-                    swarm.gbest_err,
-                    cfg,
-                    bound,
-                    &rng,
-                    t,
-                );
-            }
+        // The pbest matrix is only *read* during the update, so the social
+        // row may be borrowed from it while velocity and position change.
+        #[allow(clippy::needless_range_loop)]
+        for row in 0..n {
+            let (s, e) = (row * d, row * d + d);
+            let social_row = match cfg.topology {
+                Topology::Global => &swarm.gbest_pos[..],
+                Topology::Ring { .. } | Topology::Islands { .. } => {
+                    let b = lbest_idx[row];
+                    &swarm.pbest_pos[b * d..(b + 1) * d]
+                }
+            };
+            // Split borrows: vel and pos are distinct fields.
+            let vrow = &mut swarm.vel[s..e];
+            let prow = &mut swarm.pos[s..e];
+            update_row(
+                row,
+                vrow,
+                prow,
+                &swarm.pbest_pos[s..e],
+                swarm.pbest_err[row],
+                social_row,
+                swarm.gbest_err,
+                cfg,
+                bound,
+                &rng,
+                t,
+            );
         }
         // The paper's Figure-5 breakdown attributes the per-iteration
         // generation of L and G to the "init" step (§3.1 presents it as

@@ -7,8 +7,8 @@
 //! (iv) swarm update — over three interchangeable backends:
 //!
 //! * [`SeqBackend`] — the paper's `fastpso-seq` (single-threaded CPU);
-//! * [`ParBackend`] — the paper's `fastpso-omp` (parallel-for CPU, rayon
-//!   standing in for OpenMP);
+//! * [`ParBackend`] — the paper's `fastpso-omp` (the OpenMP port: the
+//!   sequential loops, priced at the testbed's core count);
 //! * [`GpuBackend`] — the paper's contribution: the swarm update modeled as
 //!   element-wise operations on `n × d` matrices, one GPU thread per matrix
 //!   element (grid-strided under resource-aware launch), with selectable

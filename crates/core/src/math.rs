@@ -3,8 +3,8 @@
 //! FastPSO's central idea is that Equation (1) decomposes into independent
 //! per-element updates (`v'₁₁ = ω·v₁₁ + c1·l₁₁·(a₁ − p₁₁) + c2·g₁₁·(b₁ − p₁₁)`).
 //! Keeping that scalar formula in exactly one place — and evaluating it in
-//! exactly one operation order — is what makes the sequential, rayon and
-//! GPU global-memory backends produce bit-identical f32 trajectories from
+//! exactly one operation order — is what makes both CPU backends and the
+//! GPU global-memory backend produce bit-identical f32 trajectories from
 //! the same Philox draws.
 
 /// One element of the velocity update (paper Equation 1, element form),

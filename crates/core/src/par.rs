@@ -1,5 +1,6 @@
-//! `fastpso-omp` — the paper's OpenMP port, with rayon as the parallel-for
-//! runtime (see DESIGN.md §2 for the substitution note).
+//! `fastpso-omp` — the paper's OpenMP port. It runs the sequential loops of
+//! `fastpso-seq` and charges their modeled time at the testbed's core count
+//! (`CpuCharger::parallel`); no host thread is spawned (DESIGN.md §2).
 
 use crate::backend::PsoBackend;
 use crate::config::PsoConfig;
@@ -7,7 +8,7 @@ use crate::error::PsoError;
 use crate::result::RunResult;
 use fastpso_functions::Objective;
 
-/// Multi-threaded CPU backend (parallel over particles/rows).
+/// CPU backend priced as the paper's multi-threaded OpenMP port.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParBackend;
 
@@ -43,9 +44,9 @@ mod tests {
 
     #[test]
     fn trajectory_is_bit_identical_to_sequential() {
-        // The strongest correctness check in the workspace: the rayon
-        // backend must produce exactly the sequential result, because every
-        // random draw is counter-addressed and every update is element-local.
+        // The OpenMP-priced backend runs the sequential loops, so it must
+        // produce exactly the sequential result; only its modeled time
+        // differs.
         for obj in [&Sphere as &dyn fastpso_functions::Objective, &Griewank] {
             let c = cfg(40, 6, 60);
             let a = SeqBackend.run(&c, obj).unwrap();

@@ -356,42 +356,19 @@ impl ShardCheckpoint {
                  shard geometry {want:?}"
             )));
         }
-        retry_op(dev, policy, || {
-            shard
-                .pos
-                .upload_in(Phase::Recovery, &self.pos)
-                .map_err(PsoError::from)
-        })?;
-        retry_op(dev, policy, || {
-            shard
-                .vel
-                .upload_in(Phase::Recovery, &self.vel)
-                .map_err(PsoError::from)
-        })?;
-        retry_op(dev, policy, || {
-            shard
-                .errors
-                .upload_in(Phase::Recovery, &self.errors)
-                .map_err(PsoError::from)
-        })?;
-        retry_op(dev, policy, || {
-            shard
-                .pbest_err
-                .upload_in(Phase::Recovery, &self.pbest_err)
-                .map_err(PsoError::from)
-        })?;
-        retry_op(dev, policy, || {
-            shard
-                .pbest_pos
-                .upload_in(Phase::Recovery, &self.pbest_pos)
-                .map_err(PsoError::from)
-        })?;
-        retry_op(dev, policy, || {
-            shard
-                .gbest_pos
-                .upload_in(Phase::Recovery, &self.gbest_pos)
-                .map_err(PsoError::from)
-        })?;
+        // One upload per buffer, in `Shard::checkpoint_buffers` order.
+        for (buf, data) in [
+            (&mut shard.pos, &self.pos),
+            (&mut shard.vel, &self.vel),
+            (&mut shard.errors, &self.errors),
+            (&mut shard.pbest_err, &self.pbest_err),
+            (&mut shard.pbest_pos, &self.pbest_pos),
+            (&mut shard.gbest_pos, &self.gbest_pos),
+        ] {
+            retry_op(dev, policy, || {
+                buf.upload_in(Phase::Recovery, data).map_err(PsoError::from)
+            })?;
+        }
         if let Some(data) = &self.extra {
             // A freshly re-homed shard (Shard::alloc) has no extra buffer
             // yet: allocate it before the upload so restore works on both

@@ -1,9 +1,12 @@
 //! Element-wise kernel launches.
 //!
-//! These entry points execute real closures over buffer contents —
-//! data-parallel on the host through rayon — and charge the launch's
-//! modeled cost to the device timeline. They are the simulator analogue of
-//! `kernel<<<grid, block>>>(...)` for the kernel shapes PSO needs:
+//! These entry points execute real closures over buffer contents — one
+//! logical thread after another on the calling host thread — and charge the
+//! launch's modeled cost to the device timeline. The closures are `Sync`
+//! and the element types `Send + Sync`, so a body may later be split across
+//! host threads without changing any launch signature. They are the
+//! simulator analogue of `kernel<<<grid, block>>>(...)` for the kernel
+//! shapes PSO needs:
 //!
 //! * [`Device::launch_map`] — `out[i] = f(i)` (pure production),
 //! * [`Device::launch_update`] — `out[i] = f(i, out[i])` (in-place update),
@@ -18,8 +21,6 @@
 use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 impl Device {
     /// `out[i] = f(i)` for every element. `desc.elems` must equal
@@ -32,7 +33,7 @@ impl Device {
         self.begin_launch()?;
         self.check_elems(desc, out.len(), "launch_map")?;
         self.charge_kernel(desc);
-        out.par_iter_mut()
+        out.iter_mut()
             .enumerate()
             .for_each(|(i, slot)| *slot = f(i));
         Ok(())
@@ -53,7 +54,7 @@ impl Device {
         self.begin_launch()?;
         self.check_elems(desc, out.len(), "launch_update")?;
         self.charge_kernel(desc);
-        out.par_iter_mut()
+        out.iter_mut()
             .enumerate()
             .for_each(|(i, slot)| *slot = f(i, *slot));
         Ok(())
@@ -89,7 +90,7 @@ impl Device {
     ///
     /// This is the `pbest` update shape: per particle, compare the new error
     /// (`a` chunk of 1) and, when it improved, copy the position row (`b`
-    /// chunk of `d`). The hits are counted with an atomic inside the body,
+    /// chunk of `d`). The hits are counted (an atomic on a real device),
     /// and the launch is charged once, after the body: `desc`'s work plus
     /// `per_hit` for every element of each hit's `b` chunk. The fault gate
     /// still fires before the body writes anything.
@@ -124,16 +125,12 @@ impl Device {
             });
         }
         self.check_elems(desc, a.len() / ca, "launch_chunks2")?;
-        let hits = AtomicU64::new(0);
-        a.par_chunks_mut(ca)
-            .zip(b.par_chunks_mut(cb))
+        let hits: u64 = a
+            .chunks_mut(ca)
+            .zip(b.chunks_mut(cb))
             .enumerate()
-            .for_each(|(i, (ac, bc))| {
-                if f(i, ac, bc) {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        let hits = hits.into_inner();
+            .map(|(i, (ac, bc))| u64::from(f(i, ac, bc)))
+            .sum();
         let mut work = desc.work();
         per_hit.add_to(&mut work, hits * cb as u64);
         self.charge_launch(desc, work);
@@ -182,9 +179,9 @@ impl Device {
         }
         self.check_elems(desc, a.len(), "launch_rows")?;
         let (wa, wb) = (a.len() / n, b.len() / n);
-        a.par_chunks_mut(wa)
-            .zip(b.par_chunks_mut(wb))
-            .zip(rows.par_iter_mut())
+        a.chunks_mut(wa)
+            .zip(b.chunks_mut(wb))
+            .zip(rows.iter_mut())
             .enumerate()
             .for_each(|(r, ((ac, bc), slot))| f(r, ac, bc, slot));
         let mut work = desc.work();
@@ -239,9 +236,9 @@ impl Device {
         }
         self.check_elems(desc, chunks, "launch_chunks4")?;
         self.charge_kernel(desc);
-        a.par_chunks_mut(ca)
-            .zip(b.par_chunks_mut(cb))
-            .zip(c.par_chunks_mut(cc).zip(d.par_chunks_mut(cd)))
+        a.chunks_mut(ca)
+            .zip(b.chunks_mut(cb))
+            .zip(c.chunks_mut(cc).zip(d.chunks_mut(cd)))
             .enumerate()
             .for_each(|(i, ((ac, bc), (cc_, dc)))| f(i, ac, bc, cc_, dc));
         Ok(())

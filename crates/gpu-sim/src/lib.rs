@@ -12,9 +12,9 @@
 //!
 //! Two things happen on every kernel launch:
 //!
-//! 1. the kernel body **really executes** (data-parallel on the host via
-//!    rayon), so optimization results are genuine, bit-for-bit comparable to
-//!    a scalar reference implementation; and
+//! 1. the kernel body **really executes** (sequentially, on the calling host
+//!    thread), so optimization results are genuine, bit-for-bit comparable
+//!    to a scalar reference implementation; and
 //! 2. the launch's work descriptor (threads, flops, bytes per memory space,
 //!    access pattern) is priced by [`perf_model`] against a device profile
 //!    (Tesla V100 by default) and charged to a per-phase [`Timeline`].

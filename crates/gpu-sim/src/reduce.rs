@@ -15,7 +15,6 @@ use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc, DEFAULT_BLOCK};
 use perf_model::{GpuKernelWork, Phase};
-use rayon::prelude::*;
 
 /// Result of an argmin reduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,37 +55,18 @@ impl Device {
         if data.is_empty() {
             return Err(GpuError::Empty("reduce_min_index"));
         }
-        let (index, value) = data.par_iter().copied().enumerate().reduce(
-            || (usize::MAX, f32::INFINITY),
-            |a, b| {
-                // NaN never wins, so a swarm with NaN errors keeps its
-                // previous best; ties keep the earliest index so the
-                // result matches a deterministic sequential scan.
-                let a_valid = a.0 != usize::MAX && !a.1.is_nan();
-                let b_valid = b.0 != usize::MAX && !b.1.is_nan();
-                match (a_valid, b_valid) {
-                    (true, false) | (false, false) => a,
-                    (false, true) => b,
-                    (true, true) => {
-                        if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                            b
-                        } else {
-                            a
-                        }
-                    }
-                }
-            },
-        );
-        let result = if index == usize::MAX {
-            // All-NaN input: fall back to index 0 like a sequential scan
-            // that never updates its running best.
-            MinResult {
-                value: data[0],
-                index: 0,
+        // NaN never wins, so a swarm with NaN errors keeps its previous best;
+        // ties keep the earliest index. All-NaN input falls back to index 0.
+        let mut best: Option<MinResult> = None;
+        for (index, &value) in data.iter().enumerate() {
+            if !value.is_nan() && best.is_none_or(|b| value < b.value) {
+                best = Some(MinResult { value, index });
             }
-        } else {
-            MinResult { value, index }
-        };
+        }
+        let result = best.unwrap_or(MinResult {
+            value: data[0],
+            index: 0,
+        });
         let (desc, mut work) = self.reduction_work(phase, data.len());
         per_elem.add_to(&mut work, epilogue(result));
         self.charge_launch(&desc, work);

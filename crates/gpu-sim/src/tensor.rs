@@ -16,7 +16,6 @@ use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc};
 use perf_model::{GpuProfile, Phase};
-use rayon::prelude::*;
 
 /// Edge length of a tensor-core fragment (16×16 on Volta).
 pub const FRAGMENT_DIM: usize = 16;
@@ -236,7 +235,7 @@ impl Device {
         self.charge_kernel(&desc);
 
         let n_inputs = inputs.len();
-        out.par_chunks_mut(FRAGMENT_ELEMS)
+        out.chunks_mut(FRAGMENT_ELEMS)
             .enumerate()
             .for_each(|(frag_idx, out_frag)| {
                 let start = frag_idx * FRAGMENT_ELEMS;

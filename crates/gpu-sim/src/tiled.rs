@@ -14,7 +14,6 @@ use crate::device::Device;
 use crate::error::GpuError;
 use crate::launch::{KernelCost, KernelDesc};
 use perf_model::{GpuProfile, Phase};
-use rayon::prelude::*;
 
 /// Default tile edge used by the shared-memory swarm update; a 32×32 f32
 /// tile is 4 KiB, letting several blocks stage multiple operand tiles per SM.
@@ -112,7 +111,7 @@ impl Device {
         );
         self.charge_kernel(&desc);
 
-        out.par_chunks_mut(tile_elems)
+        out.chunks_mut(tile_elems)
             .enumerate()
             .for_each(|(tile_idx, out_tile)| {
                 let tile_start = tile_idx * tile_elems;

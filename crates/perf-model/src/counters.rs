@@ -90,7 +90,7 @@ pub struct Counters {
     pub interp_python_elems: u64,
     /// Elements written to interpreter temporary arrays.
     pub interp_temp_elems: u64,
-    /// Parallel regions entered (OpenMP/rayon scope analogue).
+    /// Parallel regions the modeled OpenMP port enters (priced, not run).
     pub parallel_regions: u64,
 }
 

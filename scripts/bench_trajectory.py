@@ -32,15 +32,21 @@ ARGS = ["--seconds", "1", "--trace", "1"]
 ROW = re.compile(r"^(\S+)\s+\S+\s+\S+\s+(host|modeled, exact|count, exact|computed, exact)$")
 
 
-def run(workload, seed):
-    """perfbench's final JSON line for one run, and its exact metric names."""
-    argv = COMMAND + ["--workload", workload, "--seed", str(seed)] + ARGS
-    out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
+def run(workload, seed, command=COMMAND, args=ARGS, cwd=None):
+    """perfbench's final JSON line for one run, and its exact metric names.
+
+    `command` is the argv prefix that starts perfbench (`cargo run ... --`
+    or a built binary), run in `cwd`. Aborts on a run that is not `correct`
+    or has failed operations.
+    """
+    argv = command + ["--workload", workload, "--seed", str(seed)] + args
+    out = subprocess.run(argv, cwd=cwd, check=True, capture_output=True, text=True).stdout
     lines = out.strip().splitlines()
     result = json.loads(lines[-1])
     exact = {m.group(1) for m in map(ROW.match, lines) if m and m.group(2).endswith("exact")}
     if not result["correct"] or result["failed"] != 0:
-        sys.exit(f"{workload} seed {seed}: incorrect output or failed operations")
+        sys.exit(f"{workload} seed {seed}: {command[0]} reported incorrect output "
+                 "or failed operations")
     return result, exact
 
 
